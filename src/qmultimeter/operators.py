@@ -268,18 +268,26 @@ def check_density_operator(rho: np.ndarray, tol: float = 1e-6) -> np.ndarray:
 # random generators (explicit rng, reproducible by seed)
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian matrix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def haar_unitary(dim: int, rng: np.random.Generator, batch: tuple = ()) -> np.ndarray:
+    """Haar-random unitary via QR of a complex Gaussian matrix.
+
+    ``batch`` prepends stack axes: the whole stack takes one ``qr`` call,
+    and fixing the phase of each column (Mezzadri 2007) makes every matrix
+    of the stack Haar-distributed.
+    """
+    shape = (*batch, dim, dim)
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases.conj()
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    phases = phases / np.abs(phases)
+    return q * phases.conj()[..., None, :]
 
 
-def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return psi / np.linalg.norm(psi)
+def random_state_vector(dim: int, rng: np.random.Generator, batch: tuple = ()) -> np.ndarray:
+    """Uniformly random unit vector; ``batch`` prepends stack axes."""
+    shape = (*batch, dim)
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
 
 
 def random_density_operator(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
@@ -288,8 +296,3 @@ def random_density_operator(dim: int, rng: np.random.Generator, rank: int | None
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = g @ dagger(g)
     return rho / np.trace(rho).real
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (g + dagger(g)) / 2

@@ -174,6 +174,23 @@ class TestMainExitCodes:
         }
         assert main([write_scenario(tmp_path, payload)]) == EXIT_DIMENSION
 
+    def test_search_above_dimension_cap_exit(self, tmp_path, capsys):
+        payload = {
+            "seed": 1,
+            "objects": {},
+            "runs": [
+                {
+                    "command": "verify",
+                    "check": "counterexample_search",
+                    "dim_h": 64,
+                    "dim_k": 65,
+                    "trials": 1,
+                }
+            ],
+        }
+        assert main([write_scenario(tmp_path, payload)]) == EXIT_DIMENSION
+        assert "4096" in capsys.readouterr().err
+
     def test_tol_flag_overrides_program_tolerance(self, tmp_path, capsys):
         payload = {
             "objects": {

@@ -186,6 +186,18 @@ class TestRandomGenerators:
         assert np.array_equal(u1, u2)
         assert is_unitary(u1)
 
+    def test_stacked_draws(self, rng):
+        # every matrix of a stack is unitary, and the per-column phase fix
+        # leaves the entries unbiased, as Haar measure requires (without it
+        # the mean of u[0, 0] is about -0.34 at dim 3)
+        u = haar_unitary(3, rng, batch=(4000,))
+        assert u.shape == (4000, 3, 3)
+        assert all(is_unitary(x) for x in u[:50])
+        assert abs(u[:, 0, 0].mean()) <= 5 / np.sqrt(3 * 4000)
+        psi = random_state_vector(3, rng, batch=(10, 2))
+        assert psi.shape == (10, 2, 3)
+        assert np.abs(np.linalg.norm(psi, axis=-1) - 1).max() <= 1e-12
+
     def test_random_density_operator_valid(self, rng):
         rho = random_density_operator(4, rng, rank=2)
         eigs = np.linalg.eigvalsh(rho)

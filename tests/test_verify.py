@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from qmultimeter import PAULI, ValidationError
+from qmultimeter import DIMENSION_CAP, PAULI, DimensionError, ValidationError
+from qmultimeter.cli import emit_report, parse_report
 from qmultimeter.channels import identity_channel, make_channel, unitary_channel
 from qmultimeter.multimeter import (
     builtin_multimeter,
@@ -233,18 +236,64 @@ class TestPurification:
 
 class TestCounterexampleSearch:
     def test_fast_induction_matches_full_path(self, rng):
-        # the search's block computation agrees with the general machinery
-        from qmultimeter.verify import _pointer_blocks
+        # every row of the search's stacked block computation agrees with the
+        # general machinery, structured rows included
+        from qmultimeter.verify import _stacked_effects, _structured_couplings
 
-        g = haar_unitary(6, rng)
-        phi = random_state_vector(3, rng)
-        blocks = _pointer_blocks(g, phi, 2, 3)
-        basis = np.eye(3, dtype=complex)
-        pointer = make_observable(3, (1, 2, 3), [projector(basis[i]) for i in range(3)])
-        meter = make_multimeter(2, 3, pointer, make_channel([g]))
-        obs = induced_observable(make_model(meter, phi))
-        for k, block in enumerate(blocks, start=1):
-            assert np.linalg.norm(obs.effect(k) - block) <= 1e-12
+        for dim_h, dim_k in [(2, 3), (3, 3)]:
+            g = haar_unitary(dim_h * dim_k, rng, batch=(3,))
+            g[1] = _structured_couplings(dim_h, dim_k, 1, rng)[0]
+            phis = random_state_vector(dim_k, rng, batch=(3, 2))
+            phis[1] = np.eye(dim_k)[:2]
+            effects = _stacked_effects(g, phis, dim_h, dim_k)
+            basis = np.eye(dim_k, dtype=complex)
+            labels = tuple(range(1, dim_k + 1))
+            pointer = make_observable(dim_k, labels, [projector(b) for b in basis])
+            for t in range(3):
+                meter = make_multimeter(dim_h, dim_k, pointer, make_channel([g[t]]))
+                for p in range(2):
+                    obs = induced_observable(make_model(meter, phis[t, p]))
+                    for k, block in enumerate(effects[t, p], start=1):
+                        assert np.linalg.norm(obs.effect(k) - block) <= 1e-12
+
+    def test_chunk_boundary_counts_every_structured_pair(self):
+        # across chunks, each structured pair is sharp, distinct and (with the
+        # overlap threshold at zero) qualifying; no Haar pair is sharp
+        from qmultimeter.verify import _SEARCH_CHUNK
+
+        trials = 2 * _SEARCH_CHUNK + 37
+        rep = counterexample_search(2, 2, trials, seed=3, thresholds={"overlap": 0.0})
+        assert rep.verdict == "fail"
+        assert rep.residuals["structured_samples"] > 0
+        assert rep.residuals["violations"] == rep.residuals["structured_samples"]
+        assert rep.residuals["qualifying_samples"] == trials
+        assert counterexample_search(2, 2, trials, seed=3, thresholds={"overlap": 0.0}) == rep
+
+    @pytest.mark.parametrize("dim_k, trials", [(2, 0), (2, -5), (1, 200)])
+    def test_nothing_qualifies_not_applicable(self, dim_k, trials):
+        rep = counterexample_search(2, dim_k, trials, seed=4)
+        assert rep.verdict == "not_applicable"
+        assert rep.residuals["qualifying_samples"] == 0.0
+        # a one-dimensional apparatus has no orthogonal basis pair to draw
+        assert rep.residuals["structured_samples"] == 0.0
+        assert rep.residuals["violations"] == 0.0
+        assert "best_sharp_residual" not in rep.residuals
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON constant {token}")
+
+        text = emit_report([rep], "structured")
+        assert json.loads(text, parse_constant=reject)["reports"][0]["verdict"] == "not_applicable"
+        assert parse_report(text) == [rep]
+
+    @pytest.mark.parametrize("dim_h, dim_k", [(64, 65), (1, DIMENSION_CAP + 1), (0, 2), (2, -1)])
+    def test_dimensions_checked_before_sampling(self, monkeypatch, dim_h, dim_k):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the search sampled before checking its dimensions")
+
+        monkeypatch.setattr("qmultimeter.verify.haar_unitary", no_sampling)
+        with pytest.raises(DimensionError):
+            counterexample_search(dim_h, dim_k, 1, seed=0)
 
     def test_default_thresholds_pass(self):
         rep = counterexample_search(2, 2, 1500, seed=7)
@@ -252,6 +301,7 @@ class TestCounterexampleSearch:
         assert rep.residuals["violations"] == 0.0
         # qualifying samples exist and stay far from sharpness
         assert rep.residuals["best_sharp_residual"] > 1e-3
+        assert 0 < rep.residuals["qualifying_samples"] <= 1500
 
     def test_deterministic_given_seed(self):
         rep1 = counterexample_search(2, 3, 300, seed=21)
