@@ -287,6 +287,8 @@ def random_state_vector(dim: int, rng: np.random.Generator, batch: tuple = ()) -
     """Uniformly random unit vector; ``batch`` prepends stack axes."""
     shape = (*batch, dim)
     psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if not batch:
+        return psi / np.linalg.norm(psi)
     return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
 
 

@@ -382,16 +382,18 @@ def _structured_couplings(
     """Stack of couplings that measure a random sharp observable for basis probes.
 
     Each coupling is ``sum_j A_j (x) T_j``: ``A`` has a Haar-random
-    eigenbasis split into ``min(dim_h, dim_k)`` groups (zero effects beyond
-    them) and ``T_j`` swaps pointer slots 0 and j.  Probe ``e_0`` induces
-    ``A``; probe ``e_1`` induces ``A`` with outcome 0 and 1 exchanged and
-    outcomes 2, 3, ... merged into 1, a distinct sharp observable.
+    eigenbasis split into ``m = min(dim_h, dim_k)`` groups and ``T_j`` swaps
+    pointer slots 0 and j.  The effects beyond ``m`` are zero, so the sum
+    runs over ``j < m`` only and the transpositions hold ``m * dim_k**2``
+    entries, no more than one coupling.  Probe ``e_0`` induces ``A``; probe
+    ``e_1`` induces ``A`` with outcome 0 and 1 exchanged and outcomes 2, 3,
+    ... merged into 1, a distinct sharp observable.
     """
+    m = min(dim_h, dim_k)
     u = haar_unitary(dim_h, rng, batch=(count,))
-    groups = np.arange(dim_h) % min(dim_h, dim_k)
-    select = (groups[:, None] == np.arange(dim_k)).astype(float)
+    select = (np.arange(dim_h)[:, None] % m == np.arange(m)).astype(float)
     effects = np.einsum("sac,cj,sbc->sjab", u, select, u.conj())
-    swaps = np.stack([_transposition(dim_k, j) for j in range(dim_k)])
+    swaps = np.stack([_transposition(dim_k, j) for j in range(m)])
     n = dim_h * dim_k
     return np.einsum("sjab,jcd->sacbd", effects, swaps).reshape(count, n, n)
 

@@ -256,6 +256,29 @@ class TestCounterexampleSearch:
                     for k, block in enumerate(effects[t, p], start=1):
                         assert np.linalg.norm(obs.effect(k) - block) <= 1e-12
 
+    def test_structured_couplings_stay_within_one_coupling_of_memory(self, rng):
+        # with dim_k >> dim_h only min(dim_h, dim_k) transpositions are
+        # needed; stacking all dim_k of them would take 256 MB here
+        import tracemalloc
+
+        from qmultimeter.verify import _stacked_effects, _structured_couplings
+
+        dim_h, dim_k = 2, 256
+        n = dim_h * dim_k
+        tracemalloc.start()
+        try:
+            g = _structured_couplings(dim_h, dim_k, 2, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * n * 16
+        for u in g:
+            assert np.linalg.norm(u @ u.conj().T - np.eye(n)) <= 1e-10
+        phis = np.broadcast_to(np.eye(dim_k, dtype=complex)[:2], (2, 2, dim_k))
+        e = _stacked_effects(g, phis, dim_h, dim_k)
+        assert np.linalg.norm(e @ e - e) <= 1e-10
+        assert np.linalg.norm(e[:, 0] - e[:, 1], axis=(-2, -1)).max(axis=1).min() > 0.5
+
     def test_chunk_boundary_counts_every_structured_pair(self):
         # across chunks, each structured pair is sharp, distinct and (with the
         # overlap threshold at zero) qualifying; no Haar pair is sharp
