@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -63,6 +64,7 @@ from .observables import (
     spin_observable,
 )
 from .verify import (
+    DEFAULT_SEARCH_THRESHOLDS,
     VerificationReport,
     check_channel_program_orthogonality,
     check_convex_hull,
@@ -103,6 +105,33 @@ def _as_complex(entry, where: str) -> complex:
     ):
         return complex(entry[0], entry[1])
     raise _parse_error(f"{where}: expected a number or [re, im] pair, got {entry!r}")
+
+
+def _int_field(run: dict, key: str, idx: int) -> int:
+    value = run.get(key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise _parse_error(f"run {idx}: {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _search_thresholds(run: dict, idx: int) -> dict | None:
+    thresholds = run.get("thresholds")
+    if thresholds is None:
+        return None
+    if not isinstance(thresholds, dict):
+        raise _parse_error(f"run {idx}: 'thresholds' must be an object")
+    for key, value in thresholds.items():
+        if key not in DEFAULT_SEARCH_THRESHOLDS:
+            raise _parse_error(
+                f"run {idx}: unknown threshold {key!r}; known: {tuple(DEFAULT_SEARCH_THRESHOLDS)}"
+            )
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise _parse_error(f"run {idx}: threshold {key!r} must be a finite number")
+    return thresholds
 
 
 def _parse_vector(data, where: str) -> np.ndarray:
@@ -386,11 +415,11 @@ def _run_verify(run: dict, idx: int, runtime: _Runtime, seed: int | None) -> Ver
         return check_purification(meter, probe, kind=run.get("kind", "observable"), **kwargs)
     if check == "counterexample_search":
         return counterexample_search(
-            int(run["dim_h"]),
-            int(run["dim_k"]),
-            int(run["trials"]),
+            _int_field(run, "dim_h", idx),
+            _int_field(run, "dim_k", idx),
+            _int_field(run, "trials", idx),
             seed=seed + idx,
-            thresholds=run.get("thresholds"),
+            thresholds=_search_thresholds(run, idx),
             refine=bool(run.get("refine", False)),
         )
     raise _parse_error(f"run {idx}: unknown check {check!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, apply, make_channel
+from .channels import Channel, make_channel
 from .exceptions import DimensionError, ValidationError
 from .observables import (
     Observable,
@@ -26,18 +26,24 @@ from .observables import (
 )
 from .operators import (
     DEFAULT_TOL,
+    DIMENSION_CAP,
     PAULI,
     check_density_operator,
     check_state_vector,
     dagger,
     embed_factors,
-    embed_program_isometry,
     frobenius_norm,
     is_unitary,
     projector,
     tensor,
     tensor_many,
 )
+
+#: Probe eigenvalues below this carry no weight in induction.
+PROBE_CUTOFF = 1e-14
+
+#: Tolerance at which induced observables and channels are validated.
+INDUCTION_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,10 @@ def make_model(
 ) -> MeasurementModel:
     """Attach a probe (vector or density operator) and optional kernel.
 
+    The probe is stored normalised (a vector divided by its norm, a density
+    operator by its trace), so any probe the state checks accept induces a
+    valid device.
+
     Parameters
     ----------
     claimed : Observable, optional
@@ -113,14 +123,14 @@ def make_model(
     probe = np.asarray(probe, dtype=complex)
     if probe.ndim == 1:
         probe = check_state_vector(probe)
-        if probe.shape[0] != meter.dim_k:
-            raise DimensionError(f"probe dimension {probe.shape[0]}, expected {meter.dim_k}")
+        probe = probe / np.linalg.norm(probe)
     elif probe.ndim == 2:
         probe = check_density_operator(probe)
-        if probe.shape[0] != meter.dim_k:
-            raise DimensionError(f"probe dimension {probe.shape[0]}, expected {meter.dim_k}")
+        probe = probe / np.trace(probe).real
     else:
         raise DimensionError("probe must be a vector or a density matrix")
+    if probe.shape[0] != meter.dim_k:
+        raise DimensionError(f"probe dimension {probe.shape[0]}, expected {meter.dim_k}")
     if kernel is not None and kernel.rows != len(meter.pointer):
         raise DimensionError(
             f"kernel has {kernel.rows} rows but pointer has {len(meter.pointer)} outcomes"
@@ -137,16 +147,8 @@ def make_model(
                     f"no model with dim K = {meter.dim_k} can measure a sharp "
                     f"{n_valued}-outcome observable (requires dim K >= {n_valued})"
                 )
-    probe = probe.copy()
     probe.setflags(write=False)
     return MeasurementModel(meter=meter, probe=probe, kernel=kernel)
-
-
-def probe_density(model: MeasurementModel) -> np.ndarray:
-    """Probe state as a density operator."""
-    if model.probe.ndim == 1:
-        return projector(model.probe)
-    return model.probe
 
 
 def _effective_pointer(model: MeasurementModel) -> Observable:
@@ -155,66 +157,56 @@ def _effective_pointer(model: MeasurementModel) -> Observable:
     return post_process(model.meter.pointer, model.kernel)
 
 
-def induced_observable(model: MeasurementModel, method: str = "auto") -> Observable:
-    """The observable measured by the model.
+def _program_blocks(model: MeasurementModel) -> np.ndarray:
+    """Stack ``M[j, r, i, c]`` of the maps the probe programs into the interaction.
 
-    ``E(x) = tr_K[ V*(I (x) Z(x)) (I (x) xi) ]`` where the pointer ``Z``
-    is first smeared by the kernel when one is present.
-
-    Two code paths exist and must agree: the general Heisenberg route
-    above, and the isometry compression
-    ``E(x) = W* G*(I (x) Z(x)) G W`` available for normal multimeters with
-    a pure probe (``method="compression"``).
+    With ``xi = sum_j lam_j |psi_j><psi_j|``, each Kraus operator ``V_v``
+    and each eigenvector with ``lam_j >= PROBE_CUTOFF`` give one block
+    ``sqrt(lam_j) V_v (I (x) psi_j) : H -> H (x) K``, its rows split into
+    ``(r, i)``.  The kept eigenvalues are renormalised to sum to one, so
+    dropping negligible or slightly negative ones keeps the device
+    normalised.  A pure probe is its own single eigenvector.
     """
     meter = model.meter
-    z = _effective_pointer(model)
-    if method == "auto":
-        method = (
-            "compression" if meter.normal and model.probe.ndim == 1 else "general"
-        )
-    if method == "compression":
-        if not meter.normal or model.probe.ndim != 1:
-            raise ValidationError("compression path needs a normal multimeter and a pure probe")
-        w = embed_program_isometry(model.probe, meter.dim_h)
-        m = meter.coupling @ w
-        effects = [dagger(m) @ tensor(np.eye(meter.dim_h), eff) @ m for eff in z.effects]
-    elif method == "general":
-        xi = probe_density(model)
-        eye_h = np.eye(meter.dim_h)
-        one_xi = tensor(eye_h, xi)
-        effects = []
-        for eff in z.effects:
-            heis = apply(meter.interaction, tensor(eye_h, eff), "heisenberg")
-            tens = (heis @ one_xi).reshape(
-                meter.dim_h, meter.dim_k, meter.dim_h, meter.dim_k
-            )
-            effects.append(np.trace(tens, axis1=1, axis2=3))
+    if model.probe.ndim == 1:
+        psis = model.probe[:, None]
     else:
-        raise ValueError(f"method must be 'auto', 'general' or 'compression', got {method!r}")
-    return make_observable(meter.dim_h, z.outcomes, effects, tol=1e-7)
+        lam, vecs = np.linalg.eigh(model.probe)
+        keep = lam >= PROBE_CUTOFF
+        psis = vecs[:, keep] * np.sqrt(lam[keep] / lam[keep].sum())
+    m = np.stack([v.reshape(-1, meter.dim_k) @ psis for v in meter.interaction.kraus])
+    m = m.reshape(-1, meter.dim_h, meter.dim_k, meter.dim_h, psis.shape[1])
+    return np.moveaxis(m, -1, 0).reshape(-1, meter.dim_h, meter.dim_k, meter.dim_h)
 
 
-def _row_blocks(m: np.ndarray, dim_h: int, dim_k: int) -> list:
-    """Split ``m: H -> H (x) K`` into the dim_k maps ``(I (x) <i|) m``."""
-    return [m[i::dim_k, :] for i in range(dim_k)]
+def induced_observable(model: MeasurementModel) -> Observable:
+    """The observable measured by the model.
+
+    ``E(x) = sum_j M_j* (I (x) Z(x)) M_j`` over the program maps ``M_j`` of
+    the probe (see :func:`_program_blocks`), which equals
+    ``tr_K[ V*(I (x) Z(x)) V (I (x) xi) ]``; the pointer ``Z`` is first
+    smeared by the kernel when one is present.  Each ``Z(x)`` acts on the
+    pointer index of the blocks alone, so nothing on ``H (x) K`` is formed.
+    """
+    dim_h, dim_k = model.meter.dim_h, model.meter.dim_k
+    z = _effective_pointer(model)
+    # b[i, (j, r, c)] = M[j, r, i, c]; its rows (i, j, r) give the adjoint side.
+    b = _program_blocks(model).transpose(2, 0, 1, 3).reshape(dim_k, -1)
+    b_adj = b.reshape(-1, dim_h).conj().T
+    effects = [b_adj @ (eff @ b).reshape(-1, dim_h) for eff in z.effects]
+    return make_observable(dim_h, z.outcomes, effects, tol=INDUCTION_TOL)
 
 
 def induced_channel(model: MeasurementModel) -> Channel:
-    """The channel ``rho -> tr_K[ V(rho (x) xi) ]`` induced on the system.
+    """The channel ``rho -> tr_K[ V(rho (x) xi) V* ]`` induced on the system.
 
-    The pointer and kernel play no role here.
+    Its Kraus operators are the pointer rows ``(I (x) <i|) M_j`` of the
+    program maps ``M_j`` (see :func:`_program_blocks`).  The pointer and
+    kernel play no role here.
     """
-    meter = model.meter
-    xi = probe_density(model)
-    eigvals, vecs = np.linalg.eigh(xi)
-    kraus = []
-    for lam, psi in zip(eigvals, vecs.T):
-        if lam < 1e-14:
-            continue
-        w = embed_program_isometry(psi / np.linalg.norm(psi), meter.dim_h)
-        for v in meter.interaction.kraus:
-            kraus.extend(np.sqrt(lam) * b for b in _row_blocks(v @ w, meter.dim_h, meter.dim_k))
-    return make_channel(kraus, tol=1e-7)
+    dim_h = model.meter.dim_h
+    kraus = _program_blocks(model).transpose(0, 2, 1, 3).reshape(-1, dim_h, dim_h)
+    return make_channel(kraus, tol=INDUCTION_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +377,7 @@ def concatenate_with_measurement(
     if a_model.meter.dim_h != channel_meter.dim_h:
         raise DimensionError("system dimensions differ")
     measured = induced_observable(a_model)
-    if not is_sharp(measured, max(tol, 1e-7)):
+    if not is_sharp(measured, max(tol, INDUCTION_TOL)):
         raise ValidationError("the downstream model must measure a sharp observable")
     dim_h = channel_meter.dim_h
     dims = [dim_h, channel_meter.dim_k, a_model.meter.dim_k]
@@ -424,6 +416,10 @@ def _swap_unitary(dim: int) -> np.ndarray:
 
 
 def _swap_multimeter(dim: int) -> tuple[Multimeter, list]:
+    if dim < 1 or dim * dim > DIMENSION_CAP:
+        raise DimensionError(
+            f"swap dimension {dim} must be at least 1 with square at most {DIMENSION_CAP}"
+        )
     basis = np.eye(dim, dtype=complex)
     pointer = make_observable(
         dim, tuple(range(1, dim + 1)), [projector(basis[i]) for i in range(dim)]

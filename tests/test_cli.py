@@ -191,6 +191,68 @@ class TestMainExitCodes:
         assert main([write_scenario(tmp_path, payload)]) == EXIT_DIMENSION
         assert "4096" in capsys.readouterr().err
 
+    def test_swap_above_dimension_cap_exit(self, tmp_path, capsys, monkeypatch):
+        def no_allocation(dim):
+            raise AssertionError(f"swap coupling of dimension {dim * dim} allocated")
+
+        monkeypatch.setattr("qmultimeter.multimeter._swap_unitary", no_allocation)
+        payload = {"objects": {"M": {"kind": "multimeter", "builtin": "swap", "dim": 65}}, "runs": []}
+        assert main([write_scenario(tmp_path, payload)]) == EXIT_DIMENSION
+        assert "4096" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"dim_h": 2, "trials": 10},
+            {"dim_h": 2, "dim_k": "x", "trials": 10},
+            {"dim_h": 2.5, "dim_k": 2, "trials": 10},
+            {"dim_h": 2, "dim_k": 2, "trials": True},
+            {"dim_h": 2, "dim_k": 2, "trials": None},
+        ],
+    )
+    def test_search_fields_must_be_integers(self, tmp_path, capsys, fields):
+        run = {"command": "verify", "check": "counterexample_search", **fields}
+        payload = {"seed": 1, "objects": {}, "runs": [run]}
+        assert main([write_scenario(tmp_path, payload)]) == EXIT_PARSE
+        assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "thresholds",
+        [
+            {"overlap": "x"},
+            {"overlap": float("nan")},
+            {"distance": float("inf")},
+            {"overlap": True},
+            {"overlapp": 0.1},
+            [0.1],
+        ],
+    )
+    def test_search_thresholds_validated(self, tmp_path, capsys, thresholds):
+        run = {
+            "command": "verify",
+            "check": "counterexample_search",
+            "dim_h": 2,
+            "dim_k": 2,
+            "trials": 10,
+            "thresholds": thresholds,
+        }
+        payload = {"seed": 1, "objects": {}, "runs": [run]}
+        assert main([write_scenario(tmp_path, payload)]) == EXIT_PARSE
+        assert "threshold" in capsys.readouterr().err
+
+    def test_search_integer_threshold_accepted(self, tmp_path, capsys):
+        # overlap 0 counts the orthogonal structured samples as violations
+        run = {
+            "command": "verify",
+            "check": "counterexample_search",
+            "dim_h": 2,
+            "dim_k": 2,
+            "trials": 400,
+            "thresholds": {"overlap": 0},
+        }
+        payload = {"seed": 1, "objects": {}, "runs": [run]}
+        assert main([write_scenario(tmp_path, payload)]) == EXIT_CHECK_FAILED
+
     def test_tol_flag_overrides_program_tolerance(self, tmp_path, capsys):
         payload = {
             "objects": {

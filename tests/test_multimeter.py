@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmultimeter import DimensionError, PAULI, ValidationError
+from qmultimeter import DIMENSION_CAP, DimensionError, PAULI, ValidationError
 from qmultimeter.channels import (
     apply,
     channel_distance,
@@ -9,6 +9,7 @@ from qmultimeter.channels import (
     complete_contraction,
     identity_channel,
     make_channel,
+    random_channel,
     unitary_channel,
 )
 from qmultimeter.multimeter import (
@@ -29,6 +30,7 @@ from qmultimeter.observables import (
     make_observable,
     observable_distance,
     post_process,
+    random_observable,
     random_sharp_observable,
     spin_observable,
 )
@@ -55,6 +57,65 @@ def merge_kernels():
         2: make_kernel([[1, 0], [0, 1], [1, 0], [0, 1]]),
         3: make_kernel([[1, 0], [0, 1], [0, 1], [1, 0]]),
     }
+
+
+def reference_models(rng):
+    """Models covering every kind of program map that induction must handle."""
+    pauli, probes = builtin_multimeter("pauli")
+    yield from (make_model(pauli, phi) for phi in probes + [random_state_vector(4, rng)])
+    yield make_model(pauli, probes[0], kernel=merge_kernels()[1])
+    # non-normal: fuzzy pointer, three Kraus operators, a kernel
+    pointer = random_observable(3, 3, 5)
+    noisy = make_multimeter(2, 3, pointer, random_channel(6, 3, 11))
+    kernel = make_kernel([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
+    yield make_model(noisy, random_state_vector(3, rng), kernel=kernel)
+    yield make_model(noisy, random_density_operator(3, rng), kernel=kernel)
+    # rank-deficient probe: one eigenvalue below the cutoff
+    rank_two = random_density_operator(3, rng, rank=2)
+    assert np.linalg.eigvalsh(rank_two)[0] < 1e-14
+    yield make_model(noisy, rank_two)
+    bundle, selectors = push_button_multimeter(
+        [minimal_dilation_multimeter(random_sharp_observable(2, 2, s)) for s in (1, 2)]
+    )
+    yield from (make_model(bundle, phi) for phi in selectors)
+    yield make_model(bundle, 0.3 * projector(selectors[0]) + 0.7 * projector(selectors[1]))
+
+
+def probe_state(model):
+    if model.probe.ndim == 1:
+        return projector(model.probe)
+    return model.probe
+
+
+def textbook_effects(model, pointer):
+    """``E(x) = tr_K[ V*(I (x) Z(x)) V (I (x) xi) ]``, formed on ``H (x) K``."""
+    meter = model.meter
+    eye_h = np.eye(meter.dim_h)
+    one_xi = tensor(eye_h, probe_state(model))
+    return [
+        partial_trace(
+            apply(meter.interaction, tensor(eye_h, eff), "heisenberg") @ one_xi,
+            meter.dim_h,
+            meter.dim_k,
+        )
+        for eff in pointer.effects
+    ]
+
+
+def textbook_channel(model, rho):
+    """``rho -> tr_K[ V (rho (x) xi) V* ]``, formed on ``H (x) K``."""
+    meter = model.meter
+    coupled = apply(meter.interaction, tensor(rho, probe_state(model)))
+    return partial_trace(coupled, meter.dim_h, meter.dim_k)
+
+
+def textbook_choi(model):
+    """Choi matrix ``C[(r,s),(r',s')] = <r| E(|s><s'|) |r'>`` of the textbook channel."""
+    d = model.meter.dim_h
+    images = np.array(
+        [[textbook_channel(model, np.outer(a, b)) for b in np.eye(d)] for a in np.eye(d)]
+    )
+    return images.transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
 class TestModelValidation:
@@ -106,15 +167,38 @@ class TestInducedObservable:
                 expected = (np.eye(2) + PAULI[j] @ PAULI[i] @ PAULI[j]) / 4
                 assert np.linalg.norm(obs.effect(j) - expected) <= 1e-12
 
-    def test_general_and_compression_paths_agree(self, rng):
+    def test_induction_matches_textbook_formulas(self, rng):
+        for model in reference_models(rng):
+            meter = model.meter
+            pointer = meter.pointer
+            if model.kernel is not None:
+                pointer = post_process(pointer, model.kernel)
+            obs = induced_observable(model)
+            for x, eff in zip(pointer.outcomes, textbook_effects(model, pointer)):
+                assert np.linalg.norm(obs.effect(x) - eff) <= 1e-12
+            channel = induced_channel(model)
+            assert np.linalg.norm(choi_matrix(channel) - textbook_choi(model)) <= 1e-12
+            for _ in range(3):
+                rho = random_density_operator(meter.dim_h, rng)
+                gap = apply(channel, rho) - textbook_channel(model, rho)
+                assert np.linalg.norm(gap) <= 1e-12
+
+    def test_probe_within_state_tolerance_induces_valid_devices(self):
+        # the state checks accept norms and traces within 1e-6 of one
         meter, probes = builtin_multimeter("pauli")
-        for phi in probes + [random_state_vector(4, rng)]:
-            model = make_model(meter, phi)
-            gap = observable_distance(
-                induced_observable(model, method="compression"),
-                induced_observable(model, method="general"),
-            )
-            assert gap <= 1e-12
+        scaled = make_model(meter, probes[0] * (1 + 5e-7))
+        exact = make_model(meter, probes[0])
+        assert np.linalg.norm(scaled.probe) == pytest.approx(1.0, abs=1e-15)
+        assert observable_distance(induced_observable(scaled), induced_observable(exact)) <= 1e-12
+        assert channel_distance(induced_channel(scaled), induced_channel(exact)) <= 1e-12
+        heavy = make_model(meter, projector(probes[0]) * (1 + 5e-7))
+        assert np.trace(heavy.probe).real == pytest.approx(1.0, abs=1e-15)
+        # a density probe with a negative eigenvalue inside the same tolerance
+        xi = np.diag([1 + 5e-7, 0, 0, -5e-7]).astype(complex)
+        noisy = make_model(meter, xi)
+        pure = make_model(meter, np.eye(4, dtype=complex)[0])
+        assert observable_distance(induced_observable(noisy), induced_observable(pure)) <= 1e-12
+        assert channel_distance(induced_channel(noisy), induced_channel(pure)) <= 1e-12
 
     def test_identity_interaction_factorizes(self, rng):
         # without coupling the outcome distribution comes from the probe alone
@@ -492,6 +576,19 @@ class TestBuiltins:
         fuzzy = make_observable(2, (1, 2), [np.eye(2) / 2, np.eye(2) / 2])
         with pytest.raises(ValidationError):
             builtin_multimeter("spin_pair", observables=(spin_trio[0], fuzzy))
+
+    def test_swap_dimension_checked_before_allocating(self, monkeypatch):
+        def no_allocation(dim):
+            raise AssertionError(f"swap coupling of dimension {dim * dim} allocated")
+
+        monkeypatch.setattr("qmultimeter.multimeter._swap_unitary", no_allocation)
+        side = int(np.sqrt(DIMENSION_CAP))
+        for dim in (side + 1, 100, 0):
+            with pytest.raises(DimensionError):
+                builtin_multimeter("swap", dim=dim)
+        # at the cap the check lets the construction through
+        with pytest.raises(AssertionError, match="allocated"):
+            builtin_multimeter("swap", dim=side)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown builtin"):
