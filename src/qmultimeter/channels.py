@@ -8,7 +8,7 @@ representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,16 +19,21 @@ from .operators import (
     dagger,
     frobenius_norm,
     is_projection,
-    is_unitary,
 )
 
 
 @dataclass(frozen=True)
 class Channel:
-    """Channel on a ``dim``-dimensional space, given by Kraus operators."""
+    """Channel on a ``dim``-dimensional space, given by Kraus operators.
+
+    ``tp_residual`` is ``||sum_i K_i* K_i - I||_F`` as computed when the
+    channel was validated; the Kraus operators are read-only, so it stays
+    exact for the channel's lifetime.
+    """
 
     dim: int
     kraus: tuple
+    tp_residual: float = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.kraus)
@@ -43,7 +48,11 @@ class StinespringDilation:
 
 
 def make_channel(kraus, tol: float = DEFAULT_TOL) -> Channel:
-    """Validate trace preservation ``sum_i K_i* K_i = I`` and build a channel."""
+    """Validate trace preservation ``sum_i K_i* K_i = I`` and build a channel.
+
+    The residual is checked against ``tol * max(1, sqrt(dim))`` and kept
+    as ``tp_residual``; see :func:`is_unitary_channel`.
+    """
     mats = [np.asarray(k, dtype=complex) for k in kraus]
     if not mats:
         raise ValidationError("channel needs at least one Kraus operator")
@@ -53,6 +62,10 @@ def make_channel(kraus, tol: float = DEFAULT_TOL) -> Channel:
             raise DimensionError(f"Kraus operator shape {k.shape}, expected {(dim, dim)}")
     total = sum(dagger(k) @ k for k in mats)
     residual = frobenius_norm(total - np.eye(dim))
+    # A NaN or infinite entry of some K_i makes the diagonal of K_i* K_i, and
+    # so the residual, non-finite; no separate pass over the entries is needed.
+    if not np.isfinite(residual):
+        raise ValidationError(f"Kraus operators have non-finite entries (residual {residual})")
     if residual > tol * max(1.0, float(np.sqrt(dim))):
         raise ValidationError(f"Kraus operators are not trace-preserving (residual {residual:.3e})")
     frozen = []
@@ -60,7 +73,16 @@ def make_channel(kraus, tol: float = DEFAULT_TOL) -> Channel:
         k = k.copy()
         k.setflags(write=False)
         frozen.append(k)
-    return Channel(dim=dim, kraus=tuple(frozen))
+    return Channel(dim=dim, kraus=tuple(frozen), tp_residual=residual)
+
+
+def is_unitary_channel(c: Channel, tol: float = DEFAULT_TOL) -> bool:
+    """A single Kraus operator ``U`` with ``||U*U - I||_F <= tol * max(1, sqrt(dim))``.
+
+    Decided from the stored ``tp_residual``: for a square ``U``,
+    ``||U*U - I||_F = ||UU* - I||_F``, so no further product is formed.
+    """
+    return len(c.kraus) == 1 and c.tp_residual <= tol * max(1.0, float(np.sqrt(c.dim)))
 
 
 def identity_channel(dim: int) -> Channel:
@@ -68,11 +90,18 @@ def identity_channel(dim: int) -> Channel:
 
 
 def unitary_channel(u: np.ndarray, tol: float = DEFAULT_TOL) -> Channel:
-    """Conjugation by a unitary; the single-Kraus reversible channel."""
+    """Conjugation by a unitary; the single-Kraus reversible channel.
+
+    For one square Kraus operator trace preservation is unitarity (see
+    :func:`is_unitary_channel`), so :func:`make_channel` decides it.
+    """
     u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, tol):
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError("matrix is not unitary")
-    return make_channel([u], tol)
+    try:
+        return make_channel([u], tol)
+    except ValidationError as exc:
+        raise ValidationError(f"matrix is not unitary: {exc}") from None
 
 
 def complete_contraction(phi: np.ndarray) -> Channel:

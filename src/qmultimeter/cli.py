@@ -107,11 +107,35 @@ def _as_complex(entry, where: str) -> complex:
     raise _parse_error(f"{where}: expected a number or [re, im] pair, got {entry!r}")
 
 
-def _int_field(run: dict, key: str, idx: int) -> int:
-    value = run.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise _parse_error(f"run {idx}: {key!r} must be an integer, got {value!r}")
+def _field(data: dict, key: str, where: str):
+    if key not in data:
+        raise _parse_error(f"{where}: missing {key!r}")
+    return data[key]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(data: dict, key: str, where: str, default=None) -> int:
+    value = data.get(key, default)
+    if not _is_int(value):
+        raise _parse_error(f"{where}: {key!r} must be an integer, got {value!r}")
     return value
+
+
+def _is_finite_number(value) -> bool:
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _number_field(data: dict, key: str, where: str, default: float) -> float:
+    value = data.get(key, default)
+    if not _is_finite_number(value):
+        raise _parse_error(f"{where}: {key!r} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _search_thresholds(run: dict, idx: int) -> dict | None:
@@ -125,11 +149,7 @@ def _search_thresholds(run: dict, idx: int) -> dict | None:
             raise _parse_error(
                 f"run {idx}: unknown threshold {key!r}; known: {tuple(DEFAULT_SEARCH_THRESHOLDS)}"
             )
-        try:
-            finite = not isinstance(value, bool) and math.isfinite(value)
-        except (TypeError, OverflowError):
-            finite = False
-        if not finite:
+        if not _is_finite_number(value):
             raise _parse_error(f"run {idx}: threshold {key!r} must be a finite number")
     return thresholds
 
@@ -183,9 +203,10 @@ class _Runtime:
 def _build_observable(defn: dict, name: str, runtime: _Runtime) -> Observable:
     if "builtin" in defn:
         if defn["builtin"] == "spin":
-            if "axis" not in defn:
-                raise _parse_error(f"object {name!r}: spin observable needs an 'axis'")
-            return spin_observable([float(x) for x in defn["axis"]])
+            axis = defn.get("axis")
+            if not isinstance(axis, list) or not all(_is_finite_number(x) for x in axis):
+                raise _parse_error(f"object {name!r}: spin 'axis' must be a list of finite numbers")
+            return spin_observable([float(x) for x in axis])
         raise ScenarioReferenceError(
             f"object {name!r}: unknown observable builtin {defn['builtin']!r}; "
             f"known: {OBSERVABLE_BUILTINS}"
@@ -203,23 +224,24 @@ def _build_observable(defn: dict, name: str, runtime: _Runtime) -> Observable:
         if key not in effects_map:
             raise _parse_error(f"object {name!r}: missing effect for outcome {label!r}")
         effects.append(_parse_matrix(effects_map[key], f"object {name!r} effect {label!r}"))
-    return make_observable(int(defn["dim"]), outcomes, effects)
+    return make_observable(_int_field(defn, "dim", f"object {name!r}"), outcomes, effects)
 
 
 def _build_channel(defn: dict, name: str) -> Channel:
     builtin = defn.get("builtin")
+    where = f"object {name!r}"
     if builtin == "identity":
-        return identity_channel(int(defn["dim"]))
+        return identity_channel(_int_field(defn, "dim", where))
     if builtin == "unitary":
-        return unitary_channel(_parse_matrix(defn["matrix"], f"object {name!r} matrix"))
+        return unitary_channel(_parse_matrix(_field(defn, "matrix", where), f"{where} matrix"))
     if builtin == "contraction":
-        return complete_contraction(_parse_vector(defn["vector"], f"object {name!r} vector"))
+        return complete_contraction(_parse_vector(_field(defn, "vector", where), f"{where} vector"))
     if builtin is not None:
         raise ScenarioReferenceError(
             f"object {name!r}: unknown channel builtin {builtin!r}; known: {CHANNEL_BUILTINS}"
         )
-    if "kraus" not in defn:
-        raise _parse_error(f"object {name!r}: channel needs 'kraus' or a builtin")
+    if not isinstance(defn.get("kraus"), list):
+        raise _parse_error(f"object {name!r}: channel needs a 'kraus' list or a builtin")
     kraus = [
         _parse_matrix(k, f"object {name!r} kraus[{i}]") for i, k in enumerate(defn["kraus"])
     ]
@@ -227,6 +249,7 @@ def _build_channel(defn: dict, name: str) -> Channel:
 
 
 def _build_multimeter(defn: dict, name: str, runtime: _Runtime):
+    where = f"object {name!r}"
     if "builtin" in defn:
         builtin = defn["builtin"]
         if builtin not in BUILTIN_MULTIMETERS:
@@ -236,9 +259,7 @@ def _build_multimeter(defn: dict, name: str, runtime: _Runtime):
             )
         params = {}
         if builtin == "swap":
-            if "dim" not in defn:
-                raise _parse_error(f"object {name!r}: swap needs 'dim'")
-            params["dim"] = int(defn["dim"])
+            params["dim"] = _int_field(defn, "dim", where)
         if builtin == "spin_pair":
             refs = defn.get("observables")
             if not isinstance(refs, list) or len(refs) != 2:
@@ -248,7 +269,9 @@ def _build_multimeter(defn: dict, name: str, runtime: _Runtime):
     if "construction" in defn:
         kind = defn["construction"]
         if kind == "minimal_dilation":
-            meter, probe = minimal_dilation_multimeter(runtime.observable(defn["observable"]))
+            meter, probe = minimal_dilation_multimeter(
+                runtime.observable(_field(defn, "observable", where))
+            )
             return meter, [probe]
         if kind == "push_button":
             if "channels" in defn:
@@ -262,12 +285,12 @@ def _build_multimeter(defn: dict, name: str, runtime: _Runtime):
             raise _parse_error(f"object {name!r}: push_button needs 'channels' or 'observables'")
         if kind == "shared_pointer":
             return shared_pointer_multimeter(
-                [runtime.observable(r) for r in defn["observables"]]
+                [runtime.observable(r) for r in _field(defn, "observables", where)]
             )
         if kind == "concatenate":
-            channel_meter, _ = runtime.multimeter(defn["channel_meter"])
-            a_meter, a_probes = runtime.multimeter(defn["a_multimeter"])
-            probe = _resolve_probe(defn["a_probe"], runtime, f"object {name!r} a_probe")
+            channel_meter, _ = runtime.multimeter(_field(defn, "channel_meter", where))
+            a_meter, _ = runtime.multimeter(_field(defn, "a_multimeter", where))
+            probe = _resolve_probe(_field(defn, "a_probe", where), runtime, f"{where} a_probe")
             model = make_model(a_meter, probe)
             return concatenate_with_measurement(channel_meter, model), []
         raise ScenarioReferenceError(
@@ -278,7 +301,9 @@ def _build_multimeter(defn: dict, name: str, runtime: _Runtime):
             raise _parse_error(f"object {name!r}: explicit multimeter needs {key!r}")
     pointer = runtime.observable(defn["pointer"])
     interaction = runtime.channel(defn["interaction"])
-    meter = make_multimeter(int(defn["dim_h"]), int(defn["dim_k"]), pointer, interaction)
+    meter = make_multimeter(
+        _int_field(defn, "dim_h", where), _int_field(defn, "dim_k", where), pointer, interaction
+    )
     return meter, []
 
 
@@ -289,7 +314,7 @@ def _resolve_probe(spec, runtime: _Runtime, where: str) -> np.ndarray:
         raise _parse_error(f"{where}: expected a vector or a probe reference")
     if "of" in spec:
         _, probes = runtime.multimeter(spec["of"])
-        index = int(spec.get("index", 0))
+        index = _int_field(spec, "index", where, default=0)
         if not 0 <= index < len(probes):
             raise ScenarioReferenceError(
                 f"{where}: multimeter {spec['of']!r} has {len(probes)} probes, index {index}"
@@ -335,8 +360,10 @@ def build_objects(objects: dict, runtime: _Runtime) -> None:
 
 def _run_program(run: dict, idx: int, runtime: _Runtime, tol: float) -> VerificationReport:
     name = run.get("label", f"program[{idx}]")
-    meter, _ = runtime.multimeter(run["multimeter"])
-    probe = _resolve_probe(run["probe"], runtime, f"run {idx} probe")
+    where = f"run {idx}"
+    run_tol = _number_field(run, "tol", where, tol)
+    meter, _ = runtime.multimeter(_field(run, "multimeter", where))
+    probe = _resolve_probe(_field(run, "probe", where), runtime, f"{where} probe")
     induce = run.get("induce", "observable")
     kernel = None
     if "kernel" in run:
@@ -358,7 +385,6 @@ def _run_program(run: dict, idx: int, runtime: _Runtime, tol: float) -> Verifica
         distance = observable_distance(device, runtime.observable(run["expect"]))
     else:
         distance = channel_distance(device, runtime.channel(run["expect"]))
-    run_tol = float(run.get("tol", tol))
     if distance <= run_tol:
         return VerificationReport(
             name, "pass", {"distance": distance}, f"matches {run['expect']!r}"
@@ -373,11 +399,12 @@ def _run_program(run: dict, idx: int, runtime: _Runtime, tol: float) -> Verifica
 
 def _run_verify(run: dict, idx: int, runtime: _Runtime, seed: int | None) -> VerificationReport:
     check = run.get("check")
+    where = f"run {idx}"
     kwargs = {}
     if "tol" in run:
-        kwargs["tol"] = float(run["tol"])
+        kwargs["tol"] = _number_field(run, "tol", where, None)
     if check == "sharp_orthogonality" or check == "channel_orthogonality":
-        meter, _ = runtime.multimeter(run["multimeter"])
+        meter, _ = runtime.multimeter(_field(run, "multimeter", where))
         probes = run.get("probes")
         if not isinstance(probes, list) or len(probes) != 2:
             raise _parse_error(f"run {idx}: orthogonality checks need exactly two probes")
@@ -390,11 +417,14 @@ def _run_verify(run: dict, idx: int, runtime: _Runtime, seed: int | None) -> Ver
         )
         return fn(meter, phi1, phi2, **kwargs)
     if check == "convex_hull":
-        meter, _ = runtime.multimeter(run["multimeter"])
+        meter, _ = runtime.multimeter(_field(run, "multimeter", where))
         programmed = []
         for j, entry in enumerate(run.get("programmed", [])):
-            probe = _resolve_probe(entry["probe"], runtime, f"run {idx} programmed[{j}]")
-            dev = entry["device"]
+            entry_where = f"{where} programmed[{j}]"
+            if not isinstance(entry, dict):
+                raise _parse_error(f"{entry_where}: expected an object with 'probe' and 'device'")
+            probe = _resolve_probe(_field(entry, "probe", entry_where), runtime, entry_where)
+            dev = _field(entry, "device", entry_where)
             if dev in runtime.observables:
                 device = runtime.observables[dev]
             elif dev in runtime.channels:
@@ -405,19 +435,19 @@ def _run_verify(run: dict, idx: int, runtime: _Runtime, seed: int | None) -> Ver
         return check_convex_hull(
             meter,
             programmed,
-            trials=int(run.get("trials", 20)),
+            trials=_int_field(run, "trials", where, default=20),
             seed=seed + idx,
             **kwargs,
         )
     if check == "purification":
-        meter, _ = runtime.multimeter(run["multimeter"])
-        probe = _resolve_probe(run["probe"], runtime, f"run {idx} probe")
+        meter, _ = runtime.multimeter(_field(run, "multimeter", where))
+        probe = _resolve_probe(_field(run, "probe", where), runtime, f"{where} probe")
         return check_purification(meter, probe, kind=run.get("kind", "observable"), **kwargs)
     if check == "counterexample_search":
         return counterexample_search(
-            _int_field(run, "dim_h", idx),
-            _int_field(run, "dim_k", idx),
-            _int_field(run, "trials", idx),
+            _int_field(run, "dim_h", where),
+            _int_field(run, "dim_k", where),
+            _int_field(run, "trials", where),
             seed=seed + idx,
             thresholds=_search_thresholds(run, idx),
             refine=bool(run.get("refine", False)),
@@ -428,14 +458,16 @@ def _run_verify(run: dict, idx: int, runtime: _Runtime, seed: int | None) -> Ver
 def _run_bounds(run: dict, idx: int) -> VerificationReport:
     name = run.get("label", f"bounds[{idx}]")
     counts = run.get("outcome_counts")
-    if not isinstance(counts, list) or not counts:
-        raise _parse_error(f"run {idx}: bounds needs a nonempty 'outcome_counts' list")
+    if not isinstance(counts, list) or not counts or not all(_is_int(c) for c in counts):
+        raise _parse_error(f"run {idx}: bounds needs a nonempty 'outcome_counts' list of integers")
     lower, upper = dimension_bounds(len(counts), counts)
     residuals = {"lower": float(lower), "upper": float(upper)}
     if "expect" not in run:
         return VerificationReport(name, "pass", residuals, f"bounds ({lower}, {upper})")
     expect = run["expect"]
-    if [lower, upper] == [int(x) for x in expect]:
+    if not isinstance(expect, list) or len(expect) != 2 or not all(_is_int(x) for x in expect):
+        raise _parse_error(f"run {idx}: bounds 'expect' must be two integers")
+    if [lower, upper] == expect:
         return VerificationReport(name, "pass", residuals, f"bounds ({lower}, {upper}) as expected")
     return VerificationReport(
         name,
@@ -462,7 +494,10 @@ def execute(scenario: dict, seed: int | None = None, tol: float | None = None) -
     if needs_seed and effective_seed is None:
         raise _parse_error("scenario uses randomness but declares no seed")
     tolerances = scenario.get("tolerances", {})
-    program_tol = tol if tol is not None else float(tolerances.get("program", 1e-10))
+    if not isinstance(tolerances, dict):
+        raise _parse_error("'tolerances' must be an object")
+    if tol is None:
+        tol = _number_field(tolerances, "program", "tolerances", 1e-10)
     runtime = _Runtime()
     build_objects(scenario.get("objects", {}), runtime)
     reports = []
@@ -471,7 +506,7 @@ def execute(scenario: dict, seed: int | None = None, tol: float | None = None) -
             raise _parse_error(f"run {idx}: needs a 'command'")
         command = run["command"]
         if command == "program":
-            reports.append(_run_program(run, idx, runtime, program_tol))
+            reports.append(_run_program(run, idx, runtime, tol))
         elif command == "verify":
             reports.append(_run_verify(run, idx, runtime, effective_seed))
         elif command == "bounds":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, make_channel
+from .channels import Channel, is_unitary_channel, make_channel
 from .exceptions import DimensionError, ValidationError
 from .observables import (
     Observable,
@@ -33,7 +33,6 @@ from .operators import (
     dagger,
     embed_factors,
     frobenius_norm,
-    is_unitary,
     projector,
     tensor,
     tensor_many,
@@ -82,8 +81,12 @@ def make_multimeter(
 ) -> Multimeter:
     """Validate dimensions and classify the multimeter.
 
-    The ``normal`` flag is derived, never declared: sharp pointer plus a
-    single unitary Kraus operator.
+    The ``normal`` flag is derived, never declared: a single unitary Kraus
+    operator plus a sharp pointer.  Unitarity is read from the residual
+    ``interaction.tp_residual`` that :func:`make_channel` stored, against
+    ``tol * max(1, sqrt(dim))`` with this call's ``tol`` (see
+    :func:`~qmultimeter.channels.is_unitary_channel`); no product of the
+    coupling is formed here.
     """
     if pointer.dim != dim_k:
         raise DimensionError(f"pointer dimension {pointer.dim}, expected {dim_k}")
@@ -91,9 +94,7 @@ def make_multimeter(
         raise DimensionError(
             f"interaction dimension {interaction.dim}, expected {dim_h * dim_k}"
         )
-    normal = is_sharp(pointer, tol) and len(interaction.kraus) == 1 and is_unitary(
-        interaction.kraus[0], tol
-    )
+    normal = is_unitary_channel(interaction, tol) and is_sharp(pointer, tol)
     return Multimeter(
         dim_h=dim_h, dim_k=dim_k, pointer=pointer, interaction=interaction, normal=normal
     )
@@ -273,7 +274,7 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
         for c in devices:
             if c.dim != dim:
                 raise DimensionError("channel dimensions differ")
-            if len(c.kraus) != 1 or not is_unitary(c.kraus[0]):
+            if not is_unitary_channel(c):
                 raise ValidationError("push-button channel mode needs unitary channels")
         basis = np.eye(n, dtype=complex)
         g = sum(tensor(c.kraus[0], projector(basis[i])) for i, c in enumerate(devices))

@@ -16,6 +16,7 @@ from .operators import (
     DEFAULT_TOL,
     PAULI,
     dagger,
+    eigenvalue_below,
     frobenius_norm,
     haar_unitary,
     is_isometry,
@@ -58,11 +59,19 @@ class StochasticKernel:
 def make_observable(dim: int, labels, effects, tol: float = DEFAULT_TOL) -> Observable:
     """Validate and build an observable.
 
+    Each effect ``E`` must be finite, Hermitian and have no eigenvalue
+    below ``-b`` with ``b = tol * max(1, ||E||_F)``.  Positivity is
+    certified by a Cholesky factorisation of ``(E + E*)/2 + b I``; only
+    when that fails is the spectrum computed, which decides exactly and
+    names the offending eigenvalue (see
+    :func:`~qmultimeter.operators.eigenvalue_below`).
+
     Raises
     ------
     ValidationError
-        If an effect has an eigenvalue below ``-tol`` (positivity) or the
-        effects do not sum to the identity within ``tol`` (normalization).
+        If an effect has non-finite entries, is not Hermitian, has an
+        eigenvalue below ``-b`` (positivity), or the effects do not sum
+        to the identity within ``tol`` (normalization).
     DimensionError
         If an effect is not a ``dim x dim`` matrix.
     """
@@ -79,10 +88,16 @@ def make_observable(dim: int, labels, effects, tol: float = DEFAULT_TOL) -> Obse
         e = np.asarray(e, dtype=complex)
         if e.shape != (dim, dim):
             raise DimensionError(f"effect {label!r} has shape {e.shape}, expected {(dim, dim)}")
-        if frobenius_norm(e - dagger(e)) > tol * max(1.0, frobenius_norm(e)):
+        norm = frobenius_norm(e)
+        # a NaN or infinite entry makes the norm non-finite; Cholesky needs finite input
+        if not np.isfinite(norm):
+            raise ValidationError(f"effect {label!r} has non-finite entries")
+        bound = tol * max(1.0, norm)
+        adj = dagger(e)
+        if frobenius_norm(e - adj) > bound:
             raise ValidationError(f"effect {label!r} is not Hermitian")
-        low = float(np.linalg.eigvalsh((e + dagger(e)) / 2).min())
-        if low < -tol * max(1.0, frobenius_norm(e)):
+        low = eigenvalue_below((e + adj) / 2, bound)
+        if low is not None:
             raise ValidationError(f"effect {label!r} has negative eigenvalue {low}")
         e = e.copy()
         e.setflags(write=False)
@@ -99,6 +114,8 @@ def make_kernel(weights, tol: float = DEFAULT_TOL) -> StochasticKernel:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2:
         raise DimensionError("kernel weights must be a matrix")
+    if not np.all(np.isfinite(w)):
+        raise ValidationError("kernel weights have non-finite entries")
     if w.min() < -tol or w.max() > 1 + tol:
         raise ValidationError("kernel weights must lie in [0, 1]")
     sums = w.sum(axis=1)

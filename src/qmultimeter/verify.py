@@ -25,6 +25,7 @@ from .channels import (
 )
 from .exceptions import DimensionError, ValidationError
 from .multimeter import (
+    INDUCTION_TOL,
     Multimeter,
     _transposition,
     induced_channel,
@@ -205,7 +206,7 @@ def _mix_observables(weights, devices) -> Observable:
         sum(w * dev.effects[i] for w, dev in zip(weights, devices))
         for i in range(len(ref))
     ]
-    return make_observable(ref.dim, ref.outcomes, effects, tol=1e-7)
+    return make_observable(ref.dim, ref.outcomes, effects, tol=INDUCTION_TOL)
 
 
 def check_convex_hull(
@@ -247,7 +248,7 @@ def check_convex_hull(
 
     base_residual = max(distance(induce(p), np.eye(m.dim_k)[i]) for i, p in enumerate(probes))
     residuals = {"basis_residual": base_residual}
-    if base_residual > 1e-7:
+    if base_residual > INDUCTION_TOL:
         return VerificationReport(
             name, "not_applicable", residuals, "probes do not program the declared devices"
         )

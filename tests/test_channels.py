@@ -11,6 +11,7 @@ from qmultimeter.channels import (
     identity_channel,
     is_extreme_channel,
     is_multiplicative,
+    is_unitary_channel,
     make_channel,
     minimal_kraus,
     multiplicativity_residual,
@@ -56,6 +57,26 @@ class TestApply:
     def test_bad_picture(self):
         with pytest.raises(ValueError):
             apply(identity_channel(2), np.eye(2), picture="interaction")
+
+
+class TestMakeChannel:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_kraus_rejected(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            make_channel([np.full((2, 2), np.nan)])
+        with pytest.raises(ValidationError, match="non-finite"):
+            make_channel([np.eye(2), np.diag([0.0, np.inf])])
+        with pytest.raises(ValidationError, match="non-finite"):
+            make_channel([np.eye(2), np.diag([np.nan, 0.0])], tol=np.inf)
+
+    def test_trace_preservation_residual_is_stored(self, rng):
+        c = random_channel(3, 2, seed=4)
+        total = sum(k.conj().T @ k for k in c.kraus)
+        assert c.tp_residual == pytest.approx(np.linalg.norm(total - np.eye(3)), abs=1e-15)
+        u = haar_unitary(3, rng)
+        assert is_unitary_channel(make_channel([u]))
+        assert not is_unitary_channel(c)
+        assert not is_unitary_channel(make_channel([u / np.sqrt(2), u / np.sqrt(2)]))
 
 
 class TestUnitaryChannel:

@@ -253,6 +253,39 @@ class TestMainExitCodes:
         payload = {"seed": 1, "objects": {}, "runs": [run]}
         assert main([write_scenario(tmp_path, payload)]) == EXIT_CHECK_FAILED
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"objects": {}, "runs": [
+                {"command": "verify", "check": "purification", "probe": [1, 0]}]},
+            {"objects": {**spin_objects(), "md": {
+                "kind": "multimeter", "construction": "minimal_dilation", "observable": "S1"}},
+             "runs": [{"command": "program", "multimeter": "md",
+                       "probe": {"of": "md", "index": "x"}}]},
+            {"objects": {"M": {"kind": "multimeter", "builtin": "swap", "dim": "x"}}, "runs": []},
+            {"objects": {"C": {"kind": "channel", "builtin": "identity"}}, "runs": []},
+            {"objects": {**spin_objects(), "md": {
+                "kind": "multimeter", "construction": "minimal_dilation", "observable": "S1"}},
+             "runs": [{"command": "program", "multimeter": "md", "probe": {"of": "md"},
+                       "expect": "S1", "tol": "x"}]},
+            {"tolerances": {"program": "x"}, "objects": {}, "runs": []},
+        ],
+        ids=["purification-without-multimeter", "probe-index", "swap-dim",
+             "identity-without-dim", "program-tol", "tolerances-program"],
+    )
+    def test_malformed_fields_exit_parse(self, tmp_path, capsys, payload):
+        assert main([write_scenario(tmp_path, payload)]) == EXIT_PARSE
+        assert "parse error" in capsys.readouterr().err
+
+    def test_non_finite_effect_exit(self, tmp_path, capsys):
+        payload = {
+            "objects": {"E": {"kind": "observable", "dim": 1, "outcomes": [1],
+                              "effects": {"1": [[[float("nan"), 0]]]}}},
+            "runs": [],
+        }
+        assert main([write_scenario(tmp_path, payload)]) == EXIT_DIMENSION
+        assert "non-finite" in capsys.readouterr().err
+
     def test_tol_flag_overrides_program_tolerance(self, tmp_path, capsys):
         payload = {
             "objects": {

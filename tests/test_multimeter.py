@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qmultimeter
 from qmultimeter import DIMENSION_CAP, DimensionError, PAULI, ValidationError
 from qmultimeter.channels import (
     apply,
@@ -149,6 +150,17 @@ class TestModelValidation:
         )
         with pytest.raises(ValidationError, match="dim K"):
             make_model(small, np.eye(2, dtype=complex)[0], claimed=three)
+
+    def test_normal_flag_uses_the_meter_tolerance(self):
+        # ||V*V - I||_F = (2 eps + eps^2) sqrt(d), about 1e-8 sqrt(d): accepted
+        # as a channel at 1e-7, unitary at the meter's 1e-7 but not at 1e-9
+        swap, _ = builtin_multimeter("swap", dim=2)
+        v = (1 + 5e-9) * swap.coupling
+        interaction = make_channel([v], tol=1e-7)
+        assert 1e-9 * 2 < interaction.tp_residual < 1e-7 * 2
+        pointer = computational_pointer(2)
+        assert not make_multimeter(2, 2, pointer, interaction, tol=1e-9).normal
+        assert make_multimeter(2, 2, pointer, interaction, tol=1e-7).normal
 
     def test_zero_effects_do_not_count_towards_bound(self):
         padded = make_observable(
@@ -400,6 +412,22 @@ class TestPushButton:
                 weights[r, target.outcomes.index(int(component))] = 1.0
             marginal = post_process(obs, make_kernel(weights), labels=target.outcomes)
             assert observable_distance(marginal, target) <= 1e-12
+
+
+    def test_observable_mode_validates_without_spectra(self, monkeypatch):
+        # unitarity comes from the residuals make_channel stored and positivity
+        # from Cholesky certificates, so neither check below may run
+        def forbidden(*args, **kwargs):
+            raise AssertionError("second unitarity product or spectrum computed")
+
+        for name in ("operators", "channels", "multimeter"):
+            module = getattr(qmultimeter, name)
+            monkeypatch.setattr(module, "is_unitary", forbidden, raising=False)
+        observables = [random_sharp_observable(3, 3, seed) for seed in (1, 2, 3)]
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        devices = [minimal_dilation_multimeter(a) for a in observables]
+        meter, probes = push_button_multimeter(devices)
+        assert meter.normal and meter.dim_k == 3 * 3**3 and len(probes) == 3
 
 
 class TestSharedPointer:

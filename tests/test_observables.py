@@ -19,7 +19,7 @@ from qmultimeter.observables import (
     sharpness_residual,
     spin_observable,
 )
-from qmultimeter.operators import is_projection, projector
+from qmultimeter.operators import haar_unitary, is_projection, projector
 
 
 def sic_observable():
@@ -49,6 +49,35 @@ class TestMakeObservable:
         p = np.diag([1.5, 0.0])
         with pytest.raises(ValidationError, match="negative eigenvalue"):
             make_observable(2, (1, 2), [p, np.eye(2) - p])
+
+    def test_positivity_bound_is_relative(self, rng):
+        # b = tol * max(1, ||E||_F); an eigenvalue of -2b is rejected with the
+        # spectrum's value in the message, one of -b/2 is accepted
+        tol = 1e-6
+        u = haar_unitary(2, rng)
+        for low, accepted in ((-2 * tol, False), (-tol / 2, True)):
+            e = (u * [1.0, low]) @ u.conj().T
+            effects = [e, np.eye(2) - e]
+            if accepted:
+                make_observable(2, (1, 2), effects, tol=tol)
+                continue
+            exact = float(np.linalg.eigvalsh((e + e.conj().T) / 2).min())
+            with pytest.raises(ValidationError, match="negative eigenvalue") as err:
+                make_observable(2, (1, 2), effects, tol=tol)
+            assert str(exact) in str(err.value)
+
+    def test_zero_tolerance_accepts_rank_deficient_projectors(self):
+        obs = make_observable(2, (1, 2), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], tol=0.0)
+        assert is_sharp(obs)
+
+    def test_non_finite_entries_rejected(self):
+        e = np.diag([np.nan, 0.5])
+        with pytest.raises(ValidationError, match="non-finite"):
+            make_observable(2, (1, 2), [e, np.eye(2) - e])
+        with pytest.raises(ValidationError, match="non-finite"):
+            make_observable(1, (1,), [[[np.inf]]])
+        with pytest.raises(ValidationError, match="non-finite"):
+            make_kernel([[np.nan, 1.0], [0.0, 1.0]])
 
     def test_sic_is_valid(self):
         obs = sic_observable()

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmultimeter import DimensionError, PAULI, ValidationError
 from qmultimeter.operators import (
+    check_density_operator,
+    eigenvalue_below,
     embed_factors,
     embed_program_isometry,
     frobenius_distance,
@@ -156,6 +160,77 @@ class TestPredicates:
         assert not is_unitary(u * 1.01)
         w = np.linalg.qr(rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))[0]
         assert is_isometry(w) and not is_unitary(w)
+
+
+def _with_spectrum(eigs, rng) -> np.ndarray:
+    u = haar_unitary(len(eigs), rng)
+    return (u * np.asarray(eigs)) @ u.conj().T
+
+
+class TestPositivityCertificate:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        bound=st.floats(1e-10, 1e-3),
+        shift=st.floats(-3.0, 3.0),
+    )
+    def test_decision_matches_spectrum(self, n, seed, bound, shift):
+        # lowest eigenvalue near -bound, the rest spread over [low, 1]
+        rng = np.random.default_rng(seed)
+        low = -bound + shift * bound
+        h = _with_spectrum([low, *rng.uniform(low, 1.0, size=n - 1)], rng)
+        h = (h + h.conj().T) / 2
+        exact = float(np.linalg.eigvalsh(h).min())
+        if abs(exact + bound) <= 1e-12:
+            return
+        found = eigenvalue_below(h, bound)
+        if exact >= -bound:
+            assert found is None
+        else:
+            assert found == exact
+
+    def test_rank_deficient_at_zero_bound_uses_spectrum(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert eigenvalue_below(np.diag([1.0, 0.0]).astype(complex), 0.0) is None
+        assert calls == [(2, 2)]
+        assert eigenvalue_below(np.eye(2, dtype=complex), 0.0) is None
+        assert calls == [(2, 2)]
+
+    def test_density_operator_bound(self, rng):
+        tol = 1e-6
+        rho = _with_spectrum([1 + 2 * tol, -2 * tol], rng)
+        low = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
+        with pytest.raises(ValidationError, match="negative eigenvalue") as err:
+            check_density_operator(rho, tol)
+        assert str(low) in str(err.value)
+        check_density_operator(_with_spectrum([1 + tol / 2, -tol / 2], rng), tol)
+        check_density_operator(np.diag([1.0, 0.0]), tol=0.0)
+
+    def test_is_positive_at_zero_tolerance(self):
+        assert is_positive(np.diag([1.0, 0.0]), tol=0.0)
+        assert not is_positive(np.diag([1.0, -1e-12]), tol=0.0)
+
+    def test_is_unitary_matches_two_sided_oracle(self, rng):
+        tol = 1e-9
+        for _ in range(300):
+            d = int(rng.integers(1, 7))
+            eps = 10.0 ** rng.uniform(-12, -7)
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            a = haar_unitary(d, rng) + eps * g
+            bound = tol * max(1.0, np.sqrt(d))
+            left = np.linalg.norm(a.conj().T @ a - np.eye(d))
+            right = np.linalg.norm(a @ a.conj().T - np.eye(d))
+            if min(abs(left - bound), abs(right - bound)) <= 1e-14:
+                continue
+            assert is_unitary(a, tol) == bool(left <= bound and right <= bound)
 
 
 class TestFrobeniusDistance:
