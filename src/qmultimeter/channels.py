@@ -15,6 +15,7 @@ import numpy as np
 from .exceptions import DimensionError, ValidationError
 from .operators import (
     DEFAULT_TOL,
+    DIMENSION_CAP,
     check_state_vector,
     dagger,
     frobenius_norm,
@@ -86,6 +87,8 @@ def is_unitary_channel(c: Channel, tol: float = DEFAULT_TOL) -> bool:
 
 
 def identity_channel(dim: int) -> Channel:
+    if not 1 <= dim <= DIMENSION_CAP:
+        raise DimensionError(f"dimension {dim} must be at least 1 and at most {DIMENSION_CAP}")
     return make_channel([np.eye(dim, dtype=complex)])
 
 

@@ -14,6 +14,11 @@ numbers are accepted as reals), matrices as row-major nested arrays, and
 observable effects keyed by outcome label.  Runs execute in order and each
 produces one report record.
 
+Every field is declared once, in :data:`DOCUMENT`, :data:`OBJECTS`,
+:data:`RUNS` and :data:`PROBES`, and the whole document is read against
+them before anything is built.  They check JSON shape only; dimensions and
+matrix validity are left to the library constructors.
+
 Exit codes: 0 all checks passed (``not_applicable`` does not fail),
 1 at least one check failed, 2 scenario parse error, 3 unresolved
 reference, 4 dimension or validation error.
@@ -22,15 +27,15 @@ reference, 4 dimension or validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .channels import (
-    Channel,
     channel_distance,
     complete_contraction,
     identity_channel,
@@ -39,12 +44,12 @@ from .channels import (
 )
 from .exceptions import (
     DimensionError,
+    QMultimeterError,
     ScenarioParseError,
     ScenarioReferenceError,
     ValidationError,
 )
 from .multimeter import (
-    BUILTIN_MULTIMETERS,
     builtin_multimeter,
     concatenate_with_measurement,
     dimension_bounds,
@@ -56,13 +61,7 @@ from .multimeter import (
     push_button_multimeter,
     shared_pointer_multimeter,
 )
-from .observables import (
-    Observable,
-    make_kernel,
-    make_observable,
-    observable_distance,
-    spin_observable,
-)
+from .observables import make_kernel, make_observable, observable_distance, spin_observable
 from .verify import (
     DEFAULT_SEARCH_THRESHOLDS,
     VerificationReport,
@@ -79,441 +78,434 @@ EXIT_PARSE = 2
 EXIT_REFERENCE = 3
 EXIT_DIMENSION = 4
 
-OBSERVABLE_BUILTINS = ("spin",)
-CHANNEL_BUILTINS = ("identity", "unitary", "contraction")
-MULTIMETER_CONSTRUCTIONS = (
-    "minimal_dilation",
-    "push_button",
-    "shared_pointer",
-    "concatenate",
-)
 
-_RANDOMIZED_CHECKS = {"convex_hull", "counterexample_search"}
+# A field type reads one JSON value or raises ScenarioParseError.  A JSON object
+# reads as a deferred build of the table entry its selector fields pick; names
+# resolve when it is built, once the objects declared before it exist.
 
 
-def _parse_error(msg: str) -> ScenarioParseError:
-    return ScenarioParseError(msg)
+class FieldType:
+    """A JSON scalar type: the Python types ``json.load`` gives for it,
+    optionally limited to fixed ``choices``; numbers must be finite.  A type
+    with ``kinds`` reads a name of an earlier object of one of those kinds."""
+
+    def __init__(self, describe: str, *json, choices: tuple = (), kinds: tuple = ()):
+        self.describe, self.json, self.choices, self.kinds = describe, json, choices, kinds
+
+    def read(self, value, where: str):
+        if (
+            not isinstance(value, self.json)
+            or (isinstance(value, bool) and bool not in self.json)
+            or (float in self.json and not abs(value) <= sys.float_info.max)
+            or (self.choices and value not in self.choices)
+        ):
+            raise ScenarioParseError(f"{where}: must be {self.describe}, got {value!r}")
+        return self.parse(value, where)
+
+    def parse(self, value, where: str):
+        if self.kinds:
+            return lambda runtime: runtime.lookup(self.kinds, value)
+        return value
 
 
-def _as_complex(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if (
-        isinstance(entry, list)
-        and len(entry) == 2
-        and all(isinstance(x, (int, float)) for x in entry)
-    ):
-        return complex(entry[0], entry[1])
-    raise _parse_error(f"{where}: expected a number or [re, im] pair, got {entry!r}")
+class ListOf(FieldType):
+    def __init__(self, item: FieldType, least: int = 0, most: int | None = None):
+        count = f"a list of {least}" if least == most else "a nonempty list" if least else "a list"
+        super().__init__(f"{count}, each {item.describe}", list)
+        self.item, self.least, self.most = item, least, most
+
+    def parse(self, value, where):
+        if len(value) < self.least or len(value) > (self.most or len(value)):
+            raise ScenarioParseError(f"{where}: must be {self.describe}, got {len(value)} entries")
+        return [self.item.read(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
-def _field(data: dict, key: str, where: str):
-    if key not in data:
-        raise _parse_error(f"{where}: missing {key!r}")
-    return data[key]
+class MapOf(FieldType):
+    def __init__(self, item: FieldType):
+        super().__init__(f"an object whose values are each {item.describe}", dict)
+        self.item = item
+
+    def parse(self, value, where):
+        return {key: self.item.read(v, f"{where}.{key}") for key, v in value.items()}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _complex_entry(x, where: str):
+    real = (int, float)  # by exact type, so JSON booleans are not numbers
+    if type(x) in real:
+        return x
+    if type(x) is list and len(x) == 2 and type(x[0]) in real and type(x[1]) in real:
+        return complex(x[0], x[1])
+    raise ScenarioParseError(f"{where}: entries must be numbers or [re, im] pairs, got {x!r}")
 
 
-def _int_field(data: dict, key: str, where: str, default=None) -> int:
-    value = data.get(key, default)
-    if not _is_int(value):
-        raise _parse_error(f"{where}: {key!r} must be an integer, got {value!r}")
+class Matrix(FieldType):
+    """A vector (``rank`` 1) or a matrix of equal rows, nonempty, converted in one pass."""
+
+    def __init__(self, rank: int = 2, real: bool = False):
+        shape = "vector" if rank == 1 else "matrix of equal nonempty rows"
+        super().__init__(f"a {'real ' if real else ''}{shape}", list)
+        self.rank, self.real = rank, real
+
+    def parse(self, value, where):
+        rows = [value] if self.rank == 1 else value
+        if not value or not all(type(row) is list and len(row) == len(rows[0]) > 0 for row in rows):
+            raise ScenarioParseError(f"{where}: must be {self.describe}")
+        try:
+            entries = [[_complex_entry(x, where) for x in row] for row in rows]
+            array = np.array(entries, dtype=complex)
+        except OverflowError:
+            raise ScenarioParseError(f"{where}: entry out of range") from None
+        if self.real and np.any(np.abs(array.imag) > 0):
+            raise ScenarioParseError(f"{where}: must be {self.describe}")
+        array = array.real if self.real else array
+        return array[0] if self.rank == 1 else array
+
+
+class Opt(NamedTuple):
+    """Marks a field that may be left out; the builder's default then applies."""
+
+    type: FieldType
+
+
+class Entry(NamedTuple):
+    """One kind of definition: the function that builds it and its fields."""
+
+    build: Callable
+    fields: dict
+    randomized: bool = False  # a run that draws from the scenario seed
+
+
+class Deferred(NamedTuple):
+    """A definition read but not built; calling it resolves names and builds."""
+
+    path: tuple  # the selector values that picked the entry
+    entry: Entry
+    fields: dict
+
+    def __call__(self, runtime, *context):
+        return self.entry.build(*context, **_resolve(self.fields, runtime))
+
+
+#: Selectors whose values name library constructions: an unknown one is unresolved.
+_LIBRARY_NAMES = ("builtin", "construction")
+
+
+class Definition(FieldType):
+    """An object whose selector fields pick an entry in a table node.
+
+    A node maps each selector to ``{value: node}``, or straight to an entry
+    that the selector's presence picks (the selector is then one of its
+    fields); the key ``None`` is the node taken when no selector is present.
+    With a ``shorthand``, a bare list reads as ``{shorthand: list}``.
+    """
+
+    def __init__(self, table, describe: str = "an object", shorthand: str | None = None):
+        super().__init__(describe, *((list, dict) if shorthand else (dict,)))
+        self.table, self.shorthand = table, shorthand
+
+    def parse(self, value, where):
+        value = {self.shorthand: value} if isinstance(value, list) else value
+        node, path, selectors = self.table, [], []
+        while not isinstance(node, Entry):
+            # a second selector present is left to the unknown-field check below
+            key = next((key for key in node if key is not None and key in value), None)
+            if key not in node:
+                raise ScenarioParseError(f"{where}: missing {' or '.join(map(repr, node))}")
+            if key is None or isinstance(node[key], Entry):
+                node = node[key]
+                continue
+            name = NAME.read(value[key], f"{where}.{key}")
+            if name not in node[key]:
+                error = ScenarioReferenceError if key in _LIBRARY_NAMES else ScenarioParseError
+                raise error(f"{where}.{key}: unknown {key} {name!r}; known: {tuple(node[key])}")
+            selectors.append(key)
+            path.append(name)
+            node = node[key][name]
+        fields = node.fields
+        unknown = [key for key in value if key not in fields and key not in selectors]
+        if unknown:
+            raise ScenarioParseError(f"{where}: unknown field {unknown[0]!r}; known: {[*fields]}")
+        typed = {}
+        for key, field in fields.items():
+            at = f"{where}.{key}" if where else key
+            if key in value:
+                typed[key] = getattr(field, "type", field).read(value[key], at)
+            elif not isinstance(field, Opt):
+                raise ScenarioParseError(f"{at}: missing; must be {field.describe}")
+        return Deferred(tuple(path), node, typed)
+
+
+def record(fields: dict) -> Definition:
+    return Definition(Entry(dict, fields))
+
+
+def ref(*kinds) -> FieldType:
+    return FieldType(f"the name of an object of kind {' or '.join(kinds)}", str, kinds=kinds)
+
+
+def _field_list(fields: dict) -> str:
+    names = [f"[{key}]" if isinstance(f, Opt) else key for key, f in fields.items()]
+    return ", ".join(names) or "no fields"
+
+
+def _resolve(value, runtime):
+    """A typed value with every name resolved and every definition built."""
+    if callable(value):
+        return value(runtime)
+    if isinstance(value, list):
+        return [_resolve(v, runtime) for v in value]
+    if isinstance(value, dict):
+        return {key: _resolve(v, runtime) for key, v in value.items()}
     return value
 
 
-def _is_finite_number(value) -> bool:
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
+INTEGER = FieldType("an integer", int)
+NUMBER = FieldType("a finite number", int, float)
+BOOLEAN = FieldType("a boolean", bool)
+NAME = FieldType("a string", str)
+LABEL = FieldType("a string or an integer", str, int)
+DEVICE_KIND = FieldType("'observable' or 'channel'", str, choices=("observable", "channel"))
+VECTOR = Matrix(rank=1)
+MATRIX = Matrix()
+PROBE = Definition(None, "a vector or a probe object", shorthand="vector")  # table: PROBES
 
 
-def _number_field(data: dict, key: str, where: str, default: float) -> float:
-    value = data.get(key, default)
-    if not _is_finite_number(value):
-        raise _parse_error(f"{where}: {key!r} must be a finite number, got {value!r}")
-    return float(value)
+class _Runtime(dict):
+    """A scenario's built objects, name -> (kind, object), its seed and program tolerance."""
+
+    def __init__(self, seed: int | None, tol: float):
+        super().__init__()
+        self.seed, self.tol = seed, tol
+
+    def lookup(self, kinds: tuple, name: str):
+        kind, obj = self.get(name, (None, None))
+        if kind not in kinds:
+            raise ScenarioReferenceError(f"undefined {' or '.join(kinds)} {name!r}")
+        return obj
 
 
-def _search_thresholds(run: dict, idx: int) -> dict | None:
-    thresholds = run.get("thresholds")
-    if thresholds is None:
-        return None
-    if not isinstance(thresholds, dict):
-        raise _parse_error(f"run {idx}: 'thresholds' must be an object")
-    for key, value in thresholds.items():
-        if key not in DEFAULT_SEARCH_THRESHOLDS:
-            raise _parse_error(
-                f"run {idx}: unknown threshold {key!r}; known: {tuple(DEFAULT_SEARCH_THRESHOLDS)}"
-            )
-        if not _is_finite_number(value):
-            raise _parse_error(f"run {idx}: threshold {key!r} must be a finite number")
-    return thresholds
+def _observable(dim, outcomes, effects):
+    keys = [str(label) for label in outcomes]
+    for label, key in zip(outcomes, keys):
+        if key not in effects:
+            raise ScenarioParseError(f"missing effect for outcome {label!r}")
+    unused = sorted(set(effects) - set(keys))
+    if unused:
+        raise ScenarioParseError(f"effects {unused} belong to no outcome")
+    return make_observable(dim, tuple(outcomes), [effects[key] for key in keys])
 
 
-def _parse_vector(data, where: str) -> np.ndarray:
-    if not isinstance(data, list) or not data:
-        raise _parse_error(f"{where}: expected a nonempty list of entries")
-    return np.array([_as_complex(x, where) for x in data], dtype=complex)
+def _minimal_dilation(observable):
+    meter, probe = minimal_dilation_multimeter(observable)
+    return meter, [probe]
 
 
-def _parse_matrix(data, where: str) -> np.ndarray:
-    if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
-        raise _parse_error(f"{where}: expected a nested list of rows")
-    rows = [[_as_complex(x, where) for x in row] for row in data]
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise _parse_error(f"{where}: ragged matrix rows")
-    return np.array(rows, dtype=complex)
+def _concatenate(channel_meter, a_multimeter, a_probe):
+    return concatenate_with_measurement(channel_meter[0], make_model(a_multimeter[0], a_probe)), []
 
 
-class _Runtime:
-    """Resolved objects of one scenario."""
-
-    def __init__(self):
-        self.observables: dict = {}
-        self.channels: dict = {}
-        self.kernels: dict = {}
-        self.multimeters: dict = {}  # name -> (Multimeter, probes)
-
-    def observable(self, name: str) -> Observable:
-        if name not in self.observables:
-            raise ScenarioReferenceError(f"undefined observable {name!r}")
-        return self.observables[name]
-
-    def channel(self, name: str) -> Channel:
-        if name not in self.channels:
-            raise ScenarioReferenceError(f"undefined channel {name!r}")
-        return self.channels[name]
-
-    def kernel(self, name: str):
-        if name not in self.kernels:
-            raise ScenarioReferenceError(f"undefined kernel {name!r}")
-        return self.kernels[name]
-
-    def multimeter(self, name: str):
-        if name not in self.multimeters:
-            raise ScenarioReferenceError(f"undefined multimeter {name!r}")
-        return self.multimeters[name]
+def _explicit_multimeter(dim_h, dim_k, pointer, interaction):
+    return make_multimeter(dim_h, dim_k, pointer, interaction), []
 
 
-def _build_observable(defn: dict, name: str, runtime: _Runtime) -> Observable:
-    if "builtin" in defn:
-        if defn["builtin"] == "spin":
-            axis = defn.get("axis")
-            if not isinstance(axis, list) or not all(_is_finite_number(x) for x in axis):
-                raise _parse_error(f"object {name!r}: spin 'axis' must be a list of finite numbers")
-            return spin_observable([float(x) for x in axis])
-        raise ScenarioReferenceError(
-            f"object {name!r}: unknown observable builtin {defn['builtin']!r}; "
-            f"known: {OBSERVABLE_BUILTINS}"
-        )
-    for key in ("dim", "outcomes", "effects"):
-        if key not in defn:
-            raise _parse_error(f"object {name!r}: observable needs {key!r}")
-    outcomes = tuple(defn["outcomes"])
-    effects_map = defn["effects"]
-    if not isinstance(effects_map, dict):
-        raise _parse_error(f"object {name!r}: effects must be keyed by outcome label")
-    effects = []
-    for label in outcomes:
-        key = str(label)
-        if key not in effects_map:
-            raise _parse_error(f"object {name!r}: missing effect for outcome {label!r}")
-        effects.append(_parse_matrix(effects_map[key], f"object {name!r} effect {label!r}"))
-    return make_observable(_int_field(defn, "dim", f"object {name!r}"), outcomes, effects)
+def _probe_of(of, index=0) -> np.ndarray:
+    _, probes = of
+    if not 0 <= index < len(probes):
+        raise ScenarioReferenceError(f"multimeter has {len(probes)} probes, index {index}")
+    return probes[index]
 
 
-def _build_channel(defn: dict, name: str) -> Channel:
-    builtin = defn.get("builtin")
-    where = f"object {name!r}"
-    if builtin == "identity":
-        return identity_channel(_int_field(defn, "dim", where))
-    if builtin == "unitary":
-        return unitary_channel(_parse_matrix(_field(defn, "matrix", where), f"{where} matrix"))
-    if builtin == "contraction":
-        return complete_contraction(_parse_vector(_field(defn, "vector", where), f"{where} vector"))
-    if builtin is not None:
-        raise ScenarioReferenceError(
-            f"object {name!r}: unknown channel builtin {builtin!r}; known: {CHANNEL_BUILTINS}"
-        )
-    if not isinstance(defn.get("kraus"), list):
-        raise _parse_error(f"object {name!r}: channel needs a 'kraus' list or a builtin")
-    kraus = [
-        _parse_matrix(k, f"object {name!r} kraus[{i}]") for i, k in enumerate(defn["kraus"])
-    ]
-    return make_channel(kraus)
+def _verdict(name, passed, residuals, details, violation) -> VerificationReport:
+    if passed:
+        return VerificationReport(name, "pass", residuals, details)
+    return VerificationReport(name, "fail", residuals, f"violated: {violation}")
 
 
-def _build_multimeter(defn: dict, name: str, runtime: _Runtime):
-    where = f"object {name!r}"
-    if "builtin" in defn:
-        builtin = defn["builtin"]
-        if builtin not in BUILTIN_MULTIMETERS:
-            raise ScenarioReferenceError(
-                f"object {name!r}: unknown multimeter builtin {builtin!r}; "
-                f"known: {BUILTIN_MULTIMETERS}"
-            )
-        params = {}
-        if builtin == "swap":
-            params["dim"] = _int_field(defn, "dim", where)
-        if builtin == "spin_pair":
-            refs = defn.get("observables")
-            if not isinstance(refs, list) or len(refs) != 2:
-                raise _parse_error(f"object {name!r}: spin_pair needs two observable names")
-            params["observables"] = tuple(runtime.observable(r) for r in refs)
-        return builtin_multimeter(builtin, **params)
-    if "construction" in defn:
-        kind = defn["construction"]
-        if kind == "minimal_dilation":
-            meter, probe = minimal_dilation_multimeter(
-                runtime.observable(_field(defn, "observable", where))
-            )
-            return meter, [probe]
-        if kind == "push_button":
-            if "channels" in defn:
-                return push_button_multimeter([runtime.channel(r) for r in defn["channels"]])
-            if "observables" in defn:
-                devices = [
-                    minimal_dilation_multimeter(runtime.observable(r))
-                    for r in defn["observables"]
-                ]
-                return push_button_multimeter(devices)
-            raise _parse_error(f"object {name!r}: push_button needs 'channels' or 'observables'")
-        if kind == "shared_pointer":
-            return shared_pointer_multimeter(
-                [runtime.observable(r) for r in _field(defn, "observables", where)]
-            )
-        if kind == "concatenate":
-            channel_meter, _ = runtime.multimeter(_field(defn, "channel_meter", where))
-            a_meter, _ = runtime.multimeter(_field(defn, "a_multimeter", where))
-            probe = _resolve_probe(_field(defn, "a_probe", where), runtime, f"{where} a_probe")
-            model = make_model(a_meter, probe)
-            return concatenate_with_measurement(channel_meter, model), []
-        raise ScenarioReferenceError(
-            f"object {name!r}: unknown construction {kind!r}; known: {MULTIMETER_CONSTRUCTIONS}"
-        )
-    for key in ("dim_h", "dim_k", "pointer", "interaction"):
-        if key not in defn:
-            raise _parse_error(f"object {name!r}: explicit multimeter needs {key!r}")
-    pointer = runtime.observable(defn["pointer"])
-    interaction = runtime.channel(defn["interaction"])
-    meter = make_multimeter(
-        _int_field(defn, "dim_h", where), _int_field(defn, "dim_k", where), pointer, interaction
-    )
-    return meter, []
-
-
-def _resolve_probe(spec, runtime: _Runtime, where: str) -> np.ndarray:
-    if isinstance(spec, list):
-        return _parse_vector(spec, where)
-    if not isinstance(spec, dict):
-        raise _parse_error(f"{where}: expected a vector or a probe reference")
-    if "of" in spec:
-        _, probes = runtime.multimeter(spec["of"])
-        index = _int_field(spec, "index", where, default=0)
-        if not 0 <= index < len(probes):
-            raise ScenarioReferenceError(
-                f"{where}: multimeter {spec['of']!r} has {len(probes)} probes, index {index}"
-            )
-        return probes[index]
-    if "vector" in spec:
-        return _parse_vector(spec["vector"], where)
-    if "density" in spec:
-        return _parse_matrix(spec["density"], where)
-    if "tensor" in spec:
-        parts = [_resolve_probe(p, runtime, where) for p in spec["tensor"]]
-        out = parts[0]
-        for p in parts[1:]:
-            out = np.kron(out, p)
-        return out
-    raise _parse_error(f"{where}: probe needs 'of', 'vector', 'density' or 'tensor'")
-
-
-def build_objects(objects: dict, runtime: _Runtime) -> None:
-    """Resolve object definitions in declaration order."""
-    if not isinstance(objects, dict):
-        raise _parse_error("'objects' must be a mapping of names to definitions")
-    for name, defn in objects.items():
-        if not isinstance(defn, dict) or "kind" not in defn:
-            raise _parse_error(f"object {name!r}: definition needs a 'kind'")
-        kind = defn["kind"]
-        if kind == "observable":
-            runtime.observables[name] = _build_observable(defn, name, runtime)
-        elif kind == "channel":
-            runtime.channels[name] = _build_channel(defn, name)
-        elif kind == "kernel":
-            if "weights" not in defn:
-                raise _parse_error(f"object {name!r}: kernel needs 'weights'")
-            weights = _parse_matrix(defn["weights"], f"object {name!r} weights")
-            if np.abs(weights.imag).max() > 0:
-                raise _parse_error(f"object {name!r}: kernel weights must be real")
-            runtime.kernels[name] = make_kernel(weights.real)
-        elif kind == "multimeter":
-            runtime.multimeters[name] = _build_multimeter(defn, name, runtime)
-        else:
-            raise _parse_error(f"object {name!r}: unknown kind {kind!r}")
-
-
-def _run_program(run: dict, idx: int, runtime: _Runtime, tol: float) -> VerificationReport:
-    name = run.get("label", f"program[{idx}]")
-    where = f"run {idx}"
-    run_tol = _number_field(run, "tol", where, tol)
-    meter, _ = runtime.multimeter(_field(run, "multimeter", where))
-    probe = _resolve_probe(_field(run, "probe", where), runtime, f"{where} probe")
-    induce = run.get("induce", "observable")
-    kernel = None
-    if "kernel" in run:
-        if induce != "observable":
-            raise _parse_error(f"run {idx}: a kernel only applies when inducing an observable")
-        kernel = runtime.kernel(run["kernel"])
-    model = make_model(meter, probe, kernel=kernel)
+def _program(runtime, index, multimeter, probe, induce="observable", kernel=None, expect=None,
+             tol=None, label=None) -> VerificationReport:
+    if kernel is not None and induce != "observable":
+        raise ScenarioParseError("a kernel only applies when inducing an observable")
+    name = f"program[{index}]" if label is None else label
+    model = make_model(multimeter[0], probe, kernel=kernel)
     if induce == "observable":
         device = induced_observable(model)
         summary = f"induced observable with outcomes {device.outcomes}"
-    elif induce == "channel":
+    else:
         device = induced_channel(model)
         summary = f"induced channel with {len(device.kraus)} Kraus operators"
-    else:
-        raise _parse_error(f"run {idx}: induce must be 'observable' or 'channel'")
-    if "expect" not in run:
+    if expect is None:
         return VerificationReport(name, "pass", {}, summary)
-    if induce == "observable":
-        distance = observable_distance(device, runtime.observable(run["expect"]))
-    else:
-        distance = channel_distance(device, runtime.channel(run["expect"]))
-    if distance <= run_tol:
-        return VerificationReport(
-            name, "pass", {"distance": distance}, f"matches {run['expect']!r}"
-        )
-    return VerificationReport(
-        name,
-        "fail",
-        {"distance": distance},
-        f"violated: distance {distance:.3e} > {run_tol:.3e} from {run['expect']!r}",
-    )
+    target = runtime.lookup((induce,), expect)
+    distance = (observable_distance if induce == "observable" else channel_distance)(device, target)
+    tol = runtime.tol if tol is None else tol
+    return _verdict(name, distance <= tol, {"distance": distance}, f"matches {expect!r}",
+                    f"distance {distance:.3e} > {tol:.3e} from {expect!r}")
 
 
-def _run_verify(run: dict, idx: int, runtime: _Runtime, seed: int | None) -> VerificationReport:
-    check = run.get("check")
-    where = f"run {idx}"
-    kwargs = {}
-    if "tol" in run:
-        kwargs["tol"] = _number_field(run, "tol", where, None)
-    if check == "sharp_orthogonality" or check == "channel_orthogonality":
-        meter, _ = runtime.multimeter(_field(run, "multimeter", where))
-        probes = run.get("probes")
-        if not isinstance(probes, list) or len(probes) != 2:
-            raise _parse_error(f"run {idx}: orthogonality checks need exactly two probes")
-        phi1 = _resolve_probe(probes[0], runtime, f"run {idx} probes[0]")
-        phi2 = _resolve_probe(probes[1], runtime, f"run {idx} probes[1]")
-        fn = (
-            check_sharp_program_orthogonality
-            if check == "sharp_orthogonality"
-            else check_channel_program_orthogonality
-        )
-        return fn(meter, phi1, phi2, **kwargs)
-    if check == "convex_hull":
-        meter, _ = runtime.multimeter(_field(run, "multimeter", where))
-        programmed = []
-        for j, entry in enumerate(run.get("programmed", [])):
-            entry_where = f"{where} programmed[{j}]"
-            if not isinstance(entry, dict):
-                raise _parse_error(f"{entry_where}: expected an object with 'probe' and 'device'")
-            probe = _resolve_probe(_field(entry, "probe", entry_where), runtime, entry_where)
-            dev = _field(entry, "device", entry_where)
-            if dev in runtime.observables:
-                device = runtime.observables[dev]
-            elif dev in runtime.channels:
-                device = runtime.channels[dev]
-            else:
-                raise ScenarioReferenceError(f"run {idx}: undefined device {dev!r}")
-            programmed.append((probe, device))
-        return check_convex_hull(
-            meter,
-            programmed,
-            trials=_int_field(run, "trials", where, default=20),
-            seed=seed + idx,
-            **kwargs,
-        )
-    if check == "purification":
-        meter, _ = runtime.multimeter(_field(run, "multimeter", where))
-        probe = _resolve_probe(_field(run, "probe", where), runtime, f"{where} probe")
-        return check_purification(meter, probe, kind=run.get("kind", "observable"), **kwargs)
-    if check == "counterexample_search":
-        return counterexample_search(
-            _int_field(run, "dim_h", where),
-            _int_field(run, "dim_k", where),
-            _int_field(run, "trials", where),
-            seed=seed + idx,
-            thresholds=_search_thresholds(run, idx),
-            refine=bool(run.get("refine", False)),
-        )
-    raise _parse_error(f"run {idx}: unknown check {check!r}")
-
-
-def _run_bounds(run: dict, idx: int) -> VerificationReport:
-    name = run.get("label", f"bounds[{idx}]")
-    counts = run.get("outcome_counts")
-    if not isinstance(counts, list) or not counts or not all(_is_int(c) for c in counts):
-        raise _parse_error(f"run {idx}: bounds needs a nonempty 'outcome_counts' list of integers")
-    lower, upper = dimension_bounds(len(counts), counts)
+def _bounds(runtime, index, outcome_counts, expect=None, label=None) -> VerificationReport:
+    name = f"bounds[{index}]" if label is None else label
+    lower, upper = dimension_bounds(len(outcome_counts), outcome_counts)
     residuals = {"lower": float(lower), "upper": float(upper)}
-    if "expect" not in run:
+    if expect is None:
         return VerificationReport(name, "pass", residuals, f"bounds ({lower}, {upper})")
-    expect = run["expect"]
-    if not isinstance(expect, list) or len(expect) != 2 or not all(_is_int(x) for x in expect):
-        raise _parse_error(f"run {idx}: bounds 'expect' must be two integers")
-    if [lower, upper] == expect:
-        return VerificationReport(name, "pass", residuals, f"bounds ({lower}, {upper}) as expected")
-    return VerificationReport(
-        name,
-        "fail",
-        residuals,
-        f"violated: bounds ({lower}, {upper}) != expected {tuple(expect)}",
-    )
+    return _verdict(name, [lower, upper] == expect, residuals,
+                    f"bounds ({lower}, {upper}) as expected",
+                    f"bounds ({lower}, {upper}) != expected {tuple(expect)}")
+
+
+# Table entries build from their typed fields as keyword arguments, names already
+# resolved; run entries get the runtime and the run's index first.  Builders
+# call library functions by their module-level name, so a tracer that rebinds
+# those names (bench/tracing.py) sees every call.
+
+_ORTHOGONALITY = {
+    "multimeter": ref("multimeter"), "probes": ListOf(PROBE, 2, 2), "tol": Opt(NUMBER)}
+
+#: Object definitions, selected by "kind", then "builtin" or "construction".
+OBJECTS = {"kind": {
+    "observable": {
+        "builtin": {"spin": Entry(lambda axis: spin_observable(axis), {"axis": ListOf(NUMBER)})},
+        None: Entry(_observable, {"dim": INTEGER, "outcomes": ListOf(LABEL),
+                                  "effects": MapOf(MATRIX)}),
+    },
+    "channel": {
+        "builtin": {
+            "identity": Entry(lambda dim: identity_channel(dim), {"dim": INTEGER}),
+            "unitary": Entry(lambda matrix: unitary_channel(matrix), {"matrix": MATRIX}),
+            "contraction": Entry(lambda vector: complete_contraction(vector), {"vector": VECTOR}),
+        },
+        None: Entry(lambda kraus: make_channel(kraus), {"kraus": ListOf(MATRIX)}),
+    },
+    "kernel": {None: Entry(lambda weights: make_kernel(weights), {"weights": Matrix(real=True)})},
+    "multimeter": {
+        "builtin": {
+            "pauli": Entry(lambda: builtin_multimeter("pauli"), {}),
+            "swap": Entry(lambda dim: builtin_multimeter("swap", dim=dim), {"dim": INTEGER}),
+            "spin_pair": Entry(
+                lambda observables: builtin_multimeter("spin_pair", observables=observables),
+                {"observables": ListOf(ref("observable"), 2, 2)}),
+        },
+        "construction": {
+            "minimal_dilation": Entry(_minimal_dilation, {"observable": ref("observable")}),
+            "push_button": {
+                "channels": Entry(lambda channels: push_button_multimeter(channels),
+                                  {"channels": ListOf(ref("channel"))}),
+                "observables": Entry(
+                    lambda observables: push_button_multimeter(
+                        [minimal_dilation_multimeter(obs) for obs in observables]),
+                    {"observables": ListOf(ref("observable"))}),
+            },
+            "shared_pointer": Entry(lambda observables: shared_pointer_multimeter(observables),
+                                    {"observables": ListOf(ref("observable"))}),
+            "concatenate": Entry(_concatenate, {
+                "channel_meter": ref("multimeter"), "a_multimeter": ref("multimeter"),
+                "a_probe": PROBE}),
+        },
+        None: Entry(_explicit_multimeter, {
+            "dim_h": INTEGER, "dim_k": INTEGER, "pointer": ref("observable"),
+            "interaction": ref("channel")}),
+    },
+}}
+
+#: Runs, selected by "command", then "check" for verify runs.
+RUNS = {"command": {
+    "program": Entry(_program, {"multimeter": ref("multimeter"), "probe": PROBE,
+                                "induce": Opt(DEVICE_KIND), "kernel": Opt(ref("kernel")),
+                                "expect": Opt(NAME), "tol": Opt(NUMBER), "label": Opt(NAME)}),
+    "verify": {"check": {
+        "sharp_orthogonality": Entry(
+            lambda runtime, index, multimeter, probes, **tol: check_sharp_program_orthogonality(
+                multimeter[0], *probes, **tol),
+            _ORTHOGONALITY),
+        "channel_orthogonality": Entry(
+            lambda runtime, index, multimeter, probes, **tol: check_channel_program_orthogonality(
+                multimeter[0], *probes, **tol),
+            _ORTHOGONALITY),
+        "convex_hull": Entry(
+            lambda runtime, index, multimeter, programmed, **options: check_convex_hull(
+                multimeter[0], [(p["probe"], p["device"]) for p in programmed],
+                seed=runtime.seed + index, **options),
+            {"multimeter": ref("multimeter"),
+             "programmed": ListOf(record({"probe": PROBE, "device": ref("observable", "channel")})),
+             "trials": Opt(INTEGER), "tol": Opt(NUMBER)},
+            randomized=True),
+        "purification": Entry(
+            lambda runtime, index, multimeter, probe, **options: check_purification(
+                multimeter[0], probe, **options),
+            {"multimeter": ref("multimeter"), "probe": PROBE, "kind": Opt(DEVICE_KIND),
+             "tol": Opt(NUMBER)}),
+        "counterexample_search": Entry(
+            lambda runtime, index, **fields: counterexample_search(
+                seed=runtime.seed + index, **fields),
+            {"dim_h": INTEGER, "dim_k": INTEGER, "trials": INTEGER,
+             "thresholds": Opt(record({key: Opt(NUMBER) for key in DEFAULT_SEARCH_THRESHOLDS})),
+             "refine": Opt(BOOLEAN)},
+            randomized=True),
+    }},
+    "bounds": Entry(_bounds, {"outcome_counts": ListOf(INTEGER, 1),
+                              "expect": Opt(ListOf(INTEGER, 2, 2)), "label": Opt(NAME)}),
+}}
+
+#: Probe forms, each picked by the presence of its key; a bare list is a vector.
+PROBES = PROBE.table = {
+    "of": Entry(_probe_of, {"of": ref("multimeter"), "index": Opt(INTEGER)}),
+    "vector": Entry(lambda vector: vector, {"vector": VECTOR}),
+    "density": Entry(lambda density: density, {"density": MATRIX}),
+    "tensor": Entry(lambda tensor: functools.reduce(np.kron, tensor), {"tensor": ListOf(PROBE, 1)}),
+}
+
+#: The scenario document itself.
+DOCUMENT = Entry(dict, {
+    "seed": Opt(INTEGER),
+    "tolerances": Opt(record({"program": Opt(NUMBER)})),
+    "objects": Opt(MapOf(Definition(OBJECTS))),
+    "runs": Opt(ListOf(Definition(RUNS))),
+})
+
+
+def table_entries(node, title: str = ""):
+    """Yield ``(title, fields)`` for each entry under a table node."""
+    if isinstance(node, Entry):
+        yield title, node.fields
+        return
+    for selector, branch in node.items():
+        if selector is None or isinstance(branch, Entry):
+            yield from table_entries(branch, f"{title} {selector or ''}".strip())
+        else:
+            for name, sub in branch.items():
+                yield from table_entries(sub, f"{title} {selector}={name}".strip())
+
+
+def _build(definition: Deferred, where: str, runtime: _Runtime, *context):
+    try:
+        return definition(runtime, *context)
+    except QMultimeterError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
+def build_objects(objects: dict, runtime: _Runtime) -> None:
+    """Build read object definitions in declaration order."""
+    for name, definition in objects.items():
+        runtime[name] = (definition.path[0], _build(definition, f"objects.{name}", runtime))
 
 
 def execute(scenario: dict, seed: int | None = None, tol: float | None = None) -> list:
     """Run a parsed scenario; returns one report per run, in order."""
     if not isinstance(scenario, dict):
-        raise _parse_error("scenario must be a JSON object")
-    runs = scenario.get("runs", [])
-    if not isinstance(runs, list):
-        raise _parse_error("'runs' must be a list")
-    effective_seed = seed if seed is not None else scenario.get("seed")
-    if effective_seed is not None and not isinstance(effective_seed, int):
-        raise _parse_error("'seed' must be an integer")
-    needs_seed = any(
-        isinstance(r, dict) and r.get("command") == "verify" and r.get("check") in _RANDOMIZED_CHECKS
-        for r in runs
-    )
-    if needs_seed and effective_seed is None:
-        raise _parse_error("scenario uses randomness but declares no seed")
-    tolerances = scenario.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise _parse_error("'tolerances' must be an object")
+        raise ScenarioParseError("scenario must be a JSON object")
+    document = Definition(DOCUMENT).parse(scenario, "").fields
+    runs = document.get("runs", [])
+    seed = document.get("seed") if seed is None else seed
+    if seed is None and any(run.entry.randomized for run in runs):
+        raise ScenarioParseError("scenario uses randomness but declares no seed")
+    if seed is not None and seed < 0:
+        raise ScenarioParseError(f"seed must be a non-negative integer, got {seed}")
     if tol is None:
-        tol = _number_field(tolerances, "program", "tolerances", 1e-10)
-    runtime = _Runtime()
-    build_objects(scenario.get("objects", {}), runtime)
-    reports = []
-    for idx, run in enumerate(runs):
-        if not isinstance(run, dict) or "command" not in run:
-            raise _parse_error(f"run {idx}: needs a 'command'")
-        command = run["command"]
-        if command == "program":
-            reports.append(_run_program(run, idx, runtime, tol))
-        elif command == "verify":
-            reports.append(_run_verify(run, idx, runtime, effective_seed))
-        elif command == "bounds":
-            reports.append(_run_bounds(run, idx))
-        else:
-            raise _parse_error(f"run {idx}: unknown command {command!r}")
-    return reports
+        tolerances = document["tolerances"].fields if "tolerances" in document else {}
+        tol = tolerances.get("program", 1e-10)
+    runtime = _Runtime(seed, tol)
+    build_objects(document.get("objects", {}), runtime)
+    return [_build(run, f"runs[{idx}]", runtime, runtime, idx) for idx, run in enumerate(runs)]
 
 
 def load_scenario(path: str) -> dict:
@@ -578,12 +570,9 @@ def run_scenario(
 
 
 def _list_builtins() -> str:
-    lines = [
-        "multimeters:   " + ", ".join(BUILTIN_MULTIMETERS),
-        "constructions: " + ", ".join(MULTIMETER_CONSTRUCTIONS),
-        "observables:   " + ", ".join(OBSERVABLE_BUILTINS),
-        "channels:      " + ", ".join(CHANNEL_BUILTINS),
-    ]
+    tables = ((DOCUMENT, "scenario"), (OBJECTS, ""), (RUNS, ""), (PROBES, "probe"))
+    entries = [entry for table, prefix in tables for entry in table_entries(table, prefix)]
+    lines = [f"{title}: {_field_list(fields)}" for title, fields in entries]
     return "\n".join(lines) + "\n"
 
 

@@ -492,13 +492,15 @@ def dimension_bounds(n: int, outcome_counts) -> tuple[int, int]:
 
     Returns ``(max(n, N_1, ..., N_n), n * N_1 * ... * N_n)``: no smaller
     apparatus can program them all, and the push-button bundle always
-    realizes the upper bound.
+    realizes the upper bound.  A count below 1 raises ``ValidationError``.
     """
     counts = [int(c) for c in outcome_counts]
     if not counts:
         raise ValueError("outcome_counts must not be empty")
+    if min(counts) < 1:
+        raise ValidationError(f"outcome counts must be at least 1, got {counts}")
     if n != len(counts):
         raise ValueError(f"n = {n} but {len(counts)} outcome counts given")
     lower = max(n, max(counts))
-    upper = n * int(np.prod(counts))
+    upper = n * int(np.prod(counts, dtype=object))  # exact: no int64 wrap-around
     return lower, upper

@@ -231,6 +231,8 @@ def check_convex_hull(
         )
     probes = [np.asarray(p, dtype=complex).reshape(-1) for p, _ in programmed]
     devices = [d for _, d in programmed]
+    if len({isinstance(d, Observable) for d in devices}) > 1:
+        raise ValidationError("devices must be all observables or all channels")
     gram = np.array([[np.vdot(a, b) for b in probes] for a in probes])
     if frobenius_norm(gram - np.eye(m.dim_k)) > 1e-9:
         raise ValidationError("program vectors are not orthonormal")
@@ -287,6 +289,8 @@ def check_purification(
     the probe must induce that same device, so a pure probe suffices.
     """
     name = "purification"
+    if kind not in ("observable", "channel"):
+        raise ValueError(f"kind must be 'observable' or 'channel', got {kind!r}")
     xi = np.asarray(mixed_probe, dtype=complex)
     if xi.ndim != 2:
         return VerificationReport(name, "not_applicable", {}, "probe is pure (a vector)")

@@ -59,6 +59,17 @@ class TestApply:
             apply(identity_channel(2), np.eye(2), picture="interaction")
 
 
+class TestIdentityChannel:
+    @pytest.mark.parametrize("dim", [-1, 0, 4097])
+    def test_dimension_outside_range_raises_before_allocating(self, monkeypatch, dim):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("identity allocated")
+
+        monkeypatch.setattr(np, "eye", no_allocation)
+        with pytest.raises(DimensionError, match="4096"):
+            identity_channel(dim)
+
+
 class TestMakeChannel:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_kraus_rejected(self):

@@ -1,21 +1,33 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qmultimeter.cli import (
+    DOCUMENT,
     EXIT_CHECK_FAILED,
     EXIT_DIMENSION,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_REFERENCE,
+    OBJECTS,
+    PROBES,
+    RUNS,
+    Entry,
+    Opt,
+    _field_list,
     emit_report,
     main,
     parse_report,
     run_scenario,
+    table_entries,
 )
 from qmultimeter.exceptions import ScenarioParseError, ScenarioReferenceError
 from qmultimeter.verify import VerificationReport
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_scenario(tmp_path, payload, name="scenario.json"):
@@ -29,6 +41,10 @@ def spin_objects():
         "S1": {"kind": "observable", "builtin": "spin", "axis": [1, 0, 0]},
         "S3": {"kind": "observable", "builtin": "spin", "axis": [0, 0, 1]},
     }
+
+
+MINIMAL_DILATION = {**spin_objects(), "md": {
+    "kind": "multimeter", "construction": "minimal_dilation", "observable": "S1"}}
 
 
 PAULI_SCENARIO = {
@@ -152,6 +168,20 @@ class TestMainExitCodes:
         payload = {"objects": {"M": {"kind": "multimeter", "builtin": "wrong"}}, "runs": []}
         assert main([write_scenario(tmp_path, payload)]) == EXIT_REFERENCE
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            {"command": "program", "multimeter": "md", "probe": {"of": "md", "index": 1}},
+            {"command": "program", "multimeter": "md", "probe": {"of": "md"}, "induce": "channel",
+             "expect": "S1"},
+        ],
+        ids=["probe-index-out-of-range", "expect-of-other-kind"],
+    )
+    def test_unresolved_run_names_exit_reference(self, tmp_path, capsys, run):
+        payload = {"objects": MINIMAL_DILATION, "runs": [run]}
+        assert main([write_scenario(tmp_path, payload)]) == EXIT_REFERENCE
+        assert "reference error: runs[0]: " in capsys.readouterr().err
+
     def test_dimension_exit(self, tmp_path, capsys):
         payload = {
             "objects": {
@@ -269,13 +299,87 @@ class TestMainExitCodes:
              "runs": [{"command": "program", "multimeter": "md", "probe": {"of": "md"},
                        "expect": "S1", "tol": "x"}]},
             {"tolerances": {"program": "x"}, "objects": {}, "runs": []},
+            {"objects": {"Z": {"kind": "observable", "dim": 2, "outcomes": 5, "effects": {}}},
+             "runs": []},
+            {"objects": {**spin_objects(), "M": {
+                "kind": "multimeter", "construction": "push_button", "observables": 5}},
+             "runs": []},
+            {"objects": {"M": {"kind": "multimeter", "construction": "push_button", "channels": 5}},
+             "runs": []},
+            {"seed": 1, "objects": MINIMAL_DILATION, "runs": [
+                {"command": "verify", "check": "convex_hull", "multimeter": "md",
+                 "programmed": 3}]},
+            {"objects": MINIMAL_DILATION, "runs": [
+                {"command": "program", "multimeter": ["x"], "probe": {"of": "md"}}]},
+            {"objects": {"Z": {"kind": "observable", "dim": 1, "outcomes": [[1]],
+                               "effects": {"[1]": [[1]]}}}, "runs": []},
+            {"objects": MINIMAL_DILATION, "runs": [
+                {"command": "program", "multimeter": "md", "probe": {"of": "md"},
+                 "expect": ["x"]}]},
+            {"objects": MINIMAL_DILATION, "runs": [
+                {"command": "program", "multimeter": "md", "probe": {"tensor": []}}]},
+            {"seed": 1, "objects": {}, "runs": [
+                {"command": "verify", "check": "counterexample_search", "dim_h": 2, "dim_k": 2,
+                 "trials": 10, "refine": "no"}]},
+            {"objects": MINIMAL_DILATION, "runs": [
+                {"command": "verify", "check": "purification", "multimeter": "md",
+                 "probe": {"density": [[0.5, 0], [0, 0.5]]}, "kind": 3}]},
+            {"seed": True, "objects": {}, "runs": [
+                {"command": "verify", "check": "counterexample_search", "dim_h": 2, "dim_k": 2,
+                 "trials": 10}]},
+            {"objects": MINIMAL_DILATION, "runs": [
+                {"command": "program", "multimeter": "md", "probe": {"of": "md"}, "expect": "S1",
+                 "tols": 1e-3}]},
+            {"objects": MINIMAL_DILATION, "runs": [
+                {"command": "program", "multimeter": "md",
+                 "probe": {"of": "md", "vector": [0, 1]}}]},
+            {"objects": {"Z": {"kind": "observable", "dim": 1, "outcomes": [1],
+                               "effects": {"1": [[1]], "2": [[0]]}}}, "runs": []},
+            {"objects": {"k": {"kind": "kernel", "weights": [[[1, 1], 0], [0, 1]]}}, "runs": []},
+            {"objects": MINIMAL_DILATION, "runs": [
+                {"command": "program", "multimeter": "md", "probe": {"of": "md"},
+                 "induce": "both"}]},
+            {"objects": {**MINIMAL_DILATION, "k": {"kind": "kernel", "weights": [[1, 0], [0, 1]]}},
+             "runs": [{"command": "program", "multimeter": "md", "probe": {"of": "md"},
+                       "kernel": "k", "induce": "channel"}]},
+            {"seed": -3, "objects": {}, "runs": [
+                {"command": "verify", "check": "counterexample_search", "dim_h": 2, "dim_k": 2,
+                 "trials": 10}]},
         ],
         ids=["purification-without-multimeter", "probe-index", "swap-dim",
-             "identity-without-dim", "program-tol", "tolerances-program"],
+             "identity-without-dim", "program-tol", "tolerances-program",
+             "outcomes-integer", "push-button-observables-integer",
+             "push-button-channels-integer", "convex-hull-programmed-integer",
+             "multimeter-list", "outcome-label-list", "expect-list", "empty-tensor",
+             "refine-string", "purification-kind-integer", "seed-boolean", "misspelt-tol",
+             "probe-two-forms", "effect-without-outcome", "kernel-complex-weights",
+             "induce-unknown", "kernel-inducing-channel", "seed-negative"],
     )
     def test_malformed_fields_exit_parse(self, tmp_path, capsys, payload):
         assert main([write_scenario(tmp_path, payload)]) == EXIT_PARSE
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"objects": {}, "runs": [{"command": "bounds", "outcome_counts": [-2, 3]}]},
+            {"objects": {"C": {"kind": "channel", "builtin": "identity", "dim": -1}}, "runs": []},
+            {"seed": 1, "objects": {
+                **spin_objects(),
+                "Id": {"kind": "channel", "builtin": "identity", "dim": 2},
+                "I2": {"kind": "channel", "builtin": "identity", "dim": 2},
+                "B": {"kind": "multimeter", "construction": "push_button",
+                      "channels": ["Id", "I2"]}},
+             "runs": [{"command": "verify", "check": "convex_hull", "multimeter": "B", "trials": 2,
+                       "programmed": [{"probe": {"of": "B", "index": 0}, "device": "Id"},
+                                      {"probe": {"of": "B", "index": 1}, "device": "S1"}]}]},
+        ],
+        ids=["bounds-below-one", "identity-negative-dim", "convex-hull-mixed-devices"],
+    )
+    def test_out_of_range_values_exit_validation(self, tmp_path, capsys, payload):
+        assert main([write_scenario(tmp_path, payload)]) == EXIT_DIMENSION
+        where = "objects.C" if "C" in payload["objects"] else "runs[0]"
+        assert f"validation error: {where}: " in capsys.readouterr().err
 
     def test_non_finite_effect_exit(self, tmp_path, capsys):
         payload = {
@@ -313,6 +417,11 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         for name in ("pauli", "swap", "spin_pair", "minimal_dilation", "shared_pointer"):
             assert name in out
+        for table in (OBJECTS, RUNS):
+            for title, fields in table_entries(table):
+                assert f"{title}: {_field_list(fields)}\n" in out
+        for form in PROBES:
+            assert f"probe {form}: " in out
 
 
 class TestReportFormats:
@@ -479,3 +588,46 @@ class TestAllConstructionsReachable:
         )
         assert status == EXIT_OK
         assert [r.verdict for r in reports[:5]] == ["pass"] * 5
+
+
+SHIPPED_VERDICTS = {
+    "channel_bundle.json": ["pass"] * 5,
+    "pauli_postprocessing.json": ["pass"] * 3 + ["not_applicable"] * 2 + ["pass"],
+}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "scenarios").glob("*.json")), ids=lambda p: p.name)
+def test_shipped_scenario(tmp_path, capsys, path):
+    report = tmp_path / "report.json"
+    assert main([str(path), "--format", "structured", "--report", str(report)]) == EXIT_OK
+    assert [r.verdict for r in parse_report(report.read_text())] == SHIPPED_VERDICTS[path.name]
+
+
+def _table_fields() -> set:
+    """``(entry, field)`` for every table entry and the objects nested in its fields."""
+    pairs = set()
+
+    def walk(title, fields):
+        pairs.add((title, None))
+        for key, field in fields.items():
+            pairs.add((title, f"[{key}]" if isinstance(field, Opt) else key))
+            inner = getattr(field, "type", field)
+            inner = getattr(inner, "item", inner)
+            if isinstance(getattr(inner, "table", None), Entry):
+                walk(f"{title} {key}", inner.table.fields)
+
+    for table, prefix in ((DOCUMENT, "scenario"), (OBJECTS, ""), (RUNS, ""), (PROBES, "probe")):
+        for title, fields in table_entries(table, prefix):
+            walk(title, fields)
+    return pairs
+
+
+def test_readme_field_list_matches_tables():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line")[1].split("```text\n")[1].split("```")[0]
+    pairs = set()
+    for line in block.splitlines():
+        title, fields = line.split(": ")
+        pairs.add((title, None))
+        pairs.update((title, field) for field in fields.split(", ") if field != "no fields")
+    assert pairs == _table_fields()

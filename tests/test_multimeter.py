@@ -637,6 +637,15 @@ class TestDimensionBounds:
         with pytest.raises(ValueError):
             dimension_bounds(0, [])
 
+    def test_counts_below_one_rejected(self):
+        for counts in ([-2, 3], [0, 2], [2, -1]):
+            with pytest.raises(ValidationError, match="at least 1"):
+                dimension_bounds(2, counts)
+
+    def test_large_counts_exact(self):
+        # an int64 product would wrap around to 0
+        assert dimension_bounds(2, [2**62, 4]) == (2**62, 2**65)
+
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             dimension_bounds(2, [2, 2, 2])

@@ -194,6 +194,12 @@ class TestConvexHull:
         with pytest.raises(ValidationError, match="apparatus dimension"):
             check_convex_hull(meter, [(probes[0], s1)], trials=5, seed=0)
 
+    def test_mixed_device_kinds_raise(self, spin_trio):
+        s1, _, s3 = spin_trio
+        meter, probes = builtin_multimeter("spin_pair", observables=(s1, s3))
+        with pytest.raises(ValidationError, match="all observables or all channels"):
+            check_convex_hull(meter, [(probes[0], s1), (probes[1], identity_channel(2))], seed=0)
+
     def test_non_orthonormal_probes_raise(self, spin_trio):
         s1, _, s3 = spin_trio
         meter, probes = builtin_multimeter("spin_pair", observables=(s1, s3))
@@ -224,6 +230,12 @@ class TestPurification:
         rep = check_purification(meter, xi, kind="observable")
         assert rep.verdict == "not_applicable"
         assert "decomposition" in rep.details
+
+    def test_unknown_kind_raises(self, spin_trio):
+        meter, _ = minimal_dilation_multimeter(spin_trio[2])
+        for kind in ("channels", 3, None):
+            with pytest.raises(ValueError, match="kind must be"):
+                check_purification(meter, np.diag([0.5, 0.5]).astype(complex), kind=kind)
 
     def test_pure_probe_not_applicable(self, spin_trio):
         meter, probe = minimal_dilation_multimeter(spin_trio[2])
