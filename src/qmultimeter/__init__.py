@@ -2,7 +2,6 @@
 
 from .channels import (
     Channel,
-    StinespringDilation,
     apply,
     channel_distance,
     choi_matrix,

@@ -40,14 +40,6 @@ class Channel:
         return len(self.kraus)
 
 
-@dataclass(frozen=True)
-class StinespringDilation:
-    """Isometry ``w: H -> H (x) K`` with ``E(T) = tr_K(w T w*)``."""
-
-    dim_k: int
-    w: np.ndarray
-
-
 def make_channel(kraus, tol: float = DEFAULT_TOL) -> Channel:
     """Validate trace preservation ``sum_i K_i* K_i = I`` and build a channel.
 
@@ -151,24 +143,18 @@ def channel_distance(a: Channel, b: Channel) -> float:
     return frobenius_norm(choi_matrix(a) - choi_matrix(b))
 
 
-def kraus_from_choi(choi: np.ndarray, dim: int, cutoff: float = 1e-12) -> list:
-    """Canonical (linearly independent) Kraus set from a Choi matrix.
-
-    Eigenvectors with eigenvalue below ``cutoff`` times the largest are
-    discarded, which removes numerically redundant Kraus directions.
-    """
-    eigvals, vecs = np.linalg.eigh((choi + dagger(choi)) / 2)
-    top = float(eigvals.max())
-    kraus = []
-    for lam, v in zip(eigvals, vecs.T):
-        if lam > cutoff * max(top, 1.0):
-            kraus.append(np.sqrt(lam) * v.reshape(dim, dim))
-    return kraus
-
-
 def minimal_kraus(c: Channel) -> list:
-    """Canonical minimal Kraus representation of a channel."""
-    return kraus_from_choi(choi_matrix(c), c.dim)
+    """Canonical minimal (linearly independent) Kraus set, from the Choi matrix.
+
+    Eigenvectors with eigenvalue below ``1e-12`` times the largest (at
+    least 1) are discarded, which removes numerically redundant Kraus
+    directions.
+    """
+    choi = choi_matrix(c)
+    eigvals, vecs = np.linalg.eigh((choi + dagger(choi)) / 2)
+    cutoff = 1e-12 * max(float(eigvals.max()), 1.0)
+    return [np.sqrt(lam) * v.reshape(c.dim, c.dim)
+            for lam, v in zip(eigvals, vecs.T) if lam > cutoff]
 
 
 def _projector_family(dim: int):
@@ -219,12 +205,13 @@ def is_extreme_channel(c: Channel, tol: float = DEFAULT_TOL) -> bool:
     return int(np.linalg.matrix_rank(system)) == m * m
 
 
-def stinespring_dilation(c: Channel) -> StinespringDilation:
-    """Dilation ``w = sum_i K_i (x) |i>`` with ``dim K`` = number of Kraus ops."""
-    arr = np.stack(c.kraus)  # (m, d, d)
-    m, d, _ = arr.shape
-    w = arr.transpose(1, 0, 2).reshape(d * m, d)
-    return StinespringDilation(dim_k=m, w=w)
+def stinespring_dilation(c: Channel) -> np.ndarray:
+    """Isometry ``w = sum_i K_i (x) |i>: H -> H (x) K`` with ``E(T) = tr_K(w T w*)``.
+
+    ``dim K`` is the number of Kraus operators, ``len(c.kraus)``.
+    """
+    m = len(c.kraus)
+    return np.stack(c.kraus).transpose(1, 0, 2).reshape(c.dim * m, c.dim)
 
 
 def stinespring_commutant_residual(c: Channel) -> float:
@@ -232,9 +219,9 @@ def stinespring_commutant_residual(c: Channel) -> float:
 
     Vanishes exactly when the channel is multiplicative (i.e. unitary).
     """
-    dil = stinespring_dilation(c)
-    ww = dil.w @ dagger(dil.w)
-    d, m = c.dim, dil.dim_k
+    w = stinespring_dilation(c)
+    ww = w @ dagger(w)
+    d, m = c.dim, len(c.kraus)
     worst = 0.0
     for a in range(d):
         for b in range(d):

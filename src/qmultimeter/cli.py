@@ -27,7 +27,6 @@ reference, 4 dimension or validation error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from typing import Callable, NamedTuple
@@ -36,7 +35,6 @@ import numpy as np
 
 from . import __version__
 from .channels import (
-    channel_distance,
     complete_contraction,
     identity_channel,
     make_channel,
@@ -53,17 +51,17 @@ from .multimeter import (
     builtin_multimeter,
     concatenate_with_measurement,
     dimension_bounds,
-    induced_channel,
-    induced_observable,
     make_model,
     make_multimeter,
     minimal_dilation_multimeter,
     push_button_multimeter,
     shared_pointer_multimeter,
 )
-from .observables import make_kernel, make_observable, observable_distance, spin_observable
+from .observables import make_kernel, make_observable, spin_observable
+from .operators import tensor_many
 from .verify import (
     DEFAULT_SEARCH_THRESHOLDS,
+    DEVICE_KINDS,
     VerificationReport,
     check_channel_program_orthogonality,
     check_convex_hull,
@@ -264,7 +262,7 @@ NUMBER = FieldType("a finite number", int, float)
 BOOLEAN = FieldType("a boolean", bool)
 NAME = FieldType("a string", str)
 LABEL = FieldType("a string or an integer", str, int)
-DEVICE_KIND = FieldType("'observable' or 'channel'", str, choices=("observable", "channel"))
+DEVICE_KIND = FieldType(" or ".join(map(repr, DEVICE_KINDS)), str, choices=tuple(DEVICE_KINDS))
 VECTOR = Matrix(rank=1)
 MATRIX = Matrix()
 PROBE = Definition(None, "a vector or a probe object", shorthand="vector")  # table: PROBES
@@ -315,6 +313,11 @@ def _probe_of(of, index=0) -> np.ndarray:
     return probes[index]
 
 
+def _tensor_probe(tensor) -> np.ndarray:
+    product = tensor_many(tensor)  # capped before it allocates
+    return product.reshape(-1) if all(part.ndim == 1 for part in tensor) else product
+
+
 def _verdict(name, passed, residuals, details, violation) -> VerificationReport:
     if passed:
         return VerificationReport(name, "pass", residuals, details)
@@ -326,17 +329,11 @@ def _program(runtime, index, multimeter, probe, induce="observable", kernel=None
     if kernel is not None and induce != "observable":
         raise ScenarioParseError("a kernel only applies when inducing an observable")
     name = f"program[{index}]" if label is None else label
-    model = make_model(multimeter[0], probe, kernel=kernel)
-    if induce == "observable":
-        device = induced_observable(model)
-        summary = f"induced observable with outcomes {device.outcomes}"
-    else:
-        device = induced_channel(model)
-        summary = f"induced channel with {len(device.kraus)} Kraus operators"
+    kind = DEVICE_KINDS[induce]
+    device = kind.induce(make_model(multimeter[0], probe, kernel=kernel))
     if expect is None:
-        return VerificationReport(name, "pass", {}, summary)
-    target = runtime.lookup((induce,), expect)
-    distance = (observable_distance if induce == "observable" else channel_distance)(device, target)
+        return VerificationReport(name, "pass", {}, f"induced {kind.describe(device)}")
+    distance = kind.distance(device, runtime.lookup((induce,), expect))
     tol = runtime.tol if tol is None else tol
     return _verdict(name, distance <= tol, {"distance": distance}, f"matches {expect!r}",
                     f"distance {distance:.3e} > {tol:.3e} from {expect!r}")
@@ -345,7 +342,10 @@ def _program(runtime, index, multimeter, probe, induce="observable", kernel=None
 def _bounds(runtime, index, outcome_counts, expect=None, label=None) -> VerificationReport:
     name = f"bounds[{index}]" if label is None else label
     lower, upper = dimension_bounds(len(outcome_counts), outcome_counts)
-    residuals = {"lower": float(lower), "upper": float(upper)}
+    try:
+        residuals = {"lower": float(lower), "upper": float(upper)}
+    except OverflowError:
+        raise ValidationError("bounds exceed the float range of a report") from None
     if expect is None:
         return VerificationReport(name, "pass", residuals, f"bounds ({lower}, {upper})")
     return _verdict(name, [lower, upper] == expect, residuals,
@@ -426,7 +426,7 @@ RUNS = {"command": {
                 multimeter[0], [(p["probe"], p["device"]) for p in programmed],
                 seed=runtime.seed + index, **options),
             {"multimeter": ref("multimeter"),
-             "programmed": ListOf(record({"probe": PROBE, "device": ref("observable", "channel")})),
+             "programmed": ListOf(record({"probe": PROBE, "device": ref(*DEVICE_KINDS)})),
              "trials": Opt(INTEGER), "tol": Opt(NUMBER)},
             randomized=True),
         "purification": Entry(
@@ -451,7 +451,7 @@ PROBES = PROBE.table = {
     "of": Entry(_probe_of, {"of": ref("multimeter"), "index": Opt(INTEGER)}),
     "vector": Entry(lambda vector: vector, {"vector": VECTOR}),
     "density": Entry(lambda density: density, {"density": MATRIX}),
-    "tensor": Entry(lambda tensor: functools.reduce(np.kron, tensor), {"tensor": ListOf(PROBE, 1)}),
+    "tensor": Entry(_tensor_probe, {"tensor": ListOf(PROBE, 1)}),
 }
 
 #: The scenario document itself.

@@ -14,10 +14,12 @@ cannot flip on rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .channels import (
+    Channel,
     channel_distance,
     choi_matrix,
     is_extreme_channel,
@@ -91,6 +93,107 @@ class VerificationReport:
         )
 
 
+class DeviceKind(NamedTuple):
+    """What the choice between observable and channel decides.
+
+    Entries call library functions by their module-level name at call time,
+    so a tracer that rebinds those names (bench/tracing.py) sees every call.
+    """
+
+    device: type
+    induce: Callable  # measurement model -> induced device
+    distance: Callable  # (device, device) -> distance, zero iff equal
+    defect: Callable  # device -> residual that vanishes iff the device is ideal
+    defect_key: str  # report key of that residual
+    ideal: str  # what an ideal device is called
+    extreme: Callable  # device -> whether it is extreme
+    mixture_distance: Callable  # (device, weights, devices) -> distance to the mixture
+    describe: Callable  # induced device -> summary for a report
+
+
+def _mix_observables(weights, devices) -> Observable:
+    """Effect-wise mixture of observables, aligned by outcome label."""
+    ref = devices[0]
+    if any(set(dev.outcomes) != set(ref.outcomes) for dev in devices):
+        raise ValidationError("programmed observables must share their outcome labels")
+    effects = [sum(w * dev.effect(x) for w, dev in zip(weights, devices)) for x in ref.outcomes]
+    return make_observable(ref.dim, ref.outcomes, effects, tol=INDUCTION_TOL)
+
+
+#: The two kinds of device a multimeter programs.  The channel theorem
+#: follows from the observable theorem, so every check below runs one body
+#: on either entry.
+DEVICE_KINDS = {
+    "observable": DeviceKind(
+        device=Observable,
+        induce=lambda model: induced_observable(model),
+        distance=lambda a, b: observable_distance(a, b),
+        defect=lambda e: sharpness_residual(e),
+        defect_key="sharpness_residual",
+        ideal="sharp",
+        extreme=lambda e: is_extreme(e),
+        mixture_distance=lambda e, weights, devices: observable_distance(
+            e, _mix_observables(weights, devices)),
+        describe=lambda e: f"observable with outcomes {e.outcomes}",
+    ),
+    "channel": DeviceKind(
+        device=Channel,
+        induce=lambda model: induced_channel(model),
+        distance=lambda a, b: channel_distance(a, b),
+        defect=lambda c: multiplicativity_residual(c),
+        defect_key="multiplicativity_residual",
+        ideal="unitary",
+        extreme=lambda c: is_extreme_channel(c),
+        mixture_distance=lambda c, weights, devices: frobenius_norm(
+            choi_matrix(c) - sum(w * choi_matrix(dev) for w, dev in zip(weights, devices))),
+        describe=lambda c: f"channel with {len(c.kraus)} Kraus operators",
+    ),
+}
+
+
+def _check_program_orthogonality(
+    name: str, kind: str, m: Multimeter, phi1, phi2, tol, ideal_tol, distance_tol
+) -> VerificationReport:
+    """Distinct ideal devices of one kind force orthogonal program vectors."""
+    k = DEVICE_KINDS[kind]
+    d1 = k.induce(make_model(m, phi1))
+    d2 = k.induce(make_model(m, phi2))
+    res1 = k.defect(d1)
+    res2 = k.defect(d2)
+    distance = k.distance(d1, d2)
+    overlap = float(abs(np.vdot(np.asarray(phi1), np.asarray(phi2))))
+    residuals = {
+        f"{k.defect_key}_1": res1,
+        f"{k.defect_key}_2": res2,
+        "device_distance": distance,
+        "overlap": overlap,
+    }
+    ideal1, ideal2 = res1 <= ideal_tol, res2 <= ideal_tol
+    if distance <= distance_tol:
+        return VerificationReport(
+            name, "not_applicable", residuals, f"induced {kind}s are not distinct"
+        )
+    if ideal1 and ideal2:
+        case = f"two distinct {k.ideal} {kind}s"
+    elif m.normal and ((ideal1 and k.extreme(d2)) or (ideal2 and k.extreme(d1))):
+        case = f"a {k.ideal} and an extreme {kind} on a normal multimeter"
+    else:
+        return VerificationReport(
+            name,
+            "not_applicable",
+            residuals,
+            f"hypotheses not met: fewer than two {k.ideal} (or {k.ideal}+extreme) {kind}s",
+        )
+    if overlap <= tol:
+        return VerificationReport(name, "pass", residuals, f"{case}: program vectors orthogonal")
+    return VerificationReport(
+        name,
+        "fail",
+        residuals,
+        f"violated: {case} programmed with overlap {overlap:.3e} > {tol:.3e}",
+    )
+
+
 def check_sharp_program_orthogonality(
     m: Multimeter,
     phi1: np.ndarray,
@@ -106,43 +209,8 @@ def check_sharp_program_orthogonality(
     induced observable.  No kernels are involved: the counterexamples
     enabled by post-processing live outside this check's hypotheses.
     """
-    name = "sharp_program_orthogonality"
-    e1 = induced_observable(make_model(m, phi1))
-    e2 = induced_observable(make_model(m, phi2))
-    res1 = sharpness_residual(e1)
-    res2 = sharpness_residual(e2)
-    distance = observable_distance(e1, e2)
-    overlap = float(abs(np.vdot(np.asarray(phi1), np.asarray(phi2))))
-    residuals = {
-        "sharpness_residual_1": res1,
-        "sharpness_residual_2": res2,
-        "device_distance": distance,
-        "overlap": overlap,
-    }
-    sharp1, sharp2 = res1 <= sharp_tol, res2 <= sharp_tol
-    if distance <= distance_tol:
-        return VerificationReport(
-            name, "not_applicable", residuals, "induced observables are not distinct"
-        )
-    if sharp1 and sharp2:
-        case = "two distinct sharp observables"
-    elif m.normal and ((sharp1 and is_extreme(e2)) or (sharp2 and is_extreme(e1))):
-        case = "a sharp and an extreme observable on a normal multimeter"
-    else:
-        return VerificationReport(
-            name,
-            "not_applicable",
-            residuals,
-            "hypotheses not met: fewer than two sharp (or sharp+extreme) observables",
-        )
-    if overlap <= tol:
-        return VerificationReport(name, "pass", residuals, f"{case}: program vectors orthogonal")
-    return VerificationReport(
-        name,
-        "fail",
-        residuals,
-        f"violated: {case} programmed with overlap {overlap:.3e} > {tol:.3e}",
-    )
+    return _check_program_orthogonality(
+        "sharp_program_orthogonality", "observable", m, phi1, phi2, tol, sharp_tol, distance_tol)
 
 
 def check_channel_program_orthogonality(
@@ -159,54 +227,8 @@ def check_channel_program_orthogonality(
     normal multimeter the check also fires on one unitary and one extreme
     induced channel.
     """
-    name = "channel_program_orthogonality"
-    c1 = induced_channel(make_model(m, phi1))
-    c2 = induced_channel(make_model(m, phi2))
-    res1 = multiplicativity_residual(c1)
-    res2 = multiplicativity_residual(c2)
-    distance = channel_distance(c1, c2)
-    overlap = float(abs(np.vdot(np.asarray(phi1), np.asarray(phi2))))
-    residuals = {
-        "multiplicativity_residual_1": res1,
-        "multiplicativity_residual_2": res2,
-        "device_distance": distance,
-        "overlap": overlap,
-    }
-    unitary1, unitary2 = res1 <= unitary_tol, res2 <= unitary_tol
-    if distance <= distance_tol:
-        return VerificationReport(
-            name, "not_applicable", residuals, "induced channels are not distinct"
-        )
-    if unitary1 and unitary2:
-        case = "two distinct unitary channels"
-    elif m.normal and (
-        (unitary1 and is_extreme_channel(c2)) or (unitary2 and is_extreme_channel(c1))
-    ):
-        case = "a unitary and an extreme channel on a normal multimeter"
-    else:
-        return VerificationReport(
-            name,
-            "not_applicable",
-            residuals,
-            "hypotheses not met: fewer than two unitary (or unitary+extreme) channels",
-        )
-    if overlap <= tol:
-        return VerificationReport(name, "pass", residuals, f"{case}: program vectors orthogonal")
-    return VerificationReport(
-        name,
-        "fail",
-        residuals,
-        f"violated: {case} programmed with overlap {overlap:.3e} > {tol:.3e}",
-    )
-
-
-def _mix_observables(weights, devices) -> Observable:
-    ref = devices[0]
-    effects = [
-        sum(w * dev.effects[i] for w, dev in zip(weights, devices))
-        for i in range(len(ref))
-    ]
-    return make_observable(ref.dim, ref.outcomes, effects, tol=INDUCTION_TOL)
+    return _check_program_orthogonality(
+        "channel_program_orthogonality", "channel", m, phi1, phi2, tol, unitary_tol, distance_tol)
 
 
 def check_convex_hull(
@@ -231,24 +253,18 @@ def check_convex_hull(
         )
     probes = [np.asarray(p, dtype=complex).reshape(-1) for p, _ in programmed]
     devices = [d for _, d in programmed]
-    if len({isinstance(d, Observable) for d in devices}) > 1:
+    kinds = [k for k in DEVICE_KINDS.values() if all(isinstance(d, k.device) for d in devices)]
+    if not kinds:
         raise ValidationError("devices must be all observables or all channels")
     gram = np.array([[np.vdot(a, b) for b in probes] for a in probes])
     if frobenius_norm(gram - np.eye(m.dim_k)) > 1e-9:
         raise ValidationError("program vectors are not orthonormal")
-    kind = "observable" if isinstance(devices[0], Observable) else "channel"
+    k = kinds[0]
 
-    def induce(probe):
-        model = make_model(m, probe)
-        return induced_observable(model) if kind == "observable" else induced_channel(model)
+    def residual(probe, weights):
+        return k.mixture_distance(k.induce(make_model(m, probe)), weights, devices)
 
-    def distance(device, weights):
-        if kind == "observable":
-            return observable_distance(device, _mix_observables(weights, devices))
-        target = sum(w * choi_matrix(dev) for w, dev in zip(weights, devices))
-        return frobenius_norm(choi_matrix(device) - target)
-
-    base_residual = max(distance(induce(p), np.eye(m.dim_k)[i]) for i, p in enumerate(probes))
+    base_residual = max(residual(p, np.eye(m.dim_k)[i]) for i, p in enumerate(probes))
     residuals = {"basis_residual": base_residual}
     if base_residual > INDUCTION_TOL:
         return VerificationReport(
@@ -260,10 +276,10 @@ def check_convex_hull(
     for _ in range(trials):
         psi = random_state_vector(m.dim_k, rng)
         weights = np.array([abs(np.vdot(p, psi)) ** 2 for p in probes])
-        worst_pure = max(worst_pure, distance(induce(psi), weights))
+        worst_pure = max(worst_pure, residual(psi, weights))
         xi = random_density_operator(m.dim_k, rng)
         weights = np.array([float(np.vdot(p, xi @ p).real) for p in probes])
-        worst_mixed = max(worst_mixed, distance(induce(xi), weights))
+        worst_mixed = max(worst_mixed, residual(xi, weights))
     residuals.update({"max_pure_residual": worst_pure, "max_mixed_residual": worst_mixed})
     if max(worst_pure, worst_mixed) <= tol:
         return VerificationReport(
@@ -289,8 +305,9 @@ def check_purification(
     the probe must induce that same device, so a pure probe suffices.
     """
     name = "purification"
-    if kind not in ("observable", "channel"):
-        raise ValueError(f"kind must be 'observable' or 'channel', got {kind!r}")
+    if kind not in DEVICE_KINDS:
+        raise ValueError(f"kind must be {' or '.join(map(repr, DEVICE_KINDS))}, got {kind!r}")
+    k = DEVICE_KINDS[kind]
     xi = np.asarray(mixed_probe, dtype=complex)
     if xi.ndim != 2:
         return VerificationReport(name, "not_applicable", {}, "probe is pure (a vector)")
@@ -303,20 +320,13 @@ def check_purification(
     if len(components) < 2:
         return VerificationReport(name, "not_applicable", {}, "probe has rank below 2")
 
-    def induce(probe):
-        model = make_model(m, probe)
-        return induced_observable(model) if kind == "observable" else induced_channel(model)
-
-    def distance(a, b):
-        return observable_distance(a, b) if kind == "observable" else channel_distance(a, b)
-
-    device = induce(xi)
-    extreme = is_extreme(device) if kind == "observable" else is_extreme_channel(device)
-    component_devices = [induce(psi) for _, psi in components]
-    worst = max(distance(dev, device) for dev in component_devices)
+    device = k.induce(make_model(m, xi))
+    extreme = k.extreme(device)
+    component_devices = [k.induce(make_model(m, psi)) for _, psi in components]
+    worst = max(k.distance(dev, device) for dev in component_devices)
     residuals = {"max_component_distance": worst, "probe_rank": float(len(components))}
     if not extreme:
-        gaps = ", ".join(f"{distance(dev, device):.3e}" for dev in component_devices)
+        gaps = ", ".join(f"{k.distance(dev, device):.3e}" for dev in component_devices)
         return VerificationReport(
             name,
             "not_applicable",

@@ -225,19 +225,19 @@ class TestStinespring:
     def test_dilation_reproduces_channel(self, rng):
         for seed in range(5):
             c = random_channel(2, 3, seed)
-            dil = stinespring_dilation(c)
-            assert np.linalg.norm(dil.w.conj().T @ dil.w - np.eye(2)) <= 1e-12
+            w = stinespring_dilation(c)
+            assert np.linalg.norm(w.conj().T @ w - np.eye(2)) <= 1e-12
             rho = random_density_operator(2, rng)
-            lifted = dil.w @ rho @ dil.w.conj().T
+            lifted = w @ rho @ w.conj().T
             assert np.linalg.norm(
-                partial_trace(lifted, 2, dil.dim_k, "K") - apply(c, rho)
+                partial_trace(lifted, 2, len(c.kraus), "K") - apply(c, rho)
             ) <= 1e-12
 
     def test_heisenberg_form(self, rng):
         c = random_channel(2, 2, 9)
-        dil = stinespring_dilation(c)
+        w = stinespring_dilation(c)
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        lhs = dil.w.conj().T @ tensor(b, np.eye(dil.dim_k)) @ dil.w
+        lhs = w.conj().T @ tensor(b, np.eye(len(c.kraus))) @ w
         assert np.linalg.norm(lhs - apply(c, b, "heisenberg")) <= 1e-12
 
     def test_commutant_residual_detects_unitarity(self, rng):

@@ -1,4 +1,6 @@
+import functools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +365,7 @@ class TestMainExitCodes:
         "payload",
         [
             {"objects": {}, "runs": [{"command": "bounds", "outcome_counts": [-2, 3]}]},
+            {"objects": {}, "runs": [{"command": "bounds", "outcome_counts": [10**200, 10**200]}]},
             {"objects": {"C": {"kind": "channel", "builtin": "identity", "dim": -1}}, "runs": []},
             {"seed": 1, "objects": {
                 **spin_objects(),
@@ -374,12 +377,38 @@ class TestMainExitCodes:
                        "programmed": [{"probe": {"of": "B", "index": 0}, "device": "Id"},
                                       {"probe": {"of": "B", "index": 1}, "device": "S1"}]}]},
         ],
-        ids=["bounds-below-one", "identity-negative-dim", "convex-hull-mixed-devices"],
+        ids=["bounds-below-one", "bounds-beyond-float", "identity-negative-dim",
+             "convex-hull-mixed-devices"],
     )
     def test_out_of_range_values_exit_validation(self, tmp_path, capsys, payload):
         assert main([write_scenario(tmp_path, payload)]) == EXIT_DIMENSION
         where = "objects.C" if "C" in payload["objects"] else "runs[0]"
         assert f"validation error: {where}: " in capsys.readouterr().err
+
+    def test_tensor_probe_capped_before_it_allocates(self, tmp_path, capsys):
+        # 20 qubit parts would form a vector of 2**20 entries (16 MiB)
+        payload = {"objects": {"pauli": {"kind": "multimeter", "builtin": "pauli"}},
+                   "runs": [{"command": "program", "multimeter": "pauli",
+                             "probe": {"tensor": [[1, 0]] * 20}}]}
+        path = write_scenario(tmp_path, payload)
+        tracemalloc.start()
+        try:
+            status = main([path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == EXIT_DIMENSION
+        assert "validation error: runs[0]: " in capsys.readouterr().err
+        assert peak < 2**20
+
+    def test_tensor_probe_matches_kronecker_product(self, rng):
+        vectors = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in (2, 3, 2)]
+        densities = [np.outer(v, v.conj()) for v in vectors]
+        for parts in (vectors, densities, vectors[:1], densities[:1]):
+            product = PROBES["tensor"].build(tensor=parts)
+            reference = functools.reduce(np.kron, parts)
+            assert product.shape == reference.shape
+            assert np.array_equal(product, reference)
 
     def test_non_finite_effect_exit(self, tmp_path, capsys):
         payload = {
@@ -598,9 +627,21 @@ SHIPPED_VERDICTS = {
 
 @pytest.mark.parametrize("path", sorted((ROOT / "scenarios").glob("*.json")), ids=lambda p: p.name)
 def test_shipped_scenario(tmp_path, capsys, path):
+    """Each shipped scenario reproduces its committed report under ``tests/reports``.
+
+    Verdicts, details and residual keys match exactly; residual values
+    within 1e-9 relative or 1e-12 absolute.
+    """
     report = tmp_path / "report.json"
     assert main([str(path), "--format", "structured", "--report", str(report)]) == EXIT_OK
     assert [r.verdict for r in parse_report(report.read_text())] == SHIPPED_VERDICTS[path.name]
+    got = json.loads(report.read_text())["reports"]
+    want = json.loads((ROOT / "tests" / "reports" / path.name).read_text())["reports"]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert {**g, "residuals": sorted(g["residuals"])} == {**w, "residuals": sorted(w["residuals"])}
+        for key, value in w["residuals"].items():
+            assert g["residuals"][key] == pytest.approx(value, rel=1e-9, abs=1e-12), key
 
 
 def _table_fields() -> set:

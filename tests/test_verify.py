@@ -200,6 +200,29 @@ class TestConvexHull:
         with pytest.raises(ValidationError, match="all observables or all channels"):
             check_convex_hull(meter, [(probes[0], s1), (probes[1], identity_channel(2))], seed=0)
 
+    def test_devices_mix_by_outcome_label(self):
+        s = spin_observable((0, 0, 1))
+        meter, probe = minimal_dilation_multimeter(s)
+        other = np.array([-probe[1].conj(), probe[0].conj()])
+        swapped = induced_observable(make_model(meter, other))
+        assert observable_distance(swapped, s) > 1.0
+        # the same observables with their outcomes listed in reverse order
+        swapped_reversed = make_observable(2, swapped.outcomes[::-1], swapped.effects[::-1])
+        s_reversed = make_observable(2, s.outcomes[::-1], s.effects[::-1])
+        assert observable_distance(swapped_reversed, swapped) == 0.0
+        rep = check_convex_hull(meter, [(probe, s), (other, swapped_reversed)], trials=5, seed=1)
+        assert rep.verdict == "pass"
+        rep = check_convex_hull(meter, [(probe, s), (other, s_reversed)], trials=5, seed=1)
+        assert rep.verdict == "not_applicable"
+        assert rep.residuals["basis_residual"] > 1.0
+
+    def test_observables_with_other_labels_raise(self, spin_trio):
+        s1, _, s3 = spin_trio
+        meter, probes = builtin_multimeter("spin_pair", observables=(s1, s3))
+        relabelled = make_observable(2, ("a", "b"), s3.effects)
+        with pytest.raises(ValidationError, match="outcome labels"):
+            check_convex_hull(meter, [(probes[0], s1), (probes[1], relabelled)], trials=2, seed=0)
+
     def test_non_orthonormal_probes_raise(self, spin_trio):
         s1, _, s3 = spin_trio
         meter, probes = builtin_multimeter("spin_pair", observables=(s1, s3))
