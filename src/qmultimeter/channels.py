@@ -16,6 +16,7 @@ from .exceptions import DimensionError, ValidationError
 from .operators import (
     DEFAULT_TOL,
     DIMENSION_CAP,
+    certifies,
     check_state_vector,
     dagger,
     frobenius_norm,
@@ -28,8 +29,10 @@ class Channel:
     """Channel on a ``dim``-dimensional space, given by Kraus operators.
 
     ``tp_residual`` is ``||sum_i K_i* K_i - I||_F`` as computed when the
-    channel was validated; the Kraus operators are read-only, so it stays
-    exact for the channel's lifetime.
+    channel was validated, or, for a channel assembled from validated parts,
+    the exact bound derived from theirs, which differs from it by rounding;
+    the Kraus operators are read-only, so it stays valid for the channel's
+    lifetime.
     """
 
     dim: int
@@ -46,27 +49,39 @@ def make_channel(kraus, tol: float = DEFAULT_TOL) -> Channel:
     The residual is checked against ``tol * max(1, sqrt(dim))`` and kept
     as ``tp_residual``; see :func:`is_unitary_channel`.
     """
-    mats = [np.asarray(k, dtype=complex) for k in kraus]
+    mats = [np.array(k, dtype=complex) for k in kraus]
     if not mats:
         raise ValidationError("channel needs at least one Kraus operator")
     dim = mats[0].shape[0]
     for k in mats:
         if k.shape != (dim, dim):
             raise DimensionError(f"Kraus operator shape {k.shape}, expected {(dim, dim)}")
-    total = sum(dagger(k) @ k for k in mats)
-    residual = frobenius_norm(total - np.eye(dim))
+    return _checked_channel(mats, tol)
+
+
+def _checked_channel(mats, tol: float, certified: float | None = None) -> Channel:
+    """Decide trace preservation of square Kraus operators and freeze them.
+
+    The operators are taken over, not copied.  ``certified`` is a bound on
+    the residual derived from validated parts; when it clears the
+    threshold by the margin (:func:`~qmultimeter.operators.certifies`) it
+    is stored, otherwise the residual is computed densely and decides.
+    """
+    dim = mats[0].shape[0]
+    threshold = tol * max(1.0, float(np.sqrt(dim)))
+    if certified is not None and certifies(certified, threshold):
+        residual = certified
+    else:
+        residual = frobenius_norm(sum(dagger(k) @ k for k in mats) - np.eye(dim))
     # A NaN or infinite entry of some K_i makes the diagonal of K_i* K_i, and
     # so the residual, non-finite; no separate pass over the entries is needed.
     if not np.isfinite(residual):
         raise ValidationError(f"Kraus operators have non-finite entries (residual {residual})")
-    if residual > tol * max(1.0, float(np.sqrt(dim))):
+    if residual > threshold:
         raise ValidationError(f"Kraus operators are not trace-preserving (residual {residual:.3e})")
-    frozen = []
     for k in mats:
-        k = k.copy()
         k.setflags(write=False)
-        frozen.append(k)
-    return Channel(dim=dim, kraus=tuple(frozen), tp_residual=residual)
+    return Channel(dim=dim, kraus=tuple(mats), tp_residual=residual)
 
 
 def is_unitary_channel(c: Channel, tol: float = DEFAULT_TOL) -> bool:

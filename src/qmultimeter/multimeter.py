@@ -11,15 +11,18 @@ Composite spaces are ordered system-first throughout: ``H (x) K``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, is_unitary_channel, make_channel
+from .channels import Channel, _checked_channel, is_unitary_channel, make_channel
 from .exceptions import DimensionError, ValidationError
 from .observables import (
+    SUPPORT_TOL,
     Observable,
     StochasticKernel,
+    _checked_observable,
     is_sharp,
     make_observable,
     post_process,
@@ -43,6 +46,9 @@ PROBE_CUTOFF = 1e-14
 
 #: Tolerance at which induced observables and channels are validated.
 INDUCTION_TOL = 1e-7
+
+#: Entries of a unit vector at most this large do not fix its global phase.
+PHASE_ENTRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -251,6 +257,46 @@ def _embed_channel(c: Channel, dims, positions) -> Channel:
     return make_channel([embed_factors(k, dims, positions) for k in c.kraus])
 
 
+def _selector_coupling(blocks, residuals, multiplicities) -> Channel:
+    """The channel of ``g = sum_i B_i (x) P[e_i]``, written block by block.
+
+    ``g* g - I`` is block-diagonal over the selector with blocks
+    ``B_i* B_i - I``.  Each ``B_i`` is a validated coupling with stored
+    residual ``r_i`` tensored (factors permuted) with an identity of
+    dimension ``m_i``, so ``||g* g - I||_F^2 = sum_i m_i r_i^2`` exactly;
+    that bound is handed to the shared tail of
+    :func:`~qmultimeter.channels.make_channel`, which computes the dense
+    residual only when the bound misses the margin.
+    """
+    n = len(blocks)
+    dim = blocks[0].shape[0]
+    g = np.zeros((dim, n, dim, n), dtype=complex)
+    for i, block in enumerate(blocks):
+        g[:, i, :, i] = block
+    residual = float(np.sqrt(sum(m * r * r for m, r in zip(multiplicities, residuals))))
+    return _checked_channel([g.reshape(dim * n, dim * n)], DEFAULT_TOL, residual)
+
+
+def _tensor_idempotence_bound(factors) -> float:
+    """Bound on ``||X^2 - X||_F`` for ``X = F_1 (x) ... (x) F_n``.
+
+    ``factors`` holds ``(||F||_F, ||F^2||_F, ||F^2 - F||_F)`` of each
+    factor in order.  ``X^2 - X`` telescopes into the sum over k of
+    ``F_1 (x) .. (x) F_{k-1} (x) (F_k^2 - F_k) (x) F_{k+1}^2 (x) .. (x) F_n^2``,
+    and the Frobenius norm is multiplicative over tensor products.
+    """
+    return sum(
+        math.prod(f[0] for f in factors[:k]) * defect * math.prod(f[1] for f in factors[k + 1:])
+        for k, (_, _, defect) in enumerate(factors)
+    )
+
+
+def _factor_norms(f: np.ndarray) -> tuple:
+    """``(||F||_F, ||F^2||_F, ||F^2 - F||_F)`` of a tensor factor."""
+    sq = f @ f
+    return frobenius_norm(f), frobenius_norm(sq), frobenius_norm(sq - f)
+
+
 def push_button_multimeter(devices) -> tuple[Multimeter, list]:
     """Bundle pre-built devices; an orthonormal selector picks one.
 
@@ -264,6 +310,11 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
       apparatus becomes ``K_1 (x) ... (x) K_n (x) C^n``, the pointer reads
       all component pointers jointly (outcome labels are comma-joined),
       and selector ``i`` leaves every meter except the i-th idle.
+
+    The coupling's residual and the pointer effects' idempotence and
+    positivity are bounded from the validated parts; a dense check runs
+    only where a bound misses the margin of
+    :func:`~qmultimeter.operators.certifies`, so every decision is the dense one.
     """
     devices = list(devices)
     if not devices:
@@ -276,12 +327,18 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
                 raise DimensionError("channel dimensions differ")
             if not is_unitary_channel(c):
                 raise ValidationError("push-button channel mode needs unitary channels")
+        if dim * n > DIMENSION_CAP:
+            raise DimensionError(
+                f"bundle dimension {dim * n} exceeds dimension cap {DIMENSION_CAP}"
+            )
         basis = np.eye(n, dtype=complex)
-        g = sum(tensor(c.kraus[0], projector(basis[i])) for i, c in enumerate(devices))
         pointer = make_observable(
             n, tuple(range(1, n + 1)), [projector(basis[i]) for i in range(n)]
         )
-        meter = make_multimeter(dim, n, pointer, make_channel([g]))
+        coupling = _selector_coupling(
+            [c.kraus[0] for c in devices], [c.tp_residual for c in devices], [1] * n
+        )
+        meter = make_multimeter(dim, n, pointer, coupling)
         return meter, [basis[i] for i in range(n)]
 
     meters = []
@@ -295,28 +352,44 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
             ) from None
         if not isinstance(meter, Multimeter) or not meter.normal:
             raise ValidationError("push-button observable mode needs normal multimeters")
+        probe = check_state_vector(probe)
+        if probe.shape[0] != meter.dim_k:
+            raise DimensionError(
+                f"probe {len(probes)} has dimension {probe.shape[0]}, expected {meter.dim_k}"
+            )
         meters.append(meter)
-        probes.append(check_state_vector(probe))
+        probes.append(probe)
     dim_h = meters[0].dim_h
     if any(m.dim_h != dim_h for m in meters):
         raise DimensionError("system dimensions differ")
     dims = [dim_h] + [m.dim_k for m in meters] + [n]
-    selector = np.eye(n, dtype=complex)
-    g = sum(
-        embed_factors(tensor(m.coupling, projector(selector[i])), dims, [0, 1 + i, n + 1])
-        for i, m in enumerate(meters)
-    )
-    dim_k = int(np.prod(dims[1:]))
-    pointer_effects = []
-    pointer_labels = []
-    for combo in itertools.product(*[m.pointer.outcomes for m in meters]):
-        eff = tensor_many(
-            [m.pointer.effect(x) for m, x in zip(meters, combo)] + [np.eye(n)]
+    dim_k = math.prod(dims[1:])
+    if dim_h * dim_k > DIMENSION_CAP:
+        raise DimensionError(
+            f"bundle dimension {dim_h * dim_k} exceeds dimension cap {DIMENSION_CAP}"
         )
-        pointer_effects.append(eff)
-        pointer_labels.append(",".join(str(x) for x in combo))
-    pointer = make_observable(dim_k, tuple(pointer_labels), pointer_effects)
-    meter = make_multimeter(dim_h, dim_k, pointer, make_channel([g]))
+    coupling = _selector_coupling(
+        [embed_factors(m.coupling, dims[:-1], [0, 1 + i]) for i, m in enumerate(meters)],
+        [m.interaction.tp_residual for m in meters],
+        [dim_k // (n * m.dim_k) for m in meters],
+    )
+    parts = [
+        [(x, eff, _factor_norms(eff)) for x, eff in zip(m.pointer.outcomes, m.pointer.effects)]
+        for m in meters
+    ]
+    idle_norms = _factor_norms(np.eye(n))
+    pointer_labels = []
+    pointer_effects = []
+    pointer_bounds = []
+    for combo in itertools.product(*parts):
+        pointer_labels.append(",".join(str(x) for x, _, _ in combo))
+        pointer_effects.append(tensor_many([eff for _, eff, _ in combo] + [np.eye(n)]))
+        pointer_bounds.append(_tensor_idempotence_bound([f for _, _, f in combo] + [idle_norms]))
+    pointer = _checked_observable(
+        dim_k, pointer_labels, pointer_effects, DEFAULT_TOL, pointer_bounds
+    )
+    meter = make_multimeter(dim_h, dim_k, pointer, coupling)
+    selector = np.eye(n, dtype=complex)
     big_probes = [
         tensor_many([p.reshape(-1, 1) for p in probes] + [selector[i].reshape(-1, 1)]).reshape(-1)
         for i in range(n)
@@ -429,10 +502,10 @@ def _swap_multimeter(dim: int) -> tuple[Multimeter, list]:
     return meter, [basis[i] for i in range(dim)]
 
 
-def _phase_fixed(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _phase_fixed(v: np.ndarray) -> np.ndarray:
     """Rotate a vector's global phase so its first sizable entry is real positive."""
     for entry in v:
-        if abs(entry) > tol:
+        if abs(entry) > PHASE_ENTRY_TOL:
             return v * (abs(entry) / entry)
     return v
 
@@ -444,7 +517,7 @@ def _rank_one_basis(a: Observable) -> list:
     vecs = []
     for eff in a.effects:
         eigvals, eigvecs = np.linalg.eigh(eff)
-        if abs(eigvals[-1] - 1.0) > 1e-9 or eigvals[0] > 1e-9:
+        if abs(eigvals[-1] - 1.0) > SUPPORT_TOL or eigvals[0] > SUPPORT_TOL:
             raise ValidationError("effects must be rank-1 projections")
         vecs.append(_phase_fixed(eigvecs[:, -1]))
     return vecs

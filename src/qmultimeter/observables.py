@@ -7,7 +7,7 @@ effects; extremality is decided by an explicit perturbation rank test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from .exceptions import DimensionError, ValidationError
 from .operators import (
     DEFAULT_TOL,
     PAULI,
+    certifies,
     dagger,
     eigenvalue_below,
     frobenius_norm,
@@ -29,11 +30,19 @@ SUPPORT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Observable:
-    """Finite-outcome POVM: ordered labels and one effect per label."""
+    """Finite-outcome POVM: ordered labels and one effect per label.
+
+    ``projection_defects`` holds, for an observable assembled from
+    validated parts, one bound per effect ``E`` on both ``||E - E*||_F``
+    and ``||E^2 - E||_F``, which :func:`is_sharp` reads before forming any
+    product; it is ``None`` otherwise.  The effects are read-only, so the
+    bounds stay valid for the observable's lifetime.
+    """
 
     dim: int
     outcomes: tuple
     effects: tuple
+    projection_defects: tuple | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -75,6 +84,23 @@ def make_observable(dim: int, labels, effects, tol: float = DEFAULT_TOL) -> Obse
     DimensionError
         If an effect is not a ``dim x dim`` matrix.
     """
+    return _checked_observable(dim, labels, effects, tol)
+
+
+def _checked_observable(dim: int, labels, effects, tol: float, idempotence=None) -> Observable:
+    """:func:`make_observable`, optionally certified from validated parts.
+
+    ``idempotence``, when given, holds for each effect ``E`` a bound ``p``
+    on ``||E^2 - E||_F`` derived from the parts; the effects are then
+    fresh arrays that are taken over, not copied.  With ``h = ||E - E*||_F``
+    (always computed) and ``H`` the Hermitian part of ``E``,
+    ``||H^2 - H||_F <= q = p + ||E||_F h + h^2/4 + h/2``; an eigenvalue
+    ``lam < 0`` of ``H`` has ``|lam| <= lam^2 - lam <= q``, so
+    ``lambda_min(H) >= -q``.  When ``q`` clears the positivity threshold
+    by the margin (:func:`~qmultimeter.operators.certifies`) no spectrum
+    is computed; otherwise the dense check decides.  ``max(h, p)`` is
+    stored as the effect's projection defect.
+    """
     labels = tuple(labels)
     if not labels:
         raise ValidationError("observable needs at least one outcome")
@@ -83,8 +109,10 @@ def make_observable(dim: int, labels, effects, tol: float = DEFAULT_TOL) -> Obse
     effects = list(effects)
     if len(effects) != len(labels):
         raise ValidationError(f"{len(labels)} labels but {len(effects)} effects")
+    bounds = [None] * len(effects) if idempotence is None else list(idempotence)
     mats = []
-    for label, e in zip(labels, effects):
+    defects = []
+    for label, e, p in zip(labels, effects, bounds):
         e = np.asarray(e, dtype=complex)
         if e.shape != (dim, dim):
             raise DimensionError(f"effect {label!r} has shape {e.shape}, expected {(dim, dim)}")
@@ -94,19 +122,27 @@ def make_observable(dim: int, labels, effects, tol: float = DEFAULT_TOL) -> Obse
             raise ValidationError(f"effect {label!r} has non-finite entries")
         bound = tol * max(1.0, norm)
         adj = dagger(e)
-        if frobenius_norm(e - adj) > bound:
+        h = frobenius_norm(e - adj)
+        if h > bound:
             raise ValidationError(f"effect {label!r} is not Hermitian")
-        low = eigenvalue_below((e + adj) / 2, bound)
-        if low is not None:
-            raise ValidationError(f"effect {label!r} has negative eigenvalue {low}")
-        e = e.copy()
+        if p is None or not certifies(p + norm * h + h * h / 4 + h / 2, bound):
+            low = eigenvalue_below((e + adj) / 2, bound)
+            if low is not None:
+                raise ValidationError(f"effect {label!r} has negative eigenvalue {low}")
+        if p is None:
+            e = e.copy()
+        else:
+            defects.append(max(h, p))
         e.setflags(write=False)
         mats.append(e)
     total = sum(mats)
     residual = frobenius_norm(total - np.eye(dim))
     if residual > tol * max(1.0, float(np.sqrt(dim))):
         raise ValidationError(f"effects do not sum to the identity (residual {residual:.3e})")
-    return Observable(dim=dim, outcomes=labels, effects=tuple(mats))
+    return Observable(
+        dim=dim, outcomes=labels, effects=tuple(mats),
+        projection_defects=None if idempotence is None else tuple(defects),
+    )
 
 
 def make_kernel(weights, tol: float = DEFAULT_TOL) -> StochasticKernel:
@@ -146,8 +182,19 @@ def sharpness_residual(e: Observable) -> float:
 
 
 def is_sharp(e: Observable, tol: float = DEFAULT_TOL) -> bool:
-    """True when every effect is a projection."""
-    return all(is_projection(eff, tol) for eff in e.effects)
+    """True when every effect is a projection.
+
+    An effect whose stored projection defect (see :class:`Observable`)
+    :func:`~qmultimeter.operators.certifies` against the threshold
+    ``tol * max(1, ||E||_F)`` of :func:`~qmultimeter.operators.is_projection`
+    needs no product; any other effect is decided by that check.
+    """
+    defects = e.projection_defects or [None] * len(e)
+    return all(
+        (b is not None and certifies(b, tol * max(1.0, frobenius_norm(eff))))
+        or is_projection(eff, tol)
+        for eff, b in zip(e.effects, defects)
+    )
 
 
 def product_residual(e: Observable) -> float:

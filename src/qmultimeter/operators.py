@@ -180,6 +180,23 @@ def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return frobenius_norm(a - dagger(a)) <= _rel_tol(a, tol)
 
 
+#: A bound computed from validated parts decides a check only when it is at
+#: most this fraction of the check's threshold.  The bound and the dense value
+#: differ by the rounding of either computation, a few units of ``1e-16``
+#: times the matrix norms; at the package's tolerances (``DEFAULT_TOL`` is
+#: ``1e-9``) that is far below half a threshold, so a certified check passes
+#: exactly when the dense one would.
+CERTIFICATE_MARGIN = 0.5
+
+
+def certifies(bound: float, threshold: float) -> bool:
+    """True when ``bound`` clears ``threshold`` by :data:`CERTIFICATE_MARGIN`.
+
+    Otherwise the caller's dense check decides.
+    """
+    return bound <= CERTIFICATE_MARGIN * threshold
+
+
 def eigenvalue_below(h: np.ndarray, bound: float) -> float | None:
     """Lowest eigenvalue of the Hermitian ``h`` if it lies below ``-bound``, else None.
 

@@ -62,6 +62,11 @@ DEFAULT_SEARCH_THRESHOLDS = {
     "distance": 1e-3,
 }
 
+#: Most samples one search or convex-hull run may draw.  A (3, 3) search
+#: takes about 2 s per 10^4 samples on a 2-CPU x86 machine, so the cap
+#: bounds a run at minutes; larger counts are refused before any sample.
+MAX_TRIALS = 100_000
+
 _REFINE_STEPS = 200
 _REFINE_DECAY = 0.97
 
@@ -231,6 +236,11 @@ def check_channel_program_orthogonality(
         "channel_program_orthogonality", "channel", m, phi1, phi2, tol, unitary_tol, distance_tol)
 
 
+def _check_trials(trials: int) -> None:
+    if trials > MAX_TRIALS:
+        raise ValidationError(f"trials {trials} exceed the cap of {MAX_TRIALS}")
+
+
 def check_convex_hull(
     m: Multimeter,
     programmed,
@@ -244,8 +254,11 @@ def check_convex_hull(
     the apparatus; devices are all observables or all channels.  For random
     pure programs the induced device must equal the mixture with weights
     ``|<phi_i, psi>|^2``; for random mixed programs, weights ``<phi_i| xi |phi_i>``.
+    ``trials`` above :data:`MAX_TRIALS` raises ``ValidationError`` before
+    anything is drawn.
     """
     name = "convex_hull"
+    _check_trials(trials)
     programmed = list(programmed)
     if len(programmed) != m.dim_k:
         raise ValidationError(
@@ -496,6 +509,8 @@ def counterexample_search(
     DimensionError
         If a dimension is below 1 or ``dim_h * dim_k`` exceeds
         :data:`~qmultimeter.operators.DIMENSION_CAP`; nothing is allocated.
+    ValidationError
+        If ``trials`` exceeds :data:`MAX_TRIALS`; nothing is drawn.
     """
     name = "counterexample_search"
     if min(dim_h, dim_k) < 1 or dim_h * dim_k > DIMENSION_CAP:
@@ -503,6 +518,7 @@ def counterexample_search(
             f"search dimensions ({dim_h}, {dim_k}) must be at least 1 "
             f"with product at most {DIMENSION_CAP}"
         )
+    _check_trials(trials)
     thr = dict(DEFAULT_SEARCH_THRESHOLDS)
     if thresholds:
         thr.update(thresholds)

@@ -376,9 +376,20 @@ class TestMainExitCodes:
              "runs": [{"command": "verify", "check": "convex_hull", "multimeter": "B", "trials": 2,
                        "programmed": [{"probe": {"of": "B", "index": 0}, "device": "Id"},
                                       {"probe": {"of": "B", "index": 1}, "device": "S1"}]}]},
+            {"seed": 1, "objects": {}, "runs": [
+                {"command": "verify", "check": "counterexample_search", "dim_h": 2, "dim_k": 2,
+                 "trials": 10**9}]},
+            {"seed": 1, "objects": {
+                "Id": {"kind": "channel", "builtin": "identity", "dim": 2},
+                "B": {"kind": "multimeter", "construction": "push_button",
+                      "channels": ["Id", "Id"]}},
+             "runs": [{"command": "verify", "check": "convex_hull", "multimeter": "B",
+                       "trials": 10**9,
+                       "programmed": [{"probe": {"of": "B", "index": 0}, "device": "Id"},
+                                      {"probe": {"of": "B", "index": 1}, "device": "Id"}]}]},
         ],
         ids=["bounds-below-one", "bounds-beyond-float", "identity-negative-dim",
-             "convex-hull-mixed-devices"],
+             "convex-hull-mixed-devices", "search-trials-over-cap", "convex-hull-trials-over-cap"],
     )
     def test_out_of_range_values_exit_validation(self, tmp_path, capsys, payload):
         assert main([write_scenario(tmp_path, payload)]) == EXIT_DIMENSION

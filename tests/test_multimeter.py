@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -36,12 +38,17 @@ from qmultimeter.observables import (
     spin_observable,
 )
 from qmultimeter.operators import (
+    embed_factors,
+    frobenius_norm,
     haar_unitary,
+    is_projection,
+    is_unitary,
     partial_trace,
     projector,
     random_density_operator,
     random_state_vector,
     tensor,
+    tensor_many,
 )
 
 
@@ -50,6 +57,65 @@ def computational_pointer(dim):
     return make_observable(
         dim, tuple(range(1, dim + 1)), [projector(basis[i]) for i in range(dim)]
     )
+
+
+def dense_bundle(devices):
+    """Coupling, pointer effects and labels of a push-button bundle, summed term by term."""
+    devices = list(devices)
+    n = len(devices)
+    selector = np.eye(n, dtype=complex)
+    if all(isinstance(c, qmultimeter.Channel) for c in devices):
+        g = sum(tensor(c.kraus[0], projector(selector[i])) for i, c in enumerate(devices))
+        return g, [projector(selector[i]) for i in range(n)], tuple(range(1, n + 1))
+    meters = [m for m, _ in devices]
+    dims = [meters[0].dim_h] + [m.dim_k for m in meters] + [n]
+    g = sum(
+        embed_factors(tensor(m.coupling, projector(selector[i])), dims, [0, 1 + i, n + 1])
+        for i, m in enumerate(meters)
+    )
+    combos = list(itertools.product(*[m.pointer.outcomes for m in meters]))
+    effects = [
+        tensor_many([m.pointer.effect(x) for m, x in zip(meters, combo)] + [np.eye(n)])
+        for combo in combos
+    ]
+    return g, effects, tuple(",".join(str(x) for x in combo) for combo in combos)
+
+
+def dense_checks(monkeypatch, size):
+    """Record which dense checks run on matrices with at least ``size`` rows.
+
+    With ``size`` the bundle's apparatus dimension, the parts' own matrices are smaller.
+    """
+    seen = []
+
+    def spy(name, check):
+        def recorded(a, *args, **kwargs):
+            if np.shape(a)[0] >= size:
+                seen.append(name)
+            return check(a, *args, **kwargs)
+
+        return recorded
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy("cholesky", np.linalg.cholesky))
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(
+        qmultimeter.observables, "is_projection", spy("is_projection", is_projection)
+    )
+    # in a build, the dense trace-preservation residual is the only norm channels.py takes
+    monkeypatch.setattr(qmultimeter.channels, "frobenius_norm", spy("gram", frobenius_norm))
+    return seen
+
+
+def qubit_part(a, scale=0.0, pointer=None, tol=1e-9):
+    """Minimal dilation of ``a``, coupling scaled by ``1 + scale``, optionally another pointer."""
+    md, probe = minimal_dilation_multimeter(a)
+    interaction = make_channel([(1 + scale) * md.coupling], tol)
+    return make_multimeter(md.dim_h, md.dim_k, pointer or md.pointer, interaction, tol), probe
+
+
+def fuzzy_pointer(delta):
+    """Two-outcome qubit pointer with projection defect ``sqrt(2) delta (1 - delta)``."""
+    return make_observable(2, (1, 2), [np.diag([1 - delta, delta]), np.diag([delta, 1 - delta])])
 
 
 def merge_kernels():
@@ -415,19 +481,141 @@ class TestPushButton:
 
 
     def test_observable_mode_validates_without_spectra(self, monkeypatch):
-        # unitarity comes from the residuals make_channel stored and positivity
-        # from Cholesky certificates, so neither check below may run
+        # unitarity comes from the residuals make_channel stored, and the
+        # bundle's coupling residual, pointer idempotence and positivity are
+        # certified from its parts, so no dense check runs at bundle size
         def forbidden(*args, **kwargs):
-            raise AssertionError("second unitarity product or spectrum computed")
+            raise AssertionError("second unitarity product computed")
 
         for name in ("operators", "channels", "multimeter"):
             module = getattr(qmultimeter, name)
             monkeypatch.setattr(module, "is_unitary", forbidden, raising=False)
         observables = [random_sharp_observable(3, 3, seed) for seed in (1, 2, 3)]
-        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         devices = [minimal_dilation_multimeter(a) for a in observables]
+        seen = dense_checks(monkeypatch, 3**3 * 3)
         meter, probes = push_button_multimeter(devices)
+        assert seen == []
         assert meter.normal and meter.dim_k == 3 * 3**3 and len(probes) == 3
+
+    def test_probe_dimension_checked_at_build(self, spin_trio):
+        meter, _ = minimal_dilation_multimeter(spin_trio[2])
+        with pytest.raises(DimensionError, match="probe 1 has dimension 4, expected 2"):
+            push_button_multimeter(
+                [minimal_dilation_multimeter(spin_trio[0]), (meter, np.eye(4)[0])]
+            )
+
+    @pytest.mark.parametrize(
+        "devices",
+        [
+            lambda: [
+                minimal_dilation_multimeter(spin_observable(a)) for a in ((1, 0, 0), (0, 0, 1))
+            ],
+            lambda: [minimal_dilation_multimeter(random_sharp_observable(2, 2, s)) for s in (1, 2)],
+            lambda: [identity_channel(2), unitary_channel(PAULI[1]), unitary_channel(PAULI[3])],
+            lambda: [unitary_channel(haar_unitary(3, np.random.default_rng(s))) for s in range(4)],
+            *(
+                lambda n=n, d=d: [
+                    minimal_dilation_multimeter(random_sharp_observable(d, d, 10 * d + s))
+                    for s in range(n)
+                ]
+                for n, d in ((2, 2), (3, 2), (3, 3), (3, 4))
+            ),
+        ],
+        ids=["spin-pair", "random-qubits", "pauli-channels", "qutrit-channels",
+             "bench-2-2-2", "bench-3-2-2", "bench-3-3-3", "bench-3-4-4"],
+    )
+    def test_bundle_equals_dense_construction(self, devices):
+        devices = devices()
+        meter, probes = push_button_multimeter(devices)
+        g, effects, labels = dense_bundle(devices)
+        assert np.array_equal(meter.coupling, g)
+        assert meter.pointer.outcomes == labels
+        assert all(np.array_equal(a, b) for a, b in zip(meter.pointer.effects, effects))
+        residual = frobenius_norm(g.conj().T @ g - np.eye(len(g)))
+        assert abs(meter.interaction.tp_residual - residual) <= 1e-13
+        assert meter.normal == (is_unitary(g) and all(is_projection(e) for e in effects))
+        if isinstance(devices[0], tuple):
+            n = len(devices)
+            expected = [
+                tensor_many([p.reshape(-1, 1) for _, p in devices] + [np.eye(n)[:, [i]]])
+                for i in range(n)
+            ]
+            assert all(np.array_equal(a, b.reshape(-1)) for a, b in zip(probes, expected))
+
+    @pytest.mark.parametrize(
+        "scale, tol, outcome",
+        # part residual 4 * scale: far below the bundle threshold, at 0.9 of
+        # the part's own threshold (the bound misses the margin), and above
+        # the bundle threshold for a part validated at a looser tolerance
+        [(2.5e-11, 1e-9, "certified"), (4.5e-10, 1e-9, "dense"), (2.5e-9, 1e-8, "raises")],
+    )
+    def test_coupling_residual_from_parts(self, monkeypatch, spin_trio, scale, tol, outcome):
+        three = make_observable(
+            2, (1, 2, 3), [np.diag([1.0, 0]), np.diag([0, 1.0]), np.zeros((2, 2))]
+        )
+        devices = [qubit_part(spin_trio[2], scale, tol=tol), qubit_part(three)]
+        # dim K = 2 * 3 * 2: the first part's block repeats m_1 = 3 times
+        seen = dense_checks(monkeypatch, 12)
+        if outcome == "raises":
+            with pytest.raises(ValidationError, match="trace-preserving"):
+                push_button_multimeter(devices)
+            assert seen == ["gram"]
+            return
+        meter, _ = push_button_multimeter(devices)
+        g = meter.coupling
+        residual = frobenius_norm(g.conj().T @ g - np.eye(len(g)))
+        assert residual == pytest.approx(np.sqrt(3) * devices[0][0].interaction.tp_residual)
+        assert abs(meter.interaction.tp_residual - residual) <= 1e-13
+        assert seen == ([] if outcome == "certified" else ["gram"])
+        assert meter.normal
+
+    def test_channel_coupling_residual_from_parts(self, monkeypatch):
+        devices = [unitary_channel((1 + 1e-11 * (i + 1)) * PAULI[i]) for i in range(4)]
+        seen = dense_checks(monkeypatch, 8)
+        meter, _ = push_button_multimeter(devices)
+        assert seen == []
+        g = meter.coupling
+        residual = frobenius_norm(g.conj().T @ g - np.eye(8))
+        assert abs(meter.interaction.tp_residual - residual) <= 1e-13
+        assert residual > 1e-11
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_pointer_certificate_bounds_every_factor(self, monkeypatch, spin_trio, position):
+        # only one factor is fuzzy, so the bound's one nonzero term is exact
+        pointers = [None] * 3
+        pointers[position] = fuzzy_pointer(1e-10)
+        devices = [qubit_part(a, pointer=z) for a, z in zip(spin_trio, pointers)]
+        seen = dense_checks(monkeypatch, 2**3 * 3)
+        meter, _ = push_button_multimeter(devices)
+        assert seen == [] and meter.normal
+        for eff, bound in zip(meter.pointer.effects, meter.pointer.projection_defects):
+            defect = frobenius_norm(eff @ eff - eff)
+            assert 1e-10 < defect <= bound + 1e-14
+
+    @pytest.mark.parametrize("delta, normal", [(3e-10, True), (5e-10, False)])
+    def test_pointer_fallback_near_tolerance(self, monkeypatch, spin_trio, delta, normal):
+        # the bound 4 delta misses half the threshold sqrt(2) 1e-9; the dense
+        # defect sqrt(12) delta decides sharpness, as without a certificate
+        devices = [qubit_part(a, pointer=fuzzy_pointer(delta)) for a in spin_trio[:2]]
+        assert all(m.normal for m, _ in devices)
+        seen = dense_checks(monkeypatch, 2**2 * 2)
+        meter, _ = push_button_multimeter(devices)
+        assert {"cholesky", "is_projection"} <= set(seen)
+        assert meter.normal is normal
+        assert normal == all(is_projection(e) for e in meter.pointer.effects)
+
+    def test_pointer_hermitian_defect_checked_densely(self, spin_trio):
+        # each part's effects are within the Hermitian tolerance, their
+        # tensor products are not: the dense check rejects the bundle
+        j = np.array([[0, 1], [-1, 0]], dtype=complex)
+        eta = 3e-10
+        pointer = make_observable(
+            2, (1, 2), [np.diag([1.0, 0]) + eta * j, np.diag([0, 1.0]) - eta * j]
+        )
+        devices = [qubit_part(a, pointer=pointer) for a in spin_trio[:2]]
+        assert all(m.normal for m, _ in devices)
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            push_button_multimeter(devices)
 
 
 class TestSharedPointer:

@@ -27,6 +27,7 @@ from qmultimeter.operators import (
     tensor,
 )
 from qmultimeter.verify import (
+    MAX_TRIALS,
     VerificationReport,
     check_channel_program_orthogonality,
     check_convex_hull,
@@ -352,6 +353,19 @@ class TestCounterexampleSearch:
         monkeypatch.setattr("qmultimeter.verify.haar_unitary", no_sampling)
         with pytest.raises(DimensionError):
             counterexample_search(dim_h, dim_k, 1, seed=0)
+
+    def test_trials_capped_before_sampling(self, monkeypatch):
+        devices = [identity_channel(2), unitary_channel(PAULI[1])]
+        meter, probes = push_button_multimeter(devices)
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a sample was drawn past the trials cap")
+
+        monkeypatch.setattr(np.random, "default_rng", no_sampling)
+        with pytest.raises(ValidationError, match="cap"):
+            counterexample_search(2, 2, MAX_TRIALS + 1, seed=0)
+        with pytest.raises(ValidationError, match="cap"):
+            check_convex_hull(meter, list(zip(probes, devices)), trials=MAX_TRIALS + 1)
 
     def test_default_thresholds_pass(self):
         rep = counterexample_search(2, 2, 1500, seed=7)
