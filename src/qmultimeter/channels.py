@@ -31,13 +31,15 @@ class Channel:
     ``tp_residual`` is ``||sum_i K_i* K_i - I||_F`` as computed when the
     channel was validated, or, for a channel assembled from validated parts,
     the exact bound derived from theirs, which differs from it by rounding;
-    the Kraus operators are read-only, so it stays valid for the channel's
-    lifetime.
+    ``tp_certified`` tells the two apart and is set only by the validating
+    constructor.  The Kraus operators are read-only, so the residual stays
+    valid for the channel's lifetime.
     """
 
     dim: int
     kraus: tuple
     tp_residual: float = field(compare=False, repr=False)
+    tp_certified: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.kraus)
@@ -63,16 +65,14 @@ def _checked_channel(mats, tol: float, certified: float | None = None) -> Channe
     """Decide trace preservation of square Kraus operators and freeze them.
 
     The operators are taken over, not copied.  ``certified`` is a bound on
-    the residual derived from validated parts; when it clears the
-    threshold by the margin (:func:`~qmultimeter.operators.certifies`) it
-    is stored, otherwise the residual is computed densely and decides.
+    the residual derived from validated parts; when it decides the check
+    (:func:`_residual_certifies`) it is stored, otherwise the residual is
+    computed densely and decides.
     """
     dim = mats[0].shape[0]
     threshold = tol * max(1.0, float(np.sqrt(dim)))
-    if certified is not None and certifies(certified, threshold):
-        residual = certified
-    else:
-        residual = frobenius_norm(sum(dagger(k) @ k for k in mats) - np.eye(dim))
+    is_certified = certified is not None and _residual_certifies(certified, threshold, dim)
+    residual = certified if is_certified else _dense_residual(mats)
     # A NaN or infinite entry of some K_i makes the diagonal of K_i* K_i, and
     # so the residual, non-finite; no separate pass over the entries is needed.
     if not np.isfinite(residual):
@@ -81,16 +81,41 @@ def _checked_channel(mats, tol: float, certified: float | None = None) -> Channe
         raise ValidationError(f"Kraus operators are not trace-preserving (residual {residual:.3e})")
     for k in mats:
         k.setflags(write=False)
-    return Channel(dim=dim, kraus=tuple(mats), tp_residual=residual)
+    channel = Channel(dim=dim, kraus=tuple(mats), tp_residual=residual)
+    object.__setattr__(channel, "tp_certified", is_certified)
+    return channel
+
+
+def _dense_residual(mats) -> float:
+    """``||sum_i K_i* K_i - I||_F`` of square Kraus operators."""
+    return frobenius_norm(sum(dagger(k) @ k for k in mats) - np.eye(mats[0].shape[0]))
+
+
+def _residual_certifies(bound: float, threshold: float, dim: int) -> bool:
+    """Whether a bound on the residual ``D`` decides a trace-preservation check.
+
+    The Gram sum's factors have ``sum_i ||K_i||_F^2 = tr(I + D)``, at most
+    ``dim + sqrt(dim) ||D||_F``; see :func:`~qmultimeter.operators.certifies`.
+    """
+    return certifies(bound, threshold, dim, dim + float(np.sqrt(dim)) * bound)
 
 
 def is_unitary_channel(c: Channel, tol: float = DEFAULT_TOL) -> bool:
     """A single Kraus operator ``U`` with ``||U*U - I||_F <= tol * max(1, sqrt(dim))``.
 
     Decided from the stored ``tp_residual``: for a square ``U``,
-    ``||U*U - I||_F = ||UU* - I||_F``, so no further product is formed.
+    ``||U*U - I||_F = ||UU* - I||_F``, so no further product is formed.  A
+    residual certified from parts decides only where it would have been
+    accepted at construction; elsewhere (``tol`` near the rounding floor or
+    near the residual) the dense residual is computed, so the decision is
+    always the dense one.
     """
-    return len(c.kraus) == 1 and c.tp_residual <= tol * max(1.0, float(np.sqrt(c.dim)))
+    if len(c.kraus) != 1:
+        return False
+    threshold = tol * max(1.0, float(np.sqrt(c.dim)))
+    if c.tp_certified and not _residual_certifies(c.tp_residual, threshold, c.dim):
+        return _dense_residual(c.kraus) <= threshold
+    return c.tp_residual <= threshold
 
 
 def identity_channel(dim: int) -> Channel:

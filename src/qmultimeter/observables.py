@@ -35,14 +35,17 @@ class Observable:
     ``projection_defects`` holds, for an observable assembled from
     validated parts, one bound per effect ``E`` on both ``||E - E*||_F``
     and ``||E^2 - E||_F``, which :func:`is_sharp` reads before forming any
-    product; it is ``None`` otherwise.  The effects are read-only, so the
-    bounds stay valid for the observable's lifetime.
+    product; it is ``None`` otherwise.  It is not a constructor argument:
+    only the validating constructor stores it.  The effects are read-only,
+    so the bounds stay valid for the observable's lifetime.
     """
 
     dim: int
     outcomes: tuple
     effects: tuple
-    projection_defects: tuple | None = field(default=None, compare=False, repr=False)
+    projection_defects: tuple | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -125,7 +128,9 @@ def _checked_observable(dim: int, labels, effects, tol: float, idempotence=None)
         h = frobenius_norm(e - adj)
         if h > bound:
             raise ValidationError(f"effect {label!r} is not Hermitian")
-        if p is None or not certifies(p + norm * h + h * h / 4 + h / 2, bound):
+        if p is None or not certifies(
+            p + norm * h + h * h / 4 + h / 2, bound, dim, max(1.0, norm) ** 2
+        ):
             low = eigenvalue_below((e + adj) / 2, bound)
             if low is not None:
                 raise ValidationError(f"effect {label!r} has negative eigenvalue {low}")
@@ -139,10 +144,10 @@ def _checked_observable(dim: int, labels, effects, tol: float, idempotence=None)
     residual = frobenius_norm(total - np.eye(dim))
     if residual > tol * max(1.0, float(np.sqrt(dim))):
         raise ValidationError(f"effects do not sum to the identity (residual {residual:.3e})")
-    return Observable(
-        dim=dim, outcomes=labels, effects=tuple(mats),
-        projection_defects=None if idempotence is None else tuple(defects),
-    )
+    obs = Observable(dim=dim, outcomes=labels, effects=tuple(mats))
+    if idempotence is not None:
+        object.__setattr__(obs, "projection_defects", tuple(defects))
+    return obs
 
 
 def make_kernel(weights, tol: float = DEFAULT_TOL) -> StochasticKernel:
@@ -191,10 +196,15 @@ def is_sharp(e: Observable, tol: float = DEFAULT_TOL) -> bool:
     """
     defects = e.projection_defects or [None] * len(e)
     return all(
-        (b is not None and certifies(b, tol * max(1.0, frobenius_norm(eff))))
-        or is_projection(eff, tol)
+        (b is not None and _certified_projection(eff, b, tol)) or is_projection(eff, tol)
         for eff, b in zip(e.effects, defects)
     )
+
+
+def _certified_projection(eff: np.ndarray, defect: float, tol: float) -> bool:
+    """Whether a stored projection defect decides :func:`is_sharp` for one effect."""
+    scale = max(1.0, frobenius_norm(eff))
+    return certifies(defect, tol * scale, eff.shape[0], scale**2)
 
 
 def product_residual(e: Observable) -> float:

@@ -181,20 +181,35 @@ def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 
 #: A bound computed from validated parts decides a check only when it is at
-#: most this fraction of the check's threshold.  The bound and the dense value
-#: differ by the rounding of either computation, a few units of ``1e-16``
-#: times the matrix norms; at the package's tolerances (``DEFAULT_TOL`` is
-#: ``1e-9``) that is far below half a threshold, so a certified check passes
-#: exactly when the dense one would.
+#: most this fraction of the check's threshold, and the rest of the threshold
+#: exceeds the rounding of the dense computation (see :func:`certifies`).
 CERTIFICATE_MARGIN = 0.5
 
+#: Multiple of ``dim * eps * scale`` taken as the rounding of a dense check on
+#: a ``dim x dim`` matrix whose product factors have Frobenius norms
+#: multiplying to ``scale``.  A computed product errs entrywise by at most
+#: ``gamma_dim |A||B|``, about ``dim * eps/2 * ||A||_F ||B||_F`` in Frobenius
+#: norm; the subtraction and norm that follow, and the Cholesky or spectrum
+#: of a positivity check, err by amounts of the same order.
+ROUNDING_SLACK = 10.0
 
-def certifies(bound: float, threshold: float) -> bool:
-    """True when ``bound`` clears ``threshold`` by :data:`CERTIFICATE_MARGIN`.
 
-    Otherwise the caller's dense check decides.
+def certifies(bound: float, threshold: float, dim: int, scale: float) -> bool:
+    """True when ``bound`` decides a check whose dense value must not exceed ``threshold``.
+
+    ``bound`` is an exact bound on the checked quantity, and ``dim`` and
+    ``scale`` describe the dense computation it stands in for (see
+    :data:`ROUNDING_SLACK`).  The bound must be at most
+    :data:`CERTIFICATE_MARGIN` of the threshold and the rounding estimate at
+    most the remainder, so the dense value, which exceeds the exact one by
+    at most that rounding, would pass too.  Near ``tol = 0`` no threshold
+    clears the rounding and the caller's dense check decides.
     """
-    return bound <= CERTIFICATE_MARGIN * threshold
+    rounding = ROUNDING_SLACK * dim * np.finfo(float).eps * scale
+    return (
+        bound <= CERTIFICATE_MARGIN * threshold
+        and rounding <= (1 - CERTIFICATE_MARGIN) * threshold
+    )
 
 
 def eigenvalue_below(h: np.ndarray, bound: float) -> float | None:

@@ -62,9 +62,11 @@ DEFAULT_SEARCH_THRESHOLDS = {
     "distance": 1e-3,
 }
 
-#: Most samples one search or convex-hull run may draw.  A (3, 3) search
-#: takes about 2 s per 10^4 samples on a 2-CPU x86 machine, so the cap
-#: bounds a run at minutes; larger counts are refused before any sample.
+#: Most samples one search or convex-hull run may draw; larger counts are
+#: refused before any sample.  It admits the 2,000-trial channel-bundle
+#: scenario, the 10^4-trial searches of the test suite and the benchmark's
+#: 500.  A (3, 3) search takes about 2 s per 10^4 samples on a 2-CPU x86
+#: machine; the cost per sample grows with the dimensions and meter size.
 MAX_TRIALS = 100_000
 
 _REFINE_STEPS = 200

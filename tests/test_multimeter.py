@@ -6,11 +6,13 @@ import pytest
 import qmultimeter
 from qmultimeter import DIMENSION_CAP, DimensionError, PAULI, ValidationError
 from qmultimeter.channels import (
+    Channel,
     apply,
     channel_distance,
     choi_matrix,
     complete_contraction,
     identity_channel,
+    is_unitary_channel,
     make_channel,
     random_channel,
     unitary_channel,
@@ -28,6 +30,7 @@ from qmultimeter.multimeter import (
     shared_pointer_multimeter,
 )
 from qmultimeter.observables import (
+    Observable,
     is_sharp,
     make_kernel,
     make_observable,
@@ -485,12 +488,14 @@ class TestPushButton:
         # bundle's coupling residual, pointer idempotence and positivity are
         # certified from its parts, so no dense check runs at bundle size
         def forbidden(*args, **kwargs):
-            raise AssertionError("second unitarity product computed")
+            raise AssertionError("second unitarity product or spectrum computed")
 
         for name in ("operators", "channels", "multimeter"):
             module = getattr(qmultimeter, name)
             monkeypatch.setattr(module, "is_unitary", forbidden, raising=False)
         observables = [random_sharp_observable(3, 3, seed) for seed in (1, 2, 3)]
+        # no spectrum of any size; the spy below wraps the prohibition
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         devices = [minimal_dilation_multimeter(a) for a in observables]
         seen = dense_checks(monkeypatch, 3**3 * 3)
         meter, probes = push_button_multimeter(devices)
@@ -616,6 +621,51 @@ class TestPushButton:
         assert all(m.normal for m, _ in devices)
         with pytest.raises(ValidationError, match="not Hermitian"):
             push_button_multimeter(devices)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-17, 1e-16, 1e-13, 1e-9])
+    def test_certificates_defer_to_dense_near_zero_tolerance(self, monkeypatch, spin_trio, tol):
+        # each factor's computed idempotence defect is exactly 0 and their
+        # Kronecker products' is not; where tol leaves no room above the
+        # rounding of the dense checks, those checks decide
+        v = np.array([np.cos(7 * np.pi / 80), np.sin(7 * np.pi / 80)])
+        f = np.outer(v, v)
+        devices = [
+            qubit_part(a, pointer=make_observable(2, (1, 2), [f, np.eye(2) - f]))
+            for a in spin_trio[:2]
+        ]
+        bundle, _ = push_button_multimeter(devices)
+        assert max(bundle.pointer.projection_defects) == 0.0
+        assert not all(is_projection(e, 0.0) for e in bundle.pointer.effects)
+        g = bundle.coupling
+        dense_unitary = frobenius_norm(g.conj().T @ g - np.eye(len(g))) <= tol * np.sqrt(len(g))
+        dense_sharp = all(is_projection(e, tol) for e in bundle.pointer.effects)
+        seen = dense_checks(monkeypatch, bundle.dim_k)
+        assert is_sharp(bundle.pointer, tol) == dense_sharp
+        meter = make_multimeter(bundle.dim_h, bundle.dim_k, bundle.pointer, bundle.interaction, tol)
+        assert meter.normal == (dense_unitary and dense_sharp)
+        assert ("is_projection" in seen) == (tol < 1e-13)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_certified_residual_defers_to_dense_near_threshold(self, seed):
+        # the certified and the dense residual of the coupling differ by
+        # rounding; at a tolerance between them the dense residual decides
+        devices = [
+            unitary_channel(haar_unitary(3, np.random.default_rng(10 * seed + i)))
+            for i in range(4)
+        ]
+        bundle, _ = push_button_multimeter(devices)
+        g = bundle.coupling
+        dense = frobenius_norm(g.conj().T @ g - np.eye(12))
+        certified = bundle.interaction.tp_residual
+        assert certified != dense
+        tol = (certified + dense) / 2 / np.sqrt(12)
+        assert is_unitary_channel(bundle.interaction, tol) == (dense <= tol * np.sqrt(12))
+
+    def test_certificates_are_not_constructor_arguments(self):
+        with pytest.raises(TypeError):
+            Observable(1, (1,), (np.eye(1),), projection_defects=(0.0,))
+        with pytest.raises(TypeError):
+            Channel(1, (np.eye(1),), 0.0, tp_certified=True)
 
 
 class TestSharedPointer:
