@@ -10,9 +10,10 @@ Composite spaces are ordered system-first throughout: ``H (x) K``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,13 +54,25 @@ PHASE_ENTRY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Multimeter:
-    """Programmable measurement setting ``<K, Z, V>`` with the probe left open."""
+    """Programmable measurement setting ``<K, Z, V>`` with the probe left open.
+
+    ``pointer_supports`` holds, when every pointer effect is a basis
+    projector (see :func:`_basis_supports`), the index array of their
+    supports, which :func:`induced_observable` gathers by; it is ``None``
+    otherwise.  It is not a constructor argument: only the validating
+    constructors store it, read from the pointer's effects by
+    :func:`make_multimeter` and taken from the parts or from the support
+    array the effects were written from by the constructions.
+    """
 
     dim_h: int
     dim_k: int
     pointer: Observable
     interaction: Channel
     normal: bool
+    pointer_supports: np.ndarray | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def coupling(self) -> np.ndarray:
@@ -92,8 +105,16 @@ def make_multimeter(
     ``interaction.tp_residual`` that :func:`make_channel` stored, against
     ``tol * max(1, sqrt(dim))`` with this call's ``tol`` (see
     :func:`~qmultimeter.channels.is_unitary_channel`); no product of the
-    coupling is formed here.
+    coupling is formed here.  The pointer's effects are scanned once for
+    basis projectors (see :func:`_basis_supports`).
     """
+    return _checked_multimeter(
+        dim_h, dim_k, pointer, interaction, tol, _basis_supports(pointer.effects)
+    )
+
+
+def _checked_multimeter(dim_h, dim_k, pointer, interaction, tol, supports) -> Multimeter:
+    """:func:`make_multimeter` with the pointer's basis supports already known."""
     if pointer.dim != dim_k:
         raise DimensionError(f"pointer dimension {pointer.dim}, expected {dim_k}")
     if interaction.dim != dim_h * dim_k:
@@ -101,9 +122,84 @@ def make_multimeter(
             f"interaction dimension {interaction.dim}, expected {dim_h * dim_k}"
         )
     normal = is_unitary_channel(interaction, tol) and is_sharp(pointer, tol)
-    return Multimeter(
+    meter = Multimeter(
         dim_h=dim_h, dim_k=dim_k, pointer=pointer, interaction=interaction, normal=normal
     )
+    object.__setattr__(meter, "pointer_supports", supports)
+    return meter
+
+
+def _basis_multimeter(dim_h, dim_k, labels, supports, interaction) -> Multimeter:
+    """Multimeter whose pointer effect ``x`` is the basis projector on ``supports[x]``.
+
+    The effects are written from the supports, so the pointer needs no
+    scan; ``supports`` (unpadded, increasing rows) is taken over.
+    """
+    marks = _support_marks(supports, dim_k)
+    pointer = make_observable(dim_k, labels, [np.diag(m).astype(complex) for m in marks])
+    supports.setflags(write=False)
+    return _checked_multimeter(dim_h, dim_k, pointer, interaction, DEFAULT_TOL, supports)
+
+
+def _basis_supports(effects) -> np.ndarray | None:
+    """Supports of the effects if every one is a basis projector, else None.
+
+    An effect is a basis projector ``sum_{k in S} |k><k|`` when all its
+    entries are exactly 0 except the diagonal entries on ``S``, which are
+    exactly 1; an entry off by rounding makes it an ordinary effect.
+    """
+    stack = np.asarray(effects)
+    marks = np.diagonal(stack, axis1=1, axis2=2) == 1
+    # entries equal to 1 are nonzero, so the counts agree only when every
+    # nonzero entry is a diagonal 1
+    if np.count_nonzero(stack) != np.count_nonzero(marks):
+        return None
+    return _padded_supports(marks)
+
+
+def _padded_supports(marks: np.ndarray) -> np.ndarray:
+    """Index array of the supports marked in the rows of a boolean ``(effects, dim)`` array.
+
+    Row ``x`` lists the marked columns of row ``x`` in increasing order,
+    padded with ``dim`` up to the largest support (see :func:`_basis_effects`).
+    The array is read-only.
+    """
+    count = marks.sum(axis=1)
+    width = int(count.max())
+    # a stable sort on the unmarked flag moves the marked columns first, in order
+    order = np.argsort(~marks, axis=1, kind="stable")[:, :width]
+    supports = np.where(np.arange(width) < count[:, None], order, marks.shape[1])
+    supports.setflags(write=False)
+    return supports
+
+
+def _support_marks(supports: np.ndarray, dim: int) -> np.ndarray:
+    """The boolean ``(effects, dim)`` array whose rows mark the given supports."""
+    marks = np.zeros((len(supports), dim + 1), dtype=bool)
+    np.put_along_axis(marks, supports, True, axis=1)
+    return marks[:, :dim]
+
+
+def _basis_effects(m: np.ndarray, supports: np.ndarray | None) -> np.ndarray:
+    """Effects ``B_S* B_S`` of basis-projector pointer effects, by one stacked gather.
+
+    ``m[..., r, i, c]`` stacks program maps with rows ``r``, pointer index
+    ``i`` and system index ``c``; ``supports[x]`` lists the pointer indices
+    of effect ``x``, padded with ``dim_k`` (see :func:`_padded_supports`),
+    and ``None`` stands for the singleton supports ``{i}`` of the
+    computational-basis pointer, which need no gather.  ``B_S`` holds the
+    rows ``(i, r)`` with ``i`` in ``S``, so the result
+    ``E[..., x, c, c'] = sum_{i in S_x, r} conj(m[..., r, i, c]) m[..., r, i, c']``
+    is ``sum_r m_r* (Z(x) (x) I) m_r`` without a product by ``Z(x)``.
+    """
+    rows = m.swapaxes(-2, -3)
+    if supports is not None:
+        if supports.max() == rows.shape[-3]:
+            # the padding index reads an appended pointer slot of zeros
+            rows = np.concatenate([rows, np.zeros_like(rows[..., :1, :, :])], axis=-3)
+        rows = np.take(rows, supports, axis=-3)
+        rows = rows.reshape(*rows.shape[:-3], -1, rows.shape[-1])
+    return rows.conj().swapaxes(-1, -2) @ rows
 
 
 def make_model(
@@ -194,13 +290,23 @@ def induced_observable(model: MeasurementModel) -> Observable:
     ``tr_K[ V*(I (x) Z(x)) V (I (x) xi) ]``; the pointer ``Z`` is first
     smeared by the kernel when one is present.  Each ``Z(x)`` acts on the
     pointer index of the blocks alone, so nothing on ``H (x) K`` is formed.
+
+    When the meter stores basis supports for its pointer (every ``Z(x)``
+    is exactly ``sum_{i in S_x} |i><i|``) and there is no kernel, the rows
+    of the maps on ``S_x`` are gathered and ``E(x) = B_S* B_S`` (see
+    :func:`_basis_effects`); any other pointer is multiplied densely.
     """
     dim_h, dim_k = model.meter.dim_h, model.meter.dim_k
     z = _effective_pointer(model)
-    # b[i, (j, r, c)] = M[j, r, i, c]; its rows (i, j, r) give the adjoint side.
-    b = _program_blocks(model).transpose(2, 0, 1, 3).reshape(dim_k, -1)
-    b_adj = b.reshape(-1, dim_h).conj().T
-    effects = [b_adj @ (eff @ b).reshape(-1, dim_h) for eff in z.effects]
+    m = _program_blocks(model)
+    supports = model.meter.pointer_supports if model.kernel is None else None
+    if supports is not None:
+        effects = list(_basis_effects(m.reshape(-1, dim_k, dim_h), supports))
+    else:
+        # b[i, (j, r, c)] = M[j, r, i, c]; its rows (i, j, r) give the adjoint side.
+        b = m.transpose(2, 0, 1, 3).reshape(dim_k, -1)
+        b_adj = b.reshape(-1, dim_h).conj().T
+        effects = [b_adj @ (eff @ b).reshape(-1, dim_h) for eff in z.effects]
     return make_observable(dim_h, z.outcomes, effects, tol=INDUCTION_TOL)
 
 
@@ -244,10 +350,7 @@ def minimal_dilation_multimeter(
     g = sum(
         tensor(a.effects[j], dagger(_transposition(n, j))) for j in range(n)
     )
-    pointer = make_observable(
-        n, a.outcomes, [projector(np.eye(n)[k]) for k in range(n)]
-    )
-    meter = make_multimeter(a.dim, n, pointer, make_channel([g]))
+    meter = _basis_multimeter(a.dim, n, a.outcomes, np.arange(n)[:, None], make_channel([g]))
     probe = np.eye(n, dtype=complex)[0]
     return meter, probe
 
@@ -291,6 +394,15 @@ def _tensor_idempotence_bound(factors) -> float:
     )
 
 
+def _stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products ``a[x] (x) b[y]`` of two stacks of matrices, ordered by ``(x, y)``.
+
+    One broadcast product gives the entries :func:`numpy.kron` gives.
+    """
+    prod = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+    return prod.reshape(len(a) * len(b), a.shape[1] * b.shape[1], a.shape[2] * b.shape[2])
+
+
 def _factor_norms(f: np.ndarray) -> tuple:
     """``(||F||_F, ||F^2||_F, ||F^2 - F||_F)`` of a tensor factor."""
     sq = f @ f
@@ -331,15 +443,11 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
             raise DimensionError(
                 f"bundle dimension {dim * n} exceeds dimension cap {DIMENSION_CAP}"
             )
-        basis = np.eye(n, dtype=complex)
-        pointer = make_observable(
-            n, tuple(range(1, n + 1)), [projector(basis[i]) for i in range(n)]
-        )
         coupling = _selector_coupling(
             [c.kraus[0] for c in devices], [c.tp_residual for c in devices], [1] * n
         )
-        meter = make_multimeter(dim, n, pointer, coupling)
-        return meter, [basis[i] for i in range(n)]
+        meter = _basis_multimeter(dim, n, range(1, n + 1), np.arange(n)[:, None], coupling)
+        return meter, list(np.eye(n, dtype=complex))
 
     meters = []
     probes = []
@@ -373,23 +481,31 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
         [m.interaction.tp_residual for m in meters],
         [dim_k // (n * m.dim_k) for m in meters],
     )
-    parts = [
-        [(x, eff, _factor_norms(eff)) for x, eff in zip(m.pointer.outcomes, m.pointer.effects)]
-        for m in meters
-    ]
-    idle_norms = _factor_norms(np.eye(n))
-    pointer_labels = []
-    pointer_effects = []
-    pointer_bounds = []
-    for combo in itertools.product(*parts):
-        pointer_labels.append(",".join(str(x) for x, _, _ in combo))
-        pointer_effects.append(tensor_many([eff for _, eff, _ in combo] + [np.eye(n)]))
-        pointer_bounds.append(_tensor_idempotence_bound([f for _, _, f in combo] + [idle_norms]))
-    pointer = _checked_observable(
-        dim_k, pointer_labels, pointer_effects, DEFAULT_TOL, pointer_bounds
-    )
-    meter = make_multimeter(dim_h, dim_k, pointer, coupling)
     selector = np.eye(n, dtype=complex)
+    pointer_labels = [
+        ",".join(str(x) for x in combo)
+        for combo in itertools.product(*(m.pointer.outcomes for m in meters))
+    ]
+    pointer_effects = functools.reduce(
+        _stacked_kron, [np.stack(m.pointer.effects) for m in meters] + [selector[None]]
+    )
+    idle_norms = _factor_norms(selector)
+    pointer_bounds = [
+        _tensor_idempotence_bound([*combo, idle_norms])
+        for combo in itertools.product(
+            *([_factor_norms(eff) for eff in m.pointer.effects] for m in meters)
+        )
+    ]
+    pointer = _checked_observable(
+        dim_k, pointer_labels, list(pointer_effects), DEFAULT_TOL, pointer_bounds
+    )
+    supports = None
+    if all(m.pointer_supports is not None for m in meters):
+        # the diagonal of a Kronecker product is the Kronecker product of the diagonals
+        marks = [_support_marks(m.pointer_supports, m.dim_k)[:, None, :] for m in meters]
+        joint = functools.reduce(_stacked_kron, marks + [np.ones((1, 1, n), dtype=bool)])
+        supports = _padded_supports(joint[:, 0, :])
+    meter = _checked_multimeter(dim_h, dim_k, pointer, coupling, DEFAULT_TOL, supports)
     big_probes = [
         tensor_many([p.reshape(-1, 1) for p in probes] + [selector[i].reshape(-1, 1)]).reshape(-1)
         for i in range(n)
@@ -428,12 +544,9 @@ def shared_pointer_multimeter(
         for j in range(d)
         for l in range(n)
     )
-    pointer = make_observable(
-        d * n,
-        tuple(range(1, d + 1)),
-        [tensor(projector(pointer_basis[k]), np.eye(n)) for k in range(d)],
-    )
-    meter = make_multimeter(dim_h, d * n, pointer, make_channel([g]))
+    # pointer outcome k reads slot k of every selector: P[e_k] (x) I
+    supports = np.arange(d * n).reshape(d, n)
+    meter = _basis_multimeter(dim_h, d * n, range(1, d + 1), supports, make_channel([g]))
     probes = [np.kron(pointer_basis[0], selector[i]) for i in range(n)]
     return meter, probes
 
@@ -474,8 +587,7 @@ def _pauli_multimeter() -> tuple[Multimeter, list]:
         for j in range(4)
         for k in range(4)
     )
-    pointer = make_observable(4, (0, 1, 2, 3), [projector(basis[j]) for j in range(4)])
-    meter = make_multimeter(2, 4, pointer, make_channel([g]))
+    meter = _basis_multimeter(2, 4, range(4), np.arange(4)[:, None], make_channel([g]))
     probes = [(basis[0] + basis[i]) / np.sqrt(2) for i in (1, 2, 3)]
     return meter, probes
 
@@ -494,12 +606,10 @@ def _swap_multimeter(dim: int) -> tuple[Multimeter, list]:
         raise DimensionError(
             f"swap dimension {dim} must be at least 1 with square at most {DIMENSION_CAP}"
         )
-    basis = np.eye(dim, dtype=complex)
-    pointer = make_observable(
-        dim, tuple(range(1, dim + 1)), [projector(basis[i]) for i in range(dim)]
+    meter = _basis_multimeter(
+        dim, dim, range(1, dim + 1), np.arange(dim)[:, None], make_channel([_swap_unitary(dim)])
     )
-    meter = make_multimeter(dim, dim, pointer, make_channel([_swap_unitary(dim)]))
-    return meter, [basis[i] for i in range(dim)]
+    return meter, list(np.eye(dim, dtype=complex))
 
 
 def _phase_fixed(v: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .exceptions import DimensionError, ValidationError
@@ -140,22 +142,30 @@ def embed_factors(op: np.ndarray, dims, positions) -> np.ndarray:
     array
         ``op`` tensored with identity on the remaining factors, with all
         factors in their ``dims`` order.
+
+    Raises
+    ------
+    DimensionError
+        If ``op`` does not match the factors, or the full dimension exceeds
+        :data:`DIMENSION_CAP`; nothing of the full size is allocated.
     """
-    dims = list(dims)
+    dims = [int(d) for d in dims]
     positions = list(positions)
     n = len(dims)
     op = np.asarray(op, dtype=complex)
-    sub = int(np.prod([dims[p] for p in positions]))
+    sub = math.prod(dims[p] for p in positions)
     if op.shape != (sub, sub):
         raise DimensionError(f"operator shape {op.shape} does not match factors {positions}")
+    d = math.prod(dims)
+    if d > DIMENSION_CAP:
+        raise DimensionError(f"embedding dimension {d} exceeds dimension cap {DIMENSION_CAP}")
     rest = [i for i in range(n) if i not in positions]
-    full = tensor(op, np.eye(int(np.prod([dims[i] for i in rest])) if rest else 1, dtype=complex))
+    full = tensor(op, np.eye(math.prod(dims[i] for i in rest), dtype=complex))
     # Axes of `full` are currently ordered positions + rest; permute back.
     order = positions + rest
     perm = [order.index(i) for i in range(n)]
     tens = full.reshape([dims[i] for i in order] * 2)
     tens = tens.transpose(perm + [p + n for p in perm])
-    d = int(np.prod(dims))
     return tens.reshape(d, d)
 
 

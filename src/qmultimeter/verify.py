@@ -29,6 +29,7 @@ from .exceptions import DimensionError, ValidationError
 from .multimeter import (
     INDUCTION_TOL,
     Multimeter,
+    _basis_effects,
     _transposition,
     induced_channel,
     induced_observable,
@@ -382,14 +383,13 @@ def _stacked_effects(g: np.ndarray, phis: np.ndarray, dim_h: int, dim_k: int) ->
 
     ``g`` has shape ``(T, N, N)`` with ``N = dim_h * dim_k`` and ``phis``
     shape ``(T, P, dim_k)``.  With the computational-basis pointer, outcome
-    ``i`` reads the rows ``(r, i)`` of ``M = g (I (x) phi)`` as a block
-    ``B_i`` and has effect ``B_i* B_i``; the result has shape
-    ``(T, P, dim_k, dim_h, dim_h)``.
+    ``i`` reads the rows ``(r, i)`` of ``M = g (I (x) phi)``: the singleton
+    supports of :func:`~qmultimeter.multimeter._basis_effects`.  The result
+    has shape ``(T, P, dim_k, dim_h, dim_h)``.
     """
     n = dim_h * dim_k
     m = np.einsum("tahk,tpk->tpah", g.reshape(-1, n, dim_h, dim_k), phis)
-    blocks = m.reshape(*phis.shape[:2], dim_h, dim_k, dim_h).swapaxes(2, 3)
-    return blocks.conj().swapaxes(-1, -2) @ blocks
+    return _basis_effects(m.reshape(*phis.shape[:2], dim_h, dim_k, dim_h), None)
 
 
 def _search_stats(g: np.ndarray, phis: np.ndarray, dim_h: int, dim_k: int) -> tuple:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -18,6 +19,7 @@ from qmultimeter.channels import (
     unitary_channel,
 )
 from qmultimeter.multimeter import (
+    _basis_supports,
     builtin_multimeter,
     concatenate_with_measurement,
     dimension_bounds,
@@ -887,3 +889,191 @@ class TestDimensionBounds:
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             dimension_bounds(2, [2, 2, 2])
+
+
+def dense_twin(meter):
+    """The same meter without stored supports: induction multiplies every pointer effect."""
+    twin = dataclasses.replace(meter)
+    assert twin.pointer_supports is None
+    return twin
+
+
+def concatenated_meter():
+    chan_meter, chan_probes = push_button_multimeter(
+        [identity_channel(2), unitary_channel(PAULI[1])]
+    )
+    a_meter, a_probe = minimal_dilation_multimeter(random_sharp_observable(2, 2, 3))
+    composite = concatenate_with_measurement(chan_meter, make_model(a_meter, a_probe))
+    return composite, [np.kron(p, a_probe) for p in chan_probes]
+
+
+def split_pointer_part(rng):
+    """Normal part on a qutrit apparatus whose pointer supports have sizes 1 and 2."""
+    pointer = make_observable(3, (1, 2), [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 1.0])])
+    meter = make_multimeter(2, 3, pointer, unitary_channel(haar_unitary(6, rng)))
+    return meter, np.eye(3, dtype=complex)[0]
+
+
+def spin_z_part():
+    return minimal_dilation_multimeter(spin_observable((0, 0, 1)))
+
+
+def spin_pair_part():
+    """Normal part whose pointer, a spin-x observable, is no basis projector."""
+    meter, probes = builtin_multimeter(
+        "spin_pair", observables=[spin_observable((1, 0, 0)), spin_observable((0, 1, 0))]
+    )
+    return meter, probes[0]
+
+
+class NoProducts(np.ndarray):
+    """An array that refuses to be a factor of a matrix product."""
+
+    def __matmul__(self, other):
+        raise AssertionError("dense product by a pointer effect")
+
+    __rmatmul__ = __matmul__
+
+
+def forbidden_gather(*args, **kwargs):
+    raise AssertionError("basis-projector gather used")
+
+
+class TestBasisPointerInduction:
+    @pytest.mark.parametrize(
+        "construct",
+        [
+            lambda rng: minimal_dilation_multimeter(random_sharp_observable(3, 3, 4)),
+            lambda rng: shared_pointer_multimeter(
+                [random_sharp_observable(2, 2, s) for s in (5, 6, 7)]
+            ),
+            lambda rng: push_button_multimeter(
+                [minimal_dilation_multimeter(random_sharp_observable(2, 2, s)) for s in (1, 2)]
+            ),
+            lambda rng: push_button_multimeter(
+                [unitary_channel(haar_unitary(2, rng)) for _ in range(3)]
+            ),
+            lambda rng: builtin_multimeter("pauli"),
+            lambda rng: builtin_multimeter("swap", dim=3),
+            lambda rng: concatenated_meter(),
+            lambda rng: (split_pointer_part(rng)[0], []),
+            lambda rng: push_button_multimeter(
+                [split_pointer_part(rng), spin_z_part()]
+            ),
+        ],
+        ids=["minimal-dilation", "shared-pointer", "push-button-observables",
+             "push-button-channels", "pauli", "swap", "concatenated", "unequal-supports",
+             "push-button-unequal-supports"],
+    )
+    def test_gather_matches_dense_product(self, rng, construct):
+        meter, probes = construct(rng)
+        assert meter.pointer_supports is not None
+        assert np.array_equal(meter.pointer_supports, _basis_supports(meter.pointer.effects))
+        twin = dense_twin(meter)
+        # a minimal dilation comes with one probe, the others with a list
+        probes = [probes] if isinstance(probes, np.ndarray) else list(probes)
+        probes += [
+            random_state_vector(meter.dim_k, rng),
+            random_density_operator(meter.dim_k, rng),
+        ]
+        for probe in probes:
+            gathered = induced_observable(make_model(meter, probe))
+            dense = induced_observable(make_model(twin, probe))
+            assert gathered.outcomes == dense.outcomes
+            assert max(
+                frobenius_norm(a - b) for a, b in zip(gathered.effects, dense.effects)
+            ) <= 1e-13
+
+    def test_unequal_supports_are_padded(self, rng):
+        meter, _ = split_pointer_part(rng)
+        assert meter.pointer_supports.tolist() == [[0, 3], [1, 2]]
+
+    @pytest.mark.parametrize(
+        "effects",
+        [
+            # a 1e-17 off-diagonal entry: within every tolerance, but not exact
+            [np.array([[1.0, 1e-17], [1e-17, 0.0]]), np.array([[0.0, -1e-17], [-1e-17, 1.0]])],
+            # diagonal entries one rounding step away from 1 and 0
+            [np.diag([1.0 - 2.0**-53, 2.0**-53]), np.diag([2.0**-53, 1.0 - 2.0**-53])],
+        ],
+        ids=["off-diagonal", "diagonal"],
+    )
+    def test_near_basis_pointer_takes_dense_path(self, monkeypatch, rng, effects):
+        pointer = make_observable(2, (1, 2), effects)
+        meter = make_multimeter(2, 2, pointer, unitary_channel(haar_unitary(4, rng)))
+        assert meter.normal and meter.pointer_supports is None
+        monkeypatch.setattr(qmultimeter.multimeter, "_basis_effects", forbidden_gather)
+        model = make_model(meter, random_state_vector(2, rng))
+        obs = induced_observable(model)
+        for x, eff in zip(pointer.outcomes, textbook_effects(model, pointer)):
+            assert np.linalg.norm(obs.effect(x) - eff) <= 1e-13
+
+    def test_kernel_model_takes_dense_path(self, monkeypatch):
+        # merging the pauli pointer's outcomes gives basis projectors again,
+        # but the smeared pointer is never scanned: the product decides
+        meter, probes = builtin_multimeter("pauli")
+        assert meter.pointer_supports is not None
+        monkeypatch.setattr(qmultimeter.multimeter, "_basis_effects", forbidden_gather)
+        with pytest.raises(AssertionError, match="gather"):
+            induced_observable(make_model(meter, probes[0]))
+        kernel = merge_kernels()[1]
+        model = make_model(meter, probes[0], kernel=kernel)
+        pointer = post_process(meter.pointer, kernel)
+        obs = induced_observable(model)
+        for x, eff in zip(pointer.outcomes, textbook_effects(model, pointer)):
+            assert np.linalg.norm(obs.effect(x) - eff) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "devices",
+        [
+            *(
+                lambda rng, n=n, d=d: [
+                    minimal_dilation_multimeter(random_sharp_observable(d, d, 10 * d + s))
+                    for s in range(n)
+                ]
+                for n, d in ((2, 2), (3, 2), (3, 3), (3, 4))
+            ),
+            lambda rng: [split_pointer_part(rng), spin_z_part()],
+            lambda rng: [spin_z_part(), split_pointer_part(rng)],
+            # a spin-x pointer is no basis projector, so neither is the joint pointer
+            lambda rng: [spin_pair_part(), spin_z_part()],
+        ],
+        ids=["bench-2-2-2", "bench-3-2-2", "bench-3-3-3", "bench-3-4-4", "unequal-first",
+             "unequal-last", "spin-x-part"],
+    )
+    def test_bundle_supports_from_parts_equal_a_scan(self, monkeypatch, rng, devices):
+        devices = devices(rng)
+        scans = []
+
+        def recorded(effects):
+            scans.append(len(effects))
+            return _basis_supports(effects)
+
+        monkeypatch.setattr(qmultimeter.multimeter, "_basis_supports", recorded)
+        meter, _ = push_button_multimeter(devices)
+        # the bundle's effects are never scanned; the parts were scanned when built
+        assert scans == []
+        scan = _basis_supports(meter.pointer.effects)
+        if scan is None:
+            assert meter.pointer_supports is None
+        else:
+            assert np.array_equal(meter.pointer_supports, scan)
+
+    def test_large_bundle_forms_no_pointer_product(self, rng):
+        observables = [random_sharp_observable(4, 4, s) for s in (1, 2, 3)]
+        meter, probes = push_button_multimeter(
+            [minimal_dilation_multimeter(a) for a in observables]
+        )
+        assert meter.dim_k == 192
+        mixed = sum(w * projector(p) for w, p in zip((0.5, 0.3, 0.2), probes))
+        models = [make_model(meter, probes[0]), make_model(meter, mixed)]
+        expected = [induced_observable(make_model(dense_twin(meter), m.probe)) for m in models]
+        guarded = tuple(e.view(NoProducts) for e in meter.pointer.effects)
+        object.__setattr__(meter.pointer, "effects", guarded)
+        with pytest.raises(AssertionError, match="dense product"):
+            induced_observable(make_model(dense_twin(meter), probes[0]))
+        for model, dense in zip(models, expected):
+            obs = induced_observable(model)
+            assert max(
+                frobenius_norm(a - b) for a, b in zip(obs.effects, dense.effects)
+            ) <= 1e-13

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -298,6 +300,17 @@ class TestEmbedFactors:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             embed_factors(np.eye(3), [2, 2], [0])
+
+    def test_cap_checked_before_allocating(self):
+        # the identity on the other factors alone would take 64 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match="dimension cap"):
+                embed_factors(np.eye(4), [4, 2048], [0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestStateValidation:
