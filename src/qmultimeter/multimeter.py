@@ -23,7 +23,6 @@ from .observables import (
     SUPPORT_TOL,
     Observable,
     StochasticKernel,
-    _checked_observable,
     is_sharp,
     make_observable,
     post_process,
@@ -59,10 +58,10 @@ class Multimeter:
     ``pointer_supports`` holds, when every pointer effect is a basis
     projector (see :func:`_basis_supports`), the index array of their
     supports, which :func:`induced_observable` gathers by; it is ``None``
-    otherwise.  It is not a constructor argument: only the validating
-    constructors store it, read from the pointer's effects by
-    :func:`make_multimeter` and taken from the parts or from the support
-    array the effects were written from by the constructions.
+    otherwise.  It is not a constructor argument: :func:`make_multimeter`
+    reads it from the pointer's effects, and the constructions write their
+    pointers from it (see :func:`_basis_multimeter`), a push-button bundle
+    from its parts' supports.  A pointer with supports is exactly sharp.
     """
 
     dim_h: int
@@ -121,7 +120,10 @@ def _checked_multimeter(dim_h, dim_k, pointer, interaction, tol, supports) -> Mu
         raise DimensionError(
             f"interaction dimension {interaction.dim}, expected {dim_h * dim_k}"
         )
-    normal = is_unitary_channel(interaction, tol) and is_sharp(pointer, tol)
+    # effects written from supports are exact 0/1 diagonals, hence projections at every tol
+    normal = is_unitary_channel(interaction, tol) and (
+        supports is not None or is_sharp(pointer, tol)
+    )
     meter = Multimeter(
         dim_h=dim_h, dim_k=dim_k, pointer=pointer, interaction=interaction, normal=normal
     )
@@ -129,16 +131,27 @@ def _checked_multimeter(dim_h, dim_k, pointer, interaction, tol, supports) -> Mu
     return meter
 
 
-def _basis_multimeter(dim_h, dim_k, labels, supports, interaction) -> Multimeter:
-    """Multimeter whose pointer effect ``x`` is the basis projector on ``supports[x]``.
+def _basis_multimeter(dim_h, dim_k, labels, marks, interaction) -> Multimeter:
+    """Multimeter whose pointer effect ``x`` projects onto the basis vectors marked in row ``x``.
 
-    The effects are written from the supports, so the pointer needs no
-    scan; ``supports`` (unpadded, increasing rows) is taken over.
+    ``marks`` is a boolean ``(effects, dim_k)`` array in which every basis
+    index is marked exactly once, so the effects are exact 0/1 diagonals
+    summing to the identity; they are written into one read-only stack,
+    with nothing scanned, multiplied or factorised.
     """
-    marks = _support_marks(supports, dim_k)
-    pointer = make_observable(dim_k, labels, [np.diag(m).astype(complex) for m in marks])
-    supports.setflags(write=False)
-    return _checked_multimeter(dim_h, dim_k, pointer, interaction, DEFAULT_TOL, supports)
+    labels = tuple(labels)
+    if len(set(labels)) != len(labels):
+        raise ValidationError(f"outcome labels are not unique: {labels}")
+    if marks.shape != (len(labels), dim_k) or np.any(marks.sum(axis=0) != 1):
+        raise ValidationError(f"pointer supports do not partition range({dim_k})")
+    effects = np.zeros((len(labels), dim_k, dim_k), dtype=complex)
+    diag = np.arange(dim_k)
+    effects[:, diag, diag] = marks
+    effects.setflags(write=False)
+    pointer = Observable(dim=dim_k, outcomes=labels, effects=tuple(effects))
+    return _checked_multimeter(
+        dim_h, dim_k, pointer, interaction, DEFAULT_TOL, _padded_supports(marks)
+    )
 
 
 def _basis_supports(effects) -> np.ndarray | None:
@@ -350,7 +363,7 @@ def minimal_dilation_multimeter(
     g = sum(
         tensor(a.effects[j], dagger(_transposition(n, j))) for j in range(n)
     )
-    meter = _basis_multimeter(a.dim, n, a.outcomes, np.arange(n)[:, None], make_channel([g]))
+    meter = _basis_multimeter(a.dim, n, a.outcomes, np.eye(n, dtype=bool), make_channel([g]))
     probe = np.eye(n, dtype=complex)[0]
     return meter, probe
 
@@ -380,20 +393,6 @@ def _selector_coupling(blocks, residuals, multiplicities) -> Channel:
     return _checked_channel([g.reshape(dim * n, dim * n)], DEFAULT_TOL, residual)
 
 
-def _tensor_idempotence_bound(factors) -> float:
-    """Bound on ``||X^2 - X||_F`` for ``X = F_1 (x) ... (x) F_n``.
-
-    ``factors`` holds ``(||F||_F, ||F^2||_F, ||F^2 - F||_F)`` of each
-    factor in order.  ``X^2 - X`` telescopes into the sum over k of
-    ``F_1 (x) .. (x) F_{k-1} (x) (F_k^2 - F_k) (x) F_{k+1}^2 (x) .. (x) F_n^2``,
-    and the Frobenius norm is multiplicative over tensor products.
-    """
-    return sum(
-        math.prod(f[0] for f in factors[:k]) * defect * math.prod(f[1] for f in factors[k + 1:])
-        for k, (_, _, defect) in enumerate(factors)
-    )
-
-
 def _stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker products ``a[x] (x) b[y]`` of two stacks of matrices, ordered by ``(x, y)``.
 
@@ -403,10 +402,13 @@ def _stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod.reshape(len(a) * len(b), a.shape[1] * b.shape[1], a.shape[2] * b.shape[2])
 
 
-def _factor_norms(f: np.ndarray) -> tuple:
-    """``(||F||_F, ||F^2||_F, ||F^2 - F||_F)`` of a tensor factor."""
-    sq = f @ f
-    return frobenius_norm(f), frobenius_norm(sq), frobenius_norm(sq - f)
+def _check_pointer_size(n_effects: int, dim_k: int) -> None:
+    """Refuse a pointer of more than ``DIMENSION_CAP**2`` entries before it is allocated."""
+    if n_effects * dim_k**2 > DIMENSION_CAP**2:
+        raise DimensionError(
+            f"bundle pointer of {n_effects} effects on dimension {dim_k} exceeds "
+            f"{DIMENSION_CAP**2} entries"
+        )
 
 
 def push_button_multimeter(devices) -> tuple[Multimeter, list]:
@@ -423,10 +425,15 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
       all component pointers jointly (outcome labels are comma-joined),
       and selector ``i`` leaves every meter except the i-th idle.
 
-    The coupling's residual and the pointer effects' idempotence and
-    positivity are bounded from the validated parts; a dense check runs
-    only where a bound misses the margin of
-    :func:`~qmultimeter.operators.certifies`, so every decision is the dense one.
+    The coupling's residual is bounded from the validated parts; it is
+    computed densely only where the bound misses the margin of
+    :func:`~qmultimeter.operators.certifies`.  When every part stores
+    basis supports, the joint pointer is written from the joint supports
+    (see :func:`_basis_multimeter`); otherwise its Kronecker products are
+    formed and validated densely.  A pointer of more than
+    ``DIMENSION_CAP**2`` entries (``len(pointer) * dim_K**2``: seven or
+    more qubit parts, or more than 645 channels) raises ``DimensionError``
+    before the coupling or the pointer is allocated.
     """
     devices = list(devices)
     if not devices:
@@ -443,10 +450,11 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
             raise DimensionError(
                 f"bundle dimension {dim * n} exceeds dimension cap {DIMENSION_CAP}"
             )
+        _check_pointer_size(n, n)
         coupling = _selector_coupling(
             [c.kraus[0] for c in devices], [c.tp_residual for c in devices], [1] * n
         )
-        meter = _basis_multimeter(dim, n, range(1, n + 1), np.arange(n)[:, None], coupling)
+        meter = _basis_multimeter(dim, n, range(1, n + 1), np.eye(n, dtype=bool), coupling)
         return meter, list(np.eye(n, dtype=complex))
 
     meters = []
@@ -476,6 +484,7 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
         raise DimensionError(
             f"bundle dimension {dim_h * dim_k} exceeds dimension cap {DIMENSION_CAP}"
         )
+    _check_pointer_size(math.prod(len(m.pointer) for m in meters), dim_k)
     coupling = _selector_coupling(
         [embed_factors(m.coupling, dims[:-1], [0, 1 + i]) for i, m in enumerate(meters)],
         [m.interaction.tp_residual for m in meters],
@@ -486,26 +495,17 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
         ",".join(str(x) for x in combo)
         for combo in itertools.product(*(m.pointer.outcomes for m in meters))
     ]
-    pointer_effects = functools.reduce(
-        _stacked_kron, [np.stack(m.pointer.effects) for m in meters] + [selector[None]]
-    )
-    idle_norms = _factor_norms(selector)
-    pointer_bounds = [
-        _tensor_idempotence_bound([*combo, idle_norms])
-        for combo in itertools.product(
-            *([_factor_norms(eff) for eff in m.pointer.effects] for m in meters)
-        )
-    ]
-    pointer = _checked_observable(
-        dim_k, pointer_labels, list(pointer_effects), DEFAULT_TOL, pointer_bounds
-    )
-    supports = None
     if all(m.pointer_supports is not None for m in meters):
         # the diagonal of a Kronecker product is the Kronecker product of the diagonals
         marks = [_support_marks(m.pointer_supports, m.dim_k)[:, None, :] for m in meters]
         joint = functools.reduce(_stacked_kron, marks + [np.ones((1, 1, n), dtype=bool)])
-        supports = _padded_supports(joint[:, 0, :])
-    meter = _checked_multimeter(dim_h, dim_k, pointer, coupling, DEFAULT_TOL, supports)
+        meter = _basis_multimeter(dim_h, dim_k, pointer_labels, joint[:, 0, :], coupling)
+    else:
+        pointer_effects = functools.reduce(
+            _stacked_kron, [np.stack(m.pointer.effects) for m in meters] + [selector[None]]
+        )
+        pointer = make_observable(dim_k, pointer_labels, list(pointer_effects))
+        meter = _checked_multimeter(dim_h, dim_k, pointer, coupling, DEFAULT_TOL, None)
     big_probes = [
         tensor_many([p.reshape(-1, 1) for p in probes] + [selector[i].reshape(-1, 1)]).reshape(-1)
         for i in range(n)
@@ -545,8 +545,8 @@ def shared_pointer_multimeter(
         for l in range(n)
     )
     # pointer outcome k reads slot k of every selector: P[e_k] (x) I
-    supports = np.arange(d * n).reshape(d, n)
-    meter = _basis_multimeter(dim_h, d * n, range(1, d + 1), supports, make_channel([g]))
+    marks = np.repeat(np.eye(d, dtype=bool), n, axis=1)
+    meter = _basis_multimeter(dim_h, d * n, range(1, d + 1), marks, make_channel([g]))
     probes = [np.kron(pointer_basis[0], selector[i]) for i in range(n)]
     return meter, probes
 
@@ -587,7 +587,7 @@ def _pauli_multimeter() -> tuple[Multimeter, list]:
         for j in range(4)
         for k in range(4)
     )
-    meter = _basis_multimeter(2, 4, range(4), np.arange(4)[:, None], make_channel([g]))
+    meter = _basis_multimeter(2, 4, range(4), np.eye(4, dtype=bool), make_channel([g]))
     probes = [(basis[0] + basis[i]) / np.sqrt(2) for i in (1, 2, 3)]
     return meter, probes
 
@@ -607,7 +607,7 @@ def _swap_multimeter(dim: int) -> tuple[Multimeter, list]:
             f"swap dimension {dim} must be at least 1 with square at most {DIMENSION_CAP}"
         )
     meter = _basis_multimeter(
-        dim, dim, range(1, dim + 1), np.arange(dim)[:, None], make_channel([_swap_unitary(dim)])
+        dim, dim, range(1, dim + 1), np.eye(dim, dtype=bool), make_channel([_swap_unitary(dim)])
     )
     return meter, list(np.eye(dim, dtype=complex))
 

@@ -7,7 +7,7 @@ effects; extremality is decided by an explicit perturbation rank test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from .exceptions import DimensionError, ValidationError
 from .operators import (
     DEFAULT_TOL,
     PAULI,
-    certifies,
     dagger,
     eigenvalue_below,
     frobenius_norm,
@@ -30,22 +29,11 @@ SUPPORT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Observable:
-    """Finite-outcome POVM: ordered labels and one effect per label.
-
-    ``projection_defects`` holds, for an observable assembled from
-    validated parts, one bound per effect ``E`` on both ``||E - E*||_F``
-    and ``||E^2 - E||_F``, which :func:`is_sharp` reads before forming any
-    product; it is ``None`` otherwise.  It is not a constructor argument:
-    only the validating constructor stores it.  The effects are read-only,
-    so the bounds stay valid for the observable's lifetime.
-    """
+    """Finite-outcome POVM: ordered labels and one read-only effect per label."""
 
     dim: int
     outcomes: tuple
     effects: tuple
-    projection_defects: tuple | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -76,7 +64,8 @@ def make_observable(dim: int, labels, effects, tol: float = DEFAULT_TOL) -> Obse
     certified by a Cholesky factorisation of ``(E + E*)/2 + b I``; only
     when that fails is the spectrum computed, which decides exactly and
     names the offending eigenvalue (see
-    :func:`~qmultimeter.operators.eigenvalue_below`).
+    :func:`~qmultimeter.operators.eigenvalue_below`).  The effects are
+    stored as read-only copies.
 
     Raises
     ------
@@ -87,23 +76,6 @@ def make_observable(dim: int, labels, effects, tol: float = DEFAULT_TOL) -> Obse
     DimensionError
         If an effect is not a ``dim x dim`` matrix.
     """
-    return _checked_observable(dim, labels, effects, tol)
-
-
-def _checked_observable(dim: int, labels, effects, tol: float, idempotence=None) -> Observable:
-    """:func:`make_observable`, optionally certified from validated parts.
-
-    ``idempotence``, when given, holds for each effect ``E`` a bound ``p``
-    on ``||E^2 - E||_F`` derived from the parts; the effects are then
-    fresh arrays that are taken over, not copied.  With ``h = ||E - E*||_F``
-    (always computed) and ``H`` the Hermitian part of ``E``,
-    ``||H^2 - H||_F <= q = p + ||E||_F h + h^2/4 + h/2``; an eigenvalue
-    ``lam < 0`` of ``H`` has ``|lam| <= lam^2 - lam <= q``, so
-    ``lambda_min(H) >= -q``.  When ``q`` clears the positivity threshold
-    by the margin (:func:`~qmultimeter.operators.certifies`) no spectrum
-    is computed; otherwise the dense check decides.  ``max(h, p)`` is
-    stored as the effect's projection defect.
-    """
     labels = tuple(labels)
     if not labels:
         raise ValidationError("observable needs at least one outcome")
@@ -112,11 +84,9 @@ def _checked_observable(dim: int, labels, effects, tol: float, idempotence=None)
     effects = list(effects)
     if len(effects) != len(labels):
         raise ValidationError(f"{len(labels)} labels but {len(effects)} effects")
-    bounds = [None] * len(effects) if idempotence is None else list(idempotence)
     mats = []
-    defects = []
-    for label, e, p in zip(labels, effects, bounds):
-        e = np.asarray(e, dtype=complex)
+    for label, e in zip(labels, effects):
+        e = np.array(e, dtype=complex)
         if e.shape != (dim, dim):
             raise DimensionError(f"effect {label!r} has shape {e.shape}, expected {(dim, dim)}")
         norm = frobenius_norm(e)
@@ -125,29 +95,18 @@ def _checked_observable(dim: int, labels, effects, tol: float, idempotence=None)
             raise ValidationError(f"effect {label!r} has non-finite entries")
         bound = tol * max(1.0, norm)
         adj = dagger(e)
-        h = frobenius_norm(e - adj)
-        if h > bound:
+        if frobenius_norm(e - adj) > bound:
             raise ValidationError(f"effect {label!r} is not Hermitian")
-        if p is None or not certifies(
-            p + norm * h + h * h / 4 + h / 2, bound, dim, max(1.0, norm) ** 2
-        ):
-            low = eigenvalue_below((e + adj) / 2, bound)
-            if low is not None:
-                raise ValidationError(f"effect {label!r} has negative eigenvalue {low}")
-        if p is None:
-            e = e.copy()
-        else:
-            defects.append(max(h, p))
+        low = eigenvalue_below((e + adj) / 2, bound)
+        if low is not None:
+            raise ValidationError(f"effect {label!r} has negative eigenvalue {low}")
         e.setflags(write=False)
         mats.append(e)
     total = sum(mats)
     residual = frobenius_norm(total - np.eye(dim))
     if residual > tol * max(1.0, float(np.sqrt(dim))):
         raise ValidationError(f"effects do not sum to the identity (residual {residual:.3e})")
-    obs = Observable(dim=dim, outcomes=labels, effects=tuple(mats))
-    if idempotence is not None:
-        object.__setattr__(obs, "projection_defects", tuple(defects))
-    return obs
+    return Observable(dim=dim, outcomes=labels, effects=tuple(mats))
 
 
 def make_kernel(weights, tol: float = DEFAULT_TOL) -> StochasticKernel:
@@ -187,24 +146,11 @@ def sharpness_residual(e: Observable) -> float:
 
 
 def is_sharp(e: Observable, tol: float = DEFAULT_TOL) -> bool:
-    """True when every effect is a projection.
+    """True when every effect is a projection (see :func:`~qmultimeter.operators.is_projection`).
 
-    An effect whose stored projection defect (see :class:`Observable`)
-    :func:`~qmultimeter.operators.certifies` against the threshold
-    ``tol * max(1, ||E||_F)`` of :func:`~qmultimeter.operators.is_projection`
-    needs no product; any other effect is decided by that check.
+    Every effect is checked densely: one product and one norm each.
     """
-    defects = e.projection_defects or [None] * len(e)
-    return all(
-        (b is not None and _certified_projection(eff, b, tol)) or is_projection(eff, tol)
-        for eff, b in zip(e.effects, defects)
-    )
-
-
-def _certified_projection(eff: np.ndarray, defect: float, tol: float) -> bool:
-    """Whether a stored projection defect decides :func:`is_sharp` for one effect."""
-    scale = max(1.0, frobenius_norm(eff))
-    return certifies(defect, tol * scale, eff.shape[0], scale**2)
+    return all(is_projection(eff, tol) for eff in e.effects)
 
 
 def product_residual(e: Observable) -> float:

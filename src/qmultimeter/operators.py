@@ -199,8 +199,7 @@ CERTIFICATE_MARGIN = 0.5
 #: a ``dim x dim`` matrix whose product factors have Frobenius norms
 #: multiplying to ``scale``.  A computed product errs entrywise by at most
 #: ``gamma_dim |A||B|``, about ``dim * eps/2 * ||A||_F ||B||_F`` in Frobenius
-#: norm; the subtraction and norm that follow, and the Cholesky or spectrum
-#: of a positivity check, err by amounts of the same order.
+#: norm; the subtraction and norm that follow err by amounts of the same order.
 ROUNDING_SLACK = 10.0
 
 

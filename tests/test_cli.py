@@ -20,12 +20,13 @@ from qmultimeter.cli import (
     Opt,
     _field_list,
     emit_report,
+    execute,
     main,
     parse_report,
     run_scenario,
     table_entries,
 )
-from qmultimeter.exceptions import ScenarioParseError, ScenarioReferenceError
+from qmultimeter.exceptions import DimensionError, ScenarioParseError, ScenarioReferenceError
 from qmultimeter.verify import VerificationReport
 
 
@@ -410,6 +411,27 @@ class TestMainExitCodes:
             tracemalloc.stop()
         assert status == EXIT_DIMENSION
         assert "validation error: runs[0]: " in capsys.readouterr().err
+        assert peak < 2**20
+
+    def test_bundle_pointer_capped_before_it_allocates(self, tmp_path, capsys):
+        # 7 qubit parts pass the dim H * dim K cap (1792), but their joint
+        # pointer would hold 2**7 * 896**2 complex entries (1.6 GiB)
+        payload = {"objects": {
+            **spin_objects(),
+            "B": {"kind": "multimeter", "construction": "push_button",
+                  "observables": ["S1", "S3"] * 3 + ["S1"]}},
+            "runs": []}
+        path = write_scenario(tmp_path, payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match="^objects.B: bundle pointer"):
+                execute(payload)
+            status = main([path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == EXIT_DIMENSION
+        assert "validation error: objects.B: bundle pointer" in capsys.readouterr().err
         assert peak < 2**20
 
     def test_tensor_probe_matches_kronecker_product(self, rng):

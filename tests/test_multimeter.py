@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qmultimeter.channels import (
     unitary_channel,
 )
 from qmultimeter.multimeter import (
+    _basis_multimeter,
     _basis_supports,
     builtin_multimeter,
     concatenate_with_measurement,
@@ -32,7 +34,6 @@ from qmultimeter.multimeter import (
     shared_pointer_multimeter,
 )
 from qmultimeter.observables import (
-    Observable,
     is_sharp,
     make_kernel,
     make_observable,
@@ -486,23 +487,26 @@ class TestPushButton:
 
 
     def test_observable_mode_validates_without_spectra(self, monkeypatch):
-        # unitarity comes from the residuals make_channel stored, and the
-        # bundle's coupling residual, pointer idempotence and positivity are
-        # certified from its parts, so no dense check runs at bundle size
+        # unitarity comes from the residuals make_channel stored, the
+        # bundle's coupling residual is certified from its parts, and its
+        # pointer is written from the parts' supports, so no dense check
+        # runs at bundle size
         def forbidden(*args, **kwargs):
             raise AssertionError("second unitarity product or spectrum computed")
 
         for name in ("operators", "channels", "multimeter"):
             module = getattr(qmultimeter, name)
             monkeypatch.setattr(module, "is_unitary", forbidden, raising=False)
-        observables = [random_sharp_observable(3, 3, seed) for seed in (1, 2, 3)]
         # no spectrum of any size; the spy below wraps the prohibition
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-        devices = [minimal_dilation_multimeter(a) for a in observables]
-        seen = dense_checks(monkeypatch, 3**3 * 3)
-        meter, probes = push_button_multimeter(devices)
-        assert seen == []
-        assert meter.normal and meter.dim_k == 3 * 3**3 and len(probes) == 3
+        for d in (3, 4):
+            observables = [random_sharp_observable(d, d, seed) for seed in (1, 2, 3)]
+            devices = [minimal_dilation_multimeter(a) for a in observables]
+            with monkeypatch.context() as spies:
+                seen = dense_checks(spies, 3 * d**3)
+                meter, probes = push_button_multimeter(devices)
+            assert seen == []
+            assert meter.normal and meter.dim_k == 3 * d**3 and len(probes) == 3
 
     def test_probe_dimension_checked_at_build(self, spin_trio):
         meter, _ = minimal_dilation_multimeter(spin_trio[2])
@@ -527,9 +531,11 @@ class TestPushButton:
                 ]
                 for n, d in ((2, 2), (3, 2), (3, 3), (3, 4))
             ),
+            # a spin_pair meter's pointer is no basis projector: the dense branch
+            lambda: [spin_z_part(), spin_pair_part()],
         ],
         ids=["spin-pair", "random-qubits", "pauli-channels", "qutrit-channels",
-             "bench-2-2-2", "bench-3-2-2", "bench-3-3-3", "bench-3-4-4"],
+             "bench-2-2-2", "bench-3-2-2", "bench-3-3-3", "bench-3-4-4", "non-basis-part"],
     )
     def test_bundle_equals_dense_construction(self, devices):
         devices = devices()
@@ -587,17 +593,16 @@ class TestPushButton:
         assert residual > 1e-11
 
     @pytest.mark.parametrize("position", [0, 1, 2])
-    def test_pointer_certificate_bounds_every_factor(self, monkeypatch, spin_trio, position):
-        # only one factor is fuzzy, so the bound's one nonzero term is exact
+    def test_pointer_certificate_bounds_every_factor(self, spin_trio, position):
+        # one fuzzy factor in any position leaves the pointer within the
+        # sharpness tolerance, and the dense check decides so
         pointers = [None] * 3
         pointers[position] = fuzzy_pointer(1e-10)
         devices = [qubit_part(a, pointer=z) for a, z in zip(spin_trio, pointers)]
-        seen = dense_checks(monkeypatch, 2**3 * 3)
         meter, _ = push_button_multimeter(devices)
-        assert seen == [] and meter.normal
-        for eff, bound in zip(meter.pointer.effects, meter.pointer.projection_defects):
-            defect = frobenius_norm(eff @ eff - eff)
-            assert 1e-10 < defect <= bound + 1e-14
+        assert meter.normal and meter.pointer_supports is None
+        for eff in meter.pointer.effects:
+            assert frobenius_norm(eff @ eff - eff) > 1e-10 and is_projection(eff)
 
     @pytest.mark.parametrize("delta, normal", [(3e-10, True), (5e-10, False)])
     def test_pointer_fallback_near_tolerance(self, monkeypatch, spin_trio, delta, normal):
@@ -625,10 +630,9 @@ class TestPushButton:
             push_button_multimeter(devices)
 
     @pytest.mark.parametrize("tol", [0.0, 1e-17, 1e-16, 1e-13, 1e-9])
-    def test_certificates_defer_to_dense_near_zero_tolerance(self, monkeypatch, spin_trio, tol):
-        # each factor's computed idempotence defect is exactly 0 and their
-        # Kronecker products' is not; where tol leaves no room above the
-        # rounding of the dense checks, those checks decide
+    def test_certificates_defer_to_dense_near_zero_tolerance(self, spin_trio, tol):
+        # the Kronecker products of exactly idempotent factors are not
+        # exactly idempotent; near tol = 0 the dense checks decide
         v = np.array([np.cos(7 * np.pi / 80), np.sin(7 * np.pi / 80)])
         f = np.outer(v, v)
         devices = [
@@ -636,16 +640,46 @@ class TestPushButton:
             for a in spin_trio[:2]
         ]
         bundle, _ = push_button_multimeter(devices)
-        assert max(bundle.pointer.projection_defects) == 0.0
         assert not all(is_projection(e, 0.0) for e in bundle.pointer.effects)
         g = bundle.coupling
         dense_unitary = frobenius_norm(g.conj().T @ g - np.eye(len(g))) <= tol * np.sqrt(len(g))
         dense_sharp = all(is_projection(e, tol) for e in bundle.pointer.effects)
-        seen = dense_checks(monkeypatch, bundle.dim_k)
         assert is_sharp(bundle.pointer, tol) == dense_sharp
         meter = make_multimeter(bundle.dim_h, bundle.dim_k, bundle.pointer, bundle.interaction, tol)
         assert meter.normal == (dense_unitary and dense_sharp)
-        assert ("is_projection" in seen) == (tol < 1e-13)
+
+    @pytest.mark.parametrize(
+        "devices",
+        [
+            # 7 qubit parts: dim H * dim K = 1792 is within the cap, but the
+            # pointer would hold 2**7 * 896**2 complex entries (1.6 GiB)
+            lambda: [minimal_dilation_multimeter(spin_observable((0, 0, 1)))] * 7,
+            # 646 channels: 646**3 entries (4.3 GiB)
+            lambda: [identity_channel(1)] * 646,
+        ],
+        ids=["seven-qubit-parts", "646-channels"],
+    )
+    def test_pointer_capped_before_it_allocates(self, devices):
+        devices = devices()
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match="bundle pointer of .* exceeds 16777216"):
+                push_button_multimeter(devices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_colliding_joint_labels_rejected(self):
+        # "x,y" + "z" and "x" + "y,z" both join to "x,y,z"
+        parts = [
+            minimal_dilation_multimeter(
+                make_observable(2, labels, [np.diag([1.0, 0]), np.diag([0, 1.0])])
+            )
+            for labels in (("x,y", "x"), ("z", "y,z"))
+        ]
+        with pytest.raises(ValidationError, match="outcome labels are not unique"):
+            push_button_multimeter(parts)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_certified_residual_defers_to_dense_near_threshold(self, seed):
@@ -664,8 +698,6 @@ class TestPushButton:
         assert is_unitary_channel(bundle.interaction, tol) == (dense <= tol * np.sqrt(12))
 
     def test_certificates_are_not_constructor_arguments(self):
-        with pytest.raises(TypeError):
-            Observable(1, (1,), (np.eye(1),), projection_defects=(0.0,))
         with pytest.raises(TypeError):
             Channel(1, (np.eye(1),), 0.0, tp_certified=True)
 
@@ -983,6 +1015,43 @@ class TestBasisPointerInduction:
             assert max(
                 frobenius_norm(a - b) for a, b in zip(gathered.effects, dense.effects)
             ) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "construct",
+        [
+            lambda: minimal_dilation_multimeter(random_sharp_observable(3, 3, 4)),
+            lambda: shared_pointer_multimeter(
+                [random_sharp_observable(2, 2, s) for s in (5, 6, 7)]
+            ),
+            lambda: push_button_multimeter(
+                [minimal_dilation_multimeter(random_sharp_observable(2, 2, s)) for s in (1, 2)]
+            ),
+            lambda: push_button_multimeter([identity_channel(2), unitary_channel(PAULI[1])]),
+            lambda: builtin_multimeter("pauli"),
+            lambda: builtin_multimeter("swap", dim=3),
+        ],
+        ids=["minimal-dilation", "shared-pointer", "push-button-observables",
+             "push-button-channels", "pauli", "swap"],
+    )
+    def test_written_pointer_is_read_only(self, construct):
+        meter, _ = construct()
+        assert meter.pointer_supports is not None
+        for eff in meter.pointer.effects:
+            assert not eff.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                eff[0, 0] = 0.5
+
+    @pytest.mark.parametrize(
+        "marks",
+        [[[1, 0, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+         [[1, 1, 0], [0, 1, 1], [0, 0, 0]], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]],
+         [[1, 0, 0], [0, 1, 1]]],
+        ids=["repeated", "missing", "overlapping", "too-wide", "too-few-rows"],
+    )
+    def test_written_supports_must_partition(self, marks):
+        marks = np.array(marks, dtype=bool)
+        with pytest.raises(ValidationError, match=r"do not partition range\(3\)"):
+            _basis_multimeter(1, 3, (1, 2, 3), marks, make_channel([np.eye(3)]))
 
     def test_unequal_supports_are_padded(self, rng):
         meter, _ = split_pointer_part(rng)
