@@ -6,7 +6,6 @@ from .channels import (
     channel_distance,
     choi_matrix,
     complete_contraction,
-    compose,
     identity_channel,
     is_extreme_channel,
     is_multiplicative,
@@ -56,7 +55,6 @@ from .observables import (
     product_residual,
     random_observable,
     random_sharp_observable,
-    relabel,
     sharpness_residual,
     spin_observable,
 )
@@ -65,9 +63,7 @@ from .operators import (
     DIMENSION_CAP,
     PAULI,
     embed_program_isometry,
-    frobenius_distance,
     haar_unitary,
-    operator_predicates,
     partial_trace,
     projector,
     tensor,

@@ -159,13 +159,6 @@ def apply(c: Channel, x: np.ndarray, picture: str = "schrodinger") -> np.ndarray
     raise ValueError(f"picture must be 'schrodinger' or 'heisenberg', got {picture!r}")
 
 
-def compose(second: Channel, first: Channel) -> Channel:
-    """Concatenation ``second o first`` (``first`` acts first)."""
-    if second.dim != first.dim:
-        raise DimensionError(f"dimension mismatch: {second.dim} vs {first.dim}")
-    return make_channel([s @ f for s in second.kraus for f in first.kraus])
-
-
 def choi_matrix(c: Channel) -> np.ndarray:
     """Choi matrix ``C[(r,s),(r',s')] = <r| E(|s><s'|) |r'>``.
 

@@ -25,7 +25,6 @@ from .observables import (
     StochasticKernel,
     is_sharp,
     make_observable,
-    post_process,
 )
 from .operators import (
     DEFAULT_TOL,
@@ -33,7 +32,6 @@ from .operators import (
     PAULI,
     check_density_operator,
     check_state_vector,
-    dagger,
     embed_factors,
     frobenius_norm,
     projector,
@@ -55,13 +53,15 @@ PHASE_ENTRY_TOL = 1e-12
 class Multimeter:
     """Programmable measurement setting ``<K, Z, V>`` with the probe left open.
 
-    ``pointer_supports`` holds, when every pointer effect is a basis
-    projector (see :func:`_basis_supports`), the index array of their
-    supports, which :func:`induced_observable` gathers by; it is ``None``
-    otherwise.  It is not a constructor argument: :func:`make_multimeter`
-    reads it from the pointer's effects, and the constructions write their
-    pointers from it (see :func:`_basis_multimeter`), a push-button bundle
-    from its parts' supports.  A pointer with supports is exactly sharp.
+    ``pointer_supports`` is, when every pointer effect is a basis projector
+    (see :func:`_basis_supports`), the read-only boolean
+    ``(len(pointer), dim_k)`` array whose row ``x`` marks the basis indices
+    of effect ``x``: the 0/1 weights by which :func:`induced_observable`
+    sums the pointer slots.  It is ``None`` otherwise.  It is not a
+    constructor argument: :func:`make_multimeter` reads it from the
+    pointer's effects, and the constructions write their pointers from it
+    (see :func:`_basis_multimeter`), a push-button bundle from its parts'
+    marks.  A pointer with supports is exactly sharp.
     """
 
     dim_h: int
@@ -137,29 +137,31 @@ def _basis_multimeter(dim_h, dim_k, labels, marks, interaction) -> Multimeter:
     ``marks`` is a boolean ``(effects, dim_k)`` array in which every basis
     index is marked exactly once, so the effects are exact 0/1 diagonals
     summing to the identity; they are written into one read-only stack,
-    with nothing scanned, multiplied or factorised.
+    with nothing scanned, multiplied or factorised, and a read-only copy
+    of ``marks`` is stored as the meter's ``pointer_supports``.
     """
     labels = tuple(labels)
     if len(set(labels)) != len(labels):
         raise ValidationError(f"outcome labels are not unique: {labels}")
+    marks = np.array(marks, dtype=bool)
     if marks.shape != (len(labels), dim_k) or np.any(marks.sum(axis=0) != 1):
         raise ValidationError(f"pointer supports do not partition range({dim_k})")
     effects = np.zeros((len(labels), dim_k, dim_k), dtype=complex)
     diag = np.arange(dim_k)
     effects[:, diag, diag] = marks
     effects.setflags(write=False)
+    marks.setflags(write=False)
     pointer = Observable(dim=dim_k, outcomes=labels, effects=tuple(effects))
-    return _checked_multimeter(
-        dim_h, dim_k, pointer, interaction, DEFAULT_TOL, _padded_supports(marks)
-    )
+    return _checked_multimeter(dim_h, dim_k, pointer, interaction, DEFAULT_TOL, marks)
 
 
 def _basis_supports(effects) -> np.ndarray | None:
-    """Supports of the effects if every one is a basis projector, else None.
+    """Marks of the effects' supports if every one is a basis projector, else None.
 
     An effect is a basis projector ``sum_{k in S} |k><k|`` when all its
     entries are exactly 0 except the diagonal entries on ``S``, which are
-    exactly 1; an entry off by rounding makes it an ordinary effect.
+    exactly 1; an entry off by rounding makes it an ordinary effect.  Row
+    ``x`` of the read-only boolean result marks ``S`` of effect ``x``.
     """
     stack = np.asarray(effects)
     marks = np.diagonal(stack, axis1=1, axis2=2) == 1
@@ -167,52 +169,28 @@ def _basis_supports(effects) -> np.ndarray | None:
     # nonzero entry is a diagonal 1
     if np.count_nonzero(stack) != np.count_nonzero(marks):
         return None
-    return _padded_supports(marks)
+    marks.setflags(write=False)
+    return marks
 
 
-def _padded_supports(marks: np.ndarray) -> np.ndarray:
-    """Index array of the supports marked in the rows of a boolean ``(effects, dim)`` array.
-
-    Row ``x`` lists the marked columns of row ``x`` in increasing order,
-    padded with ``dim`` up to the largest support (see :func:`_basis_effects`).
-    The array is read-only.
-    """
-    count = marks.sum(axis=1)
-    width = int(count.max())
-    # a stable sort on the unmarked flag moves the marked columns first, in order
-    order = np.argsort(~marks, axis=1, kind="stable")[:, :width]
-    supports = np.where(np.arange(width) < count[:, None], order, marks.shape[1])
-    supports.setflags(write=False)
-    return supports
-
-
-def _support_marks(supports: np.ndarray, dim: int) -> np.ndarray:
-    """The boolean ``(effects, dim)`` array whose rows mark the given supports."""
-    marks = np.zeros((len(supports), dim + 1), dtype=bool)
-    np.put_along_axis(marks, supports, True, axis=1)
-    return marks[:, :dim]
-
-
-def _basis_effects(m: np.ndarray, supports: np.ndarray | None) -> np.ndarray:
-    """Effects ``B_S* B_S`` of basis-projector pointer effects, by one stacked gather.
+def _basis_effects(m: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """Effects ``E(x) = sum_i w[x, i] B_i* B_i`` of a pointer diagonal in the basis of K.
 
     ``m[..., r, i, c]`` stacks program maps with rows ``r``, pointer index
-    ``i`` and system index ``c``; ``supports[x]`` lists the pointer indices
-    of effect ``x``, padded with ``dim_k`` (see :func:`_padded_supports`),
-    and ``None`` stands for the singleton supports ``{i}`` of the
-    computational-basis pointer, which need no gather.  ``B_S`` holds the
-    rows ``(i, r)`` with ``i`` in ``S``, so the result
-    ``E[..., x, c, c'] = sum_{i in S_x, r} conj(m[..., r, i, c]) m[..., r, i, c']``
-    is ``sum_r m_r* (Z(x) (x) I) m_r`` without a product by ``Z(x)``.
+    ``i`` and system index ``c``; ``B_i`` holds the rows ``r`` of slot
+    ``i``, so ``B_i* B_i = sum_r m_r* (|i><i| (x) I) m_r``.  With the 0/1
+    ``weights`` of a basis pointer (see :func:`_basis_supports`),
+    ``E(x) = sum_r m_r* (Z(x) (x) I) m_r`` without a product by ``Z(x)``;
+    ``None`` returns the Gram matrices themselves, the effects of the
+    computational-basis pointer, with shape ``(..., dim_k, c, c)``.
     """
     rows = m.swapaxes(-2, -3)
-    if supports is not None:
-        if supports.max() == rows.shape[-3]:
-            # the padding index reads an appended pointer slot of zeros
-            rows = np.concatenate([rows, np.zeros_like(rows[..., :1, :, :])], axis=-3)
-        rows = np.take(rows, supports, axis=-3)
-        rows = rows.reshape(*rows.shape[:-3], -1, rows.shape[-1])
-    return rows.conj().swapaxes(-1, -2) @ rows
+    gram = rows.conj().swapaxes(-1, -2) @ rows
+    if weights is None:
+        return gram
+    *lead, dim_k, dim_h, _ = gram.shape
+    summed = weights @ gram.reshape(*lead, dim_k, dim_h * dim_h)
+    return summed.reshape(*lead, len(weights), dim_h, dim_h)
 
 
 def make_model(
@@ -267,12 +245,6 @@ def make_model(
     return MeasurementModel(meter=meter, probe=probe, kernel=kernel)
 
 
-def _effective_pointer(model: MeasurementModel) -> Observable:
-    if model.kernel is None:
-        return model.meter.pointer
-    return post_process(model.meter.pointer, model.kernel)
-
-
 def _program_blocks(model: MeasurementModel) -> np.ndarray:
     """Stack ``M[j, r, i, c]`` of the maps the probe programs into the interaction.
 
@@ -300,27 +272,32 @@ def induced_observable(model: MeasurementModel) -> Observable:
 
     ``E(x) = sum_j M_j* (I (x) Z(x)) M_j`` over the program maps ``M_j`` of
     the probe (see :func:`_program_blocks`), which equals
-    ``tr_K[ V*(I (x) Z(x)) V (I (x) xi) ]``; the pointer ``Z`` is first
-    smeared by the kernel when one is present.  Each ``Z(x)`` acts on the
+    ``tr_K[ V*(I (x) Z(x)) V (I (x) xi) ]``.  Each ``Z(x)`` acts on the
     pointer index of the blocks alone, so nothing on ``H (x) K`` is formed.
+    When the meter stores the marks of a basis pointer, the effects are
+    the marked sums of the slots' Gram matrices (see :func:`_basis_effects`);
+    any other pointer is multiplied densely.
 
-    When the meter stores basis supports for its pointer (every ``Z(x)``
-    is exactly ``sum_{i in S_x} |i><i|``) and there is no kernel, the rows
-    of the maps on ``S_x`` are gathered and ``E(x) = B_S* B_S`` (see
-    :func:`_basis_effects`); any other pointer is multiplied densely.
+    A kernel then smears the induced effects, ``E'(y) = sum_x k(x, y) E(x)``
+    with outcomes ``1..cols`` as :func:`~qmultimeter.observables.post_process`
+    labels them: the same observable as smearing the pointer first, with
+    no operator on K formed or validated.
     """
     dim_h, dim_k = model.meter.dim_h, model.meter.dim_k
-    z = _effective_pointer(model)
+    pointer = model.meter.pointer
     m = _program_blocks(model)
-    supports = model.meter.pointer_supports if model.kernel is None else None
-    if supports is not None:
-        effects = list(_basis_effects(m.reshape(-1, dim_k, dim_h), supports))
+    if model.meter.pointer_supports is not None:
+        effects = _basis_effects(m.reshape(-1, dim_k, dim_h), model.meter.pointer_supports)
     else:
         # b[i, (j, r, c)] = M[j, r, i, c]; its rows (i, j, r) give the adjoint side.
         b = m.transpose(2, 0, 1, 3).reshape(dim_k, -1)
         b_adj = b.reshape(-1, dim_h).conj().T
-        effects = [b_adj @ (eff @ b).reshape(-1, dim_h) for eff in z.effects]
-    return make_observable(dim_h, z.outcomes, effects, tol=INDUCTION_TOL)
+        effects = [b_adj @ (eff @ b).reshape(-1, dim_h) for eff in pointer.effects]
+    outcomes = pointer.outcomes
+    if model.kernel is not None:
+        effects = np.tensordot(model.kernel.weights, effects, axes=(0, 0))
+        outcomes = range(1, model.kernel.cols + 1)
+    return make_observable(dim_h, outcomes, list(effects), tol=INDUCTION_TOL)
 
 
 def induced_channel(model: MeasurementModel) -> Channel:
@@ -347,6 +324,20 @@ def _transposition(dim: int, j: int) -> np.ndarray:
     return perm
 
 
+def _dilation_couplings(effects: np.ndarray, dim_k: int) -> np.ndarray:
+    """Couplings ``sum_j A_j (x) T_j`` on ``H (x) C^dim_k`` of stacks ``effects[..., j, :, :]``.
+
+    ``T_j`` swaps pointer slots 0 and j, so probe ``e_0`` induces ``A``
+    with the computational-basis pointer.  The sum runs over the given
+    effects only, at most ``dim_k`` of them, and the transpositions hold
+    ``len(A) * dim_k**2`` entries.
+    """
+    swaps = np.stack([_transposition(dim_k, j) for j in range(effects.shape[-3])])
+    n = effects.shape[-1] * dim_k
+    coupling = np.einsum("...jab,jcd->...acbd", effects, swaps)
+    return coupling.reshape(*effects.shape[:-3], n, n)
+
+
 def minimal_dilation_multimeter(
     a: Observable, tol: float = DEFAULT_TOL
 ) -> tuple[Multimeter, np.ndarray]:
@@ -360,9 +351,7 @@ def minimal_dilation_multimeter(
     if not is_sharp(a, tol):
         raise ValidationError("minimal dilation needs a sharp observable")
     n = len(a)
-    g = sum(
-        tensor(a.effects[j], dagger(_transposition(n, j))) for j in range(n)
-    )
+    g = _dilation_couplings(np.stack(a.effects), n)
     meter = _basis_multimeter(a.dim, n, a.outcomes, np.eye(n, dtype=bool), make_channel([g]))
     probe = np.eye(n, dtype=complex)[0]
     return meter, probe
@@ -373,8 +362,18 @@ def _embed_channel(c: Channel, dims, positions) -> Channel:
     return make_channel([embed_factors(k, dims, positions) for k in c.kraus])
 
 
+def _selector_sum(blocks) -> np.ndarray:
+    """``sum_i B_i (x) P[e_i]`` of equal square blocks, written block by block."""
+    n = len(blocks)
+    dim = blocks[0].shape[0]
+    g = np.zeros((dim, n, dim, n), dtype=complex)
+    for i, block in enumerate(blocks):
+        g[:, i, :, i] = block
+    return g.reshape(dim * n, dim * n)
+
+
 def _selector_coupling(blocks, residuals, multiplicities) -> Channel:
-    """The channel of ``g = sum_i B_i (x) P[e_i]``, written block by block.
+    """The channel of ``g = sum_i B_i (x) P[e_i]`` (see :func:`_selector_sum`).
 
     ``g* g - I`` is block-diagonal over the selector with blocks
     ``B_i* B_i - I``.  Each ``B_i`` is a validated coupling with stored
@@ -384,13 +383,8 @@ def _selector_coupling(blocks, residuals, multiplicities) -> Channel:
     :func:`~qmultimeter.channels.make_channel`, which computes the dense
     residual only when the bound misses the margin.
     """
-    n = len(blocks)
-    dim = blocks[0].shape[0]
-    g = np.zeros((dim, n, dim, n), dtype=complex)
-    for i, block in enumerate(blocks):
-        g[:, i, :, i] = block
     residual = float(np.sqrt(sum(m * r * r for m, r in zip(multiplicities, residuals))))
-    return _checked_channel([g.reshape(dim * n, dim * n)], DEFAULT_TOL, residual)
+    return _checked_channel([_selector_sum(blocks)], DEFAULT_TOL, residual)
 
 
 def _stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -497,7 +491,7 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
     ]
     if all(m.pointer_supports is not None for m in meters):
         # the diagonal of a Kronecker product is the Kronecker product of the diagonals
-        marks = [_support_marks(m.pointer_supports, m.dim_k)[:, None, :] for m in meters]
+        marks = [m.pointer_supports[:, None, :] for m in meters]
         joint = functools.reduce(_stacked_kron, marks + [np.ones((1, 1, n), dtype=bool)])
         meter = _basis_multimeter(dim_h, dim_k, pointer_labels, joint[:, 0, :], coupling)
     else:
@@ -533,22 +527,15 @@ def shared_pointer_multimeter(
             raise ValidationError("shared-pointer construction needs sharp observables")
     n = len(observables)
     d = max(len(a) for a in observables)
-    padded = [
-        list(a.effects) + [np.zeros((dim_h, dim_h), dtype=complex)] * (d - len(a))
-        for a in observables
-    ]
-    pointer_basis = np.eye(d, dtype=complex)
-    selector = np.eye(n, dtype=complex)
-    g = sum(
-        tensor_many([padded[l][j], dagger(_transposition(d, j)), projector(selector[l])])
-        for j in range(d)
-        for l in range(n)
-    )
+    padded = np.zeros((n, d, dim_h, dim_h), dtype=complex)
+    for l, a in enumerate(observables):
+        padded[l, : len(a)] = a.effects
+    g = _selector_sum(_dilation_couplings(padded, d))
     # pointer outcome k reads slot k of every selector: P[e_k] (x) I
     marks = np.repeat(np.eye(d, dtype=bool), n, axis=1)
     meter = _basis_multimeter(dim_h, d * n, range(1, d + 1), marks, make_channel([g]))
-    probes = [np.kron(pointer_basis[0], selector[i]) for i in range(n)]
-    return meter, probes
+    # e_0 (x) e_i is basis vector i of C^d (x) C^n
+    return meter, list(np.eye(d * n, dtype=complex)[:n])
 
 
 def concatenate_with_measurement(

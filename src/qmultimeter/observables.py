@@ -135,11 +135,6 @@ def observable_distance(a: Observable, b: Observable) -> float:
     return max(frobenius_norm(a.effect(x) - b.effect(x)) for x in a.outcomes)
 
 
-def relabel(e: Observable, labels) -> Observable:
-    """Same effects under new outcome labels (order preserved)."""
-    return make_observable(e.dim, labels, e.effects)
-
-
 def sharpness_residual(e: Observable) -> float:
     """Largest projection defect ``||E(x)^2 - E(x)||_F`` over outcomes."""
     return max(frobenius_norm(eff @ eff - eff) for eff in e.effects)

@@ -50,15 +50,6 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius distance between two operators of matching shape."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
 def tensor(a: np.ndarray, b: np.ndarray, max_dim: int = DIMENSION_CAP) -> np.ndarray:
     """Kronecker product with the first factor acting on the system space.
 
@@ -271,21 +262,6 @@ def is_isometry(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         return False
     eye = np.eye(a.shape[1])
     return frobenius_norm(dagger(a) @ a - eye) <= tol * max(1.0, float(np.sqrt(a.shape[1])))
-
-
-def operator_predicates(a: np.ndarray, tol: float = DEFAULT_TOL) -> dict:
-    """Evaluate the standard operator predicates in one pass.
-
-    Non-square input yields ``False`` for every square-only predicate.
-    """
-    a = np.asarray(a, dtype=complex)
-    return {
-        "is_hermitian": is_hermitian(a, tol),
-        "is_positive": is_positive(a, tol),
-        "is_projection": is_projection(a, tol),
-        "is_unitary": is_unitary(a, tol),
-        "is_isometry": is_isometry(a, tol),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .multimeter import (
     INDUCTION_TOL,
     Multimeter,
     _basis_effects,
-    _transposition,
+    _dilation_couplings,
     induced_channel,
     induced_observable,
     make_model,
@@ -258,7 +258,8 @@ def check_convex_hull(
     pure programs the induced device must equal the mixture with weights
     ``|<phi_i, psi>|^2``; for random mixed programs, weights ``<phi_i| xi |phi_i>``.
     ``trials`` above :data:`MAX_TRIALS` raises ``ValidationError`` before
-    anything is drawn.
+    anything is drawn; with ``trials <= 0`` nothing is drawn, so nothing was
+    tested and the verdict is ``not_applicable``.
     """
     name = "convex_hull"
     _check_trials(trials)
@@ -285,6 +286,10 @@ def check_convex_hull(
     if base_residual > INDUCTION_TOL:
         return VerificationReport(
             name, "not_applicable", residuals, "probes do not program the declared devices"
+        )
+    if trials <= 0:
+        return VerificationReport(
+            name, "not_applicable", residuals, f"{trials} random programs: nothing was tested"
         )
     rng = np.random.default_rng(seed)
     worst_pure = 0.0
@@ -423,9 +428,7 @@ def _structured_couplings(
     u = haar_unitary(dim_h, rng, batch=(count,))
     select = (np.arange(dim_h)[:, None] % m == np.arange(m)).astype(float)
     effects = np.einsum("sac,cj,sbc->sjab", u, select, u.conj())
-    swaps = np.stack([_transposition(dim_k, j) for j in range(m)])
-    n = dim_h * dim_k
-    return np.einsum("sjab,jcd->sacbd", effects, swaps).reshape(count, n, n)
+    return _dilation_couplings(effects, dim_k)
 
 
 def _refine(g, phis, thresholds, dim_h, dim_k, rng):

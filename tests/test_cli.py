@@ -652,6 +652,22 @@ class TestAllConstructionsReachable:
         assert [r.verdict for r in reports[:5]] == ["pass"] * 5
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_convex_hull_without_trials_is_not_applicable(trials):
+    payload = {"seed": 1, "objects": {
+        "Id": {"kind": "channel", "builtin": "identity", "dim": 2},
+        "X": {"kind": "channel", "builtin": "unitary", "matrix": [[0, 1], [1, 0]]},
+        "B": {"kind": "multimeter", "construction": "push_button", "channels": ["Id", "X"]}},
+        "runs": [{"command": "verify", "check": "convex_hull", "multimeter": "B",
+                  "trials": trials,
+                  "programmed": [{"probe": {"of": "B", "index": 0}, "device": "Id"},
+                                 {"probe": {"of": "B", "index": 1}, "device": "X"}]}]}
+    (report,) = execute(payload)
+    assert report.verdict == "not_applicable"
+    assert "nothing was tested" in report.details
+    assert "max_pure_residual" not in report.residuals
+
+
 SHIPPED_VERDICTS = {
     "channel_bundle.json": ["pass"] * 5,
     "pauli_postprocessing.json": ["pass"] * 3 + ["not_applicable"] * 2 + ["pass"],

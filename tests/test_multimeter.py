@@ -20,6 +20,7 @@ from qmultimeter.channels import (
     unitary_channel,
 )
 from qmultimeter.multimeter import (
+    _basis_effects,
     _basis_multimeter,
     _basis_supports,
     builtin_multimeter,
@@ -339,13 +340,15 @@ class TestInducedObservable:
         # post-processing the statistics is the same measurement as
         # smearing the pointer observable up front
         meter, probes = builtin_multimeter("pauli")
-        kernel = make_kernel(rng.dirichlet(np.ones(3), size=4))
-        with_kernel = induced_observable(make_model(meter, probes[0], kernel=kernel))
-        smeared = make_multimeter(
-            2, 4, post_process(meter.pointer, kernel), meter.interaction
-        )
-        direct = induced_observable(make_model(smeared, probes[0]))
-        assert observable_distance(with_kernel, direct) <= 1e-12
+        # a square kernel is not symmetric, so it must be applied by columns
+        for cols in (4, 3):
+            kernel = make_kernel(rng.dirichlet(np.ones(cols), size=4))
+            with_kernel = induced_observable(make_model(meter, probes[0], kernel=kernel))
+            smeared = make_multimeter(
+                2, 4, post_process(meter.pointer, kernel), meter.interaction
+            )
+            direct = induced_observable(make_model(smeared, probes[0]))
+            assert observable_distance(with_kernel, direct) <= 1e-12
 
     def test_merge_kernels_recover_spin_observables(self, spin_trio):
         meter, probes = builtin_multimeter("pauli")
@@ -971,6 +974,12 @@ def forbidden_gather(*args, **kwargs):
     raise AssertionError("basis-projector gather used")
 
 
+def fractional_kernel(rows, rng):
+    """A kernel with weights strictly between 0 and 1 and a column count other than ``rows``."""
+    cols = 3 if rows == 2 else 2
+    return make_kernel(rng.dirichlet(np.ones(cols), size=rows))
+
+
 class TestBasisPointerInduction:
     @pytest.mark.parametrize(
         "construct",
@@ -1015,6 +1024,14 @@ class TestBasisPointerInduction:
             assert max(
                 frobenius_norm(a - b) for a, b in zip(gathered.effects, dense.effects)
             ) <= 1e-13
+        # a fractional, non-square kernel smears the gathered effects
+        kernel = fractional_kernel(len(meter.pointer), rng)
+        model = make_model(meter, probes[-1], kernel=kernel)
+        smeared = post_process(meter.pointer, kernel)
+        obs = induced_observable(model)
+        assert obs.outcomes == smeared.outcomes
+        for x, eff in zip(smeared.outcomes, textbook_effects(model, smeared)):
+            assert np.linalg.norm(obs.effect(x) - eff) <= 1e-13
 
     @pytest.mark.parametrize(
         "construct",
@@ -1053,9 +1070,16 @@ class TestBasisPointerInduction:
         with pytest.raises(ValidationError, match=r"do not partition range\(3\)"):
             _basis_multimeter(1, 3, (1, 2, 3), marks, make_channel([np.eye(3)]))
 
-    def test_unequal_supports_are_padded(self, rng):
+    def test_stored_marks_equal_written_marks(self, rng):
         meter, _ = split_pointer_part(rng)
-        assert meter.pointer_supports.tolist() == [[0, 3], [1, 2]]
+        assert meter.pointer_supports.tolist() == [[True, False, False], [False, True, True]]
+        marks = np.array([[0, 1, 0], [1, 0, 1]], dtype=bool)
+        written = _basis_multimeter(1, 3, (1, 2), marks, make_channel([np.eye(3)]))
+        assert np.array_equal(written.pointer_supports, marks)
+        assert not written.pointer_supports.flags.writeable
+        # the meter keeps its own copy of the marks
+        marks[0] = True
+        assert written.pointer_supports.tolist() == [[False, True, False], [True, False, True]]
 
     @pytest.mark.parametrize(
         "effects",
@@ -1072,23 +1096,35 @@ class TestBasisPointerInduction:
         meter = make_multimeter(2, 2, pointer, unitary_channel(haar_unitary(4, rng)))
         assert meter.normal and meter.pointer_supports is None
         monkeypatch.setattr(qmultimeter.multimeter, "_basis_effects", forbidden_gather)
-        model = make_model(meter, random_state_vector(2, rng))
+        probe = random_state_vector(2, rng)
+        model = make_model(meter, probe)
         obs = induced_observable(model)
         for x, eff in zip(pointer.outcomes, textbook_effects(model, pointer)):
             assert np.linalg.norm(obs.effect(x) - eff) <= 1e-13
+        # a kernel smears the densely induced effects
+        kernel = fractional_kernel(2, rng)
+        model = make_model(meter, probe, kernel=kernel)
+        smeared = post_process(pointer, kernel)
+        obs = induced_observable(model)
+        for x, eff in zip(smeared.outcomes, textbook_effects(model, smeared)):
+            assert np.linalg.norm(obs.effect(x) - eff) <= 1e-13
 
-    def test_kernel_model_takes_dense_path(self, monkeypatch):
-        # merging the pauli pointer's outcomes gives basis projectors again,
-        # but the smeared pointer is never scanned: the product decides
+    def test_kernel_model_gathers(self, monkeypatch):
+        # the kernel smears the gathered effects; the pointer is never smeared
         meter, probes = builtin_multimeter("pauli")
         assert meter.pointer_supports is not None
-        monkeypatch.setattr(qmultimeter.multimeter, "_basis_effects", forbidden_gather)
-        with pytest.raises(AssertionError, match="gather"):
-            induced_observable(make_model(meter, probes[0]))
         kernel = merge_kernels()[1]
         model = make_model(meter, probes[0], kernel=kernel)
         pointer = post_process(meter.pointer, kernel)
+        gathers = []
+
+        def recorded(m, weights):
+            gathers.append(weights)
+            return _basis_effects(m, weights)
+
+        monkeypatch.setattr(qmultimeter.multimeter, "_basis_effects", recorded)
         obs = induced_observable(model)
+        assert len(gathers) == 1 and gathers[0] is meter.pointer_supports
         for x, eff in zip(pointer.outcomes, textbook_effects(model, pointer)):
             assert np.linalg.norm(obs.effect(x) - eff) <= 1e-13
 
@@ -1128,21 +1164,38 @@ class TestBasisPointerInduction:
         else:
             assert np.array_equal(meter.pointer_supports, scan)
 
-    def test_large_bundle_forms_no_pointer_product(self, rng):
+    def test_large_bundle_forms_no_pointer_product(self, monkeypatch, rng):
         observables = [random_sharp_observable(4, 4, s) for s in (1, 2, 3)]
         meter, probes = push_button_multimeter(
             [minimal_dilation_multimeter(a) for a in observables]
         )
         assert meter.dim_k == 192
         mixed = sum(w * projector(p) for w, p in zip((0.5, 0.3, 0.2), probes))
-        models = [make_model(meter, probes[0]), make_model(meter, mixed)]
-        expected = [induced_observable(make_model(dense_twin(meter), m.probe)) for m in models]
+        kernel = fractional_kernel(len(meter.pointer), rng)
+        models = [
+            make_model(meter, probes[0]),
+            make_model(meter, mixed),
+            make_model(meter, probes[1], kernel=kernel),
+        ]
+        expected = [
+            induced_observable(make_model(dense_twin(meter), m.probe)).effects for m in models
+        ]
+        # the kernel model's expected effects, smeared term by term
+        expected[2] = [
+            sum(kernel.weights[x, y] * eff for x, eff in enumerate(expected[2]))
+            for y in range(kernel.cols)
+        ]
         guarded = tuple(e.view(NoProducts) for e in meter.pointer.effects)
         object.__setattr__(meter.pointer, "effects", guarded)
         with pytest.raises(AssertionError, match="dense product"):
             induced_observable(make_model(dense_twin(meter), probes[0]))
+
+        def forbidden_smearing(*args, **kwargs):
+            raise AssertionError("pointer smeared by a kernel")
+
+        for module in (qmultimeter.observables, qmultimeter.multimeter):
+            monkeypatch.setattr(module, "post_process", forbidden_smearing, raising=False)
         for model, dense in zip(models, expected):
             obs = induced_observable(model)
-            assert max(
-                frobenius_norm(a - b) for a, b in zip(obs.effects, dense.effects)
-            ) <= 1e-13
+            assert len(obs.effects) == len(dense)
+            assert max(frobenius_norm(a - b) for a, b in zip(obs.effects, dense)) <= 1e-13

@@ -15,7 +15,6 @@ from qmultimeter.observables import (
     product_residual,
     random_observable,
     random_sharp_observable,
-    relabel,
     sharpness_residual,
     spin_observable,
 )
@@ -173,7 +172,7 @@ class TestMix:
 
     def test_label_mismatch(self, spin_trio):
         s1 = spin_trio[0]
-        other = relabel(s1, ("a", "b"))
+        other = make_observable(2, ("a", "b"), s1.effects)
         with pytest.raises(ValidationError, match="labels"):
             mix(0.5, s1, other)
 
@@ -296,7 +295,7 @@ class TestObservableDistance:
 
     def test_label_set_mismatch(self, spin_trio):
         with pytest.raises(ValidationError):
-            observable_distance(spin_trio[0], relabel(spin_trio[0], ("a", "b")))
+            observable_distance(spin_trio[0], make_observable(2, ("a", "b"), spin_trio[0].effects))
 
     def test_dim_mismatch(self, spin_trio):
         qutrit = make_observable(3, (1, 2), [np.eye(3) / 2, np.eye(3) / 2])

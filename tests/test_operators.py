@@ -11,14 +11,12 @@ from qmultimeter.operators import (
     eigenvalue_below,
     embed_factors,
     embed_program_isometry,
-    frobenius_distance,
     haar_unitary,
     is_hermitian,
     is_isometry,
     is_positive,
     is_projection,
     is_unitary,
-    operator_predicates,
     partial_trace,
     projector,
     random_density_operator,
@@ -114,30 +112,30 @@ class TestEmbedProgramIsometry:
         assert np.allclose(w.conj().T @ tensor(b, np.eye(3)) @ w, b)
 
 
+PREDICATES = (is_hermitian, is_positive, is_projection, is_unitary, is_isometry)
+
+
 class TestPredicates:
     def test_identity_flags(self):
-        flags = operator_predicates(np.eye(3))
-        assert all(flags.values())
+        assert all(pred(np.eye(3)) for pred in PREDICATES)
 
     def test_sigma_x_flags(self):
-        flags = operator_predicates(PAULI[1])
-        assert flags["is_hermitian"] and flags["is_unitary"] and flags["is_isometry"]
-        assert not flags["is_positive"] and not flags["is_projection"]
+        sx = PAULI[1]
+        assert is_hermitian(sx) and is_unitary(sx) and is_isometry(sx)
+        assert not is_positive(sx) and not is_projection(sx)
 
     def test_positive_non_projection(self):
         # eigenvalues (1 +- 1/sqrt(3))/2 lie strictly inside (0, 1)
         a = (np.eye(2) + PAULI[3] / np.sqrt(3)) / 2
-        flags = operator_predicates(a)
-        assert flags["is_hermitian"] and flags["is_positive"]
-        assert not flags["is_projection"] and not flags["is_unitary"]
+        assert is_hermitian(a) and is_positive(a)
+        assert not is_projection(a) and not is_unitary(a)
 
     def test_non_square_input(self):
         rect = np.zeros((3, 2))
         rect[0, 0] = rect[1, 1] = 1.0
-        flags = operator_predicates(rect)
-        assert flags["is_isometry"]
+        assert is_isometry(rect)
         assert not any(
-            flags[k] for k in ("is_hermitian", "is_positive", "is_projection", "is_unitary")
+            pred(rect) for pred in (is_hermitian, is_positive, is_projection, is_unitary)
         )
 
     def test_agreement_with_eigendecomposition_oracle(self, rng):
@@ -233,27 +231,6 @@ class TestPositivityCertificate:
             if min(abs(left - bound), abs(right - bound)) <= 1e-14:
                 continue
             assert is_unitary(a, tol) == bool(left <= bound and right <= bound)
-
-
-class TestFrobeniusDistance:
-    def test_zero_on_equal(self, rng):
-        a = rng.normal(size=(3, 3))
-        assert frobenius_distance(a, a) == 0.0
-
-    def test_identity_to_zero(self):
-        for d in (2, 3, 5):
-            assert abs(frobenius_distance(np.eye(d), np.zeros((d, d))) - np.sqrt(d)) <= 1e-12
-
-    def test_sigma_x_to_sigma_y(self):
-        # ||sx - sy||_F^2 = tr(2 I) = 4, computed from the anticommutator expansion
-        assert abs(frobenius_distance(PAULI[1], PAULI[2]) - 2.0) <= 1e-12
-
-    def test_symmetry_and_shape_error(self, rng):
-        a = rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2))
-        assert frobenius_distance(a, b) == frobenius_distance(b, a)
-        with pytest.raises(DimensionError):
-            frobenius_distance(a, np.eye(3))
 
 
 class TestRandomGenerators:

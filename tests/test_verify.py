@@ -176,6 +176,15 @@ class TestConvexHull:
         assert rep.residuals["max_pure_residual"] <= 1e-10
         assert rep.residuals["max_mixed_residual"] <= 1e-10
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_tests_nothing(self, trials):
+        devices = [identity_channel(2), unitary_channel(PAULI[1])]
+        meter, probes = push_button_multimeter(devices)
+        rep = check_convex_hull(meter, list(zip(probes, devices)), trials=trials, seed=3)
+        assert rep.verdict == "not_applicable"
+        assert "nothing was tested" in rep.details
+        assert set(rep.residuals) == {"basis_residual"}
+
     def test_spin_pair_observables(self, spin_trio):
         s1, _, s3 = spin_trio
         meter, probes = builtin_multimeter("spin_pair", observables=(s1, s3))
