@@ -316,26 +316,30 @@ def induced_channel(model: MeasurementModel) -> Channel:
 # constructions
 
 
-def _transposition(dim: int, j: int) -> np.ndarray:
-    """Permutation matrix swapping basis vectors 0 and j."""
-    perm = np.eye(dim, dtype=complex)
-    if j:
-        perm[[0, j]] = perm[[j, 0]]
-    return perm
-
-
 def _dilation_couplings(effects: np.ndarray, dim_k: int) -> np.ndarray:
     """Couplings ``sum_j A_j (x) T_j`` on ``H (x) C^dim_k`` of stacks ``effects[..., j, :, :]``.
 
-    ``T_j`` swaps pointer slots 0 and j, so probe ``e_0`` induces ``A``
-    with the computational-basis pointer.  The sum runs over the given
-    effects only, at most ``dim_k`` of them, and the transpositions hold
-    ``len(A) * dim_k**2`` entries.
+    ``T_j`` swaps pointer slots 0 and j (``T_0 = I``), so probe ``e_0``
+    induces ``A`` with the computational-basis pointer.  The sum runs over
+    the given effects only, at most ``dim_k`` of them.  It is written block
+    by block over the pointer: ``A_0`` at ``(0, 0)``, ``A_j`` at ``(0, j)``
+    and ``(j, 0)``, and at ``(c, c)`` the sum of ``A_j`` over ``j != c``,
+    added in the order of ``j``.  Nothing larger than the couplings is
+    allocated; callers check ``dim H * dim_k`` against ``DIMENSION_CAP``.
     """
-    swaps = np.stack([_transposition(dim_k, j) for j in range(effects.shape[-3])])
-    n = effects.shape[-1] * dim_k
-    coupling = np.einsum("...jab,jcd->...acbd", effects, swaps)
-    return coupling.reshape(*effects.shape[:-3], n, n)
+    *batch, m, dim_h, _ = effects.shape
+    n = dim_h * dim_k
+    g = np.zeros((*batch, dim_h, dim_k, dim_h, dim_k), dtype=complex)
+    sums = np.zeros((*batch, dim_k, dim_h, dim_h), dtype=complex)
+    for j in range(m):
+        a = effects[..., j, :, :]
+        g[..., :, 0, :, j] = a
+        g[..., :, j, :, 0] = a
+        sums[..., :j, :, :] += a[..., None, :, :]
+        sums[..., j + 1 :, :, :] += a[..., None, :, :]
+    for c in range(1, dim_k):
+        g[..., :, c, :, c] = sums[..., c, :, :]
+    return g.reshape(*batch, n, n)
 
 
 def minimal_dilation_multimeter(
@@ -346,11 +350,15 @@ def minimal_dilation_multimeter(
     The coupling ``G = sum_j A(j) (x) T_j`` pairs each effect with the
     transposition ``T_j`` swapping pointer slots 0 and j; programming with
     the first basis vector then reproduces ``a`` exactly.  N is the
-    smallest apparatus dimension any model measuring ``a`` can have.
+    smallest apparatus dimension any model measuring ``a`` can have.  A
+    coupling beyond ``DIMENSION_CAP`` or a pointer of more than
+    ``DIMENSION_CAP**2`` entries (``N**3``) raises ``DimensionError``
+    before either is allocated.
     """
     if not is_sharp(a, tol):
         raise ValidationError("minimal dilation needs a sharp observable")
     n = len(a)
+    _check_bundle(a.dim * n, n, n)
     g = _dilation_couplings(np.stack(a.effects), n)
     meter = _basis_multimeter(a.dim, n, a.outcomes, np.eye(n, dtype=bool), make_channel([g]))
     probe = np.eye(n, dtype=complex)[0]
@@ -396,8 +404,10 @@ def _stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod.reshape(len(a) * len(b), a.shape[1] * b.shape[1], a.shape[2] * b.shape[2])
 
 
-def _check_pointer_size(n_effects: int, dim_k: int) -> None:
-    """Refuse a pointer of more than ``DIMENSION_CAP**2`` entries before it is allocated."""
+def _check_bundle(dim: int, n_effects: int, dim_k: int) -> None:
+    """Refuse a coupling above ``DIMENSION_CAP`` or more pointer entries than its square."""
+    if dim > DIMENSION_CAP:
+        raise DimensionError(f"bundle dimension {dim} exceeds dimension cap {DIMENSION_CAP}")
     if n_effects * dim_k**2 > DIMENSION_CAP**2:
         raise DimensionError(
             f"bundle pointer of {n_effects} effects on dimension {dim_k} exceeds "
@@ -440,11 +450,7 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
                 raise DimensionError("channel dimensions differ")
             if not is_unitary_channel(c):
                 raise ValidationError("push-button channel mode needs unitary channels")
-        if dim * n > DIMENSION_CAP:
-            raise DimensionError(
-                f"bundle dimension {dim * n} exceeds dimension cap {DIMENSION_CAP}"
-            )
-        _check_pointer_size(n, n)
+        _check_bundle(dim * n, n, n)
         coupling = _selector_coupling(
             [c.kraus[0] for c in devices], [c.tp_residual for c in devices], [1] * n
         )
@@ -474,11 +480,7 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
         raise DimensionError("system dimensions differ")
     dims = [dim_h] + [m.dim_k for m in meters] + [n]
     dim_k = math.prod(dims[1:])
-    if dim_h * dim_k > DIMENSION_CAP:
-        raise DimensionError(
-            f"bundle dimension {dim_h * dim_k} exceeds dimension cap {DIMENSION_CAP}"
-        )
-    _check_pointer_size(math.prod(len(m.pointer) for m in meters), dim_k)
+    _check_bundle(dim_h * dim_k, math.prod(len(m.pointer) for m in meters), dim_k)
     coupling = _selector_coupling(
         [embed_factors(m.coupling, dims[:-1], [0, 1 + i]) for i, m in enumerate(meters)],
         [m.interaction.tp_residual for m in meters],
@@ -514,7 +516,8 @@ def shared_pointer_multimeter(
 
     Observables with fewer outcomes are padded with zero effects.  The
     probe ``e_0 (x) e_i`` selects observable i; pointer outcomes are
-    labelled by position ``1..max N_i``.
+    labelled by position ``1..max N_i``.  The caps of
+    :func:`minimal_dilation_multimeter` hold here too.
     """
     observables = list(observables)
     if not observables:
@@ -527,6 +530,7 @@ def shared_pointer_multimeter(
             raise ValidationError("shared-pointer construction needs sharp observables")
     n = len(observables)
     d = max(len(a) for a in observables)
+    _check_bundle(dim_h * d * n, d, d * n)
     padded = np.zeros((n, d, dim_h, dim_h), dtype=complex)
     for l, a in enumerate(observables):
         padded[l, : len(a)] = a.effects

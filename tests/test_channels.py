@@ -96,7 +96,9 @@ class TestUnitaryChannel:
     def test_inverse_composition(self, rng):
         u = haar_unitary(3, rng)
         # u first, then its inverse: the Kraus products of the concatenation
-        back_and_forth = make_channel([u.conj().T @ u])
+        back_and_forth = make_channel(
+            [s @ f for s in unitary_channel(u.conj().T).kraus for f in unitary_channel(u).kraus]
+        )
         for _ in range(5):
             rho = random_density_operator(3, rng)
             assert np.linalg.norm(apply(back_and_forth, rho) - rho) <= 1e-12

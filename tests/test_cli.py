@@ -434,6 +434,42 @@ class TestMainExitCodes:
         assert "validation error: objects.B: bundle pointer" in capsys.readouterr().err
         assert peak < 2**20
 
+    @pytest.mark.parametrize(
+        "construction, message",
+        [
+            # dim H * dim K = 4 * 2000
+            ({"construction": "minimal_dilation", "observable": "A"},
+             "bundle dimension 8000 exceeds"),
+            # dim H * dim K = 2 * 2 * 1025
+            ({"construction": "shared_pointer", "observables": ["S1"] * 1025},
+             "bundle dimension 4100 exceeds"),
+        ],
+        ids=["minimal-dilation", "shared-pointer"],
+    )
+    def test_construction_capped_before_it_allocates(self, tmp_path, capsys, construction,
+                                                     message):
+        zero = [[0] * 4] * 4
+        effects = {str(k): zero for k in range(2, 2000)}
+        effects.update({"0": np.diag([1, 0, 0, 0]).tolist(), "1": np.diag([0, 1, 1, 1]).tolist()})
+        payload = {"objects": {
+            **spin_objects(),
+            "A": {"kind": "observable", "dim": 4, "outcomes": list(range(2000)),
+                  "effects": effects},
+            "M": {"kind": "multimeter", **construction}},
+            "runs": []}
+        path = write_scenario(tmp_path, payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match=f"^objects.M: {message}"):
+                execute(payload)
+            status = main([path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == EXIT_DIMENSION
+        assert f"validation error: objects.M: {message}" in capsys.readouterr().err
+        assert peak < 2**22
+
     def test_tensor_probe_matches_kronecker_product(self, rng):
         vectors = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in (2, 3, 2)]
         densities = [np.outer(v, v.conj()) for v in vectors]

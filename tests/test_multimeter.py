@@ -23,6 +23,7 @@ from qmultimeter.multimeter import (
     _basis_effects,
     _basis_multimeter,
     _basis_supports,
+    _dilation_couplings,
     builtin_multimeter,
     concatenate_with_measurement,
     dimension_bounds,
@@ -57,6 +58,23 @@ from qmultimeter.operators import (
     tensor,
     tensor_many,
 )
+
+
+def padded_sharp(dim, outcomes):
+    """Sharp observable with two basis-projector effects and ``outcomes - 2`` zero ones."""
+    first = np.diag(np.eye(dim)[0])
+    effects = [first, np.eye(dim) - first] + [np.zeros((dim, dim))] * (outcomes - 2)
+    return make_observable(dim, range(outcomes), effects)
+
+
+def traced_peak(call):
+    """Peak ``tracemalloc`` bytes of ``call()`` and its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def computational_pointer(dim):
@@ -442,6 +460,46 @@ class TestMinimalDilation:
         with pytest.raises(ValidationError, match="sharp"):
             minimal_dilation_multimeter(fuzzy)
 
+    def test_coupling_is_kronecker_sum(self):
+        # more outcomes than dimensions, so some effects are zero
+        a = make_observable(
+            3, range(5), list(random_sharp_observable(3, 3, 2).effects) + [np.zeros((3, 3))] * 2
+        )
+        expected = 0
+        for j, effect in enumerate(a.effects):
+            swap = np.eye(5)
+            swap[[0, j]] = swap[[j, 0]]
+            expected = expected + np.kron(effect, swap)
+        assert np.array_equal(minimal_dilation_multimeter(a)[0].coupling, expected)
+
+    def test_coupling_holds_no_transposition_stack(self):
+        # 300 transpositions of dimension 300 would hold 432 MB
+        effects = np.stack(padded_sharp(2, 300).effects)
+        peak, g = traced_peak(lambda: _dilation_couplings(effects, 300))
+        assert g.shape == (600, 600)
+        assert peak < 2 * g.nbytes
+
+    @pytest.mark.parametrize(
+        "dim, outcomes, message",
+        [
+            # dim H * dim K = 8000; the pointer would hold 2000**3 entries (128 GB)
+            (4, 2000, "bundle dimension 8000 exceeds dimension cap 4096"),
+            # dim H * dim K = 4096 is within the cap, a pointer of 2048**3 entries is not
+            (2, 2048, "bundle pointer of 2048 effects on dimension 2048 exceeds"),
+            # 241**3 pointer entries are within the cap, dim H * dim K = 4097 is not
+            (17, 241, "bundle dimension 4097 exceeds dimension cap 4096"),
+        ],
+    )
+    def test_capped_before_it_allocates(self, dim, outcomes, message):
+        a = padded_sharp(dim, outcomes)
+
+        def build():
+            with pytest.raises(DimensionError, match=message):
+                minimal_dilation_multimeter(a)
+
+        # an over-cap coupling alone holds at least 4097**2 complex entries (256 MiB)
+        assert traced_peak(build)[0] < 2**23
+
 
 class TestPushButton:
     def test_channel_mode_recovers_each(self, rng):
@@ -739,6 +797,25 @@ class TestSharedPointer:
         fuzzy = make_observable(2, (1, 2), [np.eye(2) / 2, np.eye(2) / 2])
         with pytest.raises(ValidationError, match="sharp"):
             shared_pointer_multimeter([spin_trio[0], fuzzy])
+
+    @pytest.mark.parametrize(
+        "observables, message",
+        [
+            # dim H * dim K = 2 * 2 * 1025
+            (lambda: [spin_observable((1, 0, 0))] * 1025, "bundle dimension 4100 exceeds"),
+            # dim H * dim K = 4096, but the pointer would hold 2 * 4096**2 entries
+            (lambda: [padded_sharp(1, 2)] * 2048, "bundle pointer of 2 effects on dimension 4096"),
+        ],
+        ids=["spin-references", "one-dimensional"],
+    )
+    def test_capped_before_it_allocates(self, observables, message):
+        observables = observables()
+
+        def build():
+            with pytest.raises(DimensionError, match=message):
+                shared_pointer_multimeter(observables)
+
+        assert traced_peak(build)[0] < 2**20
 
 
 class TestConcatenation:
