@@ -48,47 +48,61 @@ class Channel:
 def make_channel(kraus, tol: float = DEFAULT_TOL) -> Channel:
     """Validate trace preservation ``sum_i K_i* K_i = I`` and build a channel.
 
-    The residual is checked against ``tol * max(1, sqrt(dim))`` and kept
-    as ``tp_residual``; see :func:`is_unitary_channel`.
+    The Kraus operators are copied once into one read-only ``(n, dim, dim)``
+    stack, which the channel keeps as their views.  The residual is one
+    Gram product of the operators stacked as rows (see
+    :func:`_dense_residual`); it is checked against
+    ``tol * max(1, sqrt(dim))`` and kept as ``tp_residual``; see
+    :func:`is_unitary_channel`.
     """
-    mats = [np.array(k, dtype=complex) for k in kraus]
-    if not mats:
+    mats = kraus if isinstance(kraus, np.ndarray) else list(kraus)
+    if not len(mats):
         raise ValidationError("channel needs at least one Kraus operator")
-    dim = mats[0].shape[0]
-    for k in mats:
-        if k.shape != (dim, dim):
-            raise DimensionError(f"Kraus operator shape {k.shape}, expected {(dim, dim)}")
-    return _checked_channel(mats, tol)
+    dim = np.shape(mats[0])[0]
+    try:
+        stack = np.array(mats, dtype=complex)
+    except (TypeError, ValueError):  # operators of different shapes do not stack
+        stack = None
+    if stack is None or stack.shape != (len(mats), dim, dim):
+        for k in mats:
+            shape = np.array(k, dtype=complex).shape
+            if shape != (dim, dim):
+                raise DimensionError(f"Kraus operator shape {shape}, expected {(dim, dim)}")
+    return _checked_channel(stack, tol)
 
 
-def _checked_channel(mats, tol: float, certified: float | None = None) -> Channel:
-    """Decide trace preservation of square Kraus operators and freeze them.
+def _checked_channel(stack: np.ndarray, tol: float, certified: float | None = None) -> Channel:
+    """Decide trace preservation of an ``(n, dim, dim)`` Kraus stack and freeze it.
 
-    The operators are taken over, not copied.  ``certified`` is a bound on
+    The stack is taken over, not copied.  ``certified`` is a bound on
     the residual derived from validated parts; when it decides the check
     (:func:`_residual_certifies`) it is stored, otherwise the residual is
     computed densely and decides.
     """
-    dim = mats[0].shape[0]
+    dim = stack.shape[-1]
     threshold = tol * max(1.0, float(np.sqrt(dim)))
     is_certified = certified is not None and _residual_certifies(certified, threshold, dim)
-    residual = certified if is_certified else _dense_residual(mats)
-    # A NaN or infinite entry of some K_i makes the diagonal of K_i* K_i, and
-    # so the residual, non-finite; no separate pass over the entries is needed.
+    residual = certified if is_certified else _dense_residual(stack)
+    # A NaN or infinite entry of some K_i makes the diagonal of sum_i K_i* K_i,
+    # and so the residual, non-finite; no separate pass over the entries is needed.
     if not np.isfinite(residual):
         raise ValidationError(f"Kraus operators have non-finite entries (residual {residual})")
     if residual > threshold:
         raise ValidationError(f"Kraus operators are not trace-preserving (residual {residual:.3e})")
-    for k in mats:
-        k.setflags(write=False)
-    channel = Channel(dim=dim, kraus=tuple(mats), tp_residual=residual)
+    stack.setflags(write=False)
+    channel = Channel(dim=dim, kraus=tuple(stack), tp_residual=residual)
     object.__setattr__(channel, "tp_certified", is_certified)
     return channel
 
 
-def _dense_residual(mats) -> float:
-    """``||sum_i K_i* K_i - I||_F`` of square Kraus operators."""
-    return frobenius_norm(sum(dagger(k) @ k for k in mats) - np.eye(mats[0].shape[0]))
+def _dense_residual(stack: np.ndarray) -> float:
+    """``||sum_i K_i* K_i - I||_F`` of an ``(n, dim, dim)`` Kraus stack.
+
+    ``sum_i K_i* K_i`` is ``W* W`` for the operators stacked as rows,
+    ``W = [K_1; ...; K_n]``: one product instead of one per operator.
+    """
+    rows = stack.reshape(-1, stack.shape[-1])
+    return frobenius_norm(dagger(rows) @ rows - np.eye(stack.shape[-1]))
 
 
 def _residual_certifies(bound: float, threshold: float, dim: int) -> bool:
@@ -114,7 +128,7 @@ def is_unitary_channel(c: Channel, tol: float = DEFAULT_TOL) -> bool:
         return False
     threshold = tol * max(1.0, float(np.sqrt(c.dim)))
     if c.tp_certified and not _residual_certifies(c.tp_residual, threshold, c.dim):
-        return _dense_residual(c.kraus) <= threshold
+        return _dense_residual(c.kraus[0][None]) <= threshold
     return c.tp_residual <= threshold
 
 

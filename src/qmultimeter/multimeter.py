@@ -108,7 +108,7 @@ def make_multimeter(
     basis projectors (see :func:`_basis_supports`).
     """
     return _checked_multimeter(
-        dim_h, dim_k, pointer, interaction, tol, _basis_supports(pointer.effects)
+        dim_h, dim_k, pointer, interaction, tol, _basis_supports(pointer._stack)
     )
 
 
@@ -151,7 +151,7 @@ def _basis_multimeter(dim_h, dim_k, labels, marks, interaction) -> Multimeter:
     effects[:, diag, diag] = marks
     effects.setflags(write=False)
     marks.setflags(write=False)
-    pointer = Observable(dim=dim_k, outcomes=labels, effects=tuple(effects))
+    pointer = Observable(dim=dim_k, outcomes=labels, effects=effects)
     return _checked_multimeter(dim_h, dim_k, pointer, interaction, DEFAULT_TOL, marks)
 
 
@@ -297,7 +297,7 @@ def induced_observable(model: MeasurementModel) -> Observable:
     if model.kernel is not None:
         effects = np.tensordot(model.kernel.weights, effects, axes=(0, 0))
         outcomes = range(1, model.kernel.cols + 1)
-    return make_observable(dim_h, outcomes, list(effects), tol=INDUCTION_TOL)
+    return make_observable(dim_h, outcomes, effects, tol=INDUCTION_TOL)
 
 
 def induced_channel(model: MeasurementModel) -> Channel:
@@ -359,7 +359,7 @@ def minimal_dilation_multimeter(
         raise ValidationError("minimal dilation needs a sharp observable")
     n = len(a)
     _check_bundle(a.dim * n, n, n)
-    g = _dilation_couplings(np.stack(a.effects), n)
+    g = _dilation_couplings(a._stack, n)
     meter = _basis_multimeter(a.dim, n, a.outcomes, np.eye(n, dtype=bool), make_channel([g]))
     probe = np.eye(n, dtype=complex)[0]
     return meter, probe
@@ -392,7 +392,7 @@ def _selector_coupling(blocks, residuals, multiplicities) -> Channel:
     residual only when the bound misses the margin.
     """
     residual = float(np.sqrt(sum(m * r * r for m, r in zip(multiplicities, residuals))))
-    return _checked_channel([_selector_sum(blocks)], DEFAULT_TOL, residual)
+    return _checked_channel(_selector_sum(blocks)[None], DEFAULT_TOL, residual)
 
 
 def _stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -498,9 +498,9 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
         meter = _basis_multimeter(dim_h, dim_k, pointer_labels, joint[:, 0, :], coupling)
     else:
         pointer_effects = functools.reduce(
-            _stacked_kron, [np.stack(m.pointer.effects) for m in meters] + [selector[None]]
+            _stacked_kron, [m.pointer._stack for m in meters] + [selector[None]]
         )
-        pointer = make_observable(dim_k, pointer_labels, list(pointer_effects))
+        pointer = make_observable(dim_k, pointer_labels, pointer_effects)
         meter = _checked_multimeter(dim_h, dim_k, pointer, coupling, DEFAULT_TOL, None)
     big_probes = [
         tensor_many([p.reshape(-1, 1) for p in probes] + [selector[i].reshape(-1, 1)]).reshape(-1)

@@ -7,7 +7,9 @@ effects; extremality is decided by an explicit perturbation rank test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,6 +17,8 @@ from .exceptions import DimensionError, ValidationError
 from .operators import (
     DEFAULT_TOL,
     PAULI,
+    _frobenius_norms,
+    _hermitian_defect,
     dagger,
     eigenvalue_below,
     frobenius_norm,
@@ -29,22 +33,44 @@ SUPPORT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Observable:
-    """Finite-outcome POVM: ordered labels and one read-only effect per label."""
+    """Finite-outcome POVM: ordered labels and one read-only effect per label.
+
+    ``effects`` is given as one ``(n, dim, dim)`` stack, which is frozen
+    and kept whole for the stacked checks below; the field then holds its
+    read-only views, one per label.
+    """
 
     dim: int
     outcomes: tuple
     effects: tuple
+    _stack: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        stack = np.asarray(self.effects)
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "effects", tuple(stack))
 
     def __len__(self) -> int:
         return len(self.outcomes)
 
+    @functools.cached_property
+    def _positions(self) -> dict:
+        return {label: i for i, label in enumerate(self.outcomes)}
+
     def effect(self, label) -> np.ndarray:
         """Effect attached to an outcome label."""
         try:
-            idx = self.outcomes.index(label)
-        except ValueError:
+            idx = self._positions[label]
+        except KeyError:
             raise KeyError(f"no outcome {label!r}") from None
         return self.effects[idx]
+
+    def _stack_in_order(self, outcomes) -> np.ndarray:
+        """The effects stacked in the order of ``outcomes``, a permutation of the labels."""
+        if outcomes == self.outcomes:
+            return self._stack
+        return self._stack[[self._positions[x] for x in outcomes]]
 
 
 @dataclass(frozen=True)
@@ -59,13 +85,20 @@ class StochasticKernel:
 def make_observable(dim: int, labels, effects, tol: float = DEFAULT_TOL) -> Observable:
     """Validate and build an observable.
 
-    Each effect ``E`` must be finite, Hermitian and have no eigenvalue
-    below ``-b`` with ``b = tol * max(1, ||E||_F)``.  Positivity is
-    certified by a Cholesky factorisation of ``(E + E*)/2 + b I``; only
-    when that fails is the spectrum computed, which decides exactly and
-    names the offending eigenvalue (see
-    :func:`~qmultimeter.operators.eigenvalue_below`).  The effects are
-    stored as read-only copies.
+    Each effect ``E`` must be a finite, Hermitian ``dim x dim`` matrix with
+    no eigenvalue below ``-b``, ``b = tol * max(1, ||E||_F)``.  The effects
+    are copied once into one ``(n, dim, dim)`` stack and every check runs
+    on the whole stack: the norms and Hermitian defects as stacked
+    products, positivity by one stacked Cholesky factorisation of the
+    ``(E + E*)/2 + b I`` (see
+    :func:`~qmultimeter.operators.eigenvalue_below`).  Besides the stack,
+    the checks hold at most two arrays of its size.  Each decision, and the
+    error raised, is the one of a check per effect in label order: the
+    error names the first effect that fails, at the first of the stages
+    shape, finiteness, Hermiticity and positivity that it fails.  Only then
+    is the sum of the effects compared with the identity, within
+    ``tol * max(1, sqrt(dim))``.  The effects are stored as read-only
+    views of the stack.
 
     Raises
     ------
@@ -81,32 +114,67 @@ def make_observable(dim: int, labels, effects, tol: float = DEFAULT_TOL) -> Obse
         raise ValidationError("observable needs at least one outcome")
     if len(set(labels)) != len(labels):
         raise ValidationError(f"outcome labels are not unique: {labels}")
-    effects = list(effects)
+    if not isinstance(effects, np.ndarray):
+        effects = list(effects)
     if len(effects) != len(labels):
         raise ValidationError(f"{len(labels)} labels but {len(effects)} effects")
-    mats = []
-    for label, e in zip(labels, effects):
-        e = np.array(e, dtype=complex)
-        if e.shape != (dim, dim):
-            raise DimensionError(f"effect {label!r} has shape {e.shape}, expected {(dim, dim)}")
-        norm = frobenius_norm(e)
-        # a NaN or infinite entry makes the norm non-finite; Cholesky needs finite input
-        if not np.isfinite(norm):
-            raise ValidationError(f"effect {label!r} has non-finite entries")
-        bound = tol * max(1.0, norm)
-        adj = dagger(e)
-        if frobenius_norm(e - adj) > bound:
-            raise ValidationError(f"effect {label!r} is not Hermitian")
-        low = eigenvalue_below((e + adj) / 2, bound)
-        if low is not None:
-            raise ValidationError(f"effect {label!r} has negative eigenvalue {low}")
-        e.setflags(write=False)
-        mats.append(e)
-    total = sum(mats)
-    residual = frobenius_norm(total - np.eye(dim))
+    stack = _effect_stack(dim, effects)
+    _check_effects(stack, labels, tol)
+    if len(stack) < len(labels):
+        # every effect before the misfit passed; it fails as it would alone
+        shape = np.array(effects[len(stack)], dtype=complex).shape
+        raise DimensionError(
+            f"effect {labels[len(stack)]!r} has shape {shape}, expected {(dim, dim)}"
+        )
+    # a running sum in label order, bit for bit the sum of the effects one by one
+    residual = frobenius_norm(np.cumsum(stack, axis=0)[-1] - np.eye(dim))
     if residual > tol * max(1.0, float(np.sqrt(dim))):
         raise ValidationError(f"effects do not sum to the identity (residual {residual:.3e})")
-    return Observable(dim=dim, outcomes=labels, effects=tuple(mats))
+    # a caller's complex stack was validated in place; it is copied only now
+    return Observable(dim=dim, outcomes=labels, effects=stack.copy() if stack is effects else stack)
+
+
+def _effect_stack(dim: int, effects) -> np.ndarray:
+    """The effects as one complex stack, up to the first that is no ``dim x dim`` matrix.
+
+    A complex array of the right shape is returned as it is; anything else is copied.
+    """
+    try:
+        stack = np.asarray(effects, dtype=complex)
+        if stack.shape == (len(effects), dim, dim):
+            return stack
+    except ValueError:  # effects of different shapes do not stack
+        pass
+    head = list(itertools.takewhile(lambda e: np.shape(e) == (dim, dim), effects))
+    return np.array(head, dtype=complex).reshape(len(head), dim, dim)
+
+
+def _leading(passed: np.ndarray) -> int:
+    """Number of leading True entries: the index of the first False, or the length."""
+    failed = np.flatnonzero(~passed)
+    return int(failed[0]) if len(failed) else len(passed)
+
+
+def _check_effects(stack: np.ndarray, labels, tol: float) -> None:
+    """Raise for the first effect of the stack that is not finite, Hermitian and positive.
+
+    Each stage runs only on the effects before the first one that failed
+    an earlier stage, so the error is the one a check per effect in label
+    order raises first, and no arithmetic meets a non-finite entry.
+    """
+    norms = _frobenius_norms(stack)
+    # a NaN or infinite entry makes the norm non-finite; Cholesky needs finite input
+    finite = _leading(np.isfinite(norms))
+    bounds = tol * np.maximum(1.0, norms[:finite])
+    head = stack[:finite]
+    hermitian = _leading(_frobenius_norms(_hermitian_defect(head)) <= bounds)
+    low = eigenvalue_below(head[:hermitian], bounds[:hermitian])
+    if low is not None:
+        raise ValidationError(f"effect {labels[low[0]]!r} has negative eigenvalue {low[1]}")
+    if hermitian < finite:
+        raise ValidationError(f"effect {labels[hermitian]!r} is not Hermitian")
+    if finite < len(stack):
+        raise ValidationError(f"effect {labels[finite]!r} has non-finite entries")
 
 
 def make_kernel(weights, tol: float = DEFAULT_TOL) -> StochasticKernel:
@@ -132,20 +200,21 @@ def observable_distance(a: Observable, b: Observable) -> float:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if set(a.outcomes) != set(b.outcomes):
         raise ValidationError(f"outcome labels differ: {a.outcomes} vs {b.outcomes}")
-    return max(frobenius_norm(a.effect(x) - b.effect(x)) for x in a.outcomes)
+    diffs = a._stack - b._stack_in_order(a.outcomes)
+    return float(_frobenius_norms(diffs).max())
 
 
 def sharpness_residual(e: Observable) -> float:
     """Largest projection defect ``||E(x)^2 - E(x)||_F`` over outcomes."""
-    return max(frobenius_norm(eff @ eff - eff) for eff in e.effects)
+    return float(_frobenius_norms(e._stack @ e._stack - e._stack).max())
 
 
 def is_sharp(e: Observable, tol: float = DEFAULT_TOL) -> bool:
     """True when every effect is a projection (see :func:`~qmultimeter.operators.is_projection`).
 
-    Every effect is checked densely: one product and one norm each.
+    Every effect is checked densely, the whole stack at once.
     """
-    return all(is_projection(eff, tol) for eff in e.effects)
+    return is_projection(e._stack, tol)
 
 
 def product_residual(e: Observable) -> float:
@@ -216,8 +285,7 @@ def mix(lam: float, e: Observable, f: Observable) -> Observable:
         raise DimensionError(f"dimension mismatch: {e.dim} vs {f.dim}")
     if e.outcomes != f.outcomes:
         raise ValidationError(f"outcome labels differ: {e.outcomes} vs {f.outcomes}")
-    effects = [lam * a + (1 - lam) * b for a, b in zip(e.effects, f.effects)]
-    return make_observable(e.dim, e.outcomes, effects)
+    return make_observable(e.dim, e.outcomes, lam * e._stack + (1 - lam) * f._stack)
 
 
 def post_process(e: Observable, k: StochasticKernel, labels=None) -> Observable:
@@ -229,11 +297,7 @@ def post_process(e: Observable, k: StochasticKernel, labels=None) -> Observable:
         raise DimensionError(f"kernel has {k.rows} rows but observable has {len(e)} outcomes")
     if labels is None:
         labels = tuple(range(1, k.cols + 1))
-    effects = [
-        sum(k.weights[x, y] * e.effects[x] for x in range(k.rows))
-        for y in range(k.cols)
-    ]
-    return make_observable(e.dim, labels, effects)
+    return make_observable(e.dim, labels, np.tensordot(k.weights, e._stack, axes=(0, 0)))
 
 
 def spin_observable(axis) -> Observable:

@@ -50,6 +50,23 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
+def _frobenius_norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a complex matrix or of the matrices of a C-ordered ``(..., m, n)`` stack.
+
+    Each equals :func:`frobenius_norm` of its matrix bit for bit: like
+    ``np.linalg.norm``, it adds the dot products of the real parts and of
+    the imaginary parts with themselves, each one BLAS dot, and only the
+    loop over the stack moves from Python into ``matmul``.  A single
+    matrix takes ``np.linalg.norm`` itself, which costs fewer calls.
+    """
+    if a.ndim == 2:
+        return np.linalg.norm(a)
+    *lead, rows, cols = a.shape
+    flat = a.reshape(*lead, 1, rows * cols)
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+
+
 def tensor(a: np.ndarray, b: np.ndarray, max_dim: int = DIMENSION_CAP) -> np.ndarray:
     """Kronecker product with the first factor acting on the system space.
 
@@ -170,15 +187,32 @@ def projector(phi: np.ndarray) -> np.ndarray:
 # predicates
 
 
-def _rel_tol(a: np.ndarray, tol: float) -> float:
-    return tol * max(1.0, frobenius_norm(a))
+def _rel_tol(a: np.ndarray, tol: float) -> np.ndarray:
+    """``tol * max(1, ||A||_F)`` for each matrix ``A`` of ``a``."""
+    return tol * np.maximum(1.0, _frobenius_norms(a))
+
+
+def _hermitian_defect(a: np.ndarray) -> np.ndarray:
+    """``A - A*`` of a matrix or of each matrix of a stack, in one new C-ordered array."""
+    defect = np.conjugate(a.swapaxes(-1, -2), order="C")
+    np.subtract(a, defect, out=defect)
+    return defect
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """``(A + A*)/2`` of each matrix of a stack, in one new C-ordered array."""
+    h = np.conjugate(a.swapaxes(-1, -2), order="C")
+    h += a
+    h /= 2
+    return h
 
 
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """``||A - A*||_F <= tol * max(1, ||A||_F)`` for a matrix, or for every matrix of a stack."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         return False
-    return frobenius_norm(a - dagger(a)) <= _rel_tol(a, tol)
+    return bool((_frobenius_norms(_hermitian_defect(a)) <= _rel_tol(a, tol)).all())
 
 
 #: A bound computed from validated parts decides a check only when it is at
@@ -212,38 +246,62 @@ def certifies(bound: float, threshold: float, dim: int, scale: float) -> bool:
     )
 
 
-def eigenvalue_below(h: np.ndarray, bound: float) -> float | None:
-    """Lowest eigenvalue of the Hermitian ``h`` if it lies below ``-bound``, else None.
+def eigenvalue_below(a: np.ndarray, bounds) -> tuple[int, float] | None:
+    """First matrix of a stack whose Hermitian part has an eigenvalue below its ``-bound``.
 
-    A Cholesky factorisation of ``h + bound * I`` certifies
-    ``lambda_min(h) > -bound`` at a fraction of the cost of a spectrum.
-    Only when it fails is ``eigvalsh`` run, which makes the exact decision
-    (``lambda_min(h) >= -bound`` passes) and supplies the eigenvalue for
-    the caller's error message.  ``h`` must have finite entries: LAPACK's
-    Cholesky does not raise on NaN.
+    ``a`` is an ``(n, d, d)`` stack with finite entries (LAPACK's Cholesky
+    does not raise on NaN) and ``bounds`` holds one bound per matrix.
+    Returns the index of the first matrix whose Hermitian part
+    ``H = (A + A*)/2`` has ``lambda_min(H) < -bound``, with that eigenvalue
+    for the caller's error message, or None.
+
+    One stacked Cholesky factorisation of the ``H + bound I`` certifies
+    ``lambda_min(H) > -bound`` for every matrix at a fraction of the cost
+    of the spectra.  Only when it fails is one stacked ``eigvalsh`` run,
+    which decides exactly (``lambda_min(H) >= -bound`` passes); a matrix it
+    rejects is reported only if its own factorisation fails too, so each
+    decision is the one a factorisation and spectrum per matrix make.
+    Apart from arrays of one number per matrix, the call holds two arrays
+    of the stack's size: the shifted Hermitian parts and their factors.
     """
+    bounds = np.asarray(bounds, dtype=float)
+    dim = a.shape[-1]
+    shifted = _hermitian_part(a)
+    # every (dim + 1)-th entry of a C-ordered matrix is on its diagonal
+    shifted.reshape(len(shifted), dim * dim)[:, :: dim + 1] += bounds[:, None]
     try:
-        np.linalg.cholesky(h + bound * np.eye(h.shape[0]))
+        np.linalg.cholesky(shifted)
         return None
     except np.linalg.LinAlgError:
-        low = float(np.linalg.eigvalsh(h).min())
-        return low if low < -bound else None
+        del shifted  # rebuilt unshifted below: two arrays of the stack's size at a time
+    h = _hermitian_part(a)
+    lows = np.linalg.eigvalsh(h).min(axis=1)
+    for i in np.flatnonzero(lows < -bounds):
+        try:
+            np.linalg.cholesky(h[i] + bounds[i] * np.eye(dim))
+        except np.linalg.LinAlgError:
+            return int(i), float(lows[i])
+    return None
 
 
 def is_positive(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Positive semidefiniteness: Hermitian with spectrum above ``-tol``."""
+    """Positive semidefiniteness: Hermitian with spectrum above ``-tol * max(1, ||A||_F)``.
+
+    A stack is positive when every matrix is.
+    """
     a = np.asarray(a, dtype=complex)
     if not is_hermitian(a, tol):
         return False
-    return eigenvalue_below((a + dagger(a)) / 2, _rel_tol(a, tol)) is None
+    bounds = np.reshape(_rel_tol(a, tol), -1)
+    return eigenvalue_below(a.reshape(-1, *a.shape[-2:]), bounds) is None
 
 
 def is_projection(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Orthogonal projection: Hermitian and idempotent."""
+    """Orthogonal projection: Hermitian and idempotent; a stack is one when every matrix is."""
     a = np.asarray(a, dtype=complex)
     if not is_hermitian(a, tol):
         return False
-    return frobenius_norm(a @ a - a) <= _rel_tol(a, tol)
+    return bool((_frobenius_norms(a @ a - a) <= _rel_tol(a, tol)).all())
 
 
 def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -286,9 +344,9 @@ def check_density_operator(rho: np.ndarray, tol: float = 1e-6) -> np.ndarray:
         raise DimensionError("density operator must be square")
     if not is_hermitian(rho, tol):
         raise ValidationError("density operator is not Hermitian")
-    low = eigenvalue_below((rho + dagger(rho)) / 2, tol)
+    low = eigenvalue_below(rho[None], [tol])
     if low is not None:
-        raise ValidationError(f"density operator has negative eigenvalue {low}")
+        raise ValidationError(f"density operator has negative eigenvalue {low[1]}")
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > tol:
         raise ValidationError(f"density operator trace {tr} is not 1")

@@ -124,7 +124,7 @@ def _mix_observables(weights, devices) -> Observable:
     ref = devices[0]
     if any(set(dev.outcomes) != set(ref.outcomes) for dev in devices):
         raise ValidationError("programmed observables must share their outcome labels")
-    effects = [sum(w * dev.effect(x) for w, dev in zip(weights, devices)) for x in ref.outcomes]
+    effects = sum(w * dev._stack_in_order(ref.outcomes) for w, dev in zip(weights, devices))
     return make_observable(ref.dim, ref.outcomes, effects, tol=INDUCTION_TOL)
 
 

@@ -107,15 +107,17 @@ def dense_bundle(devices):
 
 
 def dense_checks(monkeypatch, size):
-    """Record which dense checks run on matrices with at least ``size`` rows.
+    """Record which dense checks run on matrices, or stacks of them, with at least ``size`` columns.
 
-    With ``size`` the bundle's apparatus dimension, the parts' own matrices are smaller.
+    With ``size`` the bundle's apparatus dimension, the parts' own matrices
+    are smaller.  The filter reads the matrix size, the last axis, since a
+    stacked check takes the number of matrices as its first.
     """
     seen = []
 
     def spy(name, check):
         def recorded(a, *args, **kwargs):
-            if np.shape(a)[0] >= size:
+            if np.shape(a)[-1] >= size:
                 seen.append(name)
             return check(a, *args, **kwargs)
 
@@ -129,6 +131,16 @@ def dense_checks(monkeypatch, size):
     # in a build, the dense trace-preservation residual is the only norm channels.py takes
     monkeypatch.setattr(qmultimeter.channels, "frobenius_norm", spy("gram", frobenius_norm))
     return seen
+
+
+def counted(calls, name, check):
+    """``check`` recording ``name`` in ``calls`` at each call."""
+
+    def recorded(*args, **kwargs):
+        calls.append(name)
+        return check(*args, **kwargs)
+
+    return recorded
 
 
 def qubit_part(a, scale=0.0, pointer=None, tol=1e-9):
@@ -373,6 +385,33 @@ class TestInducedObservable:
         for i, phi in enumerate(probes, start=1):
             model = make_model(meter, phi, kernel=merge_kernels()[i])
             assert observable_distance(induced_observable(model), spin_trio[i - 1]) <= 1e-14
+
+
+class TestInductionValidationCalls:
+    def test_dense_check_calls_do_not_grow_with_outcomes(self, monkeypatch):
+        # (parts, dim, outcomes) = (2, 2, 2) induces 4 effects and 8 Kraus
+        # operators, (3, 4, 4) 64 and 192; a check per effect or operator
+        # would multiply its calls by 16 or 24
+        counts = {}
+        for n, d in ((2, 2), (3, 4)):
+            parts = [
+                minimal_dilation_multimeter(random_sharp_observable(d, d, 10 * d + s))
+                for s in range(n)
+            ]
+            meter, probes = push_button_multimeter(parts)
+            model = make_model(meter, probes[0])
+            for induce in (induced_observable, induced_channel):
+                calls = []
+                with monkeypatch.context() as spies:
+                    for name in ("cholesky", "norm"):
+                        spies.setattr(np.linalg, name, counted(calls, name, getattr(np.linalg, name)))
+                    device = induce(model)
+                assert len(device) == (d**n if induce is induced_observable else n * d**n)
+                counts[n, d, induce] = sorted(calls)
+        for induce in (induced_observable, induced_channel):
+            assert counts[2, 2, induce] == counts[3, 4, induce]
+        assert "cholesky" in counts[3, 4, induced_observable]
+        assert "norm" in counts[3, 4, induced_channel]
 
 
 class TestInducedChannel:

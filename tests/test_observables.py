@@ -1,8 +1,12 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from qmultimeter import DimensionError, PAULI, ValidationError
 from qmultimeter.observables import (
+    Observable,
     is_extreme,
     is_sharp,
     make_kernel,
@@ -39,6 +43,8 @@ class TestMakeObservable:
         obs = make_observable(2, ("+", "-"), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         assert obs.outcomes == ("+", "-")
         assert np.allclose(obs.effect("+"), np.diag([1, 0]))
+        with pytest.raises(KeyError, match="no outcome '0'"):
+            obs.effect("0")
 
     def test_normalization_error(self):
         with pytest.raises(ValidationError, match="identity"):
@@ -301,3 +307,157 @@ class TestObservableDistance:
         qutrit = make_observable(3, (1, 2), [np.eye(3) / 2, np.eye(3) / 2])
         with pytest.raises(DimensionError):
             observable_distance(spin_trio[0], qutrit)
+
+
+def per_effect_observable(dim, labels, effects, tol):
+    """Effects validated one at a time, as make_observable once did: the reference for its stacked checks."""
+    labels = tuple(labels)
+    mats = []
+    for label, e in zip(labels, effects):
+        e = np.array(e, dtype=complex)
+        if e.shape != (dim, dim):
+            raise DimensionError(f"effect {label!r} has shape {e.shape}, expected {(dim, dim)}")
+        norm = float(np.linalg.norm(e))
+        if not np.isfinite(norm):
+            raise ValidationError(f"effect {label!r} has non-finite entries")
+        bound = tol * max(1.0, norm)
+        adj = e.conj().T
+        if float(np.linalg.norm(e - adj)) > bound:
+            raise ValidationError(f"effect {label!r} is not Hermitian")
+        h = (e + adj) / 2
+        try:
+            np.linalg.cholesky(h + bound * np.eye(dim))
+        except np.linalg.LinAlgError:
+            low = float(np.linalg.eigvalsh(h).min())
+            if low < -bound:
+                raise ValidationError(f"effect {label!r} has negative eigenvalue {low}")
+        mats.append(e)
+    residual = float(np.linalg.norm(sum(mats) - np.eye(dim)))
+    if residual > tol * max(1.0, float(np.sqrt(dim))):
+        raise ValidationError(f"effects do not sum to the identity (residual {residual:.3e})")
+    return mats
+
+
+def build_outcome(build, dim, labels, effects, tol):
+    """The effects built, or the class and message of the error raised; a RuntimeWarning raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            built = build(dim, labels, effects, tol)
+        except (DimensionError, ValidationError) as exc:
+            return type(exc), str(exc)
+    return list(built.effects) if isinstance(built, Observable) else built
+
+
+#: Defects given to an effect; "within" and "beyond" sit at its bound times 1 -+ 1e-3.
+DEFECTS = (
+    "negative-within", "negative-beyond", "skew-within", "skew-beyond", "nan", "inf", "shape",
+)
+
+
+#: The stages of make_observable, by words of their error messages.
+STAGES = ("has shape", "non-finite", "not Hermitian", "negative eigenvalue", "identity")
+
+
+def defective_effects(rng, dim, n, tol):
+    """``n`` effects summing to the identity in Hermitian part, about half of the first ``n - 1`` defective.
+
+    The first ``n - 1`` spectra lie in ``[0, 1/(2n)]``, so those effects
+    have norm below 1 and the bound ``tol * max(1, ||E||_F)`` is ``tol``.
+    The last effect is the identity minus the Hermitian parts of the
+    others, positive; in a quarter of the stacks it also shifts the sum
+    off the identity by the normalization threshold times 1 -+ 1e-3.
+    """
+    kinds = [DEFECTS[rng.integers(len(DEFECTS))] if rng.random() < 0.5 else None
+             for _ in range(n - 1)]
+    effects = []
+    for kind in kinds:
+        spectrum = rng.uniform(0.0, 0.5 / n, size=dim)
+        if kind == "negative-within":
+            spectrum[0] = -tol * (1 - 1e-3)
+        elif kind == "negative-beyond":
+            spectrum[0] = -tol * (1 + 1e-3)
+        u = haar_unitary(dim, rng)
+        e = (u * spectrum) @ u.conj().T
+        effects.append((e + e.conj().T) / 2)
+    effects.append(np.eye(dim) - sum(effects))
+    if rng.random() < 0.25:
+        # the sum misses the identity by its threshold times 1 -+ 1e-3
+        scale = 1 + float(rng.choice([-1e-3, 1e-3]))
+        effects[-1] = effects[-1] + tol * max(1.0, np.sqrt(dim)) * scale / np.sqrt(dim) * np.eye(dim)
+    for i, kind in enumerate(kinds):
+        if kind in ("skew-within", "skew-beyond"):
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            skew = (g - g.conj().T) / np.linalg.norm(g - g.conj().T)
+            scale = 1 - 1e-3 if kind == "skew-within" else 1 + 1e-3
+            # ||E - E*||_F = 2 eps = tol * scale
+            effects[i] = effects[i] + tol * scale / 2 * skew
+        elif kind in ("nan", "inf"):
+            effects[i] = effects[i].copy()
+            effects[i][rng.integers(dim), rng.integers(dim)] = np.nan if kind == "nan" else np.inf
+        elif kind == "shape":
+            effects[i] = np.eye(dim + 1) if rng.random() < 0.5 else np.zeros(dim)
+    return effects, kinds
+
+
+class TestStackedValidation:
+    """make_observable decides and reports exactly as a check per effect in label order."""
+
+    def test_matches_per_effect_checks(self, rng):
+        seen = set()
+        for _ in range(600):
+            dim, n = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+            tol = float(rng.choice([1e-9, 1e-7, 1e-5]))
+            effects, kinds = defective_effects(rng, dim, n, tol)
+            labels = [f"x{i}" for i in range(n)] if rng.random() < 0.5 else range(10, 10 + n)
+            if "shape" not in kinds and rng.random() < 0.5:
+                effects = np.array(effects)
+            expected = build_outcome(per_effect_observable, dim, labels, effects, tol)
+            found = build_outcome(make_observable, dim, labels, effects, tol)
+            if isinstance(expected, tuple):
+                assert found == expected, (kinds, expected)
+                seen.update(stage for stage in STAGES if stage in expected[1])
+            else:
+                assert isinstance(found, list) and len(found) == len(expected), (kinds, found)
+                assert all(np.array_equal(a, b) for a, b in zip(found, expected))
+                seen.add("accepted")
+        # every stage rejected some stack and some were accepted
+        assert seen == {"accepted", *STAGES}
+
+    def test_non_finite_effect_after_non_positive_one(self):
+        # the earlier non-positive effect is reported, and the NaN meets no arithmetic
+        p = np.diag([1.5, -0.5])
+        nan = np.diag([np.nan, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match=r"^effect 'a' has negative eigenvalue -0\.5$"):
+                make_observable(2, "abc", [p, nan, np.eye(2) - p])
+            with pytest.raises(ValidationError, match=r"^effect 'b' has non-finite entries$"):
+                make_observable(2, "abc", [np.eye(2) / 2, nan, np.eye(2) / 2])
+            with pytest.raises(ValidationError, match=r"^effect 'b' has non-finite entries$"):
+                make_observable(2, "abc", np.array([np.eye(2) / 2, np.diag([np.inf, 0.5]), np.eye(2) / 2]))
+
+    def test_effects_are_read_only_views_of_one_copy(self):
+        effects = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+        obs = make_observable(2, (1, 2), effects)
+        effects[0, 0, 0] = 5.0
+        assert obs.effect(1)[0, 0] == 1.0
+        assert all(not e.flags.writeable for e in obs.effects)
+        assert obs.effects[0].base is obs.effects[1].base
+
+    def test_validation_holds_two_stack_sized_temporaries(self):
+        # 2000 effects of 4 x 4: the checks hold at most two arrays of the
+        # stack's size at once (three would reach 3.2 stack sizes); a list
+        # is first copied into the stack, which counts once more
+        n, d = 2000, 4
+        stack = np.zeros((n, d, d), dtype=complex)
+        stack[0] = np.diag([1.0, 0, 0, 0])
+        stack[1] = np.diag([0, 1.0, 1.0, 1.0])
+        for effects, limit in ((stack, 3), (list(stack), 4)):
+            tracemalloc.start()
+            try:
+                make_observable(d, range(n), effects)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit * stack.nbytes

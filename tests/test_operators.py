@@ -184,11 +184,11 @@ class TestPositivityCertificate:
         exact = float(np.linalg.eigvalsh(h).min())
         if abs(exact + bound) <= 1e-12:
             return
-        found = eigenvalue_below(h, bound)
+        found = eigenvalue_below(h[None], [bound])
         if exact >= -bound:
             assert found is None
         else:
-            assert found == exact
+            assert found == (0, exact)
 
     def test_rank_deficient_at_zero_bound_uses_spectrum(self, monkeypatch):
         calls = []
@@ -199,10 +199,10 @@ class TestPositivityCertificate:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        assert eigenvalue_below(np.diag([1.0, 0.0]).astype(complex), 0.0) is None
-        assert calls == [(2, 2)]
-        assert eigenvalue_below(np.eye(2, dtype=complex), 0.0) is None
-        assert calls == [(2, 2)]
+        assert eigenvalue_below(np.diag([1.0, 0.0]).astype(complex)[None], [0.0]) is None
+        assert calls == [(1, 2, 2)]
+        assert eigenvalue_below(np.eye(2, dtype=complex)[None], [0.0]) is None
+        assert calls == [(1, 2, 2)]
 
     def test_density_operator_bound(self, rng):
         tol = 1e-6
