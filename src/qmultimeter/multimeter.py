@@ -30,10 +30,10 @@ from .operators import (
     DEFAULT_TOL,
     DIMENSION_CAP,
     PAULI,
+    _frobenius_norms,
     check_density_operator,
     check_state_vector,
     embed_factors,
-    frobenius_norm,
     projector,
     tensor,
     tensor_many,
@@ -48,6 +48,12 @@ INDUCTION_TOL = 1e-7
 #: Entries of a unit vector at most this large do not fix its global phase.
 PHASE_ENTRY_TOL = 1e-12
 
+#: From this apparatus dimension on, induction multiplies only the probe's
+#: nonzero columns and sums only the nonzero pointer slots.  Below it,
+#: finding them costs more than the products they skip (the two cross
+#: between dim K = 24 and 81 for push-button selectors).
+SUPPORT_MIN_DIM_K = 64
+
 
 @dataclass(frozen=True)
 class Multimeter:
@@ -58,10 +64,11 @@ class Multimeter:
     ``(len(pointer), dim_k)`` array whose row ``x`` marks the basis indices
     of effect ``x``: the 0/1 weights by which :func:`induced_observable`
     sums the pointer slots.  It is ``None`` otherwise.  It is not a
-    constructor argument: :func:`make_multimeter` reads it from the
-    pointer's effects, and the constructions write their pointers from it
+    constructor argument: the constructions write their pointers from it
     (see :func:`_basis_multimeter`), a push-button bundle from its parts'
-    marks.  A pointer with supports is exactly sharp.
+    marks, and such a pointer is these marks until its effects are read;
+    :func:`make_multimeter` takes them from it, or scans any other
+    pointer's effects.  A pointer with supports is exactly sharp.
     """
 
     dim_h: int
@@ -104,12 +111,12 @@ def make_multimeter(
     ``interaction.tp_residual`` that :func:`make_channel` stored, against
     ``tol * max(1, sqrt(dim))`` with this call's ``tol`` (see
     :func:`~qmultimeter.channels.is_unitary_channel`); no product of the
-    coupling is formed here.  The pointer's effects are scanned once for
-    basis projectors (see :func:`_basis_supports`).
+    coupling is formed here.  A pointer written from its marks (see
+    :func:`_basis_multimeter`) hands them over unbuilt; any other pointer's
+    effects are scanned once for basis projectors (see :func:`_basis_supports`).
     """
-    return _checked_multimeter(
-        dim_h, dim_k, pointer, interaction, tol, _basis_supports(pointer._stack)
-    )
+    supports = pointer._marks if pointer._marks is not None else _basis_supports(pointer._stack)
+    return _checked_multimeter(dim_h, dim_k, pointer, interaction, tol, supports)
 
 
 def _checked_multimeter(dim_h, dim_k, pointer, interaction, tol, supports) -> Multimeter:
@@ -136,9 +143,10 @@ def _basis_multimeter(dim_h, dim_k, labels, marks, interaction) -> Multimeter:
 
     ``marks`` is a boolean ``(effects, dim_k)`` array in which every basis
     index is marked exactly once, so the effects are exact 0/1 diagonals
-    summing to the identity; they are written into one read-only stack,
-    with nothing scanned, multiplied or factorised, and a read-only copy
-    of ``marks`` is stored as the meter's ``pointer_supports``.
+    summing to the identity, with nothing scanned, multiplied or
+    factorised.  A read-only copy of ``marks`` is both the pointer, whose
+    effects are built only when read (see :class:`Observable`), and the
+    meter's ``pointer_supports``.
     """
     labels = tuple(labels)
     if len(set(labels)) != len(labels):
@@ -146,12 +154,8 @@ def _basis_multimeter(dim_h, dim_k, labels, marks, interaction) -> Multimeter:
     marks = np.array(marks, dtype=bool)
     if marks.shape != (len(labels), dim_k) or np.any(marks.sum(axis=0) != 1):
         raise ValidationError(f"pointer supports do not partition range({dim_k})")
-    effects = np.zeros((len(labels), dim_k, dim_k), dtype=complex)
-    diag = np.arange(dim_k)
-    effects[:, diag, diag] = marks
-    effects.setflags(write=False)
     marks.setflags(write=False)
-    pointer = Observable(dim=dim_k, outcomes=labels, effects=effects)
+    pointer = Observable._from_marks(dim_k, labels, marks)
     return _checked_multimeter(dim_h, dim_k, pointer, interaction, DEFAULT_TOL, marks)
 
 
@@ -183,8 +187,15 @@ def _basis_effects(m: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
     ``E(x) = sum_r m_r* (Z(x) (x) I) m_r`` without a product by ``Z(x)``;
     ``None`` returns the Gram matrices themselves, the effects of the
     computational-basis pointer, with shape ``(..., dim_k, c, c)``.
+    With weights, ``m`` is one ``(r, i, c)`` stack, and from
+    ``SUPPORT_MIN_DIM_K`` slots on only those with a nonzero row are formed
+    and summed: the others have zero Grams.
     """
     rows = m.swapaxes(-2, -3)
+    if weights is not None and len(rows) >= SUPPORT_MIN_DIM_K:
+        nonzero = rows.any(axis=(1, 2))
+        if not nonzero.all():
+            rows, weights = rows[nonzero], weights[:, nonzero]
     gram = rows.conj().swapaxes(-1, -2) @ rows
     if weights is None:
         return gram
@@ -235,7 +246,7 @@ def make_model(
                 f"claimed observable dimension {claimed.dim}, expected {meter.dim_h}"
             )
         if is_sharp(claimed, tol):
-            n_valued = sum(1 for eff in claimed.effects if frobenius_norm(eff) > tol)
+            n_valued = int(np.count_nonzero(_frobenius_norms(claimed._stack) > tol))
             if meter.dim_k < n_valued:
                 raise ValidationError(
                     f"no model with dim K = {meter.dim_k} can measure a sharp "
@@ -254,6 +265,11 @@ def _program_blocks(model: MeasurementModel) -> np.ndarray:
     ``(r, i)``.  The kept eigenvalues are renormalised to sum to one, so
     dropping negligible or slightly negative ones keeps the device
     normalised.  A pure probe is its own single eigenvector.
+
+    From ``SUPPORT_MIN_DIM_K`` on, only the apparatus columns where some
+    kept eigenvector is nonzero are multiplied: the others add exact zeros.
+    A push-button selector probe is nonzero in one column; a probe with no
+    zero entry takes the whole product, with no copy of the coupling.
     """
     meter = model.meter
     if model.probe.ndim == 1:
@@ -262,7 +278,13 @@ def _program_blocks(model: MeasurementModel) -> np.ndarray:
         lam, vecs = np.linalg.eigh(model.probe)
         keep = lam >= PROBE_CUTOFF
         psis = vecs[:, keep] * np.sqrt(lam[keep] / lam[keep].sum())
-    m = np.stack([v.reshape(-1, meter.dim_k) @ psis for v in meter.interaction.kraus])
+    support = slice(None)
+    if meter.dim_k >= SUPPORT_MIN_DIM_K:
+        nonzero = np.flatnonzero(psis.any(axis=1))
+        if len(nonzero) < meter.dim_k:
+            support = nonzero
+    psis = psis[support]
+    m = np.stack([v.reshape(-1, meter.dim_k)[:, support] @ psis for v in meter.interaction.kraus])
     m = m.reshape(-1, meter.dim_h, meter.dim_k, meter.dim_h, psis.shape[1])
     return np.moveaxis(m, -1, 0).reshape(-1, meter.dim_h, meter.dim_k, meter.dim_h)
 

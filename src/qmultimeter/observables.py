@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,9 @@ from .operators import (
 # Eigenvalues above this threshold count towards an effect's support.
 SUPPORT_TOL = 1e-9
 
+# Held while the effects of a pointer written from its marks are built.
+_BUILD_LOCK = threading.Lock()
+
 
 @dataclass(frozen=True)
 class Observable:
@@ -38,18 +42,47 @@ class Observable:
     ``effects`` is given as one ``(n, dim, dim)`` stack, which is frozen
     and kept whole for the stacked checks below; the field then holds its
     read-only views, one per label.
+
+    A basis pointer written from its marks (see :func:`_from_marks`)
+    keeps only the read-only boolean ``_marks``, row ``x`` marking the
+    basis indices of effect ``x``; its stack and effects are built on
+    their first read, once.  Any other observable has ``_marks = None``.
     """
 
     dim: int
     outcomes: tuple
     effects: tuple
     _stack: np.ndarray = field(init=False, compare=False, repr=False)
+    _marks: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         stack = np.asarray(self.effects)
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "effects", tuple(stack))
+
+    @classmethod
+    def _from_marks(cls, dim: int, outcomes: tuple, marks: np.ndarray) -> Observable:
+        """Unbuilt observable of the 0/1 diagonals marked by the rows of a checked partition."""
+        obs = object.__new__(cls)
+        for name, value in (("dim", dim), ("outcomes", outcomes), ("_marks", marks)):
+            object.__setattr__(obs, name, value)
+        return obs
+
+    def __getattr__(self, name):
+        # reached only for attributes not yet set: the effects of an unbuilt pointer
+        if name not in ("effects", "_stack") or self._marks is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        with _BUILD_LOCK:
+            if "_stack" not in vars(self):
+                stack = np.zeros((len(self._marks), self.dim, self.dim), dtype=complex)
+                diag = np.arange(self.dim)
+                stack[:, diag, diag] = self._marks
+                stack.setflags(write=False)
+                # effects first: a reader that finds the stack finds both
+                object.__setattr__(self, "effects", tuple(stack))
+                object.__setattr__(self, "_stack", stack)
+        return vars(self)[name]
 
     def __len__(self) -> int:
         return len(self.outcomes)

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,10 +22,12 @@ from qmultimeter.channels import (
     unitary_channel,
 )
 from qmultimeter.multimeter import (
+    PROBE_CUTOFF,
     _basis_effects,
     _basis_multimeter,
     _basis_supports,
     _dilation_couplings,
+    _program_blocks,
     builtin_multimeter,
     concatenate_with_measurement,
     dimension_bounds,
@@ -36,6 +40,7 @@ from qmultimeter.multimeter import (
     shared_pointer_multimeter,
 )
 from qmultimeter.observables import (
+    Observable,
     is_sharp,
     make_kernel,
     make_observable,
@@ -1315,3 +1320,179 @@ class TestBasisPointerInduction:
             obs = induced_observable(model)
             assert len(obs.effects) == len(dense)
             assert max(frobenius_norm(a - b) for a, b in zip(obs.effects, dense)) <= 1e-13
+
+
+def bench_bundle(sizes=(4, 4, 4)):
+    """The push-button bundle of minimal dilations of random sharp observables on C^4."""
+    observables = [random_sharp_observable(4, n, s) for s, n in enumerate(sizes, start=1)]
+    return push_button_multimeter([minimal_dilation_multimeter(a) for a in observables])
+
+
+class TestPointerBuiltOnRead:
+    def test_build_holds_no_pointer_stack(self):
+        observables = [random_sharp_observable(4, 4, s) for s in (1, 2, 3)]
+        devices = [minimal_dilation_multimeter(a) for a in observables]
+        peak, (meter, _) = traced_peak(lambda: push_button_multimeter(devices))
+        assert meter.dim_k == 192
+        # the 64 x 192 x 192 pointer stack alone would be four couplings
+        assert peak < 3 * meter.coupling.nbytes
+        assert "_stack" not in vars(meter.pointer)
+
+    def test_effects_built_once_on_first_read(self):
+        meter, _ = bench_bundle()
+        pointer = meter.pointer
+        assert "effects" not in vars(pointer) and "_stack" not in vars(pointer)
+        assert pointer._marks is meter.pointer_supports
+        written = np.zeros((len(pointer), meter.dim_k, meter.dim_k), dtype=complex)
+        diag = np.arange(meter.dim_k)
+        written[:, diag, diag] = meter.pointer_supports
+        stack = pointer._stack
+        assert np.array_equal(stack, written) and stack.dtype == written.dtype
+        assert not stack.flags.writeable
+        assert all(not eff.flags.writeable for eff in pointer.effects)
+        assert all(eff.base is stack for eff in pointer.effects)
+        effects = pointer.effects
+        assert pointer.effects is effects and pointer._stack is stack
+        with pytest.raises(AttributeError, match="no attribute 'projection'"):
+            pointer.projection
+
+    def test_concurrent_first_reads_build_one_stack(self):
+        meter, _ = bench_bundle((2, 2, 2))
+        labels, marks = meter.pointer.outcomes, meter.pointer_supports
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                pointer = Observable._from_marks(meter.dim_k, labels, marks)
+                barrier = threading.Barrier(8)
+                seen = []
+
+                def read(name, pointer=pointer, barrier=barrier, seen=seen):
+                    barrier.wait(timeout=10)
+                    seen.append(getattr(pointer, name))
+
+                threads = [
+                    threading.Thread(target=read, args=(("effects", "_stack")[i % 2],))
+                    for i in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(seen) == 8
+                assert all(x is pointer.effects or x is pointer._stack for x in seen)
+                assert all(eff.base is pointer._stack for eff in pointer.effects)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_make_multimeter_takes_the_marks(self, monkeypatch):
+        meter, _ = bench_bundle()
+
+        def forbidden_scan(effects):
+            raise AssertionError("pointer effects scanned")
+
+        monkeypatch.setattr(qmultimeter.multimeter, "_basis_supports", forbidden_scan)
+        remade = make_multimeter(meter.dim_h, meter.dim_k, meter.pointer, meter.interaction)
+        assert remade.pointer_supports is meter.pointer_supports
+        assert remade.normal
+        assert "_stack" not in vars(meter.pointer)
+
+    def test_dense_basis_pointer_is_still_scanned(self):
+        meter, _ = minimal_dilation_multimeter(random_sharp_observable(3, 3, 4))
+        dense = make_observable(meter.dim_k, meter.pointer.outcomes, meter.pointer.effects)
+        assert dense._marks is None
+        remade = make_multimeter(meter.dim_h, meter.dim_k, dense, meter.interaction)
+        assert np.array_equal(remade.pointer_supports, meter.pointer_supports)
+
+
+def whole_program_blocks(model):
+    """:func:`_program_blocks` with every apparatus column of the coupling multiplied."""
+    meter = model.meter
+    if model.probe.ndim == 1:
+        psis = model.probe[:, None]
+    else:
+        lam, vecs = np.linalg.eigh(model.probe)
+        keep = lam >= PROBE_CUTOFF
+        psis = vecs[:, keep] * np.sqrt(lam[keep] / lam[keep].sum())
+    m = np.stack([v.reshape(-1, meter.dim_k) @ psis for v in meter.interaction.kraus])
+    m = m.reshape(-1, meter.dim_h, meter.dim_k, meter.dim_h, psis.shape[1])
+    return np.moveaxis(m, -1, 0).reshape(-1, meter.dim_h, meter.dim_k, meter.dim_h)
+
+
+def subset_probes(dim, size, rng):
+    """A pure and a mixed probe supported on ``size`` random apparatus indices."""
+    idx = np.sort(rng.choice(dim, size=size, replace=False))
+    vector = np.zeros(dim, dtype=complex)
+    vector[idx] = random_state_vector(size, rng)
+    density = np.zeros((dim, dim), dtype=complex)
+    density[np.ix_(idx, idx)] = random_density_operator(size, rng)
+    return [vector, density]
+
+
+class TestProgramBlocksOnSupport:
+    @pytest.mark.parametrize(
+        "construct",
+        [
+            lambda: minimal_dilation_multimeter(random_sharp_observable(3, 3, 4)),
+            lambda: shared_pointer_multimeter(
+                [random_sharp_observable(2, 2, s) for s in (5, 6, 7)]
+            ),
+            lambda: bench_bundle((2, 2, 2)),
+            bench_bundle,
+            lambda: builtin_multimeter("pauli"),
+            lambda: builtin_multimeter("swap", dim=3),
+            lambda: (make_multimeter(2, 3, random_observable(3, 3, 5), random_channel(6, 3, 11)),
+                     []),
+        ],
+        ids=["minimal-dilation", "shared-pointer", "push-button-2-2-2", "push-button-4-4-4",
+             "pauli", "swap", "three-kraus"],
+    )
+    def test_equals_whole_product(self, rng, construct):
+        meter, probes = construct()
+        dim_k = meter.dim_k
+        probes = [probes] if isinstance(probes, np.ndarray) else list(probes)
+        # the constructions' own probes, selectors among them, and basis vectors
+        exact = probes + list(np.eye(dim_k, dtype=complex)[:: max(1, dim_k // 6)])
+        # a probe with no zero entry takes the whole product itself
+        exact += [random_state_vector(dim_k, rng), random_density_operator(dim_k, rng)]
+        close = [p for size in (2, max(2, dim_k // 3)) for p in subset_probes(dim_k, size, rng)]
+        if len(probes) > 1:
+            weights = rng.dirichlet(np.ones(len(probes)))
+            close.append(sum(w * projector(p) for w, p in zip(weights, probes)))
+        for probe in exact + close:
+            model = make_model(meter, probe)
+            blocks, whole = _program_blocks(model), whole_program_blocks(model)
+            assert blocks.shape == whole.shape
+            if any(probe is p for p in exact):
+                assert np.array_equal(blocks, whole)
+            else:
+                assert np.abs(blocks - whole).max() <= 1e-15
+
+    def test_program_maps_copy_no_coupling(self, rng):
+        meter, probes = bench_bundle()
+        for probe in [probes[1], random_state_vector(meter.dim_k, rng)]:
+            model = make_model(meter, probe)
+            peak, blocks = traced_peak(lambda: _program_blocks(model))
+            assert peak < meter.coupling.nbytes / 8
+            assert np.array_equal(blocks, whole_program_blocks(model))
+
+    def test_zero_probe_columns_are_not_multiplied(self):
+        meter, probes = bench_bundle()
+        coupling = meter.coupling.copy()
+        # NaN wherever the selector is zero: the whole product would be all NaN
+        coupling.reshape(-1, meter.dim_k)[:, probes[1] == 0] = np.nan
+        object.__setattr__(meter.interaction, "kraus", (coupling,))
+        blocks = _program_blocks(make_model(meter, probes[1]))
+        assert np.isfinite(blocks).all()
+
+    def test_slot_gather_equals_every_slot_summed(self, rng):
+        meter, probes = bench_bundle()
+        mixed = sum(w * projector(p) for w, p in zip((0.5, 0.3, 0.2), probes))
+        weights = meter.pointer_supports
+        for probe in [*probes, mixed, random_state_vector(meter.dim_k, rng)]:
+            m = _program_blocks(make_model(meter, probe)).reshape(-1, meter.dim_k, meter.dim_h)
+            grams = _basis_effects(m, None)
+            summed = weights.astype(complex) @ grams.reshape(meter.dim_k, -1)
+            expected = summed.reshape(len(weights), meter.dim_h, meter.dim_h)
+            assert np.array_equal(_basis_effects(m, weights), expected)
