@@ -24,7 +24,7 @@ from .operators import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """Channel on a ``dim``-dimensional space, given by Kraus operators.
 
@@ -33,13 +33,14 @@ class Channel:
     the exact bound derived from theirs, which differs from it by rounding;
     ``tp_certified`` tells the two apart and is set only by the validating
     constructor.  The Kraus operators are read-only, so the residual stays
-    valid for the channel's lifetime.
+    valid for the channel's lifetime.  Equality is identity;
+    :func:`channel_distance` compares channels.
     """
 
     dim: int
     kraus: tuple
-    tp_residual: float = field(compare=False, repr=False)
-    tp_certified: bool = field(default=False, init=False, compare=False, repr=False)
+    tp_residual: float = field(repr=False)
+    tp_certified: bool = field(default=False, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.kraus)
@@ -138,7 +139,7 @@ def identity_channel(dim: int) -> Channel:
     return make_channel([np.eye(dim, dtype=complex)])
 
 
-def unitary_channel(u: np.ndarray, tol: float = DEFAULT_TOL) -> Channel:
+def unitary_channel(u: np.ndarray) -> Channel:
     """Conjugation by a unitary; the single-Kraus reversible channel.
 
     For one square Kraus operator trace preservation is unitarity (see
@@ -148,7 +149,7 @@ def unitary_channel(u: np.ndarray, tol: float = DEFAULT_TOL) -> Channel:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError("matrix is not unitary")
     try:
-        return make_channel([u], tol)
+        return make_channel([u])
     except ValidationError as exc:
         raise ValidationError(f"matrix is not unitary: {exc}") from None
 
@@ -237,7 +238,7 @@ def multiplicativity_residual(c: Channel) -> float:
     return worst
 
 
-def is_extreme_channel(c: Channel, tol: float = DEFAULT_TOL) -> bool:
+def is_extreme_channel(c: Channel) -> bool:
     """Extremality via linear independence of ``{K_i* K_j}``.
 
     Evaluated on the canonical minimal Kraus set, so Kraus-representation

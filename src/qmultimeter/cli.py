@@ -62,6 +62,7 @@ from .operators import tensor_many
 from .verify import (
     DEFAULT_SEARCH_THRESHOLDS,
     DEVICE_KINDS,
+    _PROGRAM_TOL,
     VerificationReport,
     check_channel_program_orthogonality,
     check_convex_hull,
@@ -502,7 +503,7 @@ def execute(scenario: dict, seed: int | None = None, tol: float | None = None) -
         raise ScenarioParseError(f"seed must be a non-negative integer, got {seed}")
     if tol is None:
         tolerances = document["tolerances"].fields if "tolerances" in document else {}
-        tol = tolerances.get("program", 1e-10)
+        tol = tolerances.get("program", _PROGRAM_TOL)
     runtime = _Runtime(seed, tol)
     build_objects(document.get("objects", {}), runtime)
     return [_build(run, f"runs[{idx}]", runtime, runtime, idx) for idx, run in enumerate(runs)]

@@ -10,10 +10,8 @@ Composite spaces are ordered system-first throughout: ``H (x) K``.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +21,7 @@ from .observables import (
     SUPPORT_TOL,
     Observable,
     StochasticKernel,
+    _joint_pointer,
     is_sharp,
     make_observable,
 )
@@ -55,20 +54,16 @@ PHASE_ENTRY_TOL = 1e-12
 SUPPORT_MIN_DIM_K = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Multimeter:
     """Programmable measurement setting ``<K, Z, V>`` with the probe left open.
 
-    ``pointer_supports`` is, when every pointer effect is a basis projector
-    (see :func:`_basis_supports`), the read-only boolean
-    ``(len(pointer), dim_k)`` array whose row ``x`` marks the basis indices
-    of effect ``x``: the 0/1 weights by which :func:`induced_observable`
-    sums the pointer slots.  It is ``None`` otherwise.  It is not a
-    constructor argument: the constructions write their pointers from it
-    (see :func:`_basis_multimeter`), a push-button bundle from its parts'
-    marks, and such a pointer is these marks until its effects are read;
-    :func:`make_multimeter` takes them from it, or scans any other
-    pointer's effects.  A pointer with supports is exactly sharp.
+    The pointer's marks, when it has them (see
+    :class:`~qmultimeter.observables.Observable`), are the 0/1 weights by
+    which :func:`induced_observable` sums the pointer slots.  The
+    constructions write their pointers from marks, a push-button bundle
+    from its parts' marks, so their effects are built only when read.
+    Equality is identity.
     """
 
     dim_h: int
@@ -76,9 +71,6 @@ class Multimeter:
     pointer: Observable
     interaction: Channel
     normal: bool
-    pointer_supports: np.ndarray | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     @property
     def coupling(self) -> np.ndarray:
@@ -88,9 +80,9 @@ class Multimeter:
         return self.interaction.kraus[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementModel:
-    """A multimeter together with a probe state and optional kernel."""
+    """A multimeter together with a probe state and optional kernel; equality is identity."""
 
     meter: Multimeter
     probe: np.ndarray
@@ -98,11 +90,7 @@ class MeasurementModel:
 
 
 def make_multimeter(
-    dim_h: int,
-    dim_k: int,
-    pointer: Observable,
-    interaction: Channel,
-    tol: float = DEFAULT_TOL,
+    dim_h: int, dim_k: int, pointer: Observable, interaction: Channel, tol: float = DEFAULT_TOL
 ) -> Multimeter:
     """Validate dimensions and classify the multimeter.
 
@@ -111,70 +99,22 @@ def make_multimeter(
     ``interaction.tp_residual`` that :func:`make_channel` stored, against
     ``tol * max(1, sqrt(dim))`` with this call's ``tol`` (see
     :func:`~qmultimeter.channels.is_unitary_channel`); no product of the
-    coupling is formed here.  A pointer written from its marks (see
-    :func:`_basis_multimeter`) hands them over unbuilt; any other pointer's
-    effects are scanned once for basis projectors (see :func:`_basis_supports`).
+    coupling is formed here.  A pointer with marks is sharp with nothing
+    built; any other pointer's effects are checked densely.
     """
-    supports = pointer._marks if pointer._marks is not None else _basis_supports(pointer._stack)
-    return _checked_multimeter(dim_h, dim_k, pointer, interaction, tol, supports)
-
-
-def _checked_multimeter(dim_h, dim_k, pointer, interaction, tol, supports) -> Multimeter:
-    """:func:`make_multimeter` with the pointer's basis supports already known."""
     if pointer.dim != dim_k:
         raise DimensionError(f"pointer dimension {pointer.dim}, expected {dim_k}")
     if interaction.dim != dim_h * dim_k:
         raise DimensionError(
             f"interaction dimension {interaction.dim}, expected {dim_h * dim_k}"
         )
-    # effects written from supports are exact 0/1 diagonals, hence projections at every tol
+    # effects written from marks are exact 0/1 diagonals, hence projections at every tol
     normal = is_unitary_channel(interaction, tol) and (
-        supports is not None or is_sharp(pointer, tol)
+        pointer._marks is not None or is_sharp(pointer, tol)
     )
-    meter = Multimeter(
+    return Multimeter(
         dim_h=dim_h, dim_k=dim_k, pointer=pointer, interaction=interaction, normal=normal
     )
-    object.__setattr__(meter, "pointer_supports", supports)
-    return meter
-
-
-def _basis_multimeter(dim_h, dim_k, labels, marks, interaction) -> Multimeter:
-    """Multimeter whose pointer effect ``x`` projects onto the basis vectors marked in row ``x``.
-
-    ``marks`` is a boolean ``(effects, dim_k)`` array in which every basis
-    index is marked exactly once, so the effects are exact 0/1 diagonals
-    summing to the identity, with nothing scanned, multiplied or
-    factorised.  A read-only copy of ``marks`` is both the pointer, whose
-    effects are built only when read (see :class:`Observable`), and the
-    meter's ``pointer_supports``.
-    """
-    labels = tuple(labels)
-    if len(set(labels)) != len(labels):
-        raise ValidationError(f"outcome labels are not unique: {labels}")
-    marks = np.array(marks, dtype=bool)
-    if marks.shape != (len(labels), dim_k) or np.any(marks.sum(axis=0) != 1):
-        raise ValidationError(f"pointer supports do not partition range({dim_k})")
-    marks.setflags(write=False)
-    pointer = Observable._from_marks(dim_k, labels, marks)
-    return _checked_multimeter(dim_h, dim_k, pointer, interaction, DEFAULT_TOL, marks)
-
-
-def _basis_supports(effects) -> np.ndarray | None:
-    """Marks of the effects' supports if every one is a basis projector, else None.
-
-    An effect is a basis projector ``sum_{k in S} |k><k|`` when all its
-    entries are exactly 0 except the diagonal entries on ``S``, which are
-    exactly 1; an entry off by rounding makes it an ordinary effect.  Row
-    ``x`` of the read-only boolean result marks ``S`` of effect ``x``.
-    """
-    stack = np.asarray(effects)
-    marks = np.diagonal(stack, axis1=1, axis2=2) == 1
-    # entries equal to 1 are nonzero, so the counts agree only when every
-    # nonzero entry is a diagonal 1
-    if np.count_nonzero(stack) != np.count_nonzero(marks):
-        return None
-    marks.setflags(write=False)
-    return marks
 
 
 def _basis_effects(m: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
@@ -182,8 +122,9 @@ def _basis_effects(m: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
 
     ``m[..., r, i, c]`` stacks program maps with rows ``r``, pointer index
     ``i`` and system index ``c``; ``B_i`` holds the rows ``r`` of slot
-    ``i``, so ``B_i* B_i = sum_r m_r* (|i><i| (x) I) m_r``.  With the 0/1
-    ``weights`` of a basis pointer (see :func:`_basis_supports`),
+    ``i``, so ``B_i* B_i = sum_r m_r* (|i><i| (x) I) m_r``.  With a
+    pointer's marks as the 0/1 ``weights`` (see
+    :class:`~qmultimeter.observables.Observable`),
     ``E(x) = sum_r m_r* (Z(x) (x) I) m_r`` without a product by ``Z(x)``;
     ``None`` returns the Gram matrices themselves, the effects of the
     computational-basis pointer, with shape ``(..., dim_k, c, c)``.
@@ -209,7 +150,6 @@ def make_model(
     probe: np.ndarray,
     kernel: StochasticKernel | None = None,
     claimed: Observable | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> MeasurementModel:
     """Attach a probe (vector or density operator) and optional kernel.
 
@@ -245,8 +185,8 @@ def make_model(
             raise DimensionError(
                 f"claimed observable dimension {claimed.dim}, expected {meter.dim_h}"
             )
-        if is_sharp(claimed, tol):
-            n_valued = int(np.count_nonzero(_frobenius_norms(claimed._stack) > tol))
+        if is_sharp(claimed):
+            n_valued = int(np.count_nonzero(_frobenius_norms(claimed._stack) > DEFAULT_TOL))
             if meter.dim_k < n_valued:
                 raise ValidationError(
                     f"no model with dim K = {meter.dim_k} can measure a sharp "
@@ -296,9 +236,9 @@ def induced_observable(model: MeasurementModel) -> Observable:
     the probe (see :func:`_program_blocks`), which equals
     ``tr_K[ V*(I (x) Z(x)) V (I (x) xi) ]``.  Each ``Z(x)`` acts on the
     pointer index of the blocks alone, so nothing on ``H (x) K`` is formed.
-    When the meter stores the marks of a basis pointer, the effects are
-    the marked sums of the slots' Gram matrices (see :func:`_basis_effects`);
-    any other pointer is multiplied densely.
+    When the pointer has marks, the effects are the marked sums of the
+    slots' Gram matrices (see :func:`_basis_effects`); any other pointer is
+    multiplied densely.
 
     A kernel then smears the induced effects, ``E'(y) = sum_x k(x, y) E(x)``
     with outcomes ``1..cols`` as :func:`~qmultimeter.observables.post_process`
@@ -308,8 +248,8 @@ def induced_observable(model: MeasurementModel) -> Observable:
     dim_h, dim_k = model.meter.dim_h, model.meter.dim_k
     pointer = model.meter.pointer
     m = _program_blocks(model)
-    if model.meter.pointer_supports is not None:
-        effects = _basis_effects(m.reshape(-1, dim_k, dim_h), model.meter.pointer_supports)
+    if pointer._marks is not None:
+        effects = _basis_effects(m.reshape(-1, dim_k, dim_h), pointer._marks)
     else:
         # b[i, (j, r, c)] = M[j, r, i, c]; its rows (i, j, r) give the adjoint side.
         b = m.transpose(2, 0, 1, 3).reshape(dim_k, -1)
@@ -364,9 +304,7 @@ def _dilation_couplings(effects: np.ndarray, dim_k: int) -> np.ndarray:
     return g.reshape(*batch, n, n)
 
 
-def minimal_dilation_multimeter(
-    a: Observable, tol: float = DEFAULT_TOL
-) -> tuple[Multimeter, np.ndarray]:
+def minimal_dilation_multimeter(a: Observable) -> tuple[Multimeter, np.ndarray]:
     """Normal multimeter measuring a sharp observable with ``dim K = N``.
 
     The coupling ``G = sum_j A(j) (x) T_j`` pairs each effect with the
@@ -377,12 +315,13 @@ def minimal_dilation_multimeter(
     ``DIMENSION_CAP**2`` entries (``N**3``) raises ``DimensionError``
     before either is allocated.
     """
-    if not is_sharp(a, tol):
+    if not is_sharp(a):
         raise ValidationError("minimal dilation needs a sharp observable")
     n = len(a)
     _check_bundle(a.dim * n, n, n)
     g = _dilation_couplings(a._stack, n)
-    meter = _basis_multimeter(a.dim, n, a.outcomes, np.eye(n, dtype=bool), make_channel([g]))
+    pointer = Observable._from_marks(n, a.outcomes, np.eye(n, dtype=bool))
+    meter = make_multimeter(a.dim, n, pointer, make_channel([g]))
     probe = np.eye(n, dtype=complex)[0]
     return meter, probe
 
@@ -417,15 +356,6 @@ def _selector_coupling(blocks, residuals, multiplicities) -> Channel:
     return _checked_channel(_selector_sum(blocks)[None], DEFAULT_TOL, residual)
 
 
-def _stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker products ``a[x] (x) b[y]`` of two stacks of matrices, ordered by ``(x, y)``.
-
-    One broadcast product gives the entries :func:`numpy.kron` gives.
-    """
-    prod = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
-    return prod.reshape(len(a) * len(b), a.shape[1] * b.shape[1], a.shape[2] * b.shape[2])
-
-
 def _check_bundle(dim: int, n_effects: int, dim_k: int) -> None:
     """Refuse a coupling above ``DIMENSION_CAP`` or more pointer entries than its square."""
     if dim > DIMENSION_CAP:
@@ -453,10 +383,10 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
 
     The coupling's residual is bounded from the validated parts; it is
     computed densely only where the bound misses the margin of
-    :func:`~qmultimeter.operators.certifies`.  When every part stores
-    basis supports, the joint pointer is written from the joint supports
-    (see :func:`_basis_multimeter`); otherwise its Kronecker products are
-    formed and validated densely.  A pointer of more than
+    :func:`~qmultimeter.operators.certifies`.  When every part's pointer
+    has marks, the joint pointer is written from the joint marks;
+    otherwise its Kronecker products are formed and validated densely (see
+    :func:`~qmultimeter.observables._joint_pointer`).  A pointer of more than
     ``DIMENSION_CAP**2`` entries (``len(pointer) * dim_K**2``: seven or
     more qubit parts, or more than 645 channels) raises ``DimensionError``
     before the coupling or the pointer is allocated.
@@ -476,8 +406,8 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
         coupling = _selector_coupling(
             [c.kraus[0] for c in devices], [c.tp_residual for c in devices], [1] * n
         )
-        meter = _basis_multimeter(dim, n, range(1, n + 1), np.eye(n, dtype=bool), coupling)
-        return meter, list(np.eye(n, dtype=complex))
+        pointer = Observable._from_marks(n, range(1, n + 1), np.eye(n, dtype=bool))
+        return make_multimeter(dim, n, pointer, coupling), list(np.eye(n, dtype=complex))
 
     meters = []
     probes = []
@@ -508,22 +438,9 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
         [m.interaction.tp_residual for m in meters],
         [dim_k // (n * m.dim_k) for m in meters],
     )
+    pointer = _joint_pointer([m.pointer for m in meters], n)
+    meter = make_multimeter(dim_h, dim_k, pointer, coupling)
     selector = np.eye(n, dtype=complex)
-    pointer_labels = [
-        ",".join(str(x) for x in combo)
-        for combo in itertools.product(*(m.pointer.outcomes for m in meters))
-    ]
-    if all(m.pointer_supports is not None for m in meters):
-        # the diagonal of a Kronecker product is the Kronecker product of the diagonals
-        marks = [m.pointer_supports[:, None, :] for m in meters]
-        joint = functools.reduce(_stacked_kron, marks + [np.ones((1, 1, n), dtype=bool)])
-        meter = _basis_multimeter(dim_h, dim_k, pointer_labels, joint[:, 0, :], coupling)
-    else:
-        pointer_effects = functools.reduce(
-            _stacked_kron, [m.pointer._stack for m in meters] + [selector[None]]
-        )
-        pointer = make_observable(dim_k, pointer_labels, pointer_effects)
-        meter = _checked_multimeter(dim_h, dim_k, pointer, coupling, DEFAULT_TOL, None)
     big_probes = [
         tensor_many([p.reshape(-1, 1) for p in probes] + [selector[i].reshape(-1, 1)]).reshape(-1)
         for i in range(n)
@@ -531,9 +448,7 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
     return meter, big_probes
 
 
-def shared_pointer_multimeter(
-    observables, tol: float = DEFAULT_TOL
-) -> tuple[Multimeter, list]:
+def shared_pointer_multimeter(observables) -> tuple[Multimeter, list]:
     """One pointer shared by n sharp observables: ``dim K = n * max N_i``.
 
     Observables with fewer outcomes are padded with zero effects.  The
@@ -548,7 +463,7 @@ def shared_pointer_multimeter(
     for a in observables:
         if a.dim != dim_h:
             raise DimensionError("observable dimensions differ")
-        if not is_sharp(a, tol):
+        if not is_sharp(a):
             raise ValidationError("shared-pointer construction needs sharp observables")
     n = len(observables)
     d = max(len(a) for a in observables)
@@ -559,13 +474,14 @@ def shared_pointer_multimeter(
     g = _selector_sum(_dilation_couplings(padded, d))
     # pointer outcome k reads slot k of every selector: P[e_k] (x) I
     marks = np.repeat(np.eye(d, dtype=bool), n, axis=1)
-    meter = _basis_multimeter(dim_h, d * n, range(1, d + 1), marks, make_channel([g]))
+    pointer = Observable._from_marks(d * n, range(1, d + 1), marks)
+    meter = make_multimeter(dim_h, d * n, pointer, make_channel([g]))
     # e_0 (x) e_i is basis vector i of C^d (x) C^n
     return meter, list(np.eye(d * n, dtype=complex)[:n])
 
 
 def concatenate_with_measurement(
-    channel_meter: Multimeter, a_model: MeasurementModel, tol: float = DEFAULT_TOL
+    channel_meter: Multimeter, a_model: MeasurementModel
 ) -> Multimeter:
     """Feed the output of a programmable channel into a fixed measurement.
 
@@ -577,7 +493,7 @@ def concatenate_with_measurement(
     if a_model.meter.dim_h != channel_meter.dim_h:
         raise DimensionError("system dimensions differ")
     measured = induced_observable(a_model)
-    if not is_sharp(measured, max(tol, INDUCTION_TOL)):
+    if not is_sharp(measured, INDUCTION_TOL):
         raise ValidationError("the downstream model must measure a sharp observable")
     dim_h = channel_meter.dim_h
     dims = [dim_h, channel_meter.dim_k, a_model.meter.dim_k]
@@ -600,7 +516,8 @@ def _pauli_multimeter() -> tuple[Multimeter, list]:
         for j in range(4)
         for k in range(4)
     )
-    meter = _basis_multimeter(2, 4, range(4), np.eye(4, dtype=bool), make_channel([g]))
+    pointer = Observable._from_marks(4, range(4), np.eye(4, dtype=bool))
+    meter = make_multimeter(2, 4, pointer, make_channel([g]))
     probes = [(basis[0] + basis[i]) / np.sqrt(2) for i in (1, 2, 3)]
     return meter, probes
 
@@ -619,9 +536,8 @@ def _swap_multimeter(dim: int) -> tuple[Multimeter, list]:
         raise DimensionError(
             f"swap dimension {dim} must be at least 1 with square at most {DIMENSION_CAP}"
         )
-    meter = _basis_multimeter(
-        dim, dim, range(1, dim + 1), np.eye(dim, dtype=bool), make_channel([_swap_unitary(dim)])
-    )
+    pointer = Observable._from_marks(dim, range(1, dim + 1), np.eye(dim, dtype=bool))
+    meter = make_multimeter(dim, dim, pointer, make_channel([_swap_unitary(dim)]))
     return meter, list(np.eye(dim, dtype=complex))
 
 

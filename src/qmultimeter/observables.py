@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -35,7 +36,7 @@ SUPPORT_TOL = 1e-9
 _BUILD_LOCK = threading.Lock()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable:
     """Finite-outcome POVM: ordered labels and one read-only effect per label.
 
@@ -43,17 +44,21 @@ class Observable:
     and kept whole for the stacked checks below; the field then holds its
     read-only views, one per label.
 
-    A basis pointer written from its marks (see :func:`_from_marks`)
-    keeps only the read-only boolean ``_marks``, row ``x`` marking the
-    basis indices of effect ``x``; its stack and effects are built on
-    their first read, once.  Any other observable has ``_marks = None``.
+    ``_marks`` is, when every effect is a basis projector, the read-only
+    boolean ``(n, dim)`` array whose row ``x`` marks the basis indices of
+    effect ``x``, and ``None`` otherwise.  An observable written from its
+    marks (see :meth:`_from_marks`) keeps only them: its stack and effects
+    are built on their first read, once.  Any other observable's effects
+    are scanned for marks on the first read of ``_marks`` (see
+    :func:`_basis_supports`), once.
+
+    Equality is identity; :func:`observable_distance` compares effects.
     """
 
     dim: int
     outcomes: tuple
     effects: tuple
-    _stack: np.ndarray = field(init=False, compare=False, repr=False)
-    _marks: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         stack = np.asarray(self.effects)
@@ -62,27 +67,46 @@ class Observable:
         object.__setattr__(self, "effects", tuple(stack))
 
     @classmethod
-    def _from_marks(cls, dim: int, outcomes: tuple, marks: np.ndarray) -> Observable:
-        """Unbuilt observable of the 0/1 diagonals marked by the rows of a checked partition."""
+    def _from_marks(cls, dim: int, labels, marks) -> Observable:
+        """Unbuilt observable whose effect ``x`` projects onto the basis marked in row ``x``.
+
+        ``marks`` must be a boolean ``(len(labels), dim)`` array in which
+        every basis index is marked exactly once, so the effects are exact
+        0/1 diagonals summing to the identity, with nothing scanned,
+        multiplied or factorised.  A read-only copy of ``marks`` is kept.
+        """
+        labels = tuple(labels)
+        if len(set(labels)) != len(labels):
+            raise ValidationError(f"outcome labels are not unique: {labels}")
+        marks = np.array(marks, dtype=bool)
+        if marks.shape != (len(labels), dim) or np.any(marks.sum(axis=0) != 1):
+            raise ValidationError(f"pointer supports do not partition range({dim})")
+        marks.setflags(write=False)
         obs = object.__new__(cls)
-        for name, value in (("dim", dim), ("outcomes", outcomes), ("_marks", marks)):
+        for name, value in (("dim", dim), ("outcomes", labels), ("_marks", marks)):
             object.__setattr__(obs, name, value)
         return obs
 
     def __getattr__(self, name):
-        # reached only for attributes not yet set: the effects of an unbuilt pointer
-        if name not in ("effects", "_stack") or self._marks is None:
+        # reached only for attributes not yet set: the effects of an unbuilt
+        # observable, whose marks are in the instance dict, never scanned
+        marks = vars(self).get("_marks")
+        if name not in ("effects", "_stack") or marks is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         with _BUILD_LOCK:
             if "_stack" not in vars(self):
-                stack = np.zeros((len(self._marks), self.dim, self.dim), dtype=complex)
+                stack = np.zeros((len(marks), self.dim, self.dim), dtype=complex)
                 diag = np.arange(self.dim)
-                stack[:, diag, diag] = self._marks
+                stack[:, diag, diag] = marks
                 stack.setflags(write=False)
                 # effects first: a reader that finds the stack finds both
                 object.__setattr__(self, "effects", tuple(stack))
                 object.__setattr__(self, "_stack", stack)
         return vars(self)[name]
+
+    @functools.cached_property
+    def _marks(self) -> np.ndarray | None:
+        return _basis_supports(self._stack)
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -106,9 +130,27 @@ class Observable:
         return self._stack[[self._positions[x] for x in outcomes]]
 
 
-@dataclass(frozen=True)
+def _basis_supports(effects) -> np.ndarray | None:
+    """Marks of the effects' supports if every one is a basis projector, else None.
+
+    An effect is a basis projector ``sum_{k in S} |k><k|`` when all its
+    entries are exactly 0 except the diagonal entries on ``S``, which are
+    exactly 1; an entry off by rounding makes it an ordinary effect.  Row
+    ``x`` of the read-only boolean result marks ``S`` of effect ``x``.
+    """
+    stack = np.asarray(effects)
+    marks = np.diagonal(stack, axis1=1, axis2=2) == 1
+    # entries equal to 1 are nonzero, so the counts agree only when every
+    # nonzero entry is a diagonal 1
+    if np.count_nonzero(stack) != np.count_nonzero(marks):
+        return None
+    marks.setflags(write=False)
+    return marks
+
+
+@dataclass(frozen=True, eq=False)
 class StochasticKernel:
-    """Row-stochastic matrix mapping source outcomes to target outcomes."""
+    """Row-stochastic matrix mapping source outcomes to target outcomes; equality is identity."""
 
     rows: int
     cols: int
@@ -210,17 +252,17 @@ def _check_effects(stack: np.ndarray, labels, tol: float) -> None:
         raise ValidationError(f"effect {labels[finite]!r} has non-finite entries")
 
 
-def make_kernel(weights, tol: float = DEFAULT_TOL) -> StochasticKernel:
+def make_kernel(weights) -> StochasticKernel:
     """Validate and build a finite Markov kernel from a weight matrix."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2:
         raise DimensionError("kernel weights must be a matrix")
     if not np.all(np.isfinite(w)):
         raise ValidationError("kernel weights have non-finite entries")
-    if w.min() < -tol or w.max() > 1 + tol:
+    if w.min() < -DEFAULT_TOL or w.max() > 1 + DEFAULT_TOL:
         raise ValidationError("kernel weights must lie in [0, 1]")
     sums = w.sum(axis=1)
-    if np.max(np.abs(sums - 1.0)) > tol:
+    if np.max(np.abs(sums - 1.0)) > DEFAULT_TOL:
         raise ValidationError(f"kernel rows must sum to 1, got sums {sums}")
     w = w.copy()
     w.setflags(write=False)
@@ -283,7 +325,7 @@ def _hermitian_basis(r: int):
     return basis
 
 
-def is_extreme(e: Observable, tol: float = DEFAULT_TOL, support_tol: float = SUPPORT_TOL) -> bool:
+def is_extreme(e: Observable) -> bool:
     """Decide extremality among observables with the same outcome set.
 
     An observable is extreme exactly when the only family of Hermitian
@@ -296,7 +338,7 @@ def is_extreme(e: Observable, tol: float = DEFAULT_TOL, support_tol: float = SUP
     n_params = 0
     for eff in e.effects:
         eigvals, vecs = np.linalg.eigh((eff + dagger(eff)) / 2)
-        support = vecs[:, eigvals > support_tol]
+        support = vecs[:, eigvals > SUPPORT_TOL]
         r = support.shape[1]
         if r == 0:
             continue
@@ -331,6 +373,37 @@ def post_process(e: Observable, k: StochasticKernel, labels=None) -> Observable:
     if labels is None:
         labels = tuple(range(1, k.cols + 1))
     return make_observable(e.dim, labels, np.tensordot(k.weights, e._stack, axes=(0, 0)))
+
+
+def _stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products ``a[x] (x) b[y]`` of two stacks of matrices, ordered by ``(x, y)``.
+
+    One broadcast product gives the entries :func:`numpy.kron` gives.
+    """
+    prod = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+    return prod.reshape(len(a) * len(b), a.shape[1] * b.shape[1], a.shape[2] * b.shape[2])
+
+
+def _joint_pointer(pointers, idle: int) -> Observable:
+    """The observable ``Z_1(x) (x) Z_2(y) (x) ... (x) I_idle``, labelled ``"x,y,..."``.
+
+    When every part has marks, it is written from their Kronecker products,
+    and nothing is formed.  Otherwise the Kronecker products of the effects
+    are formed and validated, and it has no marks, with nothing scanned: a
+    part without marks has an entry that is no 0/1 diagonal entry, and so
+    does some joint effect.
+    """
+    combos = itertools.product(*(p.outcomes for p in pointers))
+    labels = [",".join(map(str, combo)) for combo in combos]
+    dim = math.prod(p.dim for p in pointers) * idle
+    if all(p._marks is not None for p in pointers):
+        # the diagonal of a Kronecker product is the Kronecker product of the diagonals
+        marks = [p._marks[:, None, :] for p in pointers] + [np.ones((1, 1, idle), dtype=bool)]
+        return Observable._from_marks(dim, labels, functools.reduce(_stacked_kron, marks)[:, 0, :])
+    stacks = [p._stack for p in pointers] + [np.eye(idle, dtype=complex)[None]]
+    joint = make_observable(dim, labels, functools.reduce(_stacked_kron, stacks))
+    object.__setattr__(joint, "_marks", None)
+    return joint
 
 
 def spin_observable(axis) -> Observable:

@@ -67,31 +67,31 @@ def _frobenius_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
 
 
-def tensor(a: np.ndarray, b: np.ndarray, max_dim: int = DIMENSION_CAP) -> np.ndarray:
+def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the first factor acting on the system space.
 
     Raises
     ------
     DimensionError
-        If either output dimension of the product exceeds ``max_dim``.
+        If either output dimension of the product exceeds ``DIMENSION_CAP``.
     """
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     b = np.atleast_2d(np.asarray(b, dtype=complex))
-    if a.shape[0] * b.shape[0] > max_dim or a.shape[1] * b.shape[1] > max_dim:
+    if max(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]) > DIMENSION_CAP:
         raise DimensionError(
-            f"tensor product of {a.shape} and {b.shape} exceeds dimension cap {max_dim}"
+            f"tensor product of {a.shape} and {b.shape} exceeds dimension cap {DIMENSION_CAP}"
         )
     return np.kron(a, b)
 
 
-def tensor_many(ops, max_dim: int = DIMENSION_CAP) -> np.ndarray:
+def tensor_many(ops) -> np.ndarray:
     """Left-to-right Kronecker product of a sequence of operators."""
     ops = list(ops)
     if not ops:
         raise DimensionError("empty tensor product")
     out = np.atleast_2d(np.asarray(ops[0], dtype=complex))
     for op in ops[1:]:
-        out = tensor(out, op, max_dim=max_dim)
+        out = tensor(out, op)
     return out
 
 

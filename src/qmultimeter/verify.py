@@ -57,10 +57,17 @@ SHARP_RESIDUAL_TOL = 1e-6
 #: Devices further apart than this (Frobenius / Choi-Frobenius) are distinct.
 DISTINCT_TOL = 1e-3
 
+#: Overlaps (and Gram defects) of program vectors at most this count as zero.
+_OVERLAP_TOL = 1e-9
+
+#: Induced devices at most this far from their predicted value match it.
+_PROGRAM_TOL = 1e-10
+
+#: Search samples qualify with overlap and distance at least ``DISTINCT_TOL``.
 DEFAULT_SEARCH_THRESHOLDS = {
-    "sharp_residual": 1e-6,
-    "overlap": 1e-3,
-    "distance": 1e-3,
+    "sharp_residual": SHARP_RESIDUAL_TOL,
+    "overlap": DISTINCT_TOL,
+    "distance": DISTINCT_TOL,
 }
 
 #: Most samples one search or convex-hull run may draw; larger counts are
@@ -206,7 +213,7 @@ def check_sharp_program_orthogonality(
     m: Multimeter,
     phi1: np.ndarray,
     phi2: np.ndarray,
-    tol: float = 1e-9,
+    tol: float = _OVERLAP_TOL,
     sharp_tol: float = SHARP_RESIDUAL_TOL,
     distance_tol: float = DISTINCT_TOL,
 ) -> VerificationReport:
@@ -225,7 +232,7 @@ def check_channel_program_orthogonality(
     m: Multimeter,
     phi1: np.ndarray,
     phi2: np.ndarray,
-    tol: float = 1e-9,
+    tol: float = _OVERLAP_TOL,
     unitary_tol: float = SHARP_RESIDUAL_TOL,
     distance_tol: float = DISTINCT_TOL,
 ) -> VerificationReport:
@@ -249,7 +256,7 @@ def check_convex_hull(
     programmed,
     trials: int = 20,
     seed: int = 0,
-    tol: float = 1e-10,
+    tol: float = _PROGRAM_TOL,
 ) -> VerificationReport:
     """Programming a full orthonormal basis yields exactly the convex hull.
 
@@ -274,7 +281,7 @@ def check_convex_hull(
     if not kinds:
         raise ValidationError("devices must be all observables or all channels")
     gram = np.array([[np.vdot(a, b) for b in probes] for a in probes])
-    if frobenius_norm(gram - np.eye(m.dim_k)) > 1e-9:
+    if frobenius_norm(gram - np.eye(m.dim_k)) > _OVERLAP_TOL:
         raise ValidationError("program vectors are not orthonormal")
     k = kinds[0]
 
@@ -317,7 +324,7 @@ def check_convex_hull(
 def check_purification(
     m: Multimeter,
     mixed_probe: np.ndarray,
-    tol: float = 1e-10,
+    tol: float = _PROGRAM_TOL,
     kind: str = "observable",
 ) -> VerificationReport:
     """Extreme devices never need mixed probes.

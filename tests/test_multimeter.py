@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import sys
@@ -24,8 +25,6 @@ from qmultimeter.channels import (
 from qmultimeter.multimeter import (
     PROBE_CUTOFF,
     _basis_effects,
-    _basis_multimeter,
-    _basis_supports,
     _dilation_couplings,
     _program_blocks,
     builtin_multimeter,
@@ -41,6 +40,7 @@ from qmultimeter.multimeter import (
 )
 from qmultimeter.observables import (
     Observable,
+    _basis_supports,
     is_sharp,
     make_kernel,
     make_observable,
@@ -705,7 +705,7 @@ class TestPushButton:
         pointers[position] = fuzzy_pointer(1e-10)
         devices = [qubit_part(a, pointer=z) for a, z in zip(spin_trio, pointers)]
         meter, _ = push_button_multimeter(devices)
-        assert meter.normal and meter.pointer_supports is None
+        assert meter.normal and meter.pointer._marks is None
         for eff in meter.pointer.effects:
             assert frobenius_norm(eff @ eff - eff) > 1e-10 and is_projection(eff)
 
@@ -1048,10 +1048,11 @@ class TestDimensionBounds:
 
 
 def dense_twin(meter):
-    """The same meter without stored supports: induction multiplies every pointer effect."""
-    twin = dataclasses.replace(meter)
-    assert twin.pointer_supports is None
-    return twin
+    """The same meter with a copy of its pointer without marks: induction multiplies every effect."""
+    meter.pointer.effects  # an unbuilt pointer is built before it is copied
+    pointer = copy.copy(meter.pointer)
+    object.__setattr__(pointer, "_marks", None)
+    return dataclasses.replace(meter, pointer=pointer)
 
 
 def concatenated_meter():
@@ -1129,8 +1130,8 @@ class TestBasisPointerInduction:
     )
     def test_gather_matches_dense_product(self, rng, construct):
         meter, probes = construct(rng)
-        assert meter.pointer_supports is not None
-        assert np.array_equal(meter.pointer_supports, _basis_supports(meter.pointer.effects))
+        assert meter.pointer._marks is not None
+        assert np.array_equal(meter.pointer._marks, _basis_supports(meter.pointer.effects))
         twin = dense_twin(meter)
         # a minimal dilation comes with one probe, the others with a list
         probes = [probes] if isinstance(probes, np.ndarray) else list(probes)
@@ -1173,7 +1174,7 @@ class TestBasisPointerInduction:
     )
     def test_written_pointer_is_read_only(self, construct):
         meter, _ = construct()
-        assert meter.pointer_supports is not None
+        assert meter.pointer._marks is not None
         for eff in meter.pointer.effects:
             assert not eff.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -1189,18 +1190,22 @@ class TestBasisPointerInduction:
     def test_written_supports_must_partition(self, marks):
         marks = np.array(marks, dtype=bool)
         with pytest.raises(ValidationError, match=r"do not partition range\(3\)"):
-            _basis_multimeter(1, 3, (1, 2, 3), marks, make_channel([np.eye(3)]))
+            Observable._from_marks(3, (1, 2, 3), marks)
+
+    def test_written_labels_must_be_unique(self):
+        with pytest.raises(ValidationError, match=r"outcome labels are not unique: \(1, 2, 1\)"):
+            Observable._from_marks(3, [1, 2, 1], np.eye(3, dtype=bool))
 
     def test_stored_marks_equal_written_marks(self, rng):
         meter, _ = split_pointer_part(rng)
-        assert meter.pointer_supports.tolist() == [[True, False, False], [False, True, True]]
+        assert meter.pointer._marks.tolist() == [[True, False, False], [False, True, True]]
         marks = np.array([[0, 1, 0], [1, 0, 1]], dtype=bool)
-        written = _basis_multimeter(1, 3, (1, 2), marks, make_channel([np.eye(3)]))
-        assert np.array_equal(written.pointer_supports, marks)
-        assert not written.pointer_supports.flags.writeable
-        # the meter keeps its own copy of the marks
+        written = Observable._from_marks(3, (1, 2), marks)
+        assert np.array_equal(written._marks, marks)
+        assert not written._marks.flags.writeable
+        # the pointer keeps its own copy of the marks
         marks[0] = True
-        assert written.pointer_supports.tolist() == [[False, True, False], [True, False, True]]
+        assert written._marks.tolist() == [[False, True, False], [True, False, True]]
 
     @pytest.mark.parametrize(
         "effects",
@@ -1215,7 +1220,7 @@ class TestBasisPointerInduction:
     def test_near_basis_pointer_takes_dense_path(self, monkeypatch, rng, effects):
         pointer = make_observable(2, (1, 2), effects)
         meter = make_multimeter(2, 2, pointer, unitary_channel(haar_unitary(4, rng)))
-        assert meter.normal and meter.pointer_supports is None
+        assert meter.normal and meter.pointer._marks is None
         monkeypatch.setattr(qmultimeter.multimeter, "_basis_effects", forbidden_gather)
         probe = random_state_vector(2, rng)
         model = make_model(meter, probe)
@@ -1233,7 +1238,7 @@ class TestBasisPointerInduction:
     def test_kernel_model_gathers(self, monkeypatch):
         # the kernel smears the gathered effects; the pointer is never smeared
         meter, probes = builtin_multimeter("pauli")
-        assert meter.pointer_supports is not None
+        assert meter.pointer._marks is not None
         kernel = merge_kernels()[1]
         model = make_model(meter, probes[0], kernel=kernel)
         pointer = post_process(meter.pointer, kernel)
@@ -1245,7 +1250,7 @@ class TestBasisPointerInduction:
 
         monkeypatch.setattr(qmultimeter.multimeter, "_basis_effects", recorded)
         obs = induced_observable(model)
-        assert len(gathers) == 1 and gathers[0] is meter.pointer_supports
+        assert len(gathers) == 1 and gathers[0] is meter.pointer._marks
         for x, eff in zip(pointer.outcomes, textbook_effects(model, pointer)):
             assert np.linalg.norm(obs.effect(x) - eff) <= 1e-13
 
@@ -1275,15 +1280,15 @@ class TestBasisPointerInduction:
             scans.append(len(effects))
             return _basis_supports(effects)
 
-        monkeypatch.setattr(qmultimeter.multimeter, "_basis_supports", recorded)
+        monkeypatch.setattr(qmultimeter.observables, "_basis_supports", recorded)
         meter, _ = push_button_multimeter(devices)
         # the bundle's effects are never scanned; the parts were scanned when built
         assert scans == []
         scan = _basis_supports(meter.pointer.effects)
         if scan is None:
-            assert meter.pointer_supports is None
+            assert meter.pointer._marks is None
         else:
-            assert np.array_equal(meter.pointer_supports, scan)
+            assert np.array_equal(meter.pointer._marks, scan)
 
     def test_large_bundle_forms_no_pointer_product(self, monkeypatch, rng):
         observables = [random_sharp_observable(4, 4, s) for s in (1, 2, 3)]
@@ -1342,10 +1347,10 @@ class TestPointerBuiltOnRead:
         meter, _ = bench_bundle()
         pointer = meter.pointer
         assert "effects" not in vars(pointer) and "_stack" not in vars(pointer)
-        assert pointer._marks is meter.pointer_supports
+        assert "_marks" in vars(pointer)
         written = np.zeros((len(pointer), meter.dim_k, meter.dim_k), dtype=complex)
         diag = np.arange(meter.dim_k)
-        written[:, diag, diag] = meter.pointer_supports
+        written[:, diag, diag] = pointer._marks
         stack = pointer._stack
         assert np.array_equal(stack, written) and stack.dtype == written.dtype
         assert not stack.flags.writeable
@@ -1358,7 +1363,7 @@ class TestPointerBuiltOnRead:
 
     def test_concurrent_first_reads_build_one_stack(self):
         meter, _ = bench_bundle((2, 2, 2))
-        labels, marks = meter.pointer.outcomes, meter.pointer_supports
+        labels, marks = meter.pointer.outcomes, meter.pointer._marks
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -1392,18 +1397,55 @@ class TestPointerBuiltOnRead:
         def forbidden_scan(effects):
             raise AssertionError("pointer effects scanned")
 
-        monkeypatch.setattr(qmultimeter.multimeter, "_basis_supports", forbidden_scan)
+        monkeypatch.setattr(qmultimeter.observables, "_basis_supports", forbidden_scan)
+        marks = meter.pointer._marks
         remade = make_multimeter(meter.dim_h, meter.dim_k, meter.pointer, meter.interaction)
-        assert remade.pointer_supports is meter.pointer_supports
+        assert remade.pointer._marks is marks
         assert remade.normal
         assert "_stack" not in vars(meter.pointer)
 
     def test_dense_basis_pointer_is_still_scanned(self):
         meter, _ = minimal_dilation_multimeter(random_sharp_observable(3, 3, 4))
         dense = make_observable(meter.dim_k, meter.pointer.outcomes, meter.pointer.effects)
-        assert dense._marks is None
+        assert "_marks" not in vars(dense)
         remade = make_multimeter(meter.dim_h, meter.dim_k, dense, meter.interaction)
-        assert np.array_equal(remade.pointer_supports, meter.pointer_supports)
+        assert np.array_equal(remade.pointer._marks, meter.pointer._marks)
+
+    def test_scan_runs_once_per_observable(self, monkeypatch, rng):
+        scans = []
+
+        def recorded(effects):
+            scans.append(len(effects))
+            return _basis_supports(effects)
+
+        monkeypatch.setattr(qmultimeter.observables, "_basis_supports", recorded)
+        pointer = make_observable(3, (1, 2), [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 1.0])])
+        interaction = unitary_channel(haar_unitary(6, rng))
+        meters = [make_multimeter(2, 3, pointer, interaction) for _ in range(3)]
+        for probe in np.eye(3):
+            induced_observable(make_model(meters[0], probe))
+        assert scans == [2]
+        assert all(meter.pointer._marks is pointer._marks for meter in meters)
+
+
+class TestIdentityEquality:
+    def test_core_types_compare_by_identity(self, rng):
+        meter, probes = bench_bundle((2, 2, 2))
+        twin, _ = bench_bundle((2, 2, 2))
+        kernel = fractional_kernel(len(meter.pointer), rng)
+        pairs = [
+            (meter.pointer, twin.pointer),
+            (meter.interaction, twin.interaction),
+            (kernel, make_kernel(kernel.weights)),
+            (meter, twin),
+            (make_model(meter, probes[0], kernel), make_model(twin, probes[0], kernel)),
+        ]
+        for a, b in pairs:
+            assert a == a and not a != a
+            assert a != b and not a == b
+            assert hash(a) == hash(a) and len({a, b}) == 2
+        # comparing pointers builds neither one
+        assert "_stack" not in vars(meter.pointer) and "_stack" not in vars(twin.pointer)
 
 
 def whole_program_blocks(model):
@@ -1489,7 +1531,7 @@ class TestProgramBlocksOnSupport:
     def test_slot_gather_equals_every_slot_summed(self, rng):
         meter, probes = bench_bundle()
         mixed = sum(w * projector(p) for w, p in zip((0.5, 0.3, 0.2), probes))
-        weights = meter.pointer_supports
+        weights = meter.pointer._marks
         for probe in [*probes, mixed, random_state_vector(meter.dim_k, rng)]:
             m = _program_blocks(make_model(meter, probe)).reshape(-1, meter.dim_k, meter.dim_h)
             grams = _basis_effects(m, None)
