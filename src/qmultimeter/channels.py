@@ -16,7 +16,6 @@ from .exceptions import DimensionError, ValidationError
 from .operators import (
     DEFAULT_TOL,
     DIMENSION_CAP,
-    certifies,
     check_state_vector,
     dagger,
     frobenius_norm,
@@ -28,19 +27,17 @@ from .operators import (
 class Channel:
     """Channel on a ``dim``-dimensional space, given by Kraus operators.
 
-    ``tp_residual`` is ``||sum_i K_i* K_i - I||_F`` as computed when the
-    channel was validated, or, for a channel assembled from validated parts,
-    the exact bound derived from theirs, which differs from it by rounding;
-    ``tp_certified`` tells the two apart and is set only by the validating
-    constructor.  The Kraus operators are read-only, so the residual stays
-    valid for the channel's lifetime.  Equality is identity;
-    :func:`channel_distance` compares channels.
+    ``tp_residual`` is ``||sum_i K_i* K_i - I||_F``, as computed when the
+    channel was validated or, for a push-button coupling, as written from
+    its parts' (:func:`~qmultimeter.multimeter._selector_coupling`).  The
+    Kraus operators are read-only, so the residual stays valid for the
+    channel's lifetime.  Equality is identity; :func:`channel_distance`
+    compares channels.
     """
 
     dim: int
     kraus: tuple
     tp_residual: float = field(repr=False)
-    tp_certified: bool = field(default=False, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.kraus)
@@ -72,28 +69,24 @@ def make_channel(kraus, tol: float = DEFAULT_TOL) -> Channel:
     return _checked_channel(stack, tol)
 
 
-def _checked_channel(stack: np.ndarray, tol: float, certified: float | None = None) -> Channel:
+def _checked_channel(stack: np.ndarray, tol: float, residual: float | None = None) -> Channel:
     """Decide trace preservation of an ``(n, dim, dim)`` Kraus stack and freeze it.
 
-    The stack is taken over, not copied.  ``certified`` is a bound on
-    the residual derived from validated parts; when it decides the check
-    (:func:`_residual_certifies`) it is stored, otherwise the residual is
-    computed densely and decides.
+    The stack is taken over, not copied.  A ``residual`` written from
+    validated parts is stored and decides; without one it is computed
+    densely (:func:`_dense_residual`).
     """
     dim = stack.shape[-1]
-    threshold = tol * max(1.0, float(np.sqrt(dim)))
-    is_certified = certified is not None and _residual_certifies(certified, threshold, dim)
-    residual = certified if is_certified else _dense_residual(stack)
+    if residual is None:
+        residual = _dense_residual(stack)
     # A NaN or infinite entry of some K_i makes the diagonal of sum_i K_i* K_i,
     # and so the residual, non-finite; no separate pass over the entries is needed.
     if not np.isfinite(residual):
         raise ValidationError(f"Kraus operators have non-finite entries (residual {residual})")
-    if residual > threshold:
+    if residual > tol * max(1.0, float(np.sqrt(dim))):
         raise ValidationError(f"Kraus operators are not trace-preserving (residual {residual:.3e})")
     stack.setflags(write=False)
-    channel = Channel(dim=dim, kraus=tuple(stack), tp_residual=residual)
-    object.__setattr__(channel, "tp_certified", is_certified)
-    return channel
+    return Channel(dim=dim, kraus=tuple(stack), tp_residual=residual)
 
 
 def _dense_residual(stack: np.ndarray) -> float:
@@ -106,31 +99,13 @@ def _dense_residual(stack: np.ndarray) -> float:
     return frobenius_norm(dagger(rows) @ rows - np.eye(stack.shape[-1]))
 
 
-def _residual_certifies(bound: float, threshold: float, dim: int) -> bool:
-    """Whether a bound on the residual ``D`` decides a trace-preservation check.
-
-    The Gram sum's factors have ``sum_i ||K_i||_F^2 = tr(I + D)``, at most
-    ``dim + sqrt(dim) ||D||_F``; see :func:`~qmultimeter.operators.certifies`.
-    """
-    return certifies(bound, threshold, dim, dim + float(np.sqrt(dim)) * bound)
-
-
 def is_unitary_channel(c: Channel, tol: float = DEFAULT_TOL) -> bool:
     """A single Kraus operator ``U`` with ``||U*U - I||_F <= tol * max(1, sqrt(dim))``.
 
     Decided from the stored ``tp_residual``: for a square ``U``,
-    ``||U*U - I||_F = ||UU* - I||_F``, so no further product is formed.  A
-    residual certified from parts decides only where it would have been
-    accepted at construction; elsewhere (``tol`` near the rounding floor or
-    near the residual) the dense residual is computed, so the decision is
-    always the dense one.
+    ``||U*U - I||_F = ||UU* - I||_F``, so no further product is formed.
     """
-    if len(c.kraus) != 1:
-        return False
-    threshold = tol * max(1.0, float(np.sqrt(c.dim)))
-    if c.tp_certified and not _residual_certifies(c.tp_residual, threshold, c.dim):
-        return _dense_residual(c.kraus[0][None]) <= threshold
-    return c.tp_residual <= threshold
+    return len(c.kraus) == 1 and c.tp_residual <= tol * max(1.0, float(np.sqrt(c.dim)))
 
 
 def identity_channel(dim: int) -> Channel:
@@ -155,11 +130,16 @@ def unitary_channel(u: np.ndarray) -> Channel:
 
 
 def complete_contraction(phi: np.ndarray) -> Channel:
-    """Channel mapping every state to the fixed pure state ``|phi><phi|``."""
+    """Channel mapping every state to the fixed pure state ``|phi><phi|``.
+
+    Its Kraus operators ``|phi><i|`` hold ``dim**3`` entries; a ``dim``
+    above 256 exceeds ``DIMENSION_CAP**2`` and raises ``DimensionError``.
+    """
     phi = check_state_vector(phi)
     dim = phi.shape[0]
-    kraus = [np.outer(phi, np.eye(dim)[i]) for i in range(dim)]
-    return make_channel(kraus)
+    if dim**3 > DIMENSION_CAP**2:
+        raise DimensionError(f"contraction of dimension {dim} exceeds {DIMENSION_CAP**2} entries")
+    return make_channel(np.eye(dim)[:, None, :] * phi[None, :, None])
 
 
 def apply(c: Channel, x: np.ndarray, picture: str = "schrodinger") -> np.ndarray:

@@ -347,10 +347,10 @@ def _selector_coupling(blocks, residuals, multiplicities) -> Channel:
     ``g* g - I`` is block-diagonal over the selector with blocks
     ``B_i* B_i - I``.  Each ``B_i`` is a validated coupling with stored
     residual ``r_i`` tensored (factors permuted) with an identity of
-    dimension ``m_i``, so ``||g* g - I||_F^2 = sum_i m_i r_i^2`` exactly;
-    that bound is handed to the shared tail of
-    :func:`~qmultimeter.channels.make_channel`, which computes the dense
-    residual only when the bound misses the margin.
+    dimension ``m_i``, so ``||g* g - I||_F^2 = sum_i m_i r_i^2`` exactly.
+    That identity is the coupling's residual, stored and checked by the
+    shared tail of :func:`~qmultimeter.channels.make_channel`; no dense
+    Gram product is formed.
     """
     residual = float(np.sqrt(sum(m * r * r for m, r in zip(multiplicities, residuals))))
     return _checked_channel(_selector_sum(blocks)[None], DEFAULT_TOL, residual)
@@ -381,15 +381,16 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
       all component pointers jointly (outcome labels are comma-joined),
       and selector ``i`` leaves every meter except the i-th idle.
 
-    The coupling's residual is bounded from the validated parts; it is
-    computed densely only where the bound misses the margin of
-    :func:`~qmultimeter.operators.certifies`.  When every part's pointer
-    has marks, the joint pointer is written from the joint marks;
-    otherwise its Kronecker products are formed and validated densely (see
-    :func:`~qmultimeter.observables._joint_pointer`).  A pointer of more than
-    ``DIMENSION_CAP**2`` entries (``len(pointer) * dim_K**2``: seven or
-    more qubit parts, or more than 645 channels) raises ``DimensionError``
-    before the coupling or the pointer is allocated.
+    The coupling's residual is written from the validated parts' residuals
+    (see :func:`_selector_coupling`), never computed densely, so it differs
+    from a dense Gram product by that product's rounding.  When every
+    part's pointer has marks, the joint pointer is written from the joint
+    marks; otherwise its Kronecker products are formed and validated
+    densely (see :func:`~qmultimeter.observables._joint_pointer`).  A
+    pointer of more than ``DIMENSION_CAP**2`` entries
+    (``len(pointer) * dim_K**2``: seven or more qubit parts, or more than
+    645 channels) raises ``DimensionError`` before the coupling or the
+    pointer is allocated.
     """
     devices = list(devices)
     if not devices:
@@ -488,7 +489,9 @@ def concatenate_with_measurement(
     The composite apparatus is ``K (x) K0``; programming with
     ``phi (x) eta`` (eta the measurement's own probe) measures the
     Heisenberg image of the fixed sharp observable under the channel that
-    ``phi`` programs.
+    ``phi`` programs.  A product of every pair of Kraus operators that
+    would hold more than ``DIMENSION_CAP**2`` entries raises
+    ``DimensionError`` before anything is embedded.
     """
     if a_model.meter.dim_h != channel_meter.dim_h:
         raise DimensionError("system dimensions differ")
@@ -497,6 +500,11 @@ def concatenate_with_measurement(
         raise ValidationError("the downstream model must measure a sharp observable")
     dim_h = channel_meter.dim_h
     dims = [dim_h, channel_meter.dim_k, a_model.meter.dim_k]
+    pairs = len(channel_meter.interaction) * len(a_model.meter.interaction)
+    if pairs * math.prod(dims) ** 2 > DIMENSION_CAP**2:
+        raise DimensionError(
+            f"concatenation of {pairs} Kraus pairs exceeds {DIMENSION_CAP**2} entries"
+        )
     first = _embed_channel(channel_meter.interaction, dims, [0, 1])
     second = _embed_channel(a_model.meter.interaction, dims, [0, 2])
     total = make_channel([s @ f for s in second.kraus for f in first.kraus])

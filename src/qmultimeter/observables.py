@@ -57,7 +57,7 @@ class Observable:
 
     dim: int
     outcomes: tuple
-    effects: tuple
+    effects: tuple = field(repr=False)
     _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):

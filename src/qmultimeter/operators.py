@@ -215,37 +215,6 @@ def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool((_frobenius_norms(_hermitian_defect(a)) <= _rel_tol(a, tol)).all())
 
 
-#: A bound computed from validated parts decides a check only when it is at
-#: most this fraction of the check's threshold, and the rest of the threshold
-#: exceeds the rounding of the dense computation (see :func:`certifies`).
-CERTIFICATE_MARGIN = 0.5
-
-#: Multiple of ``dim * eps * scale`` taken as the rounding of a dense check on
-#: a ``dim x dim`` matrix whose product factors have Frobenius norms
-#: multiplying to ``scale``.  A computed product errs entrywise by at most
-#: ``gamma_dim |A||B|``, about ``dim * eps/2 * ||A||_F ||B||_F`` in Frobenius
-#: norm; the subtraction and norm that follow err by amounts of the same order.
-ROUNDING_SLACK = 10.0
-
-
-def certifies(bound: float, threshold: float, dim: int, scale: float) -> bool:
-    """True when ``bound`` decides a check whose dense value must not exceed ``threshold``.
-
-    ``bound`` is an exact bound on the checked quantity, and ``dim`` and
-    ``scale`` describe the dense computation it stands in for (see
-    :data:`ROUNDING_SLACK`).  The bound must be at most
-    :data:`CERTIFICATE_MARGIN` of the threshold and the rounding estimate at
-    most the remainder, so the dense value, which exceeds the exact one by
-    at most that rounding, would pass too.  Near ``tol = 0`` no threshold
-    clears the rounding and the caller's dense check decides.
-    """
-    rounding = ROUNDING_SLACK * dim * np.finfo(float).eps * scale
-    return (
-        bound <= CERTIFICATE_MARGIN * threshold
-        and rounding <= (1 - CERTIFICATE_MARGIN) * threshold
-    )
-
-
 def eigenvalue_below(a: np.ndarray, bounds) -> tuple[int, float] | None:
     """First matrix of a stack whose Hermitian part has an eigenvalue below its ``-bound``.
 
@@ -255,7 +224,7 @@ def eigenvalue_below(a: np.ndarray, bounds) -> tuple[int, float] | None:
     ``H = (A + A*)/2`` has ``lambda_min(H) < -bound``, with that eigenvalue
     for the caller's error message, or None.
 
-    One stacked Cholesky factorisation of the ``H + bound I`` certifies
+    One stacked Cholesky factorisation of the ``H + bound I`` proves
     ``lambda_min(H) > -bound`` for every matrix at a fraction of the cost
     of the spectra.  Only when it fails is one stacked ``eigvalsh`` run,
     which decides exactly (``lambda_min(H) >= -bound`` passes); a matrix it

@@ -435,6 +435,38 @@ class TestMainExitCodes:
         assert peak < 2**20
 
     @pytest.mark.parametrize(
+        "objects, message",
+        [
+            # 1000 Kraus operators of 1000**2 entries would take 16 GB
+            ({"C": {"kind": "channel", "builtin": "contraction", "vector": [1] + [0] * 999}},
+             "contraction of dimension 1000 exceeds"),
+            # a contraction onto e_0 measures the sharp (I, 0, ...) with any probe;
+            # 22 * 22 Kraus products on dimension 2 * 11 * 11 would take 0.9 GB
+            ({"P": {"kind": "observable", "dim": 11, "outcomes": list(range(11)),
+                    "effects": {str(k): np.diag(np.eye(11)[k]).tolist() for k in range(11)}},
+              "E": {"kind": "channel", "builtin": "contraction", "vector": [1] + [0] * 21},
+              "M": {"kind": "multimeter", "dim_h": 2, "dim_k": 11, "pointer": "P",
+                    "interaction": "E"},
+              "C": {"kind": "multimeter", "construction": "concatenate", "channel_meter": "M",
+                    "a_multimeter": "M", "a_probe": [1] + [0] * 10}},
+             "concatenation of 484 Kraus pairs exceeds"),
+        ],
+        ids=["contraction", "concatenation"],
+    )
+    def test_kraus_operators_capped_before_they_allocate(self, tmp_path, capsys, objects,
+                                                         message):
+        path = write_scenario(tmp_path, {"objects": objects, "runs": []})
+        tracemalloc.start()
+        try:
+            status = main([path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == EXIT_DIMENSION
+        assert f"validation error: objects.C: {message}" in capsys.readouterr().err
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
         "construction, message",
         [
             # dim H * dim K = 4 * 2000

@@ -11,7 +11,6 @@ import pytest
 import qmultimeter
 from qmultimeter import DIMENSION_CAP, DimensionError, PAULI, ValidationError
 from qmultimeter.channels import (
-    Channel,
     apply,
     channel_distance,
     choi_matrix,
@@ -593,7 +592,7 @@ class TestPushButton:
 
     def test_observable_mode_validates_without_spectra(self, monkeypatch):
         # unitarity comes from the residuals make_channel stored, the
-        # bundle's coupling residual is certified from its parts, and its
+        # bundle's coupling residual is written from its parts', and its
         # pointer is written from the parts' supports, so no dense check
         # runs at bundle size
         def forbidden(*args, **kwargs):
@@ -663,9 +662,9 @@ class TestPushButton:
     @pytest.mark.parametrize(
         "scale, tol, outcome",
         # part residual 4 * scale: far below the bundle threshold, at 0.9 of
-        # the part's own threshold (the bound misses the margin), and above
-        # the bundle threshold for a part validated at a looser tolerance
-        [(2.5e-11, 1e-9, "certified"), (4.5e-10, 1e-9, "dense"), (2.5e-9, 1e-8, "raises")],
+        # the part's own threshold, and above the bundle threshold for a part
+        # validated at a looser tolerance; the parts' residuals decide each
+        [(2.5e-11, 1e-9, "accepted"), (4.5e-10, 1e-9, "accepted"), (2.5e-9, 1e-8, "raises")],
     )
     def test_coupling_residual_from_parts(self, monkeypatch, spin_trio, scale, tol, outcome):
         three = make_observable(
@@ -677,14 +676,14 @@ class TestPushButton:
         if outcome == "raises":
             with pytest.raises(ValidationError, match="trace-preserving"):
                 push_button_multimeter(devices)
-            assert seen == ["gram"]
+            assert seen == []
             return
         meter, _ = push_button_multimeter(devices)
+        assert seen == []
         g = meter.coupling
         residual = frobenius_norm(g.conj().T @ g - np.eye(len(g)))
         assert residual == pytest.approx(np.sqrt(3) * devices[0][0].interaction.tp_residual)
         assert abs(meter.interaction.tp_residual - residual) <= 1e-13
-        assert seen == ([] if outcome == "certified" else ["gram"])
         assert meter.normal
 
     def test_channel_coupling_residual_from_parts(self, monkeypatch):
@@ -696,6 +695,27 @@ class TestPushButton:
         residual = frobenius_norm(g.conj().T @ g - np.eye(8))
         assert abs(meter.interaction.tp_residual - residual) <= 1e-13
         assert residual > 1e-11
+
+    def test_bundle_of_bundles_residual_from_parts(self, monkeypatch):
+        # random sharp parts have nonzero residuals; the outer coupling's
+        # residual is written from the inner ones, themselves from theirs
+        inner = [
+            push_button_multimeter(
+                [minimal_dilation_multimeter(random_sharp_observable(2, 2, s)) for s in seeds]
+            )
+            for seeds in ((1, 2), (3, 4))
+        ]
+        assert all(m.interaction.tp_residual > 0 for m, _ in inner)
+        with monkeypatch.context() as spies:
+            seen = dense_checks(spies, 8 * 8 * 2)
+            meter, probes = push_button_multimeter([(m, p[i]) for i, (m, p) in enumerate(inner)])
+        assert seen == []
+        assert meter.normal and meter.dim_k == 128 and len(probes) == 2
+        g = meter.coupling
+        residual = frobenius_norm(g.conj().T @ g - np.eye(len(g)))
+        assert abs(meter.interaction.tp_residual - residual) <= 1e-13
+        # each inner block repeats m_i = 8 times: without it the sum is 3x smaller
+        assert meter.interaction.tp_residual == pytest.approx(residual, rel=0.1, abs=0)
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_pointer_certificate_bounds_every_factor(self, spin_trio, position):
@@ -735,9 +755,10 @@ class TestPushButton:
             push_button_multimeter(devices)
 
     @pytest.mark.parametrize("tol", [0.0, 1e-17, 1e-16, 1e-13, 1e-9])
-    def test_certificates_defer_to_dense_near_zero_tolerance(self, spin_trio, tol):
+    def test_bundle_normal_matches_dense_near_zero_tolerance(self, monkeypatch, spin_trio, tol):
         # the Kronecker products of exactly idempotent factors are not
-        # exactly idempotent; near tol = 0 the dense checks decide
+        # exactly idempotent, so the joint pointer's dense check decides
+        # sharpness; down to tol = 0 the verdict is the dense checks' one
         v = np.array([np.cos(7 * np.pi / 80), np.sin(7 * np.pi / 80)])
         f = np.outer(v, v)
         devices = [
@@ -750,7 +771,9 @@ class TestPushButton:
         dense_unitary = frobenius_norm(g.conj().T @ g - np.eye(len(g))) <= tol * np.sqrt(len(g))
         dense_sharp = all(is_projection(e, tol) for e in bundle.pointer.effects)
         assert is_sharp(bundle.pointer, tol) == dense_sharp
+        seen = dense_checks(monkeypatch, len(g))
         meter = make_multimeter(bundle.dim_h, bundle.dim_k, bundle.pointer, bundle.interaction, tol)
+        assert "gram" not in seen
         assert meter.normal == (dense_unitary and dense_sharp)
 
     @pytest.mark.parametrize(
@@ -785,26 +808,6 @@ class TestPushButton:
         ]
         with pytest.raises(ValidationError, match="outcome labels are not unique"):
             push_button_multimeter(parts)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_certified_residual_defers_to_dense_near_threshold(self, seed):
-        # the certified and the dense residual of the coupling differ by
-        # rounding; at a tolerance between them the dense residual decides
-        devices = [
-            unitary_channel(haar_unitary(3, np.random.default_rng(10 * seed + i)))
-            for i in range(4)
-        ]
-        bundle, _ = push_button_multimeter(devices)
-        g = bundle.coupling
-        dense = frobenius_norm(g.conj().T @ g - np.eye(12))
-        certified = bundle.interaction.tp_residual
-        assert certified != dense
-        tol = (certified + dense) / 2 / np.sqrt(12)
-        assert is_unitary_channel(bundle.interaction, tol) == (dense <= tol * np.sqrt(12))
-
-    def test_certificates_are_not_constructor_arguments(self):
-        with pytest.raises(TypeError):
-            Channel(1, (np.eye(1),), 0.0, tp_certified=True)
 
 
 class TestSharedPointer:
@@ -1360,6 +1363,13 @@ class TestPointerBuiltOnRead:
         assert pointer.effects is effects and pointer._stack is stack
         with pytest.raises(AttributeError, match="no attribute 'projection'"):
             pointer.projection
+
+    def test_repr_builds_nothing(self):
+        meter, _ = bench_bundle()
+        peak, text = traced_peak(lambda: repr(meter.pointer))
+        assert peak < 2**20 and text.startswith("Observable(dim=192, outcomes=")
+        assert "pointer=Observable(dim=192" in repr(meter)
+        assert "_stack" not in vars(meter.pointer)
 
     def test_concurrent_first_reads_build_one_stack(self):
         meter, _ = bench_bundle((2, 2, 2))
