@@ -8,6 +8,8 @@ representation.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,9 +20,13 @@ from .operators import (
     DIMENSION_CAP,
     check_state_vector,
     dagger,
+    embed_factors,
     frobenius_norm,
     is_projection,
 )
+
+# Held while the Kraus operator of a channel written from its parts is built.
+_BUILD_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,18 +35,81 @@ class Channel:
 
     ``tp_residual`` is ``||sum_i K_i* K_i - I||_F``, as computed when the
     channel was validated or, for a push-button coupling, as written from
-    its parts' (:func:`~qmultimeter.multimeter._selector_coupling`).  The
-    Kraus operators are read-only, so the residual stays valid for the
-    channel's lifetime.  Equality is identity; :func:`channel_distance`
-    compares channels.
+    its parts' (see :meth:`_from_parts`).  The Kraus operators are
+    read-only, so the residual stays valid for the channel's lifetime.
+
+    ``_parts`` is, for a push-button coupling written from its parts, the
+    pair ``(parts, dims)`` that :meth:`_from_parts` takes, and ``None``
+    otherwise.  Such a channel keeps only its parts: its one Kraus
+    operator is built on its first read, once.  Equality is identity;
+    :func:`channel_distance` compares channels.
     """
 
     dim: int
-    kraus: tuple
+    kraus: tuple = field(repr=False)
     tp_residual: float = field(repr=False)
+    _parts = None
+
+    @classmethod
+    def _from_parts(cls, parts, residuals, dims) -> Channel:
+        """Unbuilt coupling ``g = sum_i B_i (x) P[e_i]`` on ``H (x) K_1 (x) ... (x) K_n (x) C^n``.
+
+        ``dims`` is ``(dim H, k_1, ..., k_n, n)``, and part ``i`` is a
+        validated unitary ``V_i`` on ``H (x) K_i`` with stored residual
+        ``r_i``; ``B_i`` is ``V_i`` with the identity on the other
+        ``K_j``.  A channel bundle is the case ``k_i = 1``.  ``g* g - I``
+        is block-diagonal over the selector with blocks ``B_i* B_i - I``,
+        so ``||g* g - I||_F^2 = sum_i m_i r_i^2`` exactly, ``m_i`` the
+        product of the ``k_j`` with ``j != i``.  That identity is the
+        coupling's residual, checked as :func:`make_channel` checks its
+        own, and no dense Gram product is formed.
+        """
+        dims = tuple(dims)
+        dim_k = math.prod(dims[1:-1])
+        residual = float(np.sqrt(sum(dim_k // k * r * r for k, r in zip(dims[1:-1], residuals))))
+        dim = dims[0] * dim_k * dims[-1]
+        _check_trace_preserving(residual, dim, DEFAULT_TOL)
+        channel = object.__new__(cls)
+        for name, value in (("dim", dim), ("tp_residual", residual),
+                            ("_parts", (tuple(parts), dims))):
+            object.__setattr__(channel, name, value)
+        return channel
+
+    def __getattr__(self, name):
+        # reached only for attributes not yet set: the Kraus operator of a
+        # channel written from its parts
+        if name != "kraus" or self._parts is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        with _BUILD_LOCK:
+            if "kraus" not in vars(self):
+                parts, dims = self._parts
+                ks = dims[1:-1]
+                # in a channel bundle, every k_i = 1, each part is its own block B_i
+                if math.prod(ks) > 1:
+                    # B_i: V_i on H (x) K_i, the identity on the K_j before and after K_i
+                    parts = [
+                        embed_factors(v, [dims[0], math.prod(ks[:i]), k, math.prod(ks[i + 1:])],
+                                      [0, 2])
+                        for i, (v, k) in enumerate(zip(parts, ks))
+                    ]
+                g = _selector_sum(parts)
+                g.setflags(write=False)
+                object.__setattr__(self, "kraus", (g,))
+        return self.kraus
 
     def __len__(self) -> int:
-        return len(self.kraus)
+        # a channel written from its parts is one unitary
+        return 1 if self._parts is not None else len(self.kraus)
+
+
+def _selector_sum(blocks) -> np.ndarray:
+    """``sum_i B_i (x) P[e_i]`` of equal square blocks, written block by block."""
+    n = len(blocks)
+    dim = blocks[0].shape[0]
+    g = np.zeros((dim, n, dim, n), dtype=complex)
+    for i, block in enumerate(blocks):
+        g[:, i, :, i] = block
+    return g.reshape(dim * n, dim * n)
 
 
 def make_channel(kraus, tol: float = DEFAULT_TOL) -> Channel:
@@ -66,27 +135,20 @@ def make_channel(kraus, tol: float = DEFAULT_TOL) -> Channel:
             shape = np.array(k, dtype=complex).shape
             if shape != (dim, dim):
                 raise DimensionError(f"Kraus operator shape {shape}, expected {(dim, dim)}")
-    return _checked_channel(stack, tol)
+    residual = _dense_residual(stack)
+    _check_trace_preserving(residual, dim, tol)
+    stack.setflags(write=False)
+    return Channel(dim=dim, kraus=tuple(stack), tp_residual=residual)
 
 
-def _checked_channel(stack: np.ndarray, tol: float, residual: float | None = None) -> Channel:
-    """Decide trace preservation of an ``(n, dim, dim)`` Kraus stack and freeze it.
-
-    The stack is taken over, not copied.  A ``residual`` written from
-    validated parts is stored and decides; without one it is computed
-    densely (:func:`_dense_residual`).
-    """
-    dim = stack.shape[-1]
-    if residual is None:
-        residual = _dense_residual(stack)
+def _check_trace_preserving(residual: float, dim: int, tol: float) -> None:
+    """Refuse a residual ``||sum_i K_i* K_i - I||_F`` above ``tol * max(1, sqrt(dim))``."""
     # A NaN or infinite entry of some K_i makes the diagonal of sum_i K_i* K_i,
     # and so the residual, non-finite; no separate pass over the entries is needed.
     if not np.isfinite(residual):
         raise ValidationError(f"Kraus operators have non-finite entries (residual {residual})")
     if residual > tol * max(1.0, float(np.sqrt(dim))):
         raise ValidationError(f"Kraus operators are not trace-preserving (residual {residual:.3e})")
-    stack.setflags(write=False)
-    return Channel(dim=dim, kraus=tuple(stack), tp_residual=residual)
 
 
 def _dense_residual(stack: np.ndarray) -> float:
@@ -105,7 +167,7 @@ def is_unitary_channel(c: Channel, tol: float = DEFAULT_TOL) -> bool:
     Decided from the stored ``tp_residual``: for a square ``U``,
     ``||U*U - I||_F = ||UU* - I||_F``, so no further product is formed.
     """
-    return len(c.kraus) == 1 and c.tp_residual <= tol * max(1.0, float(np.sqrt(c.dim)))
+    return len(c) == 1 and c.tp_residual <= tol * max(1.0, float(np.sqrt(c.dim)))
 
 
 def identity_channel(dim: int) -> Channel:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, _checked_channel, is_unitary_channel, make_channel
+from .channels import Channel, _selector_sum, is_unitary_channel, make_channel
 from .exceptions import DimensionError, ValidationError
 from .observables import (
     SUPPORT_TOL,
@@ -35,7 +35,6 @@ from .operators import (
     embed_factors,
     projector,
     tensor,
-    tensor_many,
 )
 
 #: Probe eigenvalues below this carry no weight in induction.
@@ -47,10 +46,10 @@ INDUCTION_TOL = 1e-7
 #: Entries of a unit vector at most this large do not fix its global phase.
 PHASE_ENTRY_TOL = 1e-12
 
-#: From this apparatus dimension on, induction multiplies only the probe's
-#: nonzero columns and sums only the nonzero pointer slots.  Below it,
-#: finding them costs more than the products they skip (the two cross
-#: between dim K = 24 and 81 for push-button selectors).
+#: From this apparatus dimension on, a density probe is validated and
+#: decomposed on its support only, and induction sums only the nonzero
+#: pointer slots.  Below it, finding them costs more than the work they
+#: skip (the two cross between dim K = 24 and 81 for push-button selectors).
 SUPPORT_MIN_DIM_K = 64
 
 
@@ -155,7 +154,10 @@ def make_model(
 
     The probe is stored normalised (a vector divided by its norm, a density
     operator by its trace), so any probe the state checks accept induces a
-    valid device.
+    valid device.  From ``SUPPORT_MIN_DIM_K`` on, a density operator is
+    checked on its principal block over :func:`_probe_support` alone: the
+    rest is exactly zero, so Hermiticity, positivity and the trace are
+    decided as on the whole matrix.
 
     Parameters
     ----------
@@ -170,7 +172,11 @@ def make_model(
         probe = check_state_vector(probe)
         probe = probe / np.linalg.norm(probe)
     elif probe.ndim == 2:
-        probe = check_density_operator(probe)
+        block = probe
+        if probe.shape[0] == probe.shape[1] >= SUPPORT_MIN_DIM_K:
+            support = _probe_support(probe)
+            block = probe[np.ix_(support, support)]
+        check_density_operator(block)
         probe = probe / np.trace(probe).real
     else:
         raise DimensionError("probe must be a vector or a density matrix")
@@ -196,6 +202,14 @@ def make_model(
     return MeasurementModel(meter=meter, probe=probe, kernel=kernel)
 
 
+def _probe_support(probe: np.ndarray) -> np.ndarray:
+    """Indices whose row or column of a square probe holds a nonzero entry.
+
+    Every entry outside the principal block on these indices is zero.
+    """
+    return np.flatnonzero(probe.any(axis=0) | probe.any(axis=1))
+
+
 def _program_blocks(model: MeasurementModel) -> np.ndarray:
     """Stack ``M[j, r, i, c]`` of the maps the probe programs into the interaction.
 
@@ -206,27 +220,61 @@ def _program_blocks(model: MeasurementModel) -> np.ndarray:
     dropping negligible or slightly negative ones keeps the device
     normalised.  A pure probe is its own single eigenvector.
 
-    From ``SUPPORT_MIN_DIM_K`` on, only the apparatus columns where some
-    kept eigenvector is nonzero are multiplied: the others add exact zeros.
-    A push-button selector probe is nonzero in one column; a probe with no
-    zero entry takes the whole product, with no copy of the coupling.
+    From ``SUPPORT_MIN_DIM_K`` on, a density probe is decomposed on its
+    principal block over :func:`_probe_support`, and its eigenvectors are
+    placed back on those indices.  A coupling held as its parts is never
+    built: see :func:`_slot_blocks`.
     """
-    meter = model.meter
-    if model.probe.ndim == 1:
-        psis = model.probe[:, None]
+    meter, probe = model.meter, model.probe
+    if probe.ndim == 1:
+        psis = probe[:, None]
     else:
-        lam, vecs = np.linalg.eigh(model.probe)
+        support = _probe_support(probe) if meter.dim_k >= SUPPORT_MIN_DIM_K else slice(None)
+        lam, vecs = np.linalg.eigh(probe[support][:, support])
         keep = lam >= PROBE_CUTOFF
-        psis = vecs[:, keep] * np.sqrt(lam[keep] / lam[keep].sum())
-    support = slice(None)
-    if meter.dim_k >= SUPPORT_MIN_DIM_K:
-        nonzero = np.flatnonzero(psis.any(axis=1))
-        if len(nonzero) < meter.dim_k:
-            support = nonzero
-    psis = psis[support]
-    m = np.stack([v.reshape(-1, meter.dim_k)[:, support] @ psis for v in meter.interaction.kraus])
+        psis = np.zeros((meter.dim_k, np.count_nonzero(keep)), dtype=complex)
+        psis[support] = vecs[:, keep] * np.sqrt(lam[keep] / lam[keep].sum())
+    if meter.interaction._parts is not None:
+        return _slot_blocks(*meter.interaction._parts, psis)
+    m = np.stack([v.reshape(-1, meter.dim_k) @ psis for v in meter.interaction.kraus])
     m = m.reshape(-1, meter.dim_h, meter.dim_k, meter.dim_h, psis.shape[1])
     return np.moveaxis(m, -1, 0).reshape(-1, meter.dim_h, meter.dim_k, meter.dim_h)
+
+
+def _slot_blocks(parts, dims, psis: np.ndarray) -> np.ndarray:
+    """:func:`_program_blocks` of a coupling held as its parts, one selector slot at a time.
+
+    ``g = sum_s B_s (x) P[e_s]`` (see
+    :meth:`~qmultimeter.channels.Channel._from_parts`) maps selector slot
+    ``s`` into itself, so for any probe vector ``psi`` the rows of slot
+    ``s`` of ``g (I (x) psi)`` are ``V_s`` contracted over ``K_s`` with
+    ``chi_s``, the slot-``s`` entries of ``psi``, and the identity on the
+    other ``K_j``.  Slots where every probe vector is zero stay zero, and
+    the dense coupling is never read.  ``psis`` holds the probe vectors as
+    columns.  The contraction adds one product per nonzero ``K_s`` entry of
+    ``chi_s``, so a probe nonzero at one entry per slot (a selector, or any
+    probe of a channel bundle) takes the products the dense coupling takes.
+    A channel bundle takes all its slots in one product.
+    """
+    dim_h, ks, n = dims[0], dims[1:-1], dims[-1]
+    dim_k, count = psis.shape
+    chis = psis.reshape(dim_k // n, n, count)
+    if dim_k == n:
+        # a channel bundle, every K_i = C^1: slot s is U_s times entry s of each probe vector
+        m = np.stack(parts)[..., None] * chis[0][:, None, None, :]
+        return m.transpose(3, 1, 0, 2).reshape(count, dim_h, dim_k, dim_h)
+    m = np.zeros((count, dim_h, dim_k // n, n, dim_h), dtype=complex)
+    for s in np.flatnonzero(chis.any(axis=(0, 2))):
+        # t[r, x, c, a, b, j] = sum_y V_s[(r, x), (c, y)] chi_s[(a, y, b), j], with x, y on K_s
+        k, before = ks[s], math.prod(ks[:s])
+        chi = chis[:, s].reshape(before, k, -1, count)
+        v = parts[s].reshape(dim_h, k, dim_h, k, 1, 1, 1)
+        entries = np.flatnonzero(chi.any(axis=(0, 2, 3)))
+        t = v[:, :, :, entries[0]] * chi[:, entries[0]]
+        for y in entries[1:]:
+            t += v[:, :, :, y] * chi[:, y]
+        m.reshape(count, dim_h, before, k, -1, n, dim_h)[..., s, :] = t.transpose(5, 0, 3, 1, 4, 2)
+    return m.reshape(count, dim_h, dim_k, dim_h)
 
 
 def induced_observable(model: MeasurementModel) -> Observable:
@@ -331,31 +379,6 @@ def _embed_channel(c: Channel, dims, positions) -> Channel:
     return make_channel([embed_factors(k, dims, positions) for k in c.kraus])
 
 
-def _selector_sum(blocks) -> np.ndarray:
-    """``sum_i B_i (x) P[e_i]`` of equal square blocks, written block by block."""
-    n = len(blocks)
-    dim = blocks[0].shape[0]
-    g = np.zeros((dim, n, dim, n), dtype=complex)
-    for i, block in enumerate(blocks):
-        g[:, i, :, i] = block
-    return g.reshape(dim * n, dim * n)
-
-
-def _selector_coupling(blocks, residuals, multiplicities) -> Channel:
-    """The channel of ``g = sum_i B_i (x) P[e_i]`` (see :func:`_selector_sum`).
-
-    ``g* g - I`` is block-diagonal over the selector with blocks
-    ``B_i* B_i - I``.  Each ``B_i`` is a validated coupling with stored
-    residual ``r_i`` tensored (factors permuted) with an identity of
-    dimension ``m_i``, so ``||g* g - I||_F^2 = sum_i m_i r_i^2`` exactly.
-    That identity is the coupling's residual, stored and checked by the
-    shared tail of :func:`~qmultimeter.channels.make_channel`; no dense
-    Gram product is formed.
-    """
-    residual = float(np.sqrt(sum(m * r * r for m, r in zip(multiplicities, residuals))))
-    return _checked_channel(_selector_sum(blocks)[None], DEFAULT_TOL, residual)
-
-
 def _check_bundle(dim: int, n_effects: int, dim_k: int) -> None:
     """Refuse a coupling above ``DIMENSION_CAP`` or more pointer entries than its square."""
     if dim > DIMENSION_CAP:
@@ -381,9 +404,12 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
       all component pointers jointly (outcome labels are comma-joined),
       and selector ``i`` leaves every meter except the i-th idle.
 
-    The coupling's residual is written from the validated parts' residuals
-    (see :func:`_selector_coupling`), never computed densely, so it differs
-    from a dense Gram product by that product's rounding.  When every
+    The coupling is held as its parts, and its residual written from the
+    validated parts' residuals (see
+    :meth:`~qmultimeter.channels.Channel._from_parts`): the dense coupling
+    is built only when read, and programming works slot by slot (see
+    :func:`_slot_blocks`).  The residual differs from a dense Gram product
+    by that product's rounding.  When every
     part's pointer has marks, the joint pointer is written from the joint
     marks; otherwise its Kronecker products are formed and validated
     densely (see :func:`~qmultimeter.observables._joint_pointer`).  A
@@ -404,8 +430,8 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
             if not is_unitary_channel(c):
                 raise ValidationError("push-button channel mode needs unitary channels")
         _check_bundle(dim * n, n, n)
-        coupling = _selector_coupling(
-            [c.kraus[0] for c in devices], [c.tp_residual for c in devices], [1] * n
+        coupling = Channel._from_parts(
+            [c.kraus[0] for c in devices], [c.tp_residual for c in devices], (dim, *[1] * n, n)
         )
         pointer = Observable._from_marks(n, range(1, n + 1), np.eye(n, dtype=bool))
         return make_multimeter(dim, n, pointer, coupling), list(np.eye(n, dtype=complex))
@@ -434,19 +460,18 @@ def push_button_multimeter(devices) -> tuple[Multimeter, list]:
     dims = [dim_h] + [m.dim_k for m in meters] + [n]
     dim_k = math.prod(dims[1:])
     _check_bundle(dim_h * dim_k, math.prod(len(m.pointer) for m in meters), dim_k)
-    coupling = _selector_coupling(
-        [embed_factors(m.coupling, dims[:-1], [0, 1 + i]) for i, m in enumerate(meters)],
-        [m.interaction.tp_residual for m in meters],
-        [dim_k // (n * m.dim_k) for m in meters],
+    coupling = Channel._from_parts(
+        [m.coupling for m in meters], [m.interaction.tp_residual for m in meters], dims
     )
     pointer = _joint_pointer([m.pointer for m in meters], n)
     meter = make_multimeter(dim_h, dim_k, pointer, coupling)
-    selector = np.eye(n, dtype=complex)
-    big_probes = [
-        tensor_many([p.reshape(-1, 1) for p in probes] + [selector[i].reshape(-1, 1)]).reshape(-1)
-        for i in range(n)
-    ]
-    return meter, big_probes
+    # probe i is p_1 (x) ... (x) p_n (x) e_i: the parts' product in selector slot i
+    joint = probes[0]
+    for p in probes[1:]:
+        joint = np.multiply.outer(joint, p).reshape(-1)
+    selected = np.zeros((n, len(joint), n), dtype=complex)
+    selected[np.arange(n), :, np.arange(n)] = joint
+    return meter, list(selected.reshape(n, dim_k))
 
 
 def shared_pointer_multimeter(observables) -> tuple[Multimeter, list]:
@@ -489,8 +514,8 @@ def concatenate_with_measurement(
     The composite apparatus is ``K (x) K0``; programming with
     ``phi (x) eta`` (eta the measurement's own probe) measures the
     Heisenberg image of the fixed sharp observable under the channel that
-    ``phi`` programs.  A product of every pair of Kraus operators that
-    would hold more than ``DIMENSION_CAP**2`` entries raises
+    ``phi`` programs.  A product of every pair of Kraus operators, or a
+    pointer, that would hold more than ``DIMENSION_CAP**2`` entries raises
     ``DimensionError`` before anything is embedded.
     """
     if a_model.meter.dim_h != channel_meter.dim_h:
@@ -505,10 +530,14 @@ def concatenate_with_measurement(
         raise DimensionError(
             f"concatenation of {pairs} Kraus pairs exceeds {DIMENSION_CAP**2} entries"
         )
+    z0 = a_model.meter.pointer
+    if len(z0) * math.prod(dims[1:]) ** 2 > DIMENSION_CAP**2:
+        raise DimensionError(
+            f"concatenated pointer of {len(z0)} effects exceeds {DIMENSION_CAP**2} entries"
+        )
     first = _embed_channel(channel_meter.interaction, dims, [0, 1])
     second = _embed_channel(a_model.meter.interaction, dims, [0, 2])
     total = make_channel([s @ f for s in second.kraus for f in first.kraus])
-    z0 = a_model.meter.pointer
     pointer = make_observable(
         channel_meter.dim_k * z0.dim,
         z0.outcomes,

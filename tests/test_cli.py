@@ -450,8 +450,18 @@ class TestMainExitCodes:
               "C": {"kind": "multimeter", "construction": "concatenate", "channel_meter": "M",
                     "a_multimeter": "M", "a_probe": [1] + [0] * 10}},
              "concatenation of 484 Kraus pairs exceeds"),
+            # one Kraus pair on dimension 2 * 128 * 16, but 16 pointer effects
+            # of (128 * 16)**2 entries would take 1 GB
+            ({"Id": {"kind": "channel", "builtin": "identity", "dim": 2},
+              "A": {"kind": "multimeter", "construction": "push_button",
+                    "channels": ["Id"] * 16},
+              "B": {"kind": "multimeter", "construction": "push_button",
+                    "channels": ["Id"] * 128},
+              "C": {"kind": "multimeter", "construction": "concatenate", "channel_meter": "B",
+                    "a_multimeter": "A", "a_probe": [1] + [0] * 15}},
+             "concatenated pointer of 16 effects exceeds"),
         ],
-        ids=["contraction", "concatenation"],
+        ids=["contraction", "concatenation", "concatenation-pointer"],
     )
     def test_kraus_operators_capped_before_they_allocate(self, tmp_path, capsys, objects,
                                                          message):

@@ -49,7 +49,9 @@ from qmultimeter.observables import (
     random_sharp_observable,
     spin_observable,
 )
+from qmultimeter.verify import check_sharp_program_orthogonality
 from qmultimeter.operators import (
+    check_density_operator,
     embed_factors,
     frobenius_norm,
     haar_unitary,
@@ -1492,13 +1494,18 @@ class TestProgramBlocksOnSupport:
             ),
             lambda: bench_bundle((2, 2, 2)),
             bench_bundle,
+            lambda: push_button_multimeter(
+                [unitary_channel(haar_unitary(3, np.random.default_rng(s))) for s in range(4)]
+            ),
+            lambda: push_button_multimeter([spin_z_part(), spin_pair_part()]),
             lambda: builtin_multimeter("pauli"),
             lambda: builtin_multimeter("swap", dim=3),
             lambda: (make_multimeter(2, 3, random_observable(3, 3, 5), random_channel(6, 3, 11)),
                      []),
         ],
         ids=["minimal-dilation", "shared-pointer", "push-button-2-2-2", "push-button-4-4-4",
-             "pauli", "swap", "three-kraus"],
+             "push-button-channels", "push-button-non-basis-part", "pauli", "swap",
+             "three-kraus"],
     )
     def test_equals_whole_product(self, rng, construct):
         meter, probes = construct()
@@ -1506,37 +1513,60 @@ class TestProgramBlocksOnSupport:
         probes = [probes] if isinstance(probes, np.ndarray) else list(probes)
         # the constructions' own probes, selectors among them, and basis vectors
         exact = probes + list(np.eye(dim_k, dtype=complex)[:: max(1, dim_k // 6)])
-        # a probe with no zero entry takes the whole product itself
-        exact += [random_state_vector(dim_k, rng), random_density_operator(dim_k, rng)]
+        # a probe with no zero entry takes the whole product itself, unless the
+        # coupling is held as its parts
+        dense = [random_state_vector(dim_k, rng), random_density_operator(dim_k, rng)]
+        if meter.interaction._parts is None:
+            exact += dense
+            dense = []
         close = [p for size in (2, max(2, dim_k // 3)) for p in subset_probes(dim_k, size, rng)]
         if len(probes) > 1:
             weights = rng.dirichlet(np.ones(len(probes)))
             close.append(sum(w * projector(p) for w, p in zip(weights, probes)))
-        for probe in exact + close:
+        for probe in exact + dense + close:
             model = make_model(meter, probe)
             blocks, whole = _program_blocks(model), whole_program_blocks(model)
             assert blocks.shape == whole.shape
             if any(probe is p for p in exact):
                 assert np.array_equal(blocks, whole)
-            else:
+            elif probe.ndim == 1:
                 assert np.abs(blocks - whole).max() <= 1e-15
+            else:
+                # a block eigendecomposition fixes other eigenvector phases;
+                # the summed slot Grams do not depend on them
+                grams = _basis_effects(blocks, None).sum(axis=0)
+                assert np.abs(grams - _basis_effects(whole, None).sum(axis=0)).max() <= 1e-15
 
     def test_program_maps_copy_no_coupling(self, rng):
         meter, probes = bench_bundle()
-        for probe in [probes[1], random_state_vector(meter.dim_k, rng)]:
-            model = make_model(meter, probe)
+        mixed = sum(w * projector(p) for w, p in zip((0.5, 0.3, 0.2), probes))
+        models = [make_model(meter, p) for p in (probes[1], mixed, random_state_vector(192, rng))]
+        maps = []
+        for model in models:
             peak, blocks = traced_peak(lambda: _program_blocks(model))
-            assert peak < meter.coupling.nbytes / 8
-            assert np.array_equal(blocks, whole_program_blocks(model))
+            # three probe vectors' program maps hold 0.56 MiB, the coupling 9 MiB
+            assert peak < 2**20
+            maps.append(blocks)
+        assert "kraus" not in vars(meter.interaction)
+        selector, mixture, dense = [(m, whole_program_blocks(model)) for m, model in zip(maps, models)]
+        assert np.array_equal(*selector)
+        assert np.abs(dense[0] - dense[1]).max() <= 1e-15
+        grams = [_basis_effects(m, None).sum(axis=0) for m in mixture]
+        assert np.abs(grams[0] - grams[1]).max() <= 1e-15
 
     def test_zero_probe_columns_are_not_multiplied(self):
         meter, probes = bench_bundle()
-        coupling = meter.coupling.copy()
-        # NaN wherever the selector is zero: the whole product would be all NaN
-        coupling.reshape(-1, meter.dim_k)[:, probes[1] == 0] = np.nan
-        object.__setattr__(meter.interaction, "kraus", (coupling,))
-        blocks = _program_blocks(make_model(meter, probes[1]))
-        assert np.isfinite(blocks).all()
+        parts, dims = meter.interaction._parts
+        # NaN in every slot but the selected one, and in the selected part
+        # wherever its probe entry is zero: any such product would be NaN
+        poisoned = [np.full_like(v, np.nan) for v in parts]
+        selected = parts[1].reshape(4, 4, 4, 4).copy()
+        selected[..., 1:] = np.nan
+        poisoned[1] = selected.reshape(16, 16)
+        object.__setattr__(meter.interaction, "_parts", (tuple(poisoned), dims))
+        for probe in [probes[1], projector(probes[1])]:
+            blocks = _program_blocks(make_model(meter, probe))
+            assert np.isfinite(blocks).all()
 
     def test_slot_gather_equals_every_slot_summed(self, rng):
         meter, probes = bench_bundle()
@@ -1548,3 +1578,155 @@ class TestProgramBlocksOnSupport:
             summed = weights.astype(complex) @ grams.reshape(meter.dim_k, -1)
             expected = summed.reshape(len(weights), meter.dim_h, meter.dim_h)
             assert np.array_equal(_basis_effects(m, weights), expected)
+
+
+class TestCouplingBuiltOnRead:
+    def test_bundle_program_forms_no_coupling(self):
+        observables = [random_sharp_observable(4, 4, s) for s in (1, 2, 3)]
+        devices = [minimal_dilation_multimeter(a) for a in observables]
+        peak, (meter, probes) = traced_peak(lambda: push_button_multimeter(devices))
+        # the dense 768 x 768 coupling alone is 9 MiB
+        assert meter.dim_k == 192 and peak < 2 * 2**20
+        labels = observables[0].outcomes
+        for i, a in enumerate(observables):
+            model = make_model(meter, probes[i])
+            joint = induced_observable(model)
+            weights = np.zeros((len(joint), len(labels)))
+            for row, label in enumerate(joint.outcomes):
+                weights[row, labels.index(int(label.split(",")[i]))] = 1.0
+            marginal = post_process(joint, make_kernel(weights), labels=labels)
+            assert observable_distance(marginal, a) <= 1e-12
+            assert channel_distance(induced_channel(model), make_channel(a.effects)) <= 1e-12
+        mix = (0.5, 0.3, 0.2)
+        model = make_model(meter, sum(w * projector(p) for w, p in zip(mix, probes)))
+        joint = induced_observable(model)
+        # selector i moves meter i; every idle meter reads its first outcome
+        for label in joint.outcomes:
+            slots = [labels.index(int(x)) for x in label.split(",")]
+            expected = sum(
+                w * a.effects[slots[i]]
+                for i, (w, a) in enumerate(zip(mix, observables))
+                if all(slots[j] == 0 for j in range(3) if j != i)
+            )
+            assert frobenius_norm(joint.effect(label) - expected) <= 1e-12
+        lueders = [np.sqrt(w) * e for w, a in zip(mix, observables) for e in a.effects]
+        assert channel_distance(induced_channel(model), make_channel(lueders)) <= 1e-12
+        report = check_sharp_program_orthogonality(meter, probes[0], probes[1])
+        assert report.verdict == "pass"
+        assert "kraus" not in vars(meter.interaction)
+
+    def test_mixed_probe_decomposed_on_its_support(self, monkeypatch):
+        meter, probes = bench_bundle()
+        mixed = sum(w * projector(p) for w, p in zip((0.5, 0.3, 0.2), probes))
+        seen = dense_checks(monkeypatch, 64)
+        eigh = np.linalg.eigh
+
+        def recorded(a):
+            seen.append(np.shape(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        model = make_model(meter, mixed)
+        induced_observable(model)
+        induced_channel(model)
+        # one 3 x 3 decomposition per induction, and no check of the probe's size
+        assert seen == [(3, 3), (3, 3)]
+        assert np.array_equal(model.probe, mixed / np.trace(mixed).real)
+
+    def test_concurrent_first_reads_build_one_coupling(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                meter, _ = bench_bundle((2, 2, 2))
+                barrier = threading.Barrier(8)
+                seen = []
+
+                def read(barrier=barrier, meter=meter, seen=seen):
+                    barrier.wait(timeout=10)
+                    seen.append(meter.coupling)
+
+                threads = [threading.Thread(target=read) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(seen) == 8 and all(g is meter.coupling for g in seen)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_repr_equality_and_length_build_nothing(self):
+        meter, _ = bench_bundle()
+        twin, _ = bench_bundle()
+        peak, text = traced_peak(lambda: repr(meter))
+        assert peak < 2**20 and "interaction=Channel(dim=768)" in text
+        assert meter.interaction == meter.interaction and meter.interaction != twin.interaction
+        assert len(meter.interaction) == 1 and is_unitary_channel(meter.interaction)
+        assert meter.normal
+        assert "kraus" not in vars(meter.interaction) and "kraus" not in vars(twin.interaction)
+
+    def test_coupling_built_once_read_only(self):
+        meter, _ = bench_bundle((2, 2, 2))
+        with pytest.raises(AttributeError, match="no attribute 'choi'"):
+            meter.interaction.choi
+        g = meter.coupling
+        assert meter.coupling is g and meter.interaction.kraus == (g,)
+        assert not g.flags.writeable
+        assert len(meter.interaction) == 1
+        with pytest.raises(AttributeError, match="no attribute 'kraus'"):
+            identity_channel(2).__getattr__("kraus")
+
+
+    def test_bundle_of_many_parts(self):
+        # each part is embedded in four factor groups, not in one factor per part
+        trivial = make_observable(2, (1,), [np.eye(2)])
+        meter, probes = push_button_multimeter([minimal_dilation_multimeter(trivial)] * 40)
+        assert meter.dim_k == 40 and len(probes) == 40
+        induced = induced_observable(make_model(meter, probes[7]))
+        assert np.array_equal(induced.effects[0], np.eye(2))
+        assert np.array_equal(meter.coupling, np.eye(80))
+
+
+class TestProbeSupportValidation:
+    """From ``SUPPORT_MIN_DIM_K`` on, a density probe is checked on its support block."""
+
+    @staticmethod
+    def probe(entries, dim=192):
+        rho = np.zeros((dim, dim), dtype=complex)
+        for (i, j), value in entries.items():
+            rho[i, j] = value
+        return rho
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            # row 7 is zero on its diagonal but not off it: not positive
+            {(3, 3): 1.5, (3, 7): 1.0, (7, 3): 1.0},
+            # column 150 holds the only entry of its pair; row 150 is zero
+            {(2, 2): 1.0, (2, 150): 0.25},
+            {(3, 3): 1.25, (100, 100): -0.25},
+            {(2, 2): 0.5, (50, 50): 0.25},
+            {(5, 5): 1.0, (5, 9): np.nan, (9, 5): np.nan},
+            {},
+        ],
+        ids=["zero-diagonal-row", "one-sided-entry", "negative-eigenvalue", "trace",
+             "non-finite", "zero"],
+    )
+    def test_refused_as_the_dense_check_refuses(self, entries):
+        meter, _ = bench_bundle()
+        rho = self.probe(entries)
+        with pytest.raises(ValidationError) as dense:
+            check_density_operator(rho)
+        with pytest.raises(ValidationError) as block:
+            make_model(meter, rho)
+        assert str(block.value) == str(dense.value)
+
+    def test_accepted_probe_kept_whole(self, rng):
+        meter, _ = bench_bundle()
+        idx = [5, 64, 191]
+        rho = np.zeros((192, 192), dtype=complex)
+        rho[np.ix_(idx, idx)] = random_density_operator(3, rng)
+        model = make_model(meter, rho)
+        assert np.array_equal(model.probe, rho / np.trace(rho).real)
+        assert not model.probe.flags.writeable
