@@ -154,12 +154,15 @@ def embed_factors(op: np.ndarray, dims, positions) -> np.ndarray:
     Raises
     ------
     DimensionError
-        If ``op`` does not match the factors, or the full dimension exceeds
+        If ``positions`` repeats a factor or names one outside ``dims``, if
+        ``op`` does not match the factors, or if the full dimension exceeds
         :data:`DIMENSION_CAP`; nothing of the full size is allocated.
     """
     dims = [int(d) for d in dims]
     positions = list(positions)
     n = len(dims)
+    if len(set(positions)) != len(positions) or not all(0 <= p < n for p in positions):
+        raise DimensionError(f"positions {positions} must be distinct indices into {n} factors")
     op = np.asarray(op, dtype=complex)
     sub = math.prod(dims[p] for p in positions)
     if op.shape != (sub, sub):
@@ -167,13 +170,17 @@ def embed_factors(op: np.ndarray, dims, positions) -> np.ndarray:
     d = math.prod(dims)
     if d > DIMENSION_CAP:
         raise DimensionError(f"embedding dimension {d} exceeds dimension cap {DIMENSION_CAP}")
-    rest = [i for i in range(n) if i not in positions]
+    # Unit factors move no entry; without them at most log2(DIMENSION_CAP)
+    # factors remain, two axes each.
+    kept = [i for i in range(n) if dims[i] != 1]
+    positions = [p for p in positions if dims[p] != 1]
+    rest = [i for i in kept if i not in positions]
     full = tensor(op, np.eye(math.prod(dims[i] for i in rest), dtype=complex))
     # Axes of `full` are currently ordered positions + rest; permute back.
     order = positions + rest
-    perm = [order.index(i) for i in range(n)]
+    perm = [order.index(i) for i in kept]
     tens = full.reshape([dims[i] for i in order] * 2)
-    tens = tens.transpose(perm + [p + n for p in perm])
+    tens = tens.transpose(perm + [p + len(order) for p in perm])
     return tens.reshape(d, d)
 
 
@@ -326,19 +333,32 @@ def check_density_operator(rho: np.ndarray, tol: float = 1e-6) -> np.ndarray:
 # random generators (explicit rng, reproducible by seed)
 
 
-def haar_unitary(dim: int, rng: np.random.Generator, batch: tuple = ()) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian matrix.
+def haar_isometry(rows: int, cols: int, rng: np.random.Generator, batch: tuple = ()) -> np.ndarray:
+    """Haar-random isometry ``C^cols -> C^rows`` via QR of a complex Gaussian matrix.
 
+    Its columns are the first ``cols`` columns of a Haar-random unitary.
     ``batch`` prepends stack axes: the whole stack takes one ``qr`` call,
     and fixing the phase of each column (Mezzadri 2007) makes every matrix
     of the stack Haar-distributed.
+
+    Raises
+    ------
+    DimensionError
+        If ``cols`` exceeds ``rows``; nothing is drawn.
     """
-    shape = (*batch, dim, dim)
+    if cols > rows:
+        raise DimensionError(f"an isometry into C^{rows} has at most {rows} columns, got {cols}")
+    shape = (*batch, rows, cols)
     z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r, axis1=-2, axis2=-1)
     phases = phases / np.abs(phases)
     return q * phases.conj()[..., None, :]
+
+
+def haar_unitary(dim: int, rng: np.random.Generator, batch: tuple = ()) -> np.ndarray:
+    """Haar-random unitary: the square :func:`haar_isometry`; ``batch`` prepends stack axes."""
+    return haar_isometry(dim, dim, rng, batch)
 
 
 def random_state_vector(dim: int, rng: np.random.Generator, batch: tuple = ()) -> np.ndarray:

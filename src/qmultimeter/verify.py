@@ -45,6 +45,7 @@ from .observables import (
 from .operators import (
     DIMENSION_CAP,
     frobenius_norm,
+    haar_isometry,
     haar_unitary,
     random_density_operator,
     random_state_vector,
@@ -73,8 +74,9 @@ DEFAULT_SEARCH_THRESHOLDS = {
 #: Most samples one search or convex-hull run may draw; larger counts are
 #: refused before any sample.  It admits the 2,000-trial channel-bundle
 #: scenario, the 10^4-trial searches of the test suite and the benchmark's
-#: 500.  A (3, 3) search takes about 2 s per 10^4 samples on a 2-CPU x86
-#: machine; the cost per sample grows with the dimensions and meter size.
+#: 500.  A (3, 3) search takes about 0.22 s per 10^4 samples on a 2-CPU
+#: x86 machine with one BLAS thread; the cost per sample grows with the
+#: dimensions and meter size.
 MAX_TRIALS = 100_000
 
 _REFINE_STEPS = 200
@@ -380,9 +382,11 @@ def check_purification(
 # randomized counterexample search
 
 
-#: Samples per chunk of the search.  A chunk holds at most
-#: ``_SEARCH_CHUNK_ELEMENTS`` coupling entries, so memory stays flat, and its
-#: size depends only on the dimensions, so results depend only on the seed.
+#: Samples per chunk of the search: at most ``_SEARCH_CHUNK_ELEMENTS // n**2``
+#: with ``n = dim_h * dim_k``, a size that depends only on the dimensions, so
+#: results depend only on the seed.  A sample holds ``n * 2 * dim_h``
+#: programmed entries (``n**2`` for ``dim_k = 1``), never more than ``n**2``,
+#: so a chunk of more than one sample holds at most ``_SEARCH_CHUNK_ELEMENTS``.
 _SEARCH_CHUNK = 256
 _SEARCH_CHUNK_ELEMENTS = 2**14
 
@@ -390,31 +394,53 @@ _SEARCH_CHUNK_ELEMENTS = 2**14
 _STRUCTURED_RATE = 0.05
 
 
-def _stacked_effects(g: np.ndarray, phis: np.ndarray, dim_h: int, dim_k: int) -> np.ndarray:
-    """Effects induced by a stack of couplings, each programmed by several pure probes.
+def _probe_coordinates(phis: np.ndarray) -> np.ndarray:
+    """Coordinates ``a`` of a stack of probe pairs in an orthonormal basis of their span.
 
-    ``g`` has shape ``(T, N, N)`` with ``N = dim_h * dim_k`` and ``phis``
-    shape ``(T, P, dim_k)``.  With the computational-basis pointer, outcome
-    ``i`` reads the rows ``(r, i)`` of ``M = g (I (x) phi)``: the singleton
-    supports of :func:`~qmultimeter.multimeter._basis_effects`.  The result
+    ``phis`` has shape ``(T, 2, dim_k)``.  With ``u_1 = phi_1`` and
+    ``u_2 = (phi_2 - c phi_1) / s``, where ``c = <phi_1, phi_2>`` and
+    ``s = ||phi_2 - c phi_1||``, probe 1 is ``(1, 0)`` and probe 2 is
+    ``(c, s)``.  Nothing divides by ``s``, so parallel probes need no care.
+    """
+    c = np.sum(phis[:, 0].conj() * phis[:, 1], axis=-1)
+    s = np.linalg.norm(phis[:, 1] - c[:, None] * phis[:, 0], axis=-1)
+    a = np.zeros((len(phis), 2, 2), dtype=complex)
+    a[:, 0, 0] = 1.0
+    a[:, 1, 0] = c
+    a[:, 1, 1] = s
+    return a
+
+
+def _stacked_effects(q: np.ndarray, a: np.ndarray, dim_h: int) -> np.ndarray:
+    """Effects induced on a stack of samples, each programmed by several pure probes.
+
+    A sample is ``(Q, a)``: ``Q`` of shape ``(n, dim_h, m)`` with
+    ``n = dim_h * dim_k`` holds the programmed columns ``g (I (x) u_j)`` of a
+    coupling ``g`` for orthonormal ``u_1, ..., u_m`` that span the probes,
+    and row ``p`` of ``a`` holds probe ``p``'s coordinates in them.  With
+    ``u_j = e_j`` and ``m = dim_k``, ``Q`` is ``g`` itself and ``a`` the
+    probes.  With the computational-basis pointer, outcome ``i`` reads the
+    rows ``(r, i)`` of ``M = Q a_p = g (I (x) phi_p)``: the singleton
+    supports of :func:`~qmultimeter.multimeter._basis_effects`.  ``q`` has
+    shape ``(T, n, dim_h, m)`` and ``a`` shape ``(T, P, m)``; the result
     has shape ``(T, P, dim_k, dim_h, dim_h)``.
     """
-    n = dim_h * dim_k
-    m = np.einsum("tahk,tpk->tpah", g.reshape(-1, n, dim_h, dim_k), phis)
-    return _basis_effects(m.reshape(*phis.shape[:2], dim_h, dim_k, dim_h), None)
+    n = q.shape[1]
+    m = np.einsum("tahk,tpk->tpah", q, a)
+    return _basis_effects(m.reshape(*a.shape[:2], dim_h, n // dim_h, dim_h), None)
 
 
-def _search_stats(g: np.ndarray, phis: np.ndarray, dim_h: int, dim_k: int) -> tuple:
+def _search_stats(q: np.ndarray, a: np.ndarray, dim_h: int) -> tuple:
     """Sharpness residual, probe overlap and device distance per sample of a stack.
 
-    ``phis`` holds one probe pair per coupling.  The sharpness residual is the
+    ``a`` holds one probe pair per sample.  The sharpness residual is the
     largest ``||E^2 - E||`` over the effects of both induced observables, the
     distance the largest ``||E_1(i) - E_2(i)||`` over outcomes ``i``.
     """
-    e = _stacked_effects(g, phis, dim_h, dim_k)
+    e = _stacked_effects(q, a, dim_h)
     sharp = np.linalg.norm(e @ e - e, axis=(-2, -1)).max(axis=(1, 2))
     distance = np.linalg.norm(e[:, 0] - e[:, 1], axis=(-2, -1)).max(axis=1)
-    overlap = np.abs(np.sum(phis[:, 0].conj() * phis[:, 1], axis=-1))
+    overlap = np.abs(np.sum(a[:, 0].conj() * a[:, 1], axis=-1))
     return sharp, overlap, distance
 
 
@@ -438,47 +464,75 @@ def _structured_couplings(
     return _dilation_couplings(effects, dim_k)
 
 
-def _refine(g, phis, thresholds, dim_h, dim_k, rng):
+def _draw_samples(dim_h: int, dim_k: int, size: int, rng: np.random.Generator) -> tuple:
+    """``(Q, a, structured count)`` of ``size`` search samples; see :func:`_stacked_effects`.
+
+    A Haar coupling ``g`` and Haar probes ``(phi_1, phi_2)`` enter the
+    induced observables only through ``g (I (x) u_j)`` for an orthonormal
+    pair ``(u_1, u_2)`` spanning the probes.  By the invariance of Haar
+    measure those ``2 * dim_h`` columns are a Haar isometry, so for
+    ``dim_k > 2`` only they are drawn.  For ``dim_k <= 2`` the standard
+    basis spans K: ``Q`` is the whole coupling and ``a`` the probes.  A
+    structured sample takes the columns ``j < 2`` of its coupling, with
+    probes ``e_0`` and ``e_1``.
+    """
+    n = dim_h * dim_k
+    span = min(dim_k, 2)
+    structured = (rng.random(size) < _STRUCTURED_RATE) & (dim_k >= 2)
+    q = haar_isometry(n, dim_h * span, rng, batch=(size,)).reshape(size, n, dim_h, span)
+    phis = random_state_vector(dim_k, rng, batch=(size, 2))
+    count = int(np.count_nonzero(structured))
+    if count:
+        g = _structured_couplings(dim_h, dim_k, count, rng)
+        q[structured] = g.reshape(count, n, dim_h, dim_k)[..., :2]
+        phis[structured] = np.eye(dim_k)[:2]
+    return q, phis if dim_k <= 2 else _probe_coordinates(phis), count
+
+
+def _refine(q, a, thresholds, dim_h, rng):
     """Gradient-free descent on the violation objective.
 
-    Coordinate-wise complex perturbations of the probes and of a unitary
-    generator for the coupling, with geometric step decay; the objective is
-    non-smooth at projection boundaries so no derivatives are assumed.
+    Coordinate-wise complex perturbations of the probe coordinates ``a``
+    and of a unitary generator on the span of ``Q``'s columns, with
+    geometric step decay; the objective is non-smooth at projection
+    boundaries so no derivatives are assumed.  Any probe pair and coupling
+    reach only the span of the probes, so the descent in ``(Q, a)`` is the
+    descent over couplings and probes of that span.
     """
 
-    def objective(g, phis):
-        sharp, overlap, distance = (x[0] for x in _search_stats(g[None], phis[None], dim_h, dim_k))
+    def objective(q, a):
+        sharp, overlap, distance = (x[0] for x in _search_stats(q[None], a[None], dim_h))
         return (
             sharp
             + 10.0 * max(0.0, thresholds["overlap"] - overlap)
             + 10.0 * max(0.0, thresholds["distance"] - distance)
         )
 
-    best = objective(g, phis)
+    best = objective(q, a)
     step = 0.1
-    dim = dim_h * dim_k
+    n, dim = len(q), q[0].size
     for _ in range(_REFINE_STEPS):
         move = rng.integers(0, 3)
-        cand_g, cand_phis = g, phis
+        cand_q, cand_a = q, a
         if move < 2:
-            cand_phis = phis.copy()
-            j = rng.integers(0, dim_k)
-            cand_phis[move, j] += step * (rng.normal() + 1j * rng.normal())
-            cand_phis[move] /= np.linalg.norm(cand_phis[move])
+            cand_a = a.copy()
+            j = rng.integers(0, a.shape[-1])
+            cand_a[move, j] += step * (rng.normal() + 1j * rng.normal())
+            cand_a[move] /= np.linalg.norm(cand_a[move])
         else:
             h = np.zeros((dim, dim), dtype=complex)
-            a, b = rng.integers(0, dim, size=2)
+            i, j = rng.integers(0, dim, size=2)
             z = rng.normal() + 1j * rng.normal()
-            h[a, b] += z
-            h[b, a] += np.conj(z)
+            h[i, j] += z
+            h[j, i] += np.conj(z)
             eigvals, vecs = np.linalg.eigh(h)
             u = (vecs * np.exp(1j * step * eigvals)) @ vecs.conj().T
-            cand_g = g @ u
-        val = objective(cand_g, cand_phis)
+            cand_q = (q.reshape(n, dim) @ u).reshape(q.shape)
+        val = objective(cand_q, cand_a)
         if val < best:
-            best, g, phis = val, cand_g, cand_phis
+            best, q, a = val, cand_q, cand_a
         step *= _REFINE_DECAY
-    return g, phis
+    return q, a
 
 
 def counterexample_search(
@@ -510,11 +564,15 @@ def counterexample_search(
 
     Samples are drawn and evaluated in chunks of stacked arrays whose size
     depends only on the dimensions, so a seed gives the same report on
-    every run; the stream differs from that of the earlier
-    one-sample-at-a-time search, so a seed's floor values changed with it.
-    When no sample qualifies -- ``trials <= 0``, or ``dim_k = 1``, where
-    every probe induces the same trivial observable -- nothing was tested:
-    the verdict is ``not_applicable`` and the floor residuals are omitted.
+    every run.  A sample's observables depend on its coupling only through
+    the columns that program the probes' span, so for ``dim_k > 2`` only
+    that Haar isometry is drawn and refined (see :func:`_draw_samples`).
+    This changed the stream, and with it a seed's floor values, for
+    ``dim_k > 2``; for ``dim_k <= 2`` the whole coupling is drawn as
+    before, and every report is unchanged.  When no sample qualifies --
+    ``trials <= 0``, or ``dim_k = 1``, where every probe induces the same
+    trivial observable -- nothing was tested: the verdict is
+    ``not_applicable`` and the floor residuals are omitted.
 
     Raises
     ------
@@ -522,7 +580,9 @@ def counterexample_search(
         If a dimension is below 1 or ``dim_h * dim_k`` exceeds
         :data:`~qmultimeter.operators.DIMENSION_CAP`; nothing is allocated.
     ValidationError
-        If ``trials`` exceeds :data:`MAX_TRIALS`; nothing is drawn.
+        If ``trials`` exceeds :data:`MAX_TRIALS`, or ``thresholds`` has a key
+        outside :data:`DEFAULT_SEARCH_THRESHOLDS` or a non-finite value;
+        nothing is drawn.
     """
     name = "counterexample_search"
     if min(dim_h, dim_k) < 1 or dim_h * dim_k > DIMENSION_CAP:
@@ -532,17 +592,21 @@ def counterexample_search(
         )
     _check_trials(trials)
     thr = dict(DEFAULT_SEARCH_THRESHOLDS)
-    if thresholds:
-        thr.update(thresholds)
+    for key, value in (thresholds or {}).items():
+        if key not in thr:
+            raise ValidationError(f"unknown search threshold {key!r}; known: {list(thr)}")
+        if not np.isfinite(value):
+            raise ValidationError(f"search threshold {key!r} must be finite, got {value}")
+        thr[key] = value
     rng = np.random.default_rng(seed)
     n = dim_h * dim_k
     chunk = max(1, min(_SEARCH_CHUNK, _SEARCH_CHUNK_ELEMENTS // n**2))
     violations = qualifying = structured_count = 0
-    best = None  # (sharp, overlap, distance, g, phis) of the floor sample
+    best = None  # (sharp, overlap, distance, Q, a) of the floor sample
 
-    def tally(g, phis):
+    def tally(q, a):
         nonlocal violations, qualifying, best
-        sharp, overlap, distance = _search_stats(g, phis, dim_h, dim_k)
+        sharp, overlap, distance = _search_stats(q, a, dim_h)
         idx = np.flatnonzero((overlap >= thr["overlap"]) & (distance >= thr["distance"]))
         qualifying += idx.size
         violations += int(np.count_nonzero(sharp[idx] <= thr["sharp_residual"]))
@@ -550,22 +614,15 @@ def counterexample_search(
             i = idx[np.argmin(sharp[idx])]
             if best is None or sharp[i] < best[0]:
                 stats = (float(sharp[i]), float(overlap[i]), float(distance[i]))
-                best = (*stats, g[i].copy(), phis[i].copy())
+                best = (*stats, q[i].copy(), a[i].copy())
 
     for start in range(0, trials, chunk):
-        size = min(chunk, trials - start)
-        structured = (rng.random(size) < _STRUCTURED_RATE) & (dim_k >= 2)
-        g = haar_unitary(n, rng, batch=(size,))
-        phis = random_state_vector(dim_k, rng, batch=(size, 2))
-        count = int(np.count_nonzero(structured))
-        if count:
-            g[structured] = _structured_couplings(dim_h, dim_k, count, rng)
-            phis[structured] = np.eye(dim_k)[:2]
+        q, a, count = _draw_samples(dim_h, dim_k, min(chunk, trials - start), rng)
         structured_count += count
-        tally(g, phis)
+        tally(q, a)
     if refine and best is not None:
-        g, phis = _refine(*best[3:], thr, dim_h, dim_k, rng)
-        tally(g[None], phis[None])
+        q, a = _refine(*best[3:], thr, dim_h, rng)
+        tally(q[None], a[None])
     residuals = {}
     if best is not None:
         residuals = {

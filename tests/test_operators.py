@@ -11,6 +11,7 @@ from qmultimeter.operators import (
     eigenvalue_below,
     embed_factors,
     embed_program_isometry,
+    haar_isometry,
     haar_unitary,
     is_hermitian,
     is_isometry,
@@ -252,6 +253,25 @@ class TestRandomGenerators:
         assert psi.shape == (10, 2, 3)
         assert np.abs(np.linalg.norm(psi, axis=-1) - 1).max() <= 1e-12
 
+    @pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+    def test_haar_unitary_is_the_square_isometry(self, batch):
+        # bit for bit: the same draws, one qr, the same phase fix
+        u = haar_unitary(4, np.random.default_rng(9), batch=batch)
+        q = haar_isometry(4, 4, np.random.default_rng(9), batch=batch)
+        assert u.shape == (*batch, 4, 4)
+        assert np.array_equal(u, q)
+
+    def test_haar_isometry_columns(self, rng):
+        # orthonormal columns, and entries left unbiased by the phase fix
+        q = haar_isometry(6, 4, rng, batch=(4000,))
+        assert q.shape == (4000, 6, 4)
+        gram = q.conj().swapaxes(-1, -2) @ q
+        assert np.abs(gram - np.eye(4)).max() <= 1e-12
+        assert abs(q[:, 0, 0].mean()) <= 5 / np.sqrt(6 * 4000)
+        assert is_isometry(haar_isometry(5, 2, rng))
+        with pytest.raises(DimensionError, match="at most 3 columns"):
+            haar_isometry(3, 4, rng)
+
     def test_random_density_operator_valid(self, rng):
         rho = random_density_operator(4, rng, rank=2)
         eigs = np.linalg.eigvalsh(rho)
@@ -277,6 +297,26 @@ class TestEmbedFactors:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             embed_factors(np.eye(3), [2, 2], [0])
+
+    def test_unit_factors_change_nothing(self, rng):
+        # dropped before reshaping: the same bits, and no limit on their count
+        # (two axes for each of 41 factors would pass numpy's 64-axis limit)
+        op = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        want = embed_factors(op, [2, 3, 2], [1])
+        assert np.array_equal(embed_factors(op, [1, 2, 1, 3, 1, 2, 1], [3]), want)
+        assert np.array_equal(embed_factors(np.eye(1), [2, 1, 3, 2], [1]), np.eye(12))
+        assert np.array_equal(embed_factors(np.eye(2), [2] + [1] * 40, [0]), np.eye(2))
+        assert np.array_equal(embed_factors(np.eye(1), [1, 1], [0, 1]), np.eye(1))
+
+    @pytest.mark.parametrize(
+        "dim, dims, positions",
+        [(4, [2, 2], [0, 0]), (2, [2, 2], [2]), (2, [2, 2], [-1]), (1, [2, 1], [1, 1])],
+        ids=["repeated", "past-end", "negative", "repeated-unit"],
+    )
+    def test_positions_must_name_distinct_factors(self, dim, dims, positions):
+        # refused before numpy sees them, e.g. as "axes don't match array"
+        with pytest.raises(DimensionError, match="distinct indices"):
+            embed_factors(np.eye(dim), dims, positions)
 
     def test_cap_checked_before_allocating(self):
         # the identity on the other factors alone would take 64 MiB

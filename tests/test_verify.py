@@ -280,26 +280,79 @@ class TestPurification:
 
 
 class TestCounterexampleSearch:
-    def test_fast_induction_matches_full_path(self, rng):
-        # every row of the search's stacked block computation agrees with the
-        # general machinery, structured rows included
-        from qmultimeter.verify import _stacked_effects, _structured_couplings
+    @staticmethod
+    def _full_path_effects(g, dim_h, dim_k, probes):
+        """Effects of each probe through the general machinery, for a coupling ``g``."""
+        basis = np.eye(dim_k, dtype=complex)
+        labels = tuple(range(1, dim_k + 1))
+        pointer = make_observable(dim_k, labels, [projector(b) for b in basis])
+        meter = make_multimeter(dim_h, dim_k, pointer, make_channel([g]))
+        for phi in probes:
+            obs = induced_observable(make_model(meter, phi))
+            yield np.array([obs.effect(k) for k in labels])
 
-        for dim_h, dim_k in [(2, 3), (3, 3)]:
-            g = haar_unitary(dim_h * dim_k, rng, batch=(3,))
-            g[1] = _structured_couplings(dim_h, dim_k, 1, rng)[0]
+    def test_fast_induction_matches_full_path(self, monkeypatch, rng):
+        # the search's (Q, a) samples induce exactly what the full coupling
+        # induces: Q = g (I (x) [u1 u2]) for an orthonormal pair spanning the
+        # probes, with a the probes' coordinates -- for random, parallel and
+        # structured probe pairs
+        from qmultimeter import verify
+        from qmultimeter.verify import _draw_samples, _probe_coordinates, _stacked_effects
+
+        couplings, structured_couplings = [], verify._structured_couplings
+
+        def recorded(*args):
+            couplings.append(structured_couplings(*args))
+            return couplings[-1]
+
+        monkeypatch.setattr(verify, "_structured_couplings", recorded)
+        monkeypatch.setattr(verify, "_STRUCTURED_RATE", 1.0)
+        for dim_h, dim_k in [(2, 3), (3, 3), (2, 4)]:
+            n = dim_h * dim_k
+            g = haar_unitary(n, rng, batch=(3,))
             phis = random_state_vector(dim_k, rng, batch=(3, 2))
-            phis[1] = np.eye(dim_k)[:2]
-            effects = _stacked_effects(g, phis, dim_h, dim_k)
-            basis = np.eye(dim_k, dtype=complex)
-            labels = tuple(range(1, dim_k + 1))
-            pointer = make_observable(dim_k, labels, [projector(b) for b in basis])
+            phis[2, 1] = np.exp(0.3j) * phis[2, 0]
+            a = _probe_coordinates(phis)
             for t in range(3):
-                meter = make_multimeter(dim_h, dim_k, pointer, make_channel([g[t]]))
-                for p in range(2):
-                    obs = induced_observable(make_model(meter, phis[t, p]))
-                    for k, block in enumerate(effects[t, p], start=1):
-                        assert np.linalg.norm(obs.effect(k) - block) <= 1e-12
+                u1 = phis[t, 0]
+                rest = phis[t, 1] - np.vdot(u1, phis[t, 1]) * u1
+                if np.linalg.norm(rest) < 1e-8:  # parallel pair: any orthogonal u2 will do
+                    rest = random_state_vector(dim_k, rng)
+                    rest -= np.vdot(u1, rest) * u1
+                u = np.stack([u1, rest / np.linalg.norm(rest)], axis=1)
+                q = np.einsum("ahk,kj->ahj", g[t].reshape(n, dim_h, dim_k), u)
+                effects = _stacked_effects(q[None], a[t][None], dim_h)[0]
+                for p, full in enumerate(self._full_path_effects(g[t], dim_h, dim_k, phis[t])):
+                    assert np.linalg.norm(full - effects[p]) <= 1e-12
+
+            q, a, count = _draw_samples(dim_h, dim_k, 2, rng)
+            assert count == 2 and np.array_equal(a, np.broadcast_to(np.eye(2), (2, 2, 2)))
+            effects = _stacked_effects(q, a, dim_h)
+            for t, g in enumerate(couplings[-1]):
+                for p, full in enumerate(self._full_path_effects(g, dim_h, dim_k, np.eye(dim_k)[:2])):
+                    assert np.linalg.norm(full - effects[t, p]) <= 1e-12
+
+    def test_isometry_samples_match_full_coupling_moments(self, monkeypatch):
+        # by Haar invariance the isometry on the probe span induces the same
+        # distribution as a whole coupling: the mean of tr E(i)^2 agrees
+        from qmultimeter import verify
+        from qmultimeter.verify import _draw_samples, _stacked_effects
+
+        dim_h, dim_k, count = 2, 3, 20_000
+        rng = np.random.default_rng(2024)
+        g = haar_unitary(dim_h * dim_k, rng, batch=(count,))
+        phis = random_state_vector(dim_k, rng, batch=(count, 2))
+        full = _stacked_effects(g.reshape(count, -1, dim_h, dim_k), phis, dim_h)
+        monkeypatch.setattr(verify, "_STRUCTURED_RATE", 0.0)
+        q, a, structured = _draw_samples(dim_h, dim_k, count, rng)
+        assert structured == 0 and q.shape == (count, dim_h * dim_k, dim_h, 2)
+        reduced = _stacked_effects(q, a, dim_h)
+        purities = []
+        for e in (full, reduced):
+            x = np.einsum("tpiab,tpiba->tpi", e, e).real.reshape(count, -1)
+            purities.append((x.mean(axis=0), x.std(axis=0) / np.sqrt(count)))
+        (m1, se1), (m2, se2) = purities
+        assert np.all(np.abs(m1 - m2) <= 5 * np.hypot(se1, se2))
 
     def test_structured_couplings_stay_within_one_coupling_of_memory(self, rng):
         # with dim_k >> dim_h only min(dim_h, dim_k) transpositions are
@@ -320,7 +373,7 @@ class TestCounterexampleSearch:
         for u in g:
             assert np.linalg.norm(u @ u.conj().T - np.eye(n)) <= 1e-10
         phis = np.broadcast_to(np.eye(dim_k, dtype=complex)[:2], (2, 2, dim_k))
-        e = _stacked_effects(g, phis, dim_h, dim_k)
+        e = _stacked_effects(g.reshape(2, n, dim_h, dim_k), phis, dim_h)
         assert np.linalg.norm(e @ e - e) <= 1e-10
         assert np.linalg.norm(e[:, 0] - e[:, 1], axis=(-2, -1)).max(axis=1).min() > 0.5
 
@@ -359,9 +412,28 @@ class TestCounterexampleSearch:
         def no_sampling(*args, **kwargs):
             raise AssertionError("the search sampled before checking its dimensions")
 
-        monkeypatch.setattr("qmultimeter.verify.haar_unitary", no_sampling)
+        for sampler in ("haar_isometry", "haar_unitary", "random_state_vector"):
+            monkeypatch.setattr(f"qmultimeter.verify.{sampler}", no_sampling)
         with pytest.raises(DimensionError):
             counterexample_search(dim_h, dim_k, 1, seed=0)
+
+    @pytest.mark.parametrize(
+        "thresholds, match",
+        [({"overlapp": 0.0}, "unknown search threshold 'overlapp'; known: \\['sharp_residual'"),
+         ({"overlap": float("nan")}, "'overlap' must be finite"),
+         ({"distance": float("inf")}, "'distance' must be finite"),
+         ({"sharp_residual": -float("inf")}, "'sharp_residual' must be finite")],
+        ids=["unknown-key", "nan", "inf", "minus-inf"],
+    )
+    def test_thresholds_checked_before_sampling(self, monkeypatch, thresholds, match):
+        # an unknown key would otherwise be ignored, and a NaN overlap
+        # qualifies no sample; both are refused before any draw
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the search sampled before checking its thresholds")
+
+        monkeypatch.setattr(np.random, "default_rng", no_sampling)
+        with pytest.raises(ValidationError, match=match):
+            counterexample_search(2, 2, 10, seed=0, thresholds=thresholds)
 
     def test_trials_capped_before_sampling(self, monkeypatch):
         devices = [identity_channel(2), unitary_channel(PAULI[1])]
@@ -398,3 +470,33 @@ class TestCounterexampleSearch:
     def test_refinement_keeps_verdict(self):
         rep = counterexample_search(2, 2, 300, seed=5, refine=True)
         assert rep.verdict == "pass"
+
+    @pytest.mark.parametrize(
+        "trials, seed, refine, residuals, details",
+        [
+            (500, 11, False,
+             {"best_sharp_residual": 0.02495293555000451, "overlap_at_best": 0.9643053266626338,
+              "distance_at_best": 0.03235656677890913, "violations": 0.0,
+              "qualifying_samples": 472.0, "structured_samples": 28.0},
+             "500 samples, 472 qualifying, no violation; empirical sharpness floor 2.495e-02"),
+            (300, 5, True,
+             {"best_sharp_residual": 0.01869189266941282, "overlap_at_best": 0.6944214563677712,
+              "distance_at_best": 0.2144378455988522, "violations": 0.0,
+              "qualifying_samples": 283.0, "structured_samples": 18.0},
+             "300 samples, 283 qualifying, no violation; empirical sharpness floor 1.869e-02"),
+        ],
+        ids=["pass", "refine"],
+    )
+    def test_two_dimensional_apparatus_reports_pinned(self, trials, seed, refine, residuals, details):
+        # with dim_k = 2 the sample is the whole coupling and the probes
+        # themselves, so the stream and every digit of the report are fixed
+        rep = counterexample_search(2, 2, trials, seed=seed, refine=refine)
+        assert rep == VerificationReport("counterexample_search", "pass", residuals, details)
+
+    @pytest.mark.parametrize("dim_h, dim_k", [(2, 3), (3, 3)])
+    def test_refinement_on_the_probe_span(self, dim_h, dim_k):
+        rep = counterexample_search(dim_h, dim_k, 200, seed=8, refine=True)
+        assert rep.verdict == "pass"
+        assert rep.residuals["violations"] == 0.0
+        assert rep.residuals["qualifying_samples"] > 0
+        assert counterexample_search(dim_h, dim_k, 200, seed=8, refine=True) == rep
