@@ -18,6 +18,7 @@ from .exceptions import DimensionError, ValidationError
 from .operators import (
     DEFAULT_TOL,
     DIMENSION_CAP,
+    _frobenius_norms,
     check_state_vector,
     dagger,
     embed_factors,
@@ -28,10 +29,18 @@ from .operators import (
 # Held while the Kraus operator of a channel written from its parts is built.
 _BUILD_LOCK = threading.Lock()
 
+#: Most entries of the products that :func:`_dual_images` forms at once.
+_IMAGE_CHUNK_ELEMENTS = 2**20
+
 
 @dataclass(frozen=True, eq=False)
 class Channel:
     """Channel on a ``dim``-dimensional space, given by Kraus operators.
+
+    ``kraus`` is given as one ``(n, dim, dim)`` stack, which is frozen and
+    kept whole as ``_stack``; the field then holds its read-only views, one
+    per operator.  Every map below reads the stack in one product, with no
+    loop over the operators.
 
     ``tp_residual`` is ``||sum_i K_i* K_i - I||_F``, as computed when the
     channel was validated or, for a push-button coupling, as written from
@@ -40,7 +49,7 @@ class Channel:
 
     ``_parts`` is, for a push-button coupling written from its parts, the
     pair ``(parts, dims)`` that :meth:`_from_parts` takes, and ``None``
-    otherwise.  Such a channel keeps only its parts: its one Kraus
+    otherwise.  Such a channel keeps only its parts: its stack of one Kraus
     operator is built on its first read, once.  Equality is identity;
     :func:`channel_distance` compares channels.
     """
@@ -48,7 +57,14 @@ class Channel:
     dim: int
     kraus: tuple = field(repr=False)
     tp_residual: float = field(repr=False)
+    _stack: np.ndarray = field(init=False, repr=False)
     _parts = None
+
+    def __post_init__(self):
+        stack = np.asarray(self.kraus)
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "kraus", tuple(stack))
 
     @classmethod
     def _from_parts(cls, parts, residuals, dims) -> Channel:
@@ -76,12 +92,12 @@ class Channel:
         return channel
 
     def __getattr__(self, name):
-        # reached only for attributes not yet set: the Kraus operator of a
-        # channel written from its parts
-        if name != "kraus" or self._parts is None:
+        # reached only for attributes not yet set: the Kraus stack of a
+        # channel written from its parts, and its views
+        if name not in ("kraus", "_stack") or self._parts is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         with _BUILD_LOCK:
-            if "kraus" not in vars(self):
+            if "_stack" not in vars(self):
                 parts, dims = self._parts
                 ks = dims[1:-1]
                 # in a channel bundle, every k_i = 1, each part is its own block B_i
@@ -92,14 +108,16 @@ class Channel:
                                       [0, 2])
                         for i, (v, k) in enumerate(zip(parts, ks))
                     ]
-                g = _selector_sum(parts)
-                g.setflags(write=False)
-                object.__setattr__(self, "kraus", (g,))
-        return self.kraus
+                stack = _selector_sum(parts)[None]
+                stack.setflags(write=False)
+                # the views first: a reader that finds the stack finds both
+                object.__setattr__(self, "kraus", tuple(stack))
+                object.__setattr__(self, "_stack", stack)
+        return vars(self)[name]
 
     def __len__(self) -> int:
         # a channel written from its parts is one unitary
-        return 1 if self._parts is not None else len(self.kraus)
+        return 1 if self._parts is not None else len(self._stack)
 
 
 def _selector_sum(blocks) -> np.ndarray:
@@ -115,8 +133,8 @@ def _selector_sum(blocks) -> np.ndarray:
 def make_channel(kraus, tol: float = DEFAULT_TOL) -> Channel:
     """Validate trace preservation ``sum_i K_i* K_i = I`` and build a channel.
 
-    The Kraus operators are copied once into one read-only ``(n, dim, dim)``
-    stack, which the channel keeps as their views.  The residual is one
+    The Kraus operators are copied once into one ``(n, dim, dim)`` stack,
+    which the channel keeps (see :class:`Channel`).  The residual is one
     Gram product of the operators stacked as rows (see
     :func:`_dense_residual`); it is checked against
     ``tol * max(1, sqrt(dim))`` and kept as ``tp_residual``; see
@@ -137,8 +155,7 @@ def make_channel(kraus, tol: float = DEFAULT_TOL) -> Channel:
                 raise DimensionError(f"Kraus operator shape {shape}, expected {(dim, dim)}")
     residual = _dense_residual(stack)
     _check_trace_preserving(residual, dim, tol)
-    stack.setflags(write=False)
-    return Channel(dim=dim, kraus=tuple(stack), tp_residual=residual)
+    return Channel(dim=dim, kraus=stack, tp_residual=residual)
 
 
 def _check_trace_preserving(residual: float, dim: int, tol: float) -> None:
@@ -205,14 +222,19 @@ def complete_contraction(phi: np.ndarray) -> Channel:
 
 
 def apply(c: Channel, x: np.ndarray, picture: str = "schrodinger") -> np.ndarray:
-    """Apply the channel to an operator in either picture."""
+    """Apply the channel to an operator in either picture.
+
+    Both pictures are one product of the Kraus stack, summed over the
+    operators in their order.
+    """
     x = np.asarray(x, dtype=complex)
     if x.shape != (c.dim, c.dim):
         raise DimensionError(f"operator shape {x.shape}, expected {(c.dim, c.dim)}")
+    k = c._stack
     if picture == "schrodinger":
-        return sum(k @ x @ dagger(k) for k in c.kraus)
+        return (k @ x @ dagger(k)).sum(axis=0)
     if picture == "heisenberg":
-        return sum(dagger(k) @ x @ k for k in c.kraus)
+        return (dagger(k) @ x @ k).sum(axis=0)
     raise ValueError(f"picture must be 'schrodinger' or 'heisenberg', got {picture!r}")
 
 
@@ -220,9 +242,10 @@ def choi_matrix(c: Channel) -> np.ndarray:
     """Choi matrix ``C[(r,s),(r',s')] = <r| E(|s><s'|) |r'>``.
 
     Positive semidefinite, trace ``dim``, and independent of the Kraus
-    representation.
+    representation.  It is ``W^T conj(W)`` for the operators flattened as
+    the rows of ``W``: one product of the Kraus stack.
     """
-    vecs = np.stack([k.ravel() for k in c.kraus])
+    vecs = c._stack.reshape(len(c._stack), -1)
     return vecs.T @ vecs.conj()
 
 
@@ -233,29 +256,46 @@ def channel_distance(a: Channel, b: Channel) -> float:
     return frobenius_norm(choi_matrix(a) - choi_matrix(b))
 
 
-def minimal_kraus(c: Channel) -> list:
+def minimal_kraus(c: Channel) -> np.ndarray:
     """Canonical minimal (linearly independent) Kraus set, from the Choi matrix.
 
     Eigenvectors with eigenvalue below ``1e-12`` times the largest (at
     least 1) are discarded, which removes numerically redundant Kraus
-    directions.
+    directions.  The operators are returned as one ``(m, dim, dim)`` stack.
     """
     choi = choi_matrix(c)
     eigvals, vecs = np.linalg.eigh((choi + dagger(choi)) / 2)
-    cutoff = 1e-12 * max(float(eigvals.max()), 1.0)
-    return [np.sqrt(lam) * v.reshape(c.dim, c.dim)
-            for lam, v in zip(eigvals, vecs.T) if lam > cutoff]
+    keep = eigvals > 1e-12 * max(float(eigvals.max()), 1.0)
+    return (vecs[:, keep] * np.sqrt(eigvals[keep])).T.reshape(-1, c.dim, c.dim)
 
 
-def _projector_family(dim: int):
-    """Rank-1 projectors whose complex span is all of ``L(H)``."""
+def _projector_family(dim: int) -> np.ndarray:
+    """Rank-1 projectors whose complex span is all of ``L(H)``, as the stack of their unit vectors."""
     eye = np.eye(dim, dtype=complex)
     vectors = [eye[i] for i in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
             vectors.append((eye[i] + eye[j]) / np.sqrt(2))
             vectors.append((eye[i] + 1j * eye[j]) / np.sqrt(2))
-    return [np.outer(v, v.conj()) for v in vectors]
+    return np.array(vectors)
+
+
+def _dual_images(c: Channel):
+    """Heisenberg images ``sum_i K_i* P K_i`` of :func:`_projector_family`, in stacks.
+
+    Each stack is one product of the Kraus stack with the projectors of a
+    run of the family, summed over the operators in their order, as
+    :func:`apply` sums them; a run holds as many projectors as keep the
+    product within ``_IMAGE_CHUNK_ELEMENTS`` entries, at least one, and
+    only its projectors are formed.
+    """
+    vectors = _projector_family(c.dim)
+    k = c._stack
+    step = max(1, _IMAGE_CHUNK_ELEMENTS // k.size)
+    for start in range(0, len(vectors), step):
+        v = vectors[start:start + step]
+        projectors = v[:, :, None] * v.conj()[:, None, :]
+        yield (dagger(k) @ projectors[:, None] @ k).sum(axis=1)
 
 
 def is_multiplicative(c: Channel, tol: float = DEFAULT_TOL) -> bool:
@@ -266,18 +306,13 @@ def is_multiplicative(c: Channel, tol: float = DEFAULT_TOL) -> bool:
     spanning ``L(H)`` forces multiplicativity.  Only the spanning family
     is tested.
     """
-    return all(
-        is_projection(apply(c, p, "heisenberg"), tol) for p in _projector_family(c.dim)
-    )
+    return all(is_projection(images, tol) for images in _dual_images(c))
 
 
 def multiplicativity_residual(c: Channel) -> float:
     """Largest projection defect of dual images over the spanning family."""
-    worst = 0.0
-    for p in _projector_family(c.dim):
-        image = apply(c, p, "heisenberg")
-        worst = max(worst, frobenius_norm(image @ image - image))
-    return worst
+    return max(float(_frobenius_norms(images @ images - images).max())
+               for images in _dual_images(c))
 
 
 def is_extreme_channel(c: Channel) -> bool:
@@ -285,23 +320,22 @@ def is_extreme_channel(c: Channel) -> bool:
 
     Evaluated on the canonical minimal Kraus set, so Kraus-representation
     gauge and numerically redundant operators do not affect the verdict.
+    The products ``K_i* K_j`` of every pair are one product of the stack.
     """
     kraus = minimal_kraus(c)
     m = len(kraus)
     if m * m > c.dim * c.dim:
         return False
-    columns = [(dagger(a) @ b).ravel() for a in kraus for b in kraus]
-    system = np.column_stack(columns)
+    system = (dagger(kraus)[:, None] @ kraus).reshape(m * m, -1).T
     return int(np.linalg.matrix_rank(system)) == m * m
 
 
 def stinespring_dilation(c: Channel) -> np.ndarray:
     """Isometry ``w = sum_i K_i (x) |i>: H -> H (x) K`` with ``E(T) = tr_K(w T w*)``.
 
-    ``dim K`` is the number of Kraus operators, ``len(c.kraus)``.
+    ``dim K`` is the number of Kraus operators, ``len(c)``.
     """
-    m = len(c.kraus)
-    return np.stack(c.kraus).transpose(1, 0, 2).reshape(c.dim * m, c.dim)
+    return c._stack.transpose(1, 0, 2).reshape(c.dim * len(c), c.dim)
 
 
 def stinespring_commutant_residual(c: Channel) -> float:
@@ -311,7 +345,7 @@ def stinespring_commutant_residual(c: Channel) -> float:
     """
     w = stinespring_dilation(c)
     ww = w @ dagger(w)
-    d, m = c.dim, len(c.kraus)
+    d, m = c.dim, len(c)
     worst = 0.0
     for a in range(d):
         for b in range(d):

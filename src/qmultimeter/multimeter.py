@@ -236,7 +236,8 @@ def _program_blocks(model: MeasurementModel) -> np.ndarray:
         psis[support] = vecs[:, keep] * np.sqrt(lam[keep] / lam[keep].sum())
     if meter.interaction._parts is not None:
         return _slot_blocks(*meter.interaction._parts, psis)
-    m = np.stack([v.reshape(-1, meter.dim_k) @ psis for v in meter.interaction.kraus])
+    g = meter.interaction._stack
+    m = g.reshape(len(g), -1, meter.dim_k) @ psis
     m = m.reshape(-1, meter.dim_h, meter.dim_k, meter.dim_h, psis.shape[1])
     return np.moveaxis(m, -1, 0).reshape(-1, meter.dim_h, meter.dim_k, meter.dim_h)
 
@@ -264,12 +265,15 @@ def _slot_blocks(parts, dims, psis: np.ndarray) -> np.ndarray:
         m = np.stack(parts)[..., None] * chis[0][:, None, None, :]
         return m.transpose(3, 1, 0, 2).reshape(count, dim_h, dim_k, dim_h)
     m = np.zeros((count, dim_h, dim_k // n, n, dim_h), dtype=complex)
-    for s in np.flatnonzero(chis.any(axis=(0, 2))):
+    # the flags are read as lists: a few bools cost less to scan than to index
+    for s, used in enumerate(chis.any(axis=(0, 2)).tolist()):
+        if not used:
+            continue
         # t[r, x, c, a, b, j] = sum_y V_s[(r, x), (c, y)] chi_s[(a, y, b), j], with x, y on K_s
         k, before = ks[s], math.prod(ks[:s])
         chi = chis[:, s].reshape(before, k, -1, count)
         v = parts[s].reshape(dim_h, k, dim_h, k, 1, 1, 1)
-        entries = np.flatnonzero(chi.any(axis=(0, 2, 3)))
+        entries = [y for y, nonzero in enumerate(chi.any(axis=(0, 2, 3)).tolist()) if nonzero]
         t = v[:, :, :, entries[0]] * chi[:, entries[0]]
         for y in entries[1:]:
             t += v[:, :, :, y] * chi[:, y]
@@ -314,12 +318,14 @@ def induced_channel(model: MeasurementModel) -> Channel:
     """The channel ``rho -> tr_K[ V(rho (x) xi) V* ]`` induced on the system.
 
     Its Kraus operators are the pointer rows ``(I (x) <i|) M_j`` of the
-    program maps ``M_j`` (see :func:`_program_blocks`).  The pointer and
-    kernel play no role here.
+    program maps ``M_j`` (see :func:`_program_blocks`) that are not exactly
+    zero: the rows the probe does not reach add nothing to the channel or
+    its Choi matrix, so only the others are kept.  The pointer and kernel
+    play no role here.
     """
     dim_h = model.meter.dim_h
     kraus = _program_blocks(model).transpose(0, 2, 1, 3).reshape(-1, dim_h, dim_h)
-    return make_channel(kraus, tol=INDUCTION_TOL)
+    return make_channel(kraus[kraus.any(axis=(1, 2))], tol=INDUCTION_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -548,11 +554,10 @@ def concatenate_with_measurement(
 
 def _pauli_multimeter() -> tuple[Multimeter, list]:
     basis = np.eye(4, dtype=complex)
-    g = sum(
-        tensor(0.5 * PAULI[j] @ PAULI[k] @ PAULI[j], np.outer(basis[j], basis[k].conj()))
-        for j in range(4)
-        for k in range(4)
-    )
+    # sum_jk (1/2) s_j s_k s_j (x) |j><k|: block (j, k) over the pointer is
+    # (1/2) s_j s_k s_j, one product of the Pauli matrices, with exact entries
+    s = np.array(PAULI)
+    g = 0.5 * np.einsum("jra,kab,jbc->rjck", s, s, s).reshape(8, 8)
     pointer = Observable._from_marks(4, range(4), np.eye(4, dtype=bool))
     meter = make_multimeter(2, 4, pointer, make_channel([g]))
     probes = [(basis[0] + basis[i]) / np.sqrt(2) for i in (1, 2, 3)]

@@ -410,13 +410,17 @@ def spin_observable(axis) -> Observable:
     """Two-outcome sharp qubit observable along a unit Bloch vector.
 
     Outcome ``1`` carries the effect ``(I + n.sigma)/2``, outcome ``2``
-    its complement.
+    its complement.  An axis whose norm is within ``1e-6`` of 1 is
+    accepted and divided by its norm, so the effects are projections to
+    rounding.
     """
     n = np.asarray(axis, dtype=float).reshape(-1)
     if n.shape != (3,):
         raise DimensionError("spin axis must be a real 3-vector")
-    if abs(np.linalg.norm(n) - 1.0) > 1e-6:
-        raise ValidationError(f"spin axis norm {np.linalg.norm(n)} is not 1")
+    norm = np.linalg.norm(n)
+    if abs(norm - 1.0) > 1e-6:
+        raise ValidationError(f"spin axis norm {norm} is not 1")
+    n = n / norm
     n_sigma = n[0] * PAULI[1] + n[1] * PAULI[2] + n[2] * PAULI[3]
     eye = np.eye(2, dtype=complex)
     return make_observable(2, (1, 2), [(eye + n_sigma) / 2, (eye - n_sigma) / 2])

@@ -42,8 +42,8 @@ def asoperator(a) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Hermitian adjoint."""
-    return np.asarray(a).conj().T
+    """Hermitian adjoint of a matrix, or of each matrix of a stack."""
+    return np.asarray(a).conj().swapaxes(-1, -2)
 
 
 def frobenius_norm(a: np.ndarray) -> float:

@@ -124,7 +124,7 @@ class DeviceKind(NamedTuple):
     defect_key: str  # report key of that residual
     ideal: str  # what an ideal device is called
     extreme: Callable  # device -> whether it is extreme
-    mixture_distance: Callable  # (device, weights, devices) -> distance to the mixture
+    mixer: Callable  # devices -> ((device, weights) -> distance to their mixture)
     describe: Callable  # induced device -> summary for a report
 
 
@@ -135,6 +135,13 @@ def _mix_observables(weights, devices) -> Observable:
         raise ValidationError("programmed observables must share their outcome labels")
     effects = sum(w * dev._stack_in_order(ref.outcomes) for w, dev in zip(weights, devices))
     return make_observable(ref.dim, ref.outcomes, effects, tol=INDUCTION_TOL)
+
+
+def _mix_channels(devices) -> Callable:
+    """Choi distance of a channel to mixtures of ``devices``, each Choi matrix formed once."""
+    chois = [choi_matrix(dev) for dev in devices]
+    return lambda c, weights: frobenius_norm(
+        choi_matrix(c) - sum(w * choi for w, choi in zip(weights, chois)))
 
 
 #: The two kinds of device a multimeter programs.  The channel theorem
@@ -149,7 +156,7 @@ DEVICE_KINDS = {
         defect_key="sharpness_residual",
         ideal="sharp",
         extreme=lambda e: is_extreme(e),
-        mixture_distance=lambda e, weights, devices: observable_distance(
+        mixer=lambda devices: lambda e, weights: observable_distance(
             e, _mix_observables(weights, devices)),
         describe=lambda e: f"observable with outcomes {e.outcomes}",
     ),
@@ -161,9 +168,8 @@ DEVICE_KINDS = {
         defect_key="multiplicativity_residual",
         ideal="unitary",
         extreme=lambda c: is_extreme_channel(c),
-        mixture_distance=lambda c, weights, devices: frobenius_norm(
-            choi_matrix(c) - sum(w * choi_matrix(dev) for w, dev in zip(weights, devices))),
-        describe=lambda c: f"channel with {len(c.kraus)} Kraus operators",
+        mixer=_mix_channels,
+        describe=lambda c: f"channel with {len(c)} Kraus operators",
     ),
 }
 
@@ -286,9 +292,10 @@ def check_convex_hull(
     if frobenius_norm(gram - np.eye(m.dim_k)) > _OVERLAP_TOL:
         raise ValidationError("program vectors are not orthonormal")
     k = kinds[0]
+    distance_to_mixture = k.mixer(devices)
 
     def residual(probe, weights):
-        return k.mixture_distance(k.induce(make_model(m, probe)), weights, devices)
+        return distance_to_mixture(k.induce(make_model(m, probe)), weights)
 
     base_residual = max(residual(p, np.eye(m.dim_k)[i]) for i, p in enumerate(probes))
     residuals = {"basis_residual": base_residual}

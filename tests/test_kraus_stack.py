@@ -1,0 +1,225 @@
+"""A channel is one Kraus stack: every map reads it in one product.
+
+The structural test walks ``channels.py`` and refuses any loop or
+comprehension over ``.kraus``; the others hold each stacked function to a
+textbook version that takes the operators one at a time.
+"""
+
+import ast
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qmultimeter import channels
+from qmultimeter.channels import (
+    Channel,
+    _dense_residual,
+    apply,
+    channel_distance,
+    choi_matrix,
+    is_extreme_channel,
+    is_multiplicative,
+    make_channel,
+    minimal_kraus,
+    multiplicativity_residual,
+    random_channel,
+    stinespring_dilation,
+)
+from qmultimeter.multimeter import (
+    _program_blocks,
+    induced_channel,
+    make_model,
+    minimal_dilation_multimeter,
+    push_button_multimeter,
+)
+from qmultimeter.observables import random_sharp_observable
+from qmultimeter.operators import dagger, frobenius_norm, haar_unitary, random_state_vector
+
+CHANNELS_PY = Path(channels.__file__)
+
+#: Stacked and per-operator sums agree to rounding; a channel on C^1 sums
+#: its operators pairwise, the others in their order.
+ATOL = 1e-12
+
+
+def loops_over_kraus(source: str) -> list:
+    """Line numbers of loops and comprehensions whose iterable reads ``.kraus``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            if any(
+                isinstance(sub, ast.Attribute) and sub.attr == "kraus"
+                for sub in ast.walk(node.iter)
+            ):
+                lines.append(node.iter.lineno)
+    return lines
+
+
+def test_channels_module_never_loops_over_kraus():
+    assert loops_over_kraus(CHANNELS_PY.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "def f(c):\n    for k in c.kraus:\n        pass\n",
+        "def f(c):\n    return sum(k @ k for k in c.kraus)\n",
+        "def f(c):\n    return [k for k in enumerate(c.kraus)]\n",
+        "def f(a, b):\n    return {k: 1 for k in a.kraus + b.kraus}\n",
+    ],
+)
+def test_loop_detector_finds_loops(snippet):
+    assert loops_over_kraus(snippet) != []
+
+
+# ---------------------------------------------------------------------------
+# textbook versions, one operator at a time
+
+
+def textbook_choi(c):
+    return sum(np.outer(k.ravel(), k.ravel().conj()) for k in c.kraus)
+
+
+def textbook_apply(c, x, picture):
+    if picture == "schrodinger":
+        return sum(k @ x @ dagger(k) for k in c.kraus)
+    return sum(dagger(k) @ x @ k for k in c.kraus)
+
+
+def textbook_family(dim):
+    eye = np.eye(dim, dtype=complex)
+    vectors = [eye[i] for i in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            vectors.append((eye[i] + eye[j]) / np.sqrt(2))
+            vectors.append((eye[i] + 1j * eye[j]) / np.sqrt(2))
+    return [np.outer(v, v.conj()) for v in vectors]
+
+
+def textbook_multiplicativity(c):
+    worst = 0.0
+    for p in textbook_family(c.dim):
+        image = textbook_apply(c, p, "heisenberg")
+        worst = max(worst, frobenius_norm(image @ image - image))
+    return worst
+
+
+def textbook_extreme(c):
+    kraus = minimal_kraus(c)
+    m = len(kraus)
+    if m * m > c.dim * c.dim:
+        return False
+    system = np.column_stack([(dagger(a) @ b).ravel() for a in kraus for b in kraus])
+    return int(np.linalg.matrix_rank(system)) == m * m
+
+
+def textbook_dilation(c):
+    m = len(c.kraus)
+    return sum(np.kron(k, np.eye(m)[:, [i]]) for i, k in enumerate(c.kraus))
+
+
+def with_negligible_operators(c, rng):
+    """``c`` with exactly zero and ``1e-15``-sized Kraus operators inserted."""
+    tiny = 1e-15 * (rng.normal(size=(c.dim, c.dim)) + 1j * rng.normal(size=(c.dim, c.dim)))
+    zero = np.zeros((c.dim, c.dim), dtype=complex)
+    return make_channel([zero, *c.kraus[:1], tiny, *c.kraus[1:], zero])
+
+
+def parts_coupling():
+    parts = [minimal_dilation_multimeter(random_sharp_observable(2, 2, s)) for s in (1, 2)]
+    meter, _ = push_button_multimeter(parts)
+    return meter.interaction
+
+
+def sample_channels(rng):
+    found = [random_channel(d, n, 10 * d + n) for d in (1, 2, 3, 4) for n in (1, 2, 3, 5)]
+    found += [make_channel([haar_unitary(3, rng)])]
+    found += [with_negligible_operators(random_channel(d, 2, d), rng) for d in (1, 2, 3)]
+    found.append(parts_coupling())
+    return found
+
+
+def test_stacked_maps_match_textbook(rng):
+    for c in sample_channels(rng):
+        x = rng.normal(size=(c.dim, c.dim)) + 1j * rng.normal(size=(c.dim, c.dim))
+        np.testing.assert_allclose(choi_matrix(c), textbook_choi(c), rtol=0, atol=ATOL)
+        for picture in ("schrodinger", "heisenberg"):
+            np.testing.assert_allclose(
+                apply(c, x, picture), textbook_apply(c, x, picture), rtol=0, atol=ATOL * c.dim)
+        gram = sum(dagger(k) @ k for k in c.kraus)
+        assert _dense_residual(c._stack) == pytest.approx(
+            frobenius_norm(gram - np.eye(c.dim)), abs=ATOL)
+        assert np.array_equal(stinespring_dilation(c), textbook_dilation(c))
+        assert is_extreme_channel(c) == textbook_extreme(c)
+        if c.dim <= 4:
+            assert multiplicativity_residual(c) == pytest.approx(
+                textbook_multiplicativity(c), abs=ATOL)
+            assert is_multiplicative(c) == (textbook_multiplicativity(c) <= 1e-9)
+
+
+def test_distance_matches_textbook(rng):
+    found = [c for c in sample_channels(rng) if c.dim == 2]
+    for a in found:
+        for b in found:
+            want = frobenius_norm(textbook_choi(a) - textbook_choi(b))
+            assert channel_distance(a, b) == pytest.approx(want, abs=ATOL)
+
+
+def test_parts_coupling_builds_its_stack_once():
+    c = parts_coupling()
+    assert "_stack" not in vars(c) and len(c) == 1
+    stack = c._stack
+    assert c._stack is stack and stack.shape == (1, c.dim, c.dim)
+    assert len(c.kraus) == 1 and np.shares_memory(c.kraus[0], stack)
+    assert not stack.flags.writeable and not c.kraus[0].flags.writeable
+
+
+def test_stack_is_read_only_and_views_it(rng):
+    c = random_channel(3, 4, 1)
+    assert isinstance(c, Channel) and c._stack.shape == (4, 3, 3)
+    assert not c._stack.flags.writeable
+    assert all(k.base is c._stack for k in c.kraus)
+
+
+def test_multiplicativity_chunks_do_not_change_the_residual(monkeypatch):
+    c = random_channel(4, 3, 2)
+    whole = multiplicativity_residual(c)
+    monkeypatch.setattr(channels, "_IMAGE_CHUNK_ELEMENTS", 1)
+    assert multiplicativity_residual(c) == whole
+    assert is_multiplicative(make_channel([haar_unitary(4, np.random.default_rng(3))]))
+
+
+@pytest.mark.parametrize("channel", [
+    # 64 projectors times 8 operators of 8 x 8: 512 KiB per product
+    lambda: random_channel(8, 8, 1),
+    # 256 projectors of 16 x 16: 1 MiB for the whole family
+    lambda: make_channel([haar_unitary(16, np.random.default_rng(4))]),
+], ids=["eight-operators", "unitary-16"])
+def test_multiplicativity_forms_one_run_at_a_time(monkeypatch, channel):
+    c = channel()
+    monkeypatch.setattr(channels, "_IMAGE_CHUNK_ELEMENTS", 2**12)  # runs of 64 KiB
+    tracemalloc.start()
+    try:
+        multiplicativity_residual(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
+
+
+def test_induced_channel_keeps_the_reached_rows(rng):
+    parts = [minimal_dilation_multimeter(random_sharp_observable(3, 3, s)) for s in (1, 2)]
+    meter, probes = push_button_multimeter(parts)
+    for probe in [probes[0], random_state_vector(meter.dim_k, rng)]:
+        model = make_model(meter, probe)
+        rows = _program_blocks(model).transpose(0, 2, 1, 3).reshape(-1, 3, 3)
+        reached = rows.any(axis=(1, 2))
+        c = induced_channel(model)
+        assert len(c) == np.count_nonzero(reached)
+        assert np.array_equal(c._stack, rows[reached])
+        np.testing.assert_allclose(choi_matrix(c), textbook_choi(make_channel(rows)),
+                                   rtol=0, atol=1e-15)
+    # a selector reaches the d rows of its observable's Lueders channel
+    assert len(induced_channel(make_model(meter, probes[1]))) == 3

@@ -280,6 +280,16 @@ class TestModelValidation:
 
 
 class TestInducedObservable:
+    def test_pauli_coupling_is_the_kronecker_sum(self):
+        basis = np.eye(4, dtype=complex)
+        kronecker = sum(
+            tensor(0.5 * PAULI[j] @ PAULI[k] @ PAULI[j], np.outer(basis[j], basis[k].conj()))
+            for j in range(4)
+            for k in range(4)
+        )
+        meter, _ = builtin_multimeter("pauli")
+        assert np.array_equal(meter.coupling, kronecker)
+
     def test_pauli_formula(self):
         meter, probes = builtin_multimeter("pauli")
         for i, phi in enumerate(probes, start=1):
@@ -395,9 +405,10 @@ class TestInducedObservable:
 
 class TestInductionValidationCalls:
     def test_dense_check_calls_do_not_grow_with_outcomes(self, monkeypatch):
-        # (parts, dim, outcomes) = (2, 2, 2) induces 4 effects and 8 Kraus
-        # operators, (3, 4, 4) 64 and 192; a check per effect or operator
-        # would multiply its calls by 16 or 24
+        # (parts, dim, outcomes) = (2, 2, 2) induces 4 effects and 8 pointer
+        # rows, (3, 4, 4) 64 and 192; a check per effect or row would multiply
+        # its calls by 16 or 24.  A selector reaches d rows, the nonzero Kraus
+        # operators of its Lueders channel, and the channel keeps only those.
         counts = {}
         for n, d in ((2, 2), (3, 4)):
             parts = [
@@ -412,7 +423,7 @@ class TestInductionValidationCalls:
                     for name in ("cholesky", "norm"):
                         spies.setattr(np.linalg, name, counted(calls, name, getattr(np.linalg, name)))
                     device = induce(model)
-                assert len(device) == (d**n if induce is induced_observable else n * d**n)
+                assert len(device) == (d**n if induce is induced_observable else d)
                 counts[n, d, induce] = sorted(calls)
         for induce in (induced_observable, induced_channel):
             assert counts[2, 2, induce] == counts[3, 4, induce]
@@ -1642,17 +1653,21 @@ class TestCouplingBuiltOnRead:
                 barrier = threading.Barrier(8)
                 seen = []
 
-                def read(barrier=barrier, meter=meter, seen=seen):
+                # half the readers ask for the Kraus operator, half for the stack
+                def read(stack, barrier=barrier, meter=meter, seen=seen):
                     barrier.wait(timeout=10)
-                    seen.append(meter.coupling)
+                    seen.append(meter.interaction._stack if stack else meter.coupling)
 
-                threads = [threading.Thread(target=read) for _ in range(8)]
+                threads = [threading.Thread(target=read, args=(i % 2,)) for i in range(8)]
                 for thread in threads:
                     thread.start()
                 for thread in threads:
                     thread.join(timeout=10)
                 assert not any(thread.is_alive() for thread in threads)
-                assert len(seen) == 8 and all(g is meter.coupling for g in seen)
+                stack = meter.interaction._stack
+                assert len(seen) == 8
+                assert all(g is (stack if g.ndim == 3 else meter.coupling) for g in seen)
+                assert np.shares_memory(meter.coupling, stack)
         finally:
             sys.setswitchinterval(interval)
 

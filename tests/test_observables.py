@@ -102,6 +102,15 @@ class TestSharpness:
     def test_spin_observables_sharp(self, spin_trio):
         assert all(is_sharp(s) for s in spin_trio)
 
+    @pytest.mark.parametrize("norm", [1 + 1e-7, 1 - 1e-7])
+    def test_spin_axis_within_tolerance_is_normalised(self, norm):
+        # an axis the norm check accepts gives a sharp observable, never a
+        # refused effect (1 + 1e-7) or an unsharp one (1 - 1e-7)
+        for axis in [(norm, 0.0, 0.0), norm * np.array([0.6, 0.0, 0.8])]:
+            spin = spin_observable(axis)
+            assert is_sharp(spin)
+            assert sharpness_residual(spin) <= 1e-15
+
     def test_sic_not_sharp(self):
         # rank-1 effects with trace 1/2 square to half themselves
         obs = sic_observable()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qmultimeter import DIMENSION_CAP, PAULI, DimensionError, ValidationError
+from qmultimeter import verify
 from qmultimeter.cli import emit_report, parse_report
 from qmultimeter.channels import identity_channel, make_channel, unitary_channel
 from qmultimeter.multimeter import (
@@ -176,6 +177,20 @@ class TestConvexHull:
         assert rep.residuals["max_pure_residual"] <= 1e-10
         assert rep.residuals["max_mixed_residual"] <= 1e-10
 
+    def test_device_choi_matrices_formed_once(self, monkeypatch):
+        devices = [unitary_channel(u) for u in (PAULI[0], PAULI[1], PAULI[3])]
+        meter, probes = push_button_multimeter(devices)
+        programmed = list(zip(probes, devices))
+        want = check_convex_hull(meter, programmed, trials=4, seed=3)
+        seen = []
+        choi = verify.choi_matrix
+        monkeypatch.setattr(verify, "choi_matrix", lambda c: seen.append(c) or choi(c))
+        rep = check_convex_hull(meter, programmed, trials=4, seed=3)
+        # one per device, then one per induced channel: 3 basis and 2 * 4 random programs
+        assert len(seen) == 3 + 3 + 2 * 4
+        assert all(any(c is d for c in seen) for d in devices)
+        assert rep.residuals == want.residuals and rep.verdict == "pass"
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_no_trials_tests_nothing(self, trials):
         devices = [identity_channel(2), unitary_channel(PAULI[1])]
@@ -296,7 +311,6 @@ class TestCounterexampleSearch:
         # induces: Q = g (I (x) [u1 u2]) for an orthonormal pair spanning the
         # probes, with a the probes' coordinates -- for random, parallel and
         # structured probe pairs
-        from qmultimeter import verify
         from qmultimeter.verify import _draw_samples, _probe_coordinates, _stacked_effects
 
         couplings, structured_couplings = [], verify._structured_couplings
