@@ -41,6 +41,12 @@ from .operators import (
 PROBE_CUTOFF = 1e-14
 
 #: Tolerance at which induced observables and channels are validated.
+#: An induced effect that is a Gram sum (see :func:`induced_observable`) is
+#: positive up to rounding of at most ``n eps tr(M*M)``, with ``n`` the terms
+#: summed per entry and ``tr(M*M)`` the program maps' squared norm, about
+#: ``dim H``: under 4e-9 for a pure probe of a normal meter at
+#: ``DIMENSION_CAP``.  So only its completeness, a compression of
+#: ``V*V - I``, is checked at this tolerance.
 INDUCTION_TOL = 1e-7
 
 #: Entries of a unit vector at most this large do not fix its global phase.
@@ -296,21 +302,34 @@ def induced_observable(model: MeasurementModel) -> Observable:
     with outcomes ``1..cols`` as :func:`~qmultimeter.observables.post_process`
     labels them: the same observable as smearing the pointer first, with
     no operator on K formed or validated.
+
+    Effects induced through marks, unsmeared or smeared by a kernel whose
+    weights are all ``>= 0``, are Gram sums, positive by construction, and
+    only their completeness is checked (see
+    :meth:`~qmultimeter.observables.Observable._from_gram_sums`).  Any other
+    effects are validated by :func:`~qmultimeter.observables.make_observable`:
+    a pointer without marks may have been validated at a looser ``tol``, and
+    :func:`~qmultimeter.observables.make_kernel` accepts weights down to
+    ``-1e-9``.  Either way at ``INDUCTION_TOL``.
     """
     dim_h, dim_k = model.meter.dim_h, model.meter.dim_k
-    pointer = model.meter.pointer
+    pointer, kernel = model.meter.pointer, model.kernel
+    marks = pointer._marks
     m = _program_blocks(model)
-    if pointer._marks is not None:
-        effects = _basis_effects(m.reshape(-1, dim_k, dim_h), pointer._marks)
+    if marks is not None:
+        effects = _basis_effects(m.reshape(-1, dim_k, dim_h), marks)
     else:
         # b[i, (j, r, c)] = M[j, r, i, c]; its rows (i, j, r) give the adjoint side.
         b = m.transpose(2, 0, 1, 3).reshape(dim_k, -1)
         b_adj = b.reshape(-1, dim_h).conj().T
         effects = [b_adj @ (eff @ b).reshape(-1, dim_h) for eff in pointer.effects]
     outcomes = pointer.outcomes
-    if model.kernel is not None:
-        effects = np.tensordot(model.kernel.weights, effects, axes=(0, 0))
-        outcomes = range(1, model.kernel.cols + 1)
+    if kernel is not None:
+        effects = np.tensordot(kernel.weights, effects, axes=(0, 0))
+        outcomes = range(1, kernel.cols + 1)
+    if marks is not None and (kernel is None or kernel.weights.min() >= 0):
+        # Gram sums with nonnegative weights: positive by construction
+        return Observable._from_gram_sums(dim_h, outcomes, effects, INDUCTION_TOL)
     return make_observable(dim_h, outcomes, effects, tol=INDUCTION_TOL)
 
 

@@ -35,6 +35,9 @@ SUPPORT_TOL = 1e-9
 # Held while the effects of a pointer written from its marks are built.
 _BUILD_LOCK = threading.Lock()
 
+#: Most entries of the effects that :func:`make_observable` checks, and sums, at once.
+_CHECK_CHUNK_ELEMENTS = 2**16
+
 
 @dataclass(frozen=True, eq=False)
 class Observable:
@@ -86,6 +89,23 @@ class Observable:
         for name, value in (("dim", dim), ("outcomes", labels), ("_marks", marks)):
             object.__setattr__(obs, name, value)
         return obs
+
+    @classmethod
+    def _from_gram_sums(cls, dim: int, labels, stack: np.ndarray, tol: float) -> Observable:
+        """Observable whose effect ``x`` is ``stack[x]``, checked only for completeness.
+
+        Every effect must be a sum ``sum_i w_i B_i* B_i`` of Gram matrices of
+        finite ``B_i`` with weights ``w_i >= 0``, and the labels unique.
+        Such a sum is Hermitian and positive up to rounding of order
+        ``n eps ||B||_F^2``, ``n`` the length of the summed index, so no
+        Hermiticity or positivity stage of :func:`make_observable` at ``tol``
+        can fail on it and neither is run.  The effects must still sum to
+        the identity, as :func:`make_observable` checks it; a non-finite
+        entry makes that residual non-finite and raises too.  The stack is
+        kept, not copied.
+        """
+        _check_complete(stack, tol)
+        return cls(dim=dim, outcomes=tuple(labels), effects=stack)
 
     def __getattr__(self, name):
         # reached only for attributes not yet set: the effects of an unbuilt
@@ -163,11 +183,13 @@ def make_observable(dim: int, labels, effects, tol: float = DEFAULT_TOL) -> Obse
     Each effect ``E`` must be a finite, Hermitian ``dim x dim`` matrix with
     no eigenvalue below ``-b``, ``b = tol * max(1, ||E||_F)``.  The effects
     are copied once into one ``(n, dim, dim)`` stack and every check runs
-    on the whole stack: the norms and Hermitian defects as stacked
+    on label-ordered chunks of it, of at most ``_CHECK_CHUNK_ELEMENTS``
+    entries or one effect: the norms and Hermitian defects as stacked
     products, positivity by one stacked Cholesky factorisation of the
     ``(E + E*)/2 + b I`` (see
     :func:`~qmultimeter.operators.eigenvalue_below`).  Besides the stack,
-    the checks hold at most two arrays of its size.  Each decision, and the
+    the checks hold only a few arrays of a chunk's size, however many
+    effects there are.  Each decision, and the
     error raised, is the one of a check per effect in label order: the
     error names the first effect that fails, at the first of the stages
     shape, finiteness, Hermiticity and positivity that it fails.  Only then
@@ -194,19 +216,43 @@ def make_observable(dim: int, labels, effects, tol: float = DEFAULT_TOL) -> Obse
     if len(effects) != len(labels):
         raise ValidationError(f"{len(labels)} labels but {len(effects)} effects")
     stack = _effect_stack(dim, effects)
-    _check_effects(stack, labels, tol)
+    for part in _chunks(stack):
+        _check_effects(stack[part], labels[part], tol)
     if len(stack) < len(labels):
         # every effect before the misfit passed; it fails as it would alone
         shape = np.array(effects[len(stack)], dtype=complex).shape
         raise DimensionError(
             f"effect {labels[len(stack)]!r} has shape {shape}, expected {(dim, dim)}"
         )
-    # a running sum in label order, bit for bit the sum of the effects one by one
-    residual = frobenius_norm(np.cumsum(stack, axis=0)[-1] - np.eye(dim))
-    if residual > tol * max(1.0, float(np.sqrt(dim))):
-        raise ValidationError(f"effects do not sum to the identity (residual {residual:.3e})")
+    _check_complete(stack, tol)
     # a caller's complex stack was validated in place; it is copied only now
     return Observable(dim=dim, outcomes=labels, effects=stack.copy() if stack is effects else stack)
+
+
+def _check_complete(stack: np.ndarray, tol: float) -> None:
+    """Raise unless the effects sum to the identity within ``tol * max(1, sqrt(dim))``.
+
+    The sum runs in label order, bit for bit the sum of the effects one by
+    one, a chunk of at most ``_CHECK_CHUNK_ELEMENTS`` entries at a time.
+    A non-finite residual raises too.
+    """
+    dim = stack.shape[-1]
+    total = None
+    for part in _chunks(stack):
+        chunk = stack[part]
+        if total is not None:
+            # the running sum carries on from the last chunk's
+            chunk = np.concatenate([total[None], chunk])
+        total = np.cumsum(chunk, axis=0)[-1]
+    residual = frobenius_norm(total - np.eye(dim))
+    if not residual <= tol * max(1.0, float(np.sqrt(dim))):
+        raise ValidationError(f"effects do not sum to the identity (residual {residual:.3e})")
+
+
+def _chunks(stack: np.ndarray):
+    """Label-ordered slices of a stack, each of at most ``_CHECK_CHUNK_ELEMENTS`` entries or one matrix."""
+    step = max(1, _CHECK_CHUNK_ELEMENTS // max(1, math.prod(stack.shape[1:])))
+    return (slice(start, start + step) for start in range(0, len(stack), step))
 
 
 def _effect_stack(dim: int, effects) -> np.ndarray:
@@ -271,12 +317,16 @@ def make_kernel(weights) -> StochasticKernel:
 
 def observable_distance(a: Observable, b: Observable) -> float:
     """Max effect-wise Frobenius distance after exact label alignment."""
-    if a.dim != b.dim:
-        raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if set(a.outcomes) != set(b.outcomes):
-        raise ValidationError(f"outcome labels differ: {a.outcomes} vs {b.outcomes}")
-    diffs = a._stack - b._stack_in_order(a.outcomes)
-    return float(_frobenius_norms(diffs).max())
+    return _distance_to_effects(a, b.dim, b.outcomes, b._stack)
+
+
+def _distance_to_effects(a: Observable, dim: int, outcomes, stack: np.ndarray) -> float:
+    """:func:`observable_distance` of ``a`` to the effects ``stack`` on C^dim labelled ``outcomes``."""
+    if a.dim != dim:
+        raise DimensionError(f"dimension mismatch: {a.dim} vs {dim}")
+    if set(a.outcomes) != set(outcomes):
+        raise ValidationError(f"outcome labels differ: {a.outcomes} vs {outcomes}")
+    return float(_frobenius_norms(a._stack_in_order(outcomes) - stack).max())
 
 
 def sharpness_residual(e: Observable) -> float:

@@ -37,8 +37,8 @@ from .multimeter import (
 )
 from .observables import (
     Observable,
+    _distance_to_effects,
     is_extreme,
-    make_observable,
     observable_distance,
     sharpness_residual,
 )
@@ -128,13 +128,20 @@ class DeviceKind(NamedTuple):
     describe: Callable  # induced device -> summary for a report
 
 
-def _mix_observables(weights, devices) -> Observable:
-    """Effect-wise mixture of observables, aligned by outcome label."""
+def _mix_observables(devices) -> Callable:
+    """Distance of an observable to effect-wise mixtures of ``devices``, aligned by outcome label.
+
+    Each mixture is summed on the stacks, in the order of ``devices``, and
+    compared with no observable built.
+    """
     ref = devices[0]
     if any(set(dev.outcomes) != set(ref.outcomes) for dev in devices):
         raise ValidationError("programmed observables must share their outcome labels")
-    effects = sum(w * dev._stack_in_order(ref.outcomes) for w, dev in zip(weights, devices))
-    return make_observable(ref.dim, ref.outcomes, effects, tol=INDUCTION_TOL)
+    if any(dev.dim != ref.dim for dev in devices):
+        raise DimensionError("programmed observables must share their dimension")
+    stacks = [dev._stack_in_order(ref.outcomes) for dev in devices]
+    return lambda e, weights: _distance_to_effects(
+        e, ref.dim, ref.outcomes, sum(w * stack for w, stack in zip(weights, stacks)))
 
 
 def _mix_channels(devices) -> Callable:
@@ -156,8 +163,7 @@ DEVICE_KINDS = {
         defect_key="sharpness_residual",
         ideal="sharp",
         extreme=lambda e: is_extreme(e),
-        mixer=lambda devices: lambda e, weights: observable_distance(
-            e, _mix_observables(weights, devices)),
+        mixer=_mix_observables,
         describe=lambda e: f"observable with outcomes {e.outcomes}",
     ),
     "channel": DeviceKind(

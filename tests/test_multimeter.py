@@ -403,6 +403,16 @@ class TestInducedObservable:
             assert observable_distance(induced_observable(model), spin_trio[i - 1]) <= 1e-14
 
 
+def linalg_calls(monkeypatch, call, names=("cholesky", "eigvalsh", "norm")):
+    """Sorted names of the ``np.linalg`` functions ``call()`` calls, once per call, and its result."""
+    calls = []
+    with monkeypatch.context() as spies:
+        for name in names:
+            spies.setattr(np.linalg, name, counted(calls, name, getattr(np.linalg, name)))
+        result = call()
+    return sorted(calls), result
+
+
 class TestInductionValidationCalls:
     def test_dense_check_calls_do_not_grow_with_outcomes(self, monkeypatch):
         # (parts, dim, outcomes) = (2, 2, 2) induces 4 effects and 8 pointer
@@ -418,17 +428,101 @@ class TestInductionValidationCalls:
             meter, probes = push_button_multimeter(parts)
             model = make_model(meter, probes[0])
             for induce in (induced_observable, induced_channel):
-                calls = []
-                with monkeypatch.context() as spies:
-                    for name in ("cholesky", "norm"):
-                        spies.setattr(np.linalg, name, counted(calls, name, getattr(np.linalg, name)))
-                    device = induce(model)
+                calls, device = linalg_calls(monkeypatch, lambda: induce(model))
                 assert len(device) == (d**n if induce is induced_observable else d)
-                counts[n, d, induce] = sorted(calls)
+                counts[n, d, induce] = calls
         for induce in (induced_observable, induced_channel):
             assert counts[2, 2, induce] == counts[3, 4, induce]
-        assert "cholesky" in counts[3, 4, induced_observable]
+        # the induced effects are Gram sums through the pointer's marks: no spectral check
+        assert not {"cholesky", "eigvalsh"} & set(counts[3, 4, induced_observable])
         assert "norm" in counts[3, 4, induced_channel]
+
+    @pytest.mark.parametrize("construct", ["spin_pair", "concatenation"])
+    def test_pointer_without_marks_is_validated(self, monkeypatch, spin_trio, construct):
+        # a spin_pair meter's pointer is its first observable, here sigma_x
+        meter, probes = builtin_multimeter("spin_pair", observables=spin_trio[:2])
+        probe = probes[1]
+        if construct == "concatenation":
+            channels, selectors = push_button_multimeter(
+                [unitary_channel(np.eye(2)), unitary_channel(PAULI[1])]
+            )
+            meter = concatenate_with_measurement(channels, make_model(meter, probe))
+            probe = np.kron(selectors[1], probe)
+        assert meter.pointer._marks is None
+        calls, _ = linalg_calls(monkeypatch, lambda: induced_observable(make_model(meter, probe)))
+        assert "cholesky" in calls
+
+
+class TestTrustedInduction:
+    """Effects induced through a pointer's marks are Gram sums; only completeness is checked."""
+
+    def test_loose_coupling_still_checked_for_completeness(self, spin_trio):
+        # the coupling passes make_channel at tol 1e-3, but its induced effects
+        # sum to (1 + 1e-5)^2 I, far outside INDUCTION_TOL
+        meter, probe = qubit_part(spin_trio[2], scale=1e-5, tol=1e-3)
+        assert meter.pointer._marks is not None
+        for kernel in (None, make_kernel([[0.5, 0.5], [0.0, 1.0]])):
+            with pytest.raises(ValidationError, match="effects do not sum to the identity"):
+                induced_observable(make_model(meter, probe, kernel=kernel))
+
+    def test_non_finite_residual_raises(self):
+        stack = np.array([np.eye(2), np.full((2, 2), np.nan)], dtype=complex)
+        with pytest.raises(ValidationError, match="effects do not sum to the identity"):
+            Observable._from_gram_sums(2, (1, 2), stack, 1e-7)
+
+    def test_loose_dense_pointer_still_checked_for_positivity(self):
+        # valid at tol 1e-3 with eigenvalue -5e-4; on K = C^2 the identity
+        # coupling and probe e_0 induce Z(x)[0, 0] I, so E(2) = -5e-4 I
+        low = -5e-4
+        pointer = make_observable(
+            2, (1, 2), [np.diag([1 - low, low]), np.diag([low, 1 - low])], tol=1e-3
+        )
+        assert pointer._marks is None
+        meter = make_multimeter(2, 2, pointer, make_channel([np.eye(4)]), tol=1e-3)
+        with pytest.raises(ValidationError, match="effect 2 has negative eigenvalue"):
+            induced_observable(make_model(meter, np.eye(2)[0]))
+
+    @pytest.mark.parametrize("low, validated", [(0.0, False), (-1e-9, True)])
+    def test_kernel_below_zero_is_validated(self, monkeypatch, spin_trio, low, validated):
+        # make_kernel accepts weights down to -1e-9, which can smear an
+        # induced effect below zero, so such a kernel keeps make_observable
+        meter, probe = minimal_dilation_multimeter(spin_trio[0])
+        kernel = make_kernel([[1 - low, low], [0.0, 1.0]])
+        calls = []
+        monkeypatch.setattr(
+            qmultimeter.multimeter,
+            "make_observable",
+            counted(calls, "make_observable", qmultimeter.multimeter.make_observable),
+        )
+        induced = induced_observable(make_model(meter, probe, kernel=kernel))
+        assert calls == (["make_observable"] if validated else [])
+        assert observable_distance(induced, post_process(spin_trio[0], kernel)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "dim_h, dim_k, kraus, rank", [(2, 2, 1, 1), (3, 16, 2, 3), (2, 64, 1, 1), (4, 64, 2, 2)]
+    )
+    def test_gram_sums_positive_to_rounding(self, rng, dim_h, dim_k, kraus, rank):
+        # the bound stated at INDUCTION_TOL: lambda_min >= -n eps tr(M*M), n the
+        # rows summed per slot plus the slots summed per effect
+        n = dim_h * dim_k
+        for trial in range(3):
+            scales = rng.dirichlet(np.ones(kraus))
+            noise = rng.normal(size=(kraus, n, n)) + 1j * rng.normal(size=(kraus, n, n))
+            ops = np.sqrt(scales)[:, None, None] * haar_unitary(n, rng, (kraus,))
+            ops = ops + 4e-10 * noise / np.linalg.norm(noise)
+            channel = make_channel(ops, tol=1e-6)
+            assert 1e-12 < channel.tp_residual <= 1e-9
+            meter = make_multimeter(dim_h, dim_k, computational_pointer(dim_k), channel)
+            probe = random_density_operator(dim_k, rng, rank=rank) if rank > 1 else (
+                random_state_vector(dim_k, rng))
+            m = _program_blocks(make_model(meter, probe)).reshape(-1, dim_k, dim_h)
+            outcomes = rng.integers(0, 4, size=dim_k)
+            marks = np.arange(4)[:, None] == outcomes[None, :]
+            effects = _basis_effects(m, marks)
+            rounding = (len(m) + dim_k) * np.finfo(float).eps * np.linalg.norm(m) ** 2
+            assert rounding < 1e-7
+            lows = np.linalg.eigvalsh((effects + effects.conj().swapaxes(1, 2)) / 2)[:, 0]
+            assert lows.min() >= -rounding, (trial, lows.min(), rounding)
 
 
 class TestInducedChannel:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qmultimeter import DimensionError, PAULI, ValidationError
+from qmultimeter import DimensionError, PAULI, ValidationError, observables
 from qmultimeter.observables import (
     Observable,
     is_extreme,
@@ -22,7 +22,7 @@ from qmultimeter.observables import (
     sharpness_residual,
     spin_observable,
 )
-from qmultimeter.operators import haar_unitary, is_projection, projector
+from qmultimeter.operators import frobenius_norm, haar_unitary, is_projection, projector
 
 
 def sic_observable():
@@ -409,29 +409,80 @@ def defective_effects(rng, dim, n, tol):
     return effects, kinds
 
 
+def compare_with_per_effect_checks(rng, rounds):
+    """Check make_observable against :func:`per_effect_observable` on random stacks; the stages seen.
+
+    Every stage should reject some stack and some should be accepted.
+    """
+    seen = set()
+    for _ in range(rounds):
+        dim, n = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+        tol = float(rng.choice([1e-9, 1e-7, 1e-5]))
+        effects, kinds = defective_effects(rng, dim, n, tol)
+        labels = [f"x{i}" for i in range(n)] if rng.random() < 0.5 else range(10, 10 + n)
+        if "shape" not in kinds and rng.random() < 0.5:
+            effects = np.array(effects)
+        expected = build_outcome(per_effect_observable, dim, labels, effects, tol)
+        found = build_outcome(make_observable, dim, labels, effects, tol)
+        if isinstance(expected, tuple):
+            assert found == expected, (kinds, expected)
+            seen.update(stage for stage in STAGES if stage in expected[1])
+        else:
+            assert isinstance(found, list) and len(found) == len(expected), (kinds, found)
+            assert all(np.array_equal(a, b) for a, b in zip(found, expected))
+            seen.add("accepted")
+    return seen
+
+
 class TestStackedValidation:
     """make_observable decides and reports exactly as a check per effect in label order."""
 
     def test_matches_per_effect_checks(self, rng):
-        seen = set()
-        for _ in range(600):
-            dim, n = int(rng.integers(1, 5)), int(rng.integers(2, 7))
-            tol = float(rng.choice([1e-9, 1e-7, 1e-5]))
-            effects, kinds = defective_effects(rng, dim, n, tol)
-            labels = [f"x{i}" for i in range(n)] if rng.random() < 0.5 else range(10, 10 + n)
-            if "shape" not in kinds and rng.random() < 0.5:
-                effects = np.array(effects)
-            expected = build_outcome(per_effect_observable, dim, labels, effects, tol)
-            found = build_outcome(make_observable, dim, labels, effects, tol)
-            if isinstance(expected, tuple):
-                assert found == expected, (kinds, expected)
-                seen.update(stage for stage in STAGES if stage in expected[1])
-            else:
-                assert isinstance(found, list) and len(found) == len(expected), (kinds, found)
-                assert all(np.array_equal(a, b) for a, b in zip(found, expected))
-                seen.add("accepted")
-        # every stage rejected some stack and some were accepted
-        assert seen == {"accepted", *STAGES}
+        assert compare_with_per_effect_checks(rng, 600) == {"accepted", *STAGES}
+
+    @pytest.mark.parametrize("chunk", [1, 20, 50])
+    def test_chunked_checks_match_per_effect_checks(self, monkeypatch, rng, chunk):
+        # chunks of one effect, or of several and a part of one: the first
+        # failing effect, its stage and its message do not move
+        monkeypatch.setattr(observables, "_CHECK_CHUNK_ELEMENTS", chunk)
+        assert compare_with_per_effect_checks(rng, 300) == {"accepted", *STAGES}
+
+    def test_validation_peak_does_not_grow_with_the_stack(self):
+        # 64 x 64 effects: 16 make one chunk, so 64 and 256 of them take 4
+        # and 16 chunks; beside the stack, a list of effects is copied into,
+        # only arrays of a chunk's size are held
+        chunk_bytes = observables._CHECK_CHUNK_ELEMENTS * 16
+        d = 64
+        above = {}
+        for n in (64, 256):
+            stack = np.zeros((n, d, d), dtype=complex)
+            stack[np.arange(d) % n, np.arange(d), np.arange(d)] = 1.0
+            for kind, effects in (("stack", stack), ("list", list(stack))):
+                tracemalloc.start()
+                try:
+                    make_observable(d, range(n), effects)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                # a caller's stack is copied once, after the checks
+                above[kind, n] = peak - stack.nbytes
+                assert above[kind, n] <= 4 * chunk_bytes, (kind, n)
+        for kind in ("stack", "list"):
+            assert above[kind, 256] <= above[kind, 64] + chunk_bytes / 8, kind
+
+    def test_completeness_sum_is_chunk_free(self, monkeypatch, rng):
+        # the running sum carries across chunks, bit for bit the sum in one cumsum
+        effects = rng.normal(size=(40, 3, 3)) + 1j * rng.normal(size=(40, 3, 3))
+        residuals = []
+        monkeypatch.setattr(
+            observables, "frobenius_norm",
+            lambda a: residuals.append(frobenius_norm(a)) or residuals[-1],
+        )
+        for chunk in (2**16, 9, 1, 30):
+            monkeypatch.setattr(observables, "_CHECK_CHUNK_ELEMENTS", chunk)
+            observables._check_complete(effects, np.inf)
+        assert residuals[0] == frobenius_norm(np.cumsum(effects, axis=0)[-1] - np.eye(3))
+        assert len(set(residuals)) == 1
 
     def test_non_finite_effect_after_non_positive_one(self):
         # the earlier non-positive effect is reported, and the NaN meets no arithmetic

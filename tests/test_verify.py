@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from qmultimeter import DIMENSION_CAP, PAULI, DimensionError, ValidationError
-from qmultimeter import verify
+from qmultimeter import multimeter, observables, verify
 from qmultimeter.cli import emit_report, parse_report
 from qmultimeter.channels import identity_channel, make_channel, unitary_channel
 from qmultimeter.multimeter import (
+    INDUCTION_TOL,
     builtin_multimeter,
     induced_observable,
     make_model,
@@ -248,6 +249,46 @@ class TestConvexHull:
         with pytest.raises(ValidationError, match="outcome labels"):
             check_convex_hull(meter, [(probes[0], s1), (probes[1], relabelled)], trials=2, seed=0)
 
+    def test_observable_mixtures_are_summed_on_the_stacks(self, monkeypatch):
+        # every residual equals the distance to the mixture built as an
+        # observable, bit for bit, and no observable is built for it
+        parts = [minimal_dilation_multimeter(spin_observable(axis)) for axis in ((1, 0, 0), (0, 0, 1))]
+        meter, _ = push_button_multimeter(parts)
+        programmed = []
+        for i, e in enumerate(np.eye(meter.dim_k, dtype=complex)):
+            device = induced_observable(make_model(meter, e))
+            if i % 2:  # the same observable with its outcomes listed in reverse order
+                device = make_observable(device.dim, device.outcomes[::-1], device.effects[::-1])
+            programmed.append((e, device))
+
+        def built_mixture(devices):
+            ref = devices[0]
+            return lambda e, weights: observable_distance(e, make_observable(
+                ref.dim, ref.outcomes,
+                sum(w * dev._stack_in_order(ref.outcomes) for w, dev in zip(weights, devices)),
+                tol=INDUCTION_TOL,
+            ))
+
+        calls = []
+        with monkeypatch.context() as patch:
+            for module in (observables, multimeter, verify):
+                patch.setattr(module, "make_observable", lambda *a, **k: calls.append(a), raising=False)
+            rep = check_convex_hull(meter, programmed, trials=4, seed=2)
+        assert calls == []
+        kinds = dict(verify.DEVICE_KINDS)
+        kinds["observable"] = kinds["observable"]._replace(mixer=built_mixture)
+        monkeypatch.setattr(verify, "DEVICE_KINDS", kinds)
+        want = check_convex_hull(meter, programmed, trials=4, seed=2)
+        assert rep.residuals == want.residuals and rep.verdict == want.verdict
+        assert rep.residuals["basis_residual"] == 0.0
+
+    def test_observables_of_other_dimension_raise(self, spin_trio):
+        s1, _, s3 = spin_trio
+        meter, probes = builtin_multimeter("spin_pair", observables=(s1, s3))
+        qutrit = make_observable(3, s1.outcomes, [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 1.0])])
+        with pytest.raises(DimensionError, match="share their dimension"):
+            check_convex_hull(meter, [(probes[0], s1), (probes[1], qutrit)], trials=2, seed=0)
+
     def test_non_orthonormal_probes_raise(self, spin_trio):
         s1, _, s3 = spin_trio
         meter, probes = builtin_multimeter("spin_pair", observables=(s1, s3))
@@ -349,7 +390,7 @@ class TestCounterexampleSearch:
     def test_isometry_samples_match_full_coupling_moments(self, monkeypatch):
         # by Haar invariance the isometry on the probe span induces the same
         # distribution as a whole coupling: the mean of tr E(i)^2 agrees
-        from qmultimeter import verify
+        from qmultimeter import multimeter, observables, verify
         from qmultimeter.verify import _draw_samples, _stacked_effects
 
         dim_h, dim_k, count = 2, 3, 20_000
