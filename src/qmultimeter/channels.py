@@ -9,7 +9,6 @@ representation.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +18,8 @@ from .operators import (
     DEFAULT_TOL,
     DIMENSION_CAP,
     _frobenius_norms,
+    _independent_products,
+    _Stacked,
     check_state_vector,
     dagger,
     embed_factors,
@@ -26,21 +27,18 @@ from .operators import (
     is_projection,
 )
 
-# Held while the Kraus operator of a channel written from its parts is built.
-_BUILD_LOCK = threading.Lock()
-
 #: Most entries of the products that :func:`_dual_images` forms at once.
 _IMAGE_CHUNK_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True, eq=False)
-class Channel:
+class Channel(_Stacked):
     """Channel on a ``dim``-dimensional space, given by Kraus operators.
 
-    ``kraus`` is given as one ``(n, dim, dim)`` stack, which is frozen and
-    kept whole as ``_stack``; the field then holds its read-only views, one
-    per operator.  Every map below reads the stack in one product, with no
-    loop over the operators.
+    ``kraus`` is given as one ``(n, dim, dim)`` stack, kept whole as
+    ``_stack``; the field then holds its views (see
+    :class:`~qmultimeter.operators._Stacked`).  Every map below reads the
+    stack in one product, with no loop over the operators.
 
     ``tp_residual`` is ``||sum_i K_i* K_i - I||_F``, as computed when the
     channel was validated or, for a push-button coupling, as written from
@@ -49,22 +47,16 @@ class Channel:
 
     ``_parts`` is, for a push-button coupling written from its parts, the
     pair ``(parts, dims)`` that :meth:`_from_parts` takes, and ``None``
-    otherwise.  Such a channel keeps only its parts: its stack of one Kraus
-    operator is built on its first read, once.  Equality is identity;
-    :func:`channel_distance` compares channels.
+    otherwise: such a channel keeps its parts until its stack is read.
+    Equality is identity; :func:`channel_distance` compares channels.
     """
 
     dim: int
     kraus: tuple = field(repr=False)
     tp_residual: float = field(repr=False)
-    _stack: np.ndarray = field(init=False, repr=False)
     _parts = None
-
-    def __post_init__(self):
-        stack = np.asarray(self.kraus)
-        stack.setflags(write=False)
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "kraus", tuple(stack))
+    _views = "kraus"
+    _compact = "_parts"
 
     @classmethod
     def _from_parts(cls, parts, residuals, dims) -> Channel:
@@ -85,35 +77,19 @@ class Channel:
         residual = float(np.sqrt(sum(dim_k // k * r * r for k, r in zip(dims[1:-1], residuals))))
         dim = dims[0] * dim_k * dims[-1]
         _check_trace_preserving(residual, dim, DEFAULT_TOL)
-        channel = object.__new__(cls)
-        for name, value in (("dim", dim), ("tp_residual", residual),
-                            ("_parts", (tuple(parts), dims))):
-            object.__setattr__(channel, name, value)
-        return channel
+        return cls._unbuilt(dim=dim, tp_residual=residual, _parts=(tuple(parts), dims))
 
-    def __getattr__(self, name):
-        # reached only for attributes not yet set: the Kraus stack of a
-        # channel written from its parts, and its views
-        if name not in ("kraus", "_stack") or self._parts is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        with _BUILD_LOCK:
-            if "_stack" not in vars(self):
-                parts, dims = self._parts
-                ks = dims[1:-1]
-                # in a channel bundle, every k_i = 1, each part is its own block B_i
-                if math.prod(ks) > 1:
-                    # B_i: V_i on H (x) K_i, the identity on the K_j before and after K_i
-                    parts = [
-                        embed_factors(v, [dims[0], math.prod(ks[:i]), k, math.prod(ks[i + 1:])],
-                                      [0, 2])
-                        for i, (v, k) in enumerate(zip(parts, ks))
-                    ]
-                stack = _selector_sum(parts)[None]
-                stack.setflags(write=False)
-                # the views first: a reader that finds the stack finds both
-                object.__setattr__(self, "kraus", tuple(stack))
-                object.__setattr__(self, "_stack", stack)
-        return vars(self)[name]
+    def _build(self, compact) -> np.ndarray:
+        parts, dims = compact
+        ks = dims[1:-1]
+        # in a channel bundle, every k_i = 1, each part is its own block B_i
+        if math.prod(ks) > 1:
+            # B_i: V_i on H (x) K_i, the identity on the K_j before and after K_i
+            parts = [
+                embed_factors(v, [dims[0], math.prod(ks[:i]), k, math.prod(ks[i + 1:])], [0, 2])
+                for i, (v, k) in enumerate(zip(parts, ks))
+            ]
+        return _selector_sum(parts)[None]
 
     def __len__(self) -> int:
         # a channel written from its parts is one unitary
@@ -320,14 +296,11 @@ def is_extreme_channel(c: Channel) -> bool:
 
     Evaluated on the canonical minimal Kraus set, so Kraus-representation
     gauge and numerically redundant operators do not affect the verdict.
-    The products ``K_i* K_j`` of every pair are one product of the stack.
+    The products ``K_i* K_j`` of every pair are one product of the stack,
+    and one rank decides, as for observables
+    (:func:`~qmultimeter.observables.is_extreme`).
     """
-    kraus = minimal_kraus(c)
-    m = len(kraus)
-    if m * m > c.dim * c.dim:
-        return False
-    system = (dagger(kraus)[:, None] @ kraus).reshape(m * m, -1).T
-    return int(np.linalg.matrix_rank(system)) == m * m
+    return _independent_products([minimal_kraus(c)], c.dim)
 
 
 def stinespring_dilation(c: Channel) -> np.ndarray:

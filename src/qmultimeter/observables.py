@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +20,9 @@ from .operators import (
     PAULI,
     _frobenius_norms,
     _hermitian_defect,
+    _hermitian_part,
+    _independent_products,
+    _Stacked,
     dagger,
     eigenvalue_below,
     frobenius_norm,
@@ -32,42 +34,32 @@ from .operators import (
 # Eigenvalues above this threshold count towards an effect's support.
 SUPPORT_TOL = 1e-9
 
-# Held while the effects of a pointer written from its marks are built.
-_BUILD_LOCK = threading.Lock()
-
 #: Most entries of the effects that :func:`make_observable` checks, and sums, at once.
 _CHECK_CHUNK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True, eq=False)
-class Observable:
+class Observable(_Stacked):
     """Finite-outcome POVM: ordered labels and one read-only effect per label.
 
-    ``effects`` is given as one ``(n, dim, dim)`` stack, which is frozen
-    and kept whole for the stacked checks below; the field then holds its
-    read-only views, one per label.
+    ``effects`` is given as one ``(n, dim, dim)`` stack, kept whole for the
+    stacked checks below as ``_stack``; the field then holds its views (see
+    :class:`~qmultimeter.operators._Stacked`).
 
     ``_marks`` is, when every effect is a basis projector, the read-only
     boolean ``(n, dim)`` array whose row ``x`` marks the basis indices of
     effect ``x``, and ``None`` otherwise.  An observable written from its
-    marks (see :meth:`_from_marks`) keeps only them: its stack and effects
-    are built on their first read, once.  Any other observable's effects
-    are scanned for marks on the first read of ``_marks`` (see
-    :func:`_basis_supports`), once.
-
+    marks (see :meth:`_from_marks`) keeps only them until its stack is
+    read.  Any other observable's effects are scanned for marks on the
+    first read of ``_marks`` (see :func:`_basis_supports`), once.
     Equality is identity; :func:`observable_distance` compares effects.
     """
 
     dim: int
     outcomes: tuple
     effects: tuple = field(repr=False)
-    _stack: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        stack = np.asarray(self.effects)
-        stack.setflags(write=False)
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "effects", tuple(stack))
+    _views = "effects"
+    _compact = "_marks"
 
     @classmethod
     def _from_marks(cls, dim: int, labels, marks) -> Observable:
@@ -85,10 +77,13 @@ class Observable:
         if marks.shape != (len(labels), dim) or np.any(marks.sum(axis=0) != 1):
             raise ValidationError(f"pointer supports do not partition range({dim})")
         marks.setflags(write=False)
-        obs = object.__new__(cls)
-        for name, value in (("dim", dim), ("outcomes", labels), ("_marks", marks)):
-            object.__setattr__(obs, name, value)
-        return obs
+        return cls._unbuilt(dim=dim, outcomes=labels, _marks=marks)
+
+    def _build(self, marks: np.ndarray) -> np.ndarray:
+        stack = np.zeros((len(marks), self.dim, self.dim), dtype=complex)
+        diag = np.arange(self.dim)
+        stack[:, diag, diag] = marks
+        return stack
 
     @classmethod
     def _from_gram_sums(cls, dim: int, labels, stack: np.ndarray, tol: float) -> Observable:
@@ -106,23 +101,6 @@ class Observable:
         """
         _check_complete(stack, tol)
         return cls(dim=dim, outcomes=tuple(labels), effects=stack)
-
-    def __getattr__(self, name):
-        # reached only for attributes not yet set: the effects of an unbuilt
-        # observable, whose marks are in the instance dict, never scanned
-        marks = vars(self).get("_marks")
-        if name not in ("effects", "_stack") or marks is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        with _BUILD_LOCK:
-            if "_stack" not in vars(self):
-                stack = np.zeros((len(marks), self.dim, self.dim), dtype=complex)
-                diag = np.arange(self.dim)
-                stack[:, diag, diag] = marks
-                stack.setflags(write=False)
-                # effects first: a reader that finds the stack finds both
-                object.__setattr__(self, "effects", tuple(stack))
-                object.__setattr__(self, "_stack", stack)
-        return vars(self)[name]
 
     @functools.cached_property
     def _marks(self) -> np.ndarray | None:
@@ -301,8 +279,8 @@ def _check_effects(stack: np.ndarray, labels, tol: float) -> None:
 def make_kernel(weights) -> StochasticKernel:
     """Validate and build a finite Markov kernel from a weight matrix."""
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 2:
-        raise DimensionError("kernel weights must be a matrix")
+    if w.ndim != 2 or w.size == 0:
+        raise DimensionError(f"kernel weights must be a nonempty matrix, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValidationError("kernel weights have non-finite entries")
     if w.min() < -DEFAULT_TOL or w.max() > 1 + DEFAULT_TOL:
@@ -356,50 +334,24 @@ def product_residual(e: Observable) -> float:
     return worst
 
 
-def _hermitian_basis(r: int):
-    """Real basis of the r x r Hermitian matrices (r^2 elements)."""
-    basis = []
-    for p in range(r):
-        m = np.zeros((r, r), dtype=complex)
-        m[p, p] = 1.0
-        basis.append(m)
-    for p in range(r):
-        for q in range(p + 1, r):
-            m = np.zeros((r, r), dtype=complex)
-            m[p, q] = m[q, p] = 1.0
-            basis.append(m)
-            m = np.zeros((r, r), dtype=complex)
-            m[p, q] = -1j
-            m[q, p] = 1j
-            basis.append(m)
-    return basis
-
-
 def is_extreme(e: Observable) -> bool:
     """Decide extremality among observables with the same outcome set.
 
     An observable is extreme exactly when the only family of Hermitian
     perturbations ``{D_x}`` with ``supp(D_x) <= supp(E_x)`` and
-    ``sum_x D_x = 0`` is the zero family.  The kernel of that linear
-    constraint is computed as an explicit real matrix rank.  Zero effects
-    carry no perturbation freedom and are skipped.
+    ``sum_x D_x = 0`` is the zero family (Parthasarathy 1999).  A complex
+    family has a nonzero solution exactly when a Hermitian one has: its
+    Hermitian and anti-Hermitian parts are solutions.  So the test is the
+    independence of the operators ``s_i s_j*`` over the pairs of support
+    vectors of each effect (eigenvalue above ``SUPPORT_TOL``), from one
+    stacked ``eigh`` of the effects' Hermitian parts and one rank, as for
+    channels (:func:`~qmultimeter.channels.is_extreme_channel`).  Zero
+    effects carry no perturbation freedom and add nothing.
     """
-    columns = []
-    n_params = 0
-    for eff in e.effects:
-        eigvals, vecs = np.linalg.eigh((eff + dagger(eff)) / 2)
-        support = vecs[:, eigvals > SUPPORT_TOL]
-        r = support.shape[1]
-        if r == 0:
-            continue
-        n_params += r * r
-        for h in _hermitian_basis(r):
-            d = support @ h @ dagger(support)
-            columns.append(np.concatenate([d.real.ravel(), d.imag.ravel()]))
-    if n_params == 0:
-        return True
-    system = np.column_stack(columns)
-    return int(np.linalg.matrix_rank(system)) == n_params
+    eigvals, vecs = np.linalg.eigh(_hermitian_part(e._stack))
+    # row i of a group is s_i* as a 1 x dim matrix, so its products are s_i s_j*
+    supports = [dagger(v[:, lam > SUPPORT_TOL])[:, None, :] for lam, v in zip(eigvals, vecs)]
+    return _independent_products(supports, e.dim)
 
 
 def mix(lam: float, e: Observable, f: Observable) -> Observable:

@@ -11,6 +11,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +31,51 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 #: Pauli matrices indexed 0..3 (identity first).
 PAULI = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
+
+
+# Held while the stack of an instance written in a compact form is built.
+_BUILD_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True, eq=False)
+class _Stacked:
+    """Frozen device that holds one read-only ``(n, d, d)`` stack and its views.
+
+    A subclass names in ``_views`` the field given the stack: the stack is
+    frozen and kept whole as ``_stack``, and the field then holds its
+    read-only views, one per matrix.  An instance written by :meth:`_unbuilt`
+    holds instead a compact form, named by ``_compact``, from which the
+    subclass's ``_build`` builds the stack on its first read, once.
+    """
+
+    _stack: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._freeze(np.asarray(getattr(self, self._views)))
+
+    def _freeze(self, stack: np.ndarray) -> None:
+        stack.setflags(write=False)
+        # the views first: a reader that finds the stack finds both
+        object.__setattr__(self, self._views, tuple(stack))
+        object.__setattr__(self, "_stack", stack)
+
+    @classmethod
+    def _unbuilt(cls, **fields):
+        """Instance holding only ``fields``, its compact form among them; nothing is built."""
+        obj = object.__new__(cls)
+        vars(obj).update(fields)
+        return obj
+
+    def __getattr__(self, name):
+        # reached only for attributes not yet set: the stack and views of an unbuilt
+        # instance, whose compact form is read from the instance dict, never computed
+        compact = vars(self).get(self._compact)
+        if name not in (self._views, "_stack") or compact is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        with _BUILD_LOCK:
+            if "_stack" not in vars(self):
+                self._freeze(self._build(compact))
+        return vars(self)[name]
 
 
 def asoperator(a) -> np.ndarray:
@@ -278,6 +325,21 @@ def is_projection(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     if not is_hermitian(a, tol):
         return False
     return bool((_frobenius_norms(a @ a - a) <= _rel_tol(a, tol)).all())
+
+
+def _independent_products(groups, dim: int) -> bool:
+    """Whether the operators ``A_a* A_b``, over the pairs of matrices of each group, are independent.
+
+    Each group is a stack of matrices with ``dim`` columns.  More than
+    ``dim**2`` products are dependent, and none is formed; otherwise each
+    group's products are one stacked product, and the numerical rank of
+    the matrix with every product as a column decides.
+    """
+    count = sum(len(g) ** 2 for g in groups)
+    if count > dim * dim:
+        return False
+    columns = [(dagger(g)[:, None] @ g).reshape(len(g) ** 2, dim * dim) for g in groups]
+    return int(np.linalg.matrix_rank(np.concatenate(columns).T)) == count
 
 
 def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -181,7 +181,7 @@ DEVICE_KINDS = {
 
 
 def _check_program_orthogonality(
-    name: str, kind: str, m: Multimeter, phi1, phi2, tol, ideal_tol, distance_tol
+    name: str, kind: str, m: Multimeter, phi1, phi2, tol
 ) -> VerificationReport:
     """Distinct ideal devices of one kind force orthogonal program vectors."""
     k = DEVICE_KINDS[kind]
@@ -197,8 +197,8 @@ def _check_program_orthogonality(
         "device_distance": distance,
         "overlap": overlap,
     }
-    ideal1, ideal2 = res1 <= ideal_tol, res2 <= ideal_tol
-    if distance <= distance_tol:
+    ideal1, ideal2 = res1 <= SHARP_RESIDUAL_TOL, res2 <= SHARP_RESIDUAL_TOL
+    if distance <= DISTINCT_TOL:
         return VerificationReport(
             name, "not_applicable", residuals, f"induced {kind}s are not distinct"
         )
@@ -224,12 +224,7 @@ def _check_program_orthogonality(
 
 
 def check_sharp_program_orthogonality(
-    m: Multimeter,
-    phi1: np.ndarray,
-    phi2: np.ndarray,
-    tol: float = _OVERLAP_TOL,
-    sharp_tol: float = SHARP_RESIDUAL_TOL,
-    distance_tol: float = DISTINCT_TOL,
+    m: Multimeter, phi1: np.ndarray, phi2: np.ndarray, tol: float = _OVERLAP_TOL
 ) -> VerificationReport:
     """Distinct sharp observables force orthogonal program vectors.
 
@@ -239,16 +234,11 @@ def check_sharp_program_orthogonality(
     enabled by post-processing live outside this check's hypotheses.
     """
     return _check_program_orthogonality(
-        "sharp_program_orthogonality", "observable", m, phi1, phi2, tol, sharp_tol, distance_tol)
+        "sharp_program_orthogonality", "observable", m, phi1, phi2, tol)
 
 
 def check_channel_program_orthogonality(
-    m: Multimeter,
-    phi1: np.ndarray,
-    phi2: np.ndarray,
-    tol: float = _OVERLAP_TOL,
-    unitary_tol: float = SHARP_RESIDUAL_TOL,
-    distance_tol: float = DISTINCT_TOL,
+    m: Multimeter, phi1: np.ndarray, phi2: np.ndarray, tol: float = _OVERLAP_TOL
 ) -> VerificationReport:
     """Distinct unitary channels force orthogonal program vectors.
 
@@ -257,7 +247,7 @@ def check_channel_program_orthogonality(
     induced channel.
     """
     return _check_program_orthogonality(
-        "channel_program_orthogonality", "channel", m, phi1, phi2, tol, unitary_tol, distance_tol)
+        "channel_program_orthogonality", "channel", m, phi1, phi2, tol)
 
 
 def _check_trials(trials: int) -> None:
@@ -352,6 +342,8 @@ def check_purification(
         raise ValueError(f"kind must be {' or '.join(map(repr, DEVICE_KINDS))}, got {kind!r}")
     k = DEVICE_KINDS[kind]
     xi = np.asarray(mixed_probe, dtype=complex)
+    # a malformed probe raises here, as it does for any other use of the meter
+    model = make_model(m, xi)
     if xi.ndim != 2:
         return VerificationReport(name, "not_applicable", {}, "probe is pure (a vector)")
     eigvals, vecs = np.linalg.eigh(xi)
@@ -363,7 +355,7 @@ def check_purification(
     if len(components) < 2:
         return VerificationReport(name, "not_applicable", {}, "probe has rank below 2")
 
-    device = k.induce(make_model(m, xi))
+    device = k.induce(model)
     extreme = k.extreme(device)
     component_devices = [k.induce(make_model(m, psi)) for _, psi in components]
     worst = max(k.distance(dev, device) for dev in component_devices)

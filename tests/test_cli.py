@@ -397,6 +397,24 @@ class TestMainExitCodes:
         where = "objects.C" if "C" in payload["objects"] else "runs[0]"
         assert f"validation error: {where}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "probe, message",
+        [
+            ({"density": [[1, 0], [0, -0.2]]}, "negative eigenvalue -0.2"),
+            ({"density": [[1, 5], [0, 0]]}, "not Hermitian"),
+            ({"density": [[2, 0], [0, 0]]}, "trace 2.0 is not 1"),
+            ({"density": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}, "probe dimension 3, expected 2"),
+            ([3, 0], "norm 3.0 is not 1"),
+        ],
+        ids=["negative", "non-hermitian", "trace-2", "wrong-dimension", "vector-norm-3"],
+    )
+    def test_malformed_purification_probe_exits_validation(self, tmp_path, capsys, probe, message):
+        payload = {"objects": MINIMAL_DILATION, "runs": [
+            {"command": "verify", "check": "purification", "multimeter": "md", "probe": probe}]}
+        assert main([write_scenario(tmp_path, payload)]) == EXIT_DIMENSION
+        err = capsys.readouterr().err
+        assert "validation error: runs[0]: " in err and message in err
+
     def test_tensor_probe_capped_before_it_allocates(self, tmp_path, capsys):
         # 20 qubit parts would form a vector of 2**20 entries (16 MiB)
         payload = {"objects": {"pauli": {"kind": "multimeter", "builtin": "pauli"}},

@@ -226,6 +226,12 @@ class TestPostProcess:
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
             make_kernel([[1.5, -0.5], [1.0, 0.0]])
 
+    @pytest.mark.parametrize("weights", [np.zeros((0, 2)), np.zeros((2, 0)), [[]], [1.0, 0.0]],
+                             ids=["no-rows", "no-columns", "empty-row", "vector"])
+    def test_kernel_weights_must_be_a_nonempty_matrix(self, weights):
+        with pytest.raises(DimensionError, match="nonempty matrix"):
+            make_kernel(weights)
+
 
 class TestSpinObservable:
     def test_z_axis(self):

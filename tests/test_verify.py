@@ -334,6 +334,29 @@ class TestPurification:
         rep = check_purification(meter, rank_one, kind="observable")
         assert rep.verdict == "not_applicable"
 
+    @pytest.mark.parametrize(
+        "probe, error, message",
+        [
+            ([[1, 0], [0, -0.2]], ValidationError, "negative eigenvalue -0.2"),
+            ([[1, 5], [0, 0]], ValidationError, "not Hermitian"),
+            ([[2, 0], [0, 0]], ValidationError, "trace 2.0 is not 1"),
+            (np.diag([1.0, 0, 0]), DimensionError, "probe dimension 3, expected 2"),
+            ([3, 0], ValidationError, "norm 3.0 is not 1"),
+            (1.0, DimensionError, "vector or a density matrix"),
+            (np.zeros((2, 2, 2)), DimensionError, "vector or a density matrix"),
+        ],
+        ids=["negative", "non-hermitian", "trace-2", "wrong-dimension", "vector-norm-3",
+             "scalar", "3-d"],
+    )
+    @pytest.mark.parametrize("kind", ["observable", "channel"])
+    def test_malformed_probe_raises_as_make_model_does(self, spin_trio, probe, error, message,
+                                                      kind):
+        meter, _ = minimal_dilation_multimeter(spin_trio[2])
+        with pytest.raises(error, match=message):
+            make_model(meter, probe)
+        with pytest.raises(error, match=message):
+            check_purification(meter, probe, kind=kind)
+
 
 class TestCounterexampleSearch:
     @staticmethod
