@@ -82,14 +82,11 @@ class Channel(_Stacked):
     def _build(self, compact) -> np.ndarray:
         parts, dims = compact
         ks = dims[1:-1]
-        # in a channel bundle, every k_i = 1, each part is its own block B_i
-        if math.prod(ks) > 1:
-            # B_i: V_i on H (x) K_i, the identity on the K_j before and after K_i
-            parts = [
-                embed_factors(v, [dims[0], math.prod(ks[:i]), k, math.prod(ks[i + 1:])], [0, 2])
-                for i, (v, k) in enumerate(zip(parts, ks))
-            ]
-        return _selector_sum(parts)[None]
+        # B_i: V_i on H (x) K_i, the identity on the K_j before and after K_i
+        return _selector_sum([
+            embed_factors(v, [dims[0], math.prod(ks[:i]), k, math.prod(ks[i + 1:])], [0, 2])
+            for i, (v, k) in enumerate(zip(parts, ks))
+        ])[None]
 
     def __len__(self) -> int:
         # a channel written from its parts is one unitary

@@ -11,7 +11,7 @@ Composite spaces are ordered system-first throughout: ``H (x) K``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,9 +49,6 @@ PROBE_CUTOFF = 1e-14
 #: ``V*V - I``, is checked at this tolerance.
 INDUCTION_TOL = 1e-7
 
-#: Entries of a unit vector at most this large do not fix its global phase.
-PHASE_ENTRY_TOL = 1e-12
-
 #: From this apparatus dimension on, a density probe is validated and
 #: decomposed on its support only, and induction sums only the nonzero
 #: pointer slots.  Below it, finding them costs more than the work they
@@ -87,11 +84,15 @@ class Multimeter:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementModel:
-    """A multimeter together with a probe state and optional kernel; equality is identity."""
+    """A multimeter together with a probe state and optional kernel; equality is identity.
+
+    ``_components`` is the probe's decomposition; see :func:`make_model`.
+    """
 
     meter: Multimeter
     probe: np.ndarray
     kernel: StochasticKernel | None = None
+    _components: np.ndarray = field(default=None, repr=False)
 
 
 def make_multimeter(
@@ -165,6 +166,13 @@ def make_model(
     rest is exactly zero, so Hermiticity, positivity and the trace are
     decided as on the whole matrix.
 
+    Here, after every check, the probe is decomposed once into the
+    read-only ``(dim_k, r)`` components ``Psi``, ``Psi Psi* = probe``, that
+    every reading of it takes.  A vector is its own column.  A density
+    operator gives ``sqrt(lam_j) psi_j`` for its eigenvalues
+    ``lam_j >= PROBE_CUTOFF``, renormalised to sum to one (so the device
+    stays normalised), decomposed on the block it was checked on.
+
     Parameters
     ----------
     claimed : Observable, optional
@@ -174,15 +182,14 @@ def make_model(
         exists.
     """
     probe = np.asarray(probe, dtype=complex)
+    support = slice(None)
     if probe.ndim == 1:
         probe = check_state_vector(probe)
         probe = probe / np.linalg.norm(probe)
     elif probe.ndim == 2:
-        block = probe
         if probe.shape[0] == probe.shape[1] >= SUPPORT_MIN_DIM_K:
             support = _probe_support(probe)
-            block = probe[np.ix_(support, support)]
-        check_density_operator(block)
+        check_density_operator(probe[support][:, support])
         probe = probe / np.trace(probe).real
     else:
         raise DimensionError("probe must be a vector or a density matrix")
@@ -205,7 +212,15 @@ def make_model(
                     f"{n_valued}-outcome observable (requires dim K >= {n_valued})"
                 )
     probe.setflags(write=False)
-    return MeasurementModel(meter=meter, probe=probe, kernel=kernel)
+    if probe.ndim == 1:
+        components = probe[:, None]
+    else:
+        lam, vecs = np.linalg.eigh(probe[support][:, support])
+        keep = lam >= PROBE_CUTOFF
+        components = np.zeros((meter.dim_k, np.count_nonzero(keep)), dtype=complex)
+        components[support] = vecs[:, keep] * np.sqrt(lam[keep] / lam[keep].sum())
+        components.setflags(write=False)
+    return MeasurementModel(meter=meter, probe=probe, kernel=kernel, _components=components)
 
 
 def _probe_support(probe: np.ndarray) -> np.ndarray:
@@ -219,27 +234,12 @@ def _probe_support(probe: np.ndarray) -> np.ndarray:
 def _program_blocks(model: MeasurementModel) -> np.ndarray:
     """Stack ``M[j, r, i, c]`` of the maps the probe programs into the interaction.
 
-    With ``xi = sum_j lam_j |psi_j><psi_j|``, each Kraus operator ``V_v``
-    and each eigenvector with ``lam_j >= PROBE_CUTOFF`` give one block
-    ``sqrt(lam_j) V_v (I (x) psi_j) : H -> H (x) K``, its rows split into
-    ``(r, i)``.  The kept eigenvalues are renormalised to sum to one, so
-    dropping negligible or slightly negative ones keeps the device
-    normalised.  A pure probe is its own single eigenvector.
-
-    From ``SUPPORT_MIN_DIM_K`` on, a density probe is decomposed on its
-    principal block over :func:`_probe_support`, and its eigenvectors are
-    placed back on those indices.  A coupling held as its parts is never
-    built: see :func:`_slot_blocks`.
+    Each Kraus operator ``V_v`` and each column ``psi_j`` of the model's
+    components (see :func:`make_model`) give one block
+    ``V_v (I (x) psi_j) : H -> H (x) K``, its rows split into ``(r, i)``.
+    A coupling held as its parts is never built: see :func:`_slot_blocks`.
     """
-    meter, probe = model.meter, model.probe
-    if probe.ndim == 1:
-        psis = probe[:, None]
-    else:
-        support = _probe_support(probe) if meter.dim_k >= SUPPORT_MIN_DIM_K else slice(None)
-        lam, vecs = np.linalg.eigh(probe[support][:, support])
-        keep = lam >= PROBE_CUTOFF
-        psis = np.zeros((meter.dim_k, np.count_nonzero(keep)), dtype=complex)
-        psis[support] = vecs[:, keep] * np.sqrt(lam[keep] / lam[keep].sum())
+    meter, psis = model.meter, model._components
     if meter.interaction._parts is not None:
         return _slot_blocks(*meter.interaction._parts, psis)
     g = meter.interaction._stack
@@ -602,14 +602,6 @@ def _swap_multimeter(dim: int) -> tuple[Multimeter, list]:
     return meter, list(np.eye(dim, dtype=complex))
 
 
-def _phase_fixed(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase so its first sizable entry is real positive."""
-    for entry in v:
-        if abs(entry) > PHASE_ENTRY_TOL:
-            return v * (abs(entry) / entry)
-    return v
-
-
 def _rank_one_basis(a: Observable) -> list:
     """Unit eigenvectors of a sharp two-outcome qubit observable's effects."""
     if a.dim != 2 or len(a) != 2 or not is_sharp(a):
@@ -619,7 +611,7 @@ def _rank_one_basis(a: Observable) -> list:
         eigvals, eigvecs = np.linalg.eigh(eff)
         if abs(eigvals[-1] - 1.0) > SUPPORT_TOL or eigvals[0] > SUPPORT_TOL:
             raise ValidationError("effects must be rank-1 projections")
-        vecs.append(_phase_fixed(eigvecs[:, -1]))
+        vecs.append(eigvecs[:, -1])
     return vecs
 
 

@@ -185,12 +185,12 @@ def _check_program_orthogonality(
 ) -> VerificationReport:
     """Distinct ideal devices of one kind force orthogonal program vectors."""
     k = DEVICE_KINDS[kind]
-    d1 = k.induce(make_model(m, phi1))
-    d2 = k.induce(make_model(m, phi2))
-    res1 = k.defect(d1)
-    res2 = k.defect(d2)
+    model1, model2 = make_model(m, phi1), make_model(m, phi2)
+    d1, d2 = k.induce(model1), k.induce(model2)
+    res1, res2 = k.defect(d1), k.defect(d2)
     distance = k.distance(d1, d2)
-    overlap = float(abs(np.vdot(np.asarray(phi1), np.asarray(phi2))))
+    # ||Psi_1* Psi_2||_F = sqrt(tr(xi_1 xi_2)): |<phi_1|phi_2>| however a pure probe is written
+    overlap = float(np.linalg.norm(model1._components.conj().T @ model2._components))
     residuals = {
         f"{k.defect_key}_1": res1,
         f"{k.defect_key}_2": res2,
@@ -266,8 +266,10 @@ def check_convex_hull(
 
     ``programmed`` lists ``(probe, device)`` pairs, one per basis vector of
     the apparatus; devices are all observables or all channels.  For random
-    pure programs the induced device must equal the mixture with weights
-    ``|<phi_i, psi>|^2``; for random mixed programs, weights ``<phi_i| xi |phi_i>``.
+    pure and mixed programs the induced device must equal the mixture with
+    weights ``<phi_i| xi |phi_i> = ||phi_i* Psi||^2``, ``Psi`` the program's
+    components (see :func:`~qmultimeter.multimeter.make_model`); the basis
+    vectors are the components of the basis probes.
     ``trials`` above :data:`MAX_TRIALS` raises ``ValidationError`` before
     anything is drawn; with ``trials <= 0`` nothing is drawn, so nothing was
     tested and the verdict is ``not_applicable``.
@@ -279,21 +281,19 @@ def check_convex_hull(
         raise ValidationError(
             f"need one programmed device per apparatus dimension ({m.dim_k}), got {len(programmed)}"
         )
-    probes = [np.asarray(p, dtype=complex).reshape(-1) for p, _ in programmed]
     devices = [d for _, d in programmed]
     kinds = [k for k in DEVICE_KINDS.values() if all(isinstance(d, k.device) for d in devices)]
     if not kinds:
         raise ValidationError("devices must be all observables or all channels")
-    gram = np.array([[np.vdot(a, b) for b in probes] for a in probes])
-    if frobenius_norm(gram - np.eye(m.dim_k)) > _OVERLAP_TOL:
+    models = [make_model(m, p) for p, _ in programmed]
+    basis = np.concatenate([model._components for model in models], axis=1).conj().T
+    gram = basis @ basis.conj().T
+    if gram.shape != (m.dim_k, m.dim_k) or frobenius_norm(gram - np.eye(m.dim_k)) > _OVERLAP_TOL:
         raise ValidationError("program vectors are not orthonormal")
     k = kinds[0]
     distance_to_mixture = k.mixer(devices)
-
-    def residual(probe, weights):
-        return distance_to_mixture(k.induce(make_model(m, probe)), weights)
-
-    base_residual = max(residual(p, np.eye(m.dim_k)[i]) for i, p in enumerate(probes))
+    base_residual = max(
+        distance_to_mixture(k.induce(model), w) for model, w in zip(models, np.eye(m.dim_k)))
     residuals = {"basis_residual": base_residual}
     if base_residual > INDUCTION_TOL:
         return VerificationReport(
@@ -304,17 +304,15 @@ def check_convex_hull(
             name, "not_applicable", residuals, f"{trials} random programs: nothing was tested"
         )
     rng = np.random.default_rng(seed)
-    worst_pure = 0.0
-    worst_mixed = 0.0
+    worst = {"max_pure_residual": 0.0, "max_mixed_residual": 0.0}
     for _ in range(trials):
-        psi = random_state_vector(m.dim_k, rng)
-        weights = np.array([abs(np.vdot(p, psi)) ** 2 for p in probes])
-        worst_pure = max(worst_pure, residual(psi, weights))
-        xi = random_density_operator(m.dim_k, rng)
-        weights = np.array([float(np.vdot(p, xi @ p).real) for p in probes])
-        worst_mixed = max(worst_mixed, residual(xi, weights))
-    residuals.update({"max_pure_residual": worst_pure, "max_mixed_residual": worst_mixed})
-    if max(worst_pure, worst_mixed) <= tol:
+        for key, draw in zip(worst, (random_state_vector, random_density_operator)):
+            model = make_model(m, draw(m.dim_k, rng))
+            weights = (np.abs(basis @ model._components) ** 2).sum(axis=1)
+            worst[key] = max(worst[key], distance_to_mixture(k.induce(model), weights))
+    residuals.update(worst)
+    largest = max(worst.values())
+    if largest <= tol:
         return VerificationReport(
             name, "pass", residuals, f"{trials} random programs stay in the convex hull"
         )
@@ -322,7 +320,7 @@ def check_convex_hull(
         name,
         "fail",
         residuals,
-        f"violated: mixture residual {max(worst_pure, worst_mixed):.3e} > {tol:.3e}",
+        f"violated: mixture residual {largest:.3e} > {tol:.3e}",
     )
 
 
@@ -335,29 +333,25 @@ def check_purification(
     """Extreme devices never need mixed probes.
 
     If the device induced by a mixed probe is extreme, every eigenvector of
-    the probe must induce that same device, so a pure probe suffices.
+    the probe must induce that same device, so a pure probe suffices.  The
+    eigenvectors are the model's components of weight above 1e-12.
     """
     name = "purification"
     if kind not in DEVICE_KINDS:
         raise ValueError(f"kind must be {' or '.join(map(repr, DEVICE_KINDS))}, got {kind!r}")
     k = DEVICE_KINDS[kind]
-    xi = np.asarray(mixed_probe, dtype=complex)
     # a malformed probe raises here, as it does for any other use of the meter
-    model = make_model(m, xi)
-    if xi.ndim != 2:
+    model = make_model(m, mixed_probe)
+    if model.probe.ndim != 2:
         return VerificationReport(name, "not_applicable", {}, "probe is pure (a vector)")
-    eigvals, vecs = np.linalg.eigh(xi)
-    components = [
-        (lam, vecs[:, i] / np.linalg.norm(vecs[:, i]))
-        for i, lam in enumerate(eigvals)
-        if lam > 1e-12
-    ]
+    norms = np.linalg.norm(model._components, axis=0)
+    components = [psi / norm for psi, norm in zip(model._components.T, norms) if norm**2 > 1e-12]
     if len(components) < 2:
         return VerificationReport(name, "not_applicable", {}, "probe has rank below 2")
 
     device = k.induce(model)
     extreme = k.extreme(device)
-    component_devices = [k.induce(make_model(m, psi)) for _, psi in components]
+    component_devices = [k.induce(make_model(m, psi)) for psi in components]
     worst = max(k.distance(dev, device) for dev in component_devices)
     residuals = {"max_component_distance": worst, "probe_rank": float(len(components))}
     if not extreme:

@@ -162,6 +162,21 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert "pass" in out and "bounds" in out
 
+    def test_vector_and_density_probes_pair(self, tmp_path, capsys):
+        # selector 0 as a vector against selector 1 as its projector: one
+        # overlap of their components, whatever form each probe takes
+        selector = np.zeros((8, 8))
+        selector[1, 1] = 1.0
+        payload = {
+            "objects": {**spin_objects(), "pb": {
+                "kind": "multimeter", "construction": "push_button", "observables": ["S3", "S1"]}},
+            "runs": [{"command": "verify", "check": "sharp_orthogonality", "multimeter": "pb",
+                      "probes": [{"of": "pb", "index": 0}, {"density": selector.tolist()}]}],
+        }
+        assert main([write_scenario(tmp_path, payload)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "sharp_program_orthogonality: pass" in out and "overlap=0.000000e+00" in out
+
     def test_parse_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{")
@@ -774,8 +789,8 @@ SHIPPED_VERDICTS = {
 def test_shipped_scenario(tmp_path, capsys, path):
     """Each shipped scenario reproduces its committed report under ``tests/reports``.
 
-    Verdicts, details and residual keys match exactly; residual values
-    within 1e-9 relative or 1e-12 absolute.
+    Check names, verdicts, details and residual keys match exactly; residual
+    values within 1e-12.
     """
     report = tmp_path / "report.json"
     assert main([str(path), "--format", "structured", "--report", str(report)]) == EXIT_OK
@@ -786,7 +801,7 @@ def test_shipped_scenario(tmp_path, capsys, path):
     for g, w in zip(got, want):
         assert {**g, "residuals": sorted(g["residuals"])} == {**w, "residuals": sorted(w["residuals"])}
         for key, value in w["residuals"].items():
-            assert g["residuals"][key] == pytest.approx(value, rel=1e-9, abs=1e-12), key
+            assert abs(g["residuals"][key] - value) <= 1e-12, key
 
 
 def _table_fields() -> set:

@@ -212,3 +212,53 @@ def test_checks_agree(rng, construction, rotation):
             tol,
             frame_dependent,
         )
+
+
+# ---------------------------------------------------------------------------
+# one pure probe, written as a vector or as its projector
+
+
+def probe_forms(probe):
+    """A pure probe as a vector and as its projector, decomposed by :func:`make_model`."""
+    return [probe, projector(probe)]
+
+
+@pytest.mark.parametrize("name", ["bundle-2-2-2", "bundle-3-3-3", "spin_pair"])
+def test_pure_probe_forms_agree(name):
+    # dim K = 81 for the (3,3,3) bundle, so its projectors are decomposed on their support
+    meter, probes = CONSTRUCTIONS[name]()
+    tol = bound(meter)
+    probes = list(probes) + [(probes[0] + probes[1]) / np.sqrt(2)]
+    for probe in probes:
+        vector, density = (make_model(meter, p) for p in probe_forms(probe))
+        assert density._components.shape == vector._components.shape == (meter.dim_k, 1)
+        psi, chi = vector._components[:, 0], density._components[:, 0]
+        phase = np.vdot(chi, psi) / abs(np.vdot(chi, psi))
+        assert np.abs(phase * chi - psi).max() <= tol
+        assert observable_distance(
+            induced_observable(vector), induced_observable(density)) <= tol
+        assert channel_distance(induced_channel(vector), induced_channel(density)) <= tol
+    for check in (check_sharp_program_orthogonality, check_channel_program_orthogonality):
+        for phi1, phi2 in [(probes[0], probes[1]), (probes[0], probes[-1])]:
+            want = check(meter, phi1, phi2)
+            for form1 in probe_forms(phi1):
+                for form2 in probe_forms(phi2):
+                    same_report(want, check(meter, form1, form2), tol, set())
+
+
+def test_overlap_reads_the_same_in_every_form():
+    # a near-orthogonal pair: the overlap is |<phi_1|phi_2>| = 1e-5, not its
+    # square, whether each probe is a vector or a projector
+    meter, _ = builtin_multimeter(
+        "spin_pair",
+        observables=[spin_observable((0, 0, 1)), spin_observable((np.sin(0.1), 0, np.cos(0.1)))],
+    )
+    phi1 = np.array([1, 0], dtype=complex)
+    phi2 = np.array([1e-5, np.sqrt(1 - 1e-10)], dtype=complex)
+    want = check_sharp_program_orthogonality(meter, phi1, phi2)
+    assert want.residuals["overlap"] == pytest.approx(1e-5, rel=1e-12)
+    for form1 in probe_forms(phi1):
+        for form2 in probe_forms(phi2):
+            got = check_sharp_program_orthogonality(meter, form1, form2)
+            assert got.verdict == want.verdict
+            assert got.residuals["overlap"] == pytest.approx(1e-5, rel=1e-12)

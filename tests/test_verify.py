@@ -296,6 +296,21 @@ class TestConvexHull:
         with pytest.raises(ValidationError, match="orthonormal"):
             check_convex_hull(meter, [(probes[0], s1), (tilted, s3)], trials=5, seed=0)
 
+    def test_basis_read_from_probe_components(self, spin_trio):
+        # basis probes given as projectors are their own components; a mixed
+        # one has two, so its basis is not orthonormal
+        s1, _, s3 = spin_trio
+        meter, probes = builtin_multimeter("spin_pair", observables=(s1, s3))
+        vectors = check_convex_hull(meter, [(probes[0], s1), (probes[1], s3)], trials=3, seed=4)
+        projectors = [(projector(probes[0]), s1), (projector(probes[1]), s3)]
+        rep = check_convex_hull(meter, projectors, trials=3, seed=4)
+        assert rep.verdict == vectors.verdict == "pass"
+        for key, value in vectors.residuals.items():
+            assert abs(rep.residuals[key] - value) <= 1e-15, key
+        mixed = 0.5 * projector(probes[0]) + 0.5 * projector(probes[1])
+        with pytest.raises(ValidationError, match="orthonormal"):
+            check_convex_hull(meter, [(mixed, s1), (probes[1], s3)], trials=2, seed=0)
+
 
 class TestPurification:
     def test_unitary_coupling_any_mixed_probe(self, rng):
