@@ -35,10 +35,9 @@ _IMAGE_CHUNK_ELEMENTS = 2**20
 class Channel(_Stacked):
     """Channel on a ``dim``-dimensional space, given by Kraus operators.
 
-    ``kraus`` is given as one ``(n, dim, dim)`` stack, kept whole as
-    ``_stack``; the field then holds its views (see
-    :class:`~qmultimeter.operators._Stacked`).  Every map below reads the
-    stack in one product, with no loop over the operators.
+    ``kraus`` is the read-only ``(n, dim, dim)`` array of the operators
+    (see :class:`~qmultimeter.operators._Stacked`).  Every map below reads
+    it in one product, with no loop over the operators.
 
     ``tp_residual`` is ``||sum_i K_i* K_i - I||_F``, as computed when the
     channel was validated or, for a push-button coupling, as written from
@@ -47,15 +46,15 @@ class Channel(_Stacked):
 
     ``_parts`` is, for a push-button coupling written from its parts, the
     pair ``(parts, dims)`` that :meth:`_from_parts` takes, and ``None``
-    otherwise: such a channel keeps its parts until its stack is read.
+    otherwise: such a channel keeps its parts until ``kraus`` is read.
     Equality is identity; :func:`channel_distance` compares channels.
     """
 
     dim: int
-    kraus: tuple = field(repr=False)
+    kraus: np.ndarray = field(repr=False)
     tp_residual: float = field(repr=False)
     _parts = None
-    _views = "kraus"
+    _family = "kraus"
     _compact = "_parts"
 
     @classmethod
@@ -90,7 +89,7 @@ class Channel(_Stacked):
 
     def __len__(self) -> int:
         # a channel written from its parts is one unitary
-        return 1 if self._parts is not None else len(self._stack)
+        return 1 if self._parts is not None else len(self.kraus)
 
 
 def _selector_sum(blocks) -> np.ndarray:
@@ -203,7 +202,7 @@ def apply(c: Channel, x: np.ndarray, picture: str = "schrodinger") -> np.ndarray
     x = np.asarray(x, dtype=complex)
     if x.shape != (c.dim, c.dim):
         raise DimensionError(f"operator shape {x.shape}, expected {(c.dim, c.dim)}")
-    k = c._stack
+    k = c.kraus
     if picture == "schrodinger":
         return (k @ x @ dagger(k)).sum(axis=0)
     if picture == "heisenberg":
@@ -218,7 +217,7 @@ def choi_matrix(c: Channel) -> np.ndarray:
     representation.  It is ``W^T conj(W)`` for the operators flattened as
     the rows of ``W``: one product of the Kraus stack.
     """
-    vecs = c._stack.reshape(len(c._stack), -1)
+    vecs = c.kraus.reshape(len(c.kraus), -1)
     return vecs.T @ vecs.conj()
 
 
@@ -263,7 +262,7 @@ def _dual_images(c: Channel):
     only its projectors are formed.
     """
     vectors = _projector_family(c.dim)
-    k = c._stack
+    k = c.kraus
     step = max(1, _IMAGE_CHUNK_ELEMENTS // k.size)
     for start in range(0, len(vectors), step):
         v = vectors[start:start + step]
@@ -305,7 +304,7 @@ def stinespring_dilation(c: Channel) -> np.ndarray:
 
     ``dim K`` is the number of Kraus operators, ``len(c)``.
     """
-    return c._stack.transpose(1, 0, 2).reshape(c.dim * len(c), c.dim)
+    return c.kraus.transpose(1, 0, 2).reshape(c.dim * len(c), c.dim)
 
 
 def stinespring_commutant_residual(c: Channel) -> float:

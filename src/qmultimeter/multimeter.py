@@ -205,7 +205,7 @@ def make_model(
                 f"claimed observable dimension {claimed.dim}, expected {meter.dim_h}"
             )
         if is_sharp(claimed):
-            n_valued = int(np.count_nonzero(_frobenius_norms(claimed._stack) > DEFAULT_TOL))
+            n_valued = int(np.count_nonzero(_frobenius_norms(claimed.effects) > DEFAULT_TOL))
             if meter.dim_k < n_valued:
                 raise ValidationError(
                     f"no model with dim K = {meter.dim_k} can measure a sharp "
@@ -242,7 +242,7 @@ def _program_blocks(model: MeasurementModel) -> np.ndarray:
     meter, psis = model.meter, model._components
     if meter.interaction._parts is not None:
         return _slot_blocks(*meter.interaction._parts, psis)
-    g = meter.interaction._stack
+    g = meter.interaction.kraus
     m = g.reshape(len(g), -1, meter.dim_k) @ psis
     m = m.reshape(-1, meter.dim_h, meter.dim_k, meter.dim_h, psis.shape[1])
     return np.moveaxis(m, -1, 0).reshape(-1, meter.dim_h, meter.dim_k, meter.dim_h)
@@ -303,14 +303,14 @@ def induced_observable(model: MeasurementModel) -> Observable:
     labels them: the same observable as smearing the pointer first, with
     no operator on K formed or validated.
 
-    Effects induced through marks, unsmeared or smeared by a kernel whose
-    weights are all ``>= 0``, are Gram sums, positive by construction, and
-    only their completeness is checked (see
-    :meth:`~qmultimeter.observables.Observable._from_gram_sums`).  Any other
-    effects are validated by :func:`~qmultimeter.observables.make_observable`:
-    a pointer without marks may have been validated at a looser ``tol``, and
-    :func:`~qmultimeter.observables.make_kernel` accepts weights down to
-    ``-1e-9``.  Either way at ``INDUCTION_TOL``.
+    Effects induced through marks, smeared or not, are Gram sums, positive
+    by construction to within ``DEFAULT_TOL``, and only their completeness
+    is checked (see
+    :meth:`~qmultimeter.observables.Observable._from_gram_sums`).  Effects
+    induced densely are validated by
+    :func:`~qmultimeter.observables.make_observable`, since a pointer without
+    marks may have been validated at a looser ``tol``.  Either way at
+    ``INDUCTION_TOL``.
     """
     dim_h, dim_k = model.meter.dim_h, model.meter.dim_k
     pointer, kernel = model.meter.pointer, model.kernel
@@ -322,13 +322,13 @@ def induced_observable(model: MeasurementModel) -> Observable:
         # b[i, (j, r, c)] = M[j, r, i, c]; its rows (i, j, r) give the adjoint side.
         b = m.transpose(2, 0, 1, 3).reshape(dim_k, -1)
         b_adj = b.reshape(-1, dim_h).conj().T
-        effects = [b_adj @ (eff @ b).reshape(-1, dim_h) for eff in pointer.effects]
+        effects = b_adj @ (pointer.effects @ b).reshape(len(pointer), -1, dim_h)
     outcomes = pointer.outcomes
     if kernel is not None:
         effects = np.tensordot(kernel.weights, effects, axes=(0, 0))
         outcomes = range(1, kernel.cols + 1)
-    if marks is not None and (kernel is None or kernel.weights.min() >= 0):
-        # Gram sums with nonnegative weights: positive by construction
+    if marks is not None:
+        # Gram sums, smeared at most by kernel weights >= -DEFAULT_TOL
         return Observable._from_gram_sums(dim_h, outcomes, effects, INDUCTION_TOL)
     return make_observable(dim_h, outcomes, effects, tol=INDUCTION_TOL)
 
@@ -392,7 +392,7 @@ def minimal_dilation_multimeter(a: Observable) -> tuple[Multimeter, np.ndarray]:
         raise ValidationError("minimal dilation needs a sharp observable")
     n = len(a)
     _check_bundle(a.dim * n, n, n)
-    g = _dilation_couplings(a._stack, n)
+    g = _dilation_couplings(a.effects, n)
     pointer = Observable._from_marks(n, a.outcomes, np.eye(n, dtype=bool))
     meter = make_multimeter(a.dim, n, pointer, make_channel([g]))
     probe = np.eye(n, dtype=complex)[0]

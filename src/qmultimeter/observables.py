@@ -34,7 +34,7 @@ from .operators import (
 # Eigenvalues above this threshold count towards an effect's support.
 SUPPORT_TOL = 1e-9
 
-#: Most entries of the effects that :func:`make_observable` checks, and sums, at once.
+#: Most entries of the effects that :func:`make_observable` checks at once.
 _CHECK_CHUNK_ELEMENTS = 2**16
 
 
@@ -42,9 +42,9 @@ _CHECK_CHUNK_ELEMENTS = 2**16
 class Observable(_Stacked):
     """Finite-outcome POVM: ordered labels and one read-only effect per label.
 
-    ``effects`` is given as one ``(n, dim, dim)`` stack, kept whole for the
-    stacked checks below as ``_stack``; the field then holds its views (see
-    :class:`~qmultimeter.operators._Stacked`).
+    ``effects`` is the read-only ``(n, dim, dim)`` array of the effects in
+    label order (see :class:`~qmultimeter.operators._Stacked`); every check
+    below reads it whole.
 
     ``_marks`` is, when every effect is a basis projector, the read-only
     boolean ``(n, dim)`` array whose row ``x`` marks the basis indices of
@@ -57,8 +57,8 @@ class Observable(_Stacked):
 
     dim: int
     outcomes: tuple
-    effects: tuple = field(repr=False)
-    _views = "effects"
+    effects: np.ndarray = field(repr=False)
+    _family = "effects"
     _compact = "_marks"
 
     @classmethod
@@ -90,21 +90,23 @@ class Observable(_Stacked):
         """Observable whose effect ``x`` is ``stack[x]``, checked only for completeness.
 
         Every effect must be a sum ``sum_i w_i B_i* B_i`` of Gram matrices of
-        finite ``B_i`` with weights ``w_i >= 0``, and the labels unique.
-        Such a sum is Hermitian and positive up to rounding of order
-        ``n eps ||B||_F^2``, ``n`` the length of the summed index, so no
-        Hermiticity or positivity stage of :func:`make_observable` at ``tol``
-        can fail on it and neither is run.  The effects must still sum to
-        the identity, as :func:`make_observable` checks it; a non-finite
-        entry makes that residual non-finite and raises too.  The stack is
-        kept, not copied.
+        finite ``B_i`` with weights ``w_i >= 0``, or such sums ``E(x)``
+        smeared by a kernel, and the labels unique.  Such a sum is Hermitian
+        and positive up to rounding of order ``n eps ||B||_F^2``, ``n`` the
+        length of the summed index, less at most ``DEFAULT_TOL`` under a
+        kernel: its weights are ``>= -DEFAULT_TOL`` and the ``E(x)`` sum to
+        ``I``.  So no Hermiticity or positivity stage of
+        :func:`make_observable` at a ``tol`` far above ``DEFAULT_TOL`` fails,
+        and neither is run.  The effects must still sum to the identity, as
+        :func:`make_observable` checks it; a non-finite entry makes that
+        residual non-finite and raises too.  The stack is kept, not copied.
         """
         _check_complete(stack, tol)
         return cls(dim=dim, outcomes=tuple(labels), effects=stack)
 
     @functools.cached_property
     def _marks(self) -> np.ndarray | None:
-        return _basis_supports(self._stack)
+        return _basis_supports(self.effects)
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -124,8 +126,8 @@ class Observable(_Stacked):
     def _stack_in_order(self, outcomes) -> np.ndarray:
         """The effects stacked in the order of ``outcomes``, a permutation of the labels."""
         if outcomes == self.outcomes:
-            return self._stack
-        return self._stack[[self._positions[x] for x in outcomes]]
+            return self.effects
+        return self.effects[[self._positions[x] for x in outcomes]]
 
 
 def _basis_supports(effects) -> np.ndarray | None:
@@ -172,8 +174,8 @@ def make_observable(dim: int, labels, effects, tol: float = DEFAULT_TOL) -> Obse
     error names the first effect that fails, at the first of the stages
     shape, finiteness, Hermiticity and positivity that it fails.  Only then
     is the sum of the effects compared with the identity, within
-    ``tol * max(1, sqrt(dim))``.  The effects are stored as read-only
-    views of the stack.
+    ``tol * max(1, sqrt(dim))``.  The stack is stored read-only as the
+    observable's ``effects``.
 
     Raises
     ------
@@ -194,7 +196,9 @@ def make_observable(dim: int, labels, effects, tol: float = DEFAULT_TOL) -> Obse
     if len(effects) != len(labels):
         raise ValidationError(f"{len(labels)} labels but {len(effects)} effects")
     stack = _effect_stack(dim, effects)
-    for part in _chunks(stack):
+    step = max(1, _CHECK_CHUNK_ELEMENTS // max(1, dim * dim))
+    for start in range(0, len(stack), step):
+        part = slice(start, start + step)
         _check_effects(stack[part], labels[part], tol)
     if len(stack) < len(labels):
         # every effect before the misfit passed; it fails as it would alone
@@ -210,27 +214,14 @@ def make_observable(dim: int, labels, effects, tol: float = DEFAULT_TOL) -> Obse
 def _check_complete(stack: np.ndarray, tol: float) -> None:
     """Raise unless the effects sum to the identity within ``tol * max(1, sqrt(dim))``.
 
-    The sum runs in label order, bit for bit the sum of the effects one by
-    one, a chunk of at most ``_CHECK_CHUNK_ELEMENTS`` entries at a time.
-    A non-finite residual raises too.
+    The sum is one reduction holding only the total; for ``dim >= 2`` it is
+    bit for bit the effects added one by one in label order, while for
+    ``dim = 1`` numpy sums pairwise.  A non-finite residual raises too.
     """
     dim = stack.shape[-1]
-    total = None
-    for part in _chunks(stack):
-        chunk = stack[part]
-        if total is not None:
-            # the running sum carries on from the last chunk's
-            chunk = np.concatenate([total[None], chunk])
-        total = np.cumsum(chunk, axis=0)[-1]
-    residual = frobenius_norm(total - np.eye(dim))
+    residual = frobenius_norm(stack.sum(axis=0) - np.eye(dim))
     if not residual <= tol * max(1.0, float(np.sqrt(dim))):
         raise ValidationError(f"effects do not sum to the identity (residual {residual:.3e})")
-
-
-def _chunks(stack: np.ndarray):
-    """Label-ordered slices of a stack, each of at most ``_CHECK_CHUNK_ELEMENTS`` entries or one matrix."""
-    step = max(1, _CHECK_CHUNK_ELEMENTS // max(1, math.prod(stack.shape[1:])))
-    return (slice(start, start + step) for start in range(0, len(stack), step))
 
 
 def _effect_stack(dim: int, effects) -> np.ndarray:
@@ -295,7 +286,7 @@ def make_kernel(weights) -> StochasticKernel:
 
 def observable_distance(a: Observable, b: Observable) -> float:
     """Max effect-wise Frobenius distance after exact label alignment."""
-    return _distance_to_effects(a, b.dim, b.outcomes, b._stack)
+    return _distance_to_effects(a, b.dim, b.outcomes, b.effects)
 
 
 def _distance_to_effects(a: Observable, dim: int, outcomes, stack: np.ndarray) -> float:
@@ -309,7 +300,7 @@ def _distance_to_effects(a: Observable, dim: int, outcomes, stack: np.ndarray) -
 
 def sharpness_residual(e: Observable) -> float:
     """Largest projection defect ``||E(x)^2 - E(x)||_F`` over outcomes."""
-    return float(_frobenius_norms(e._stack @ e._stack - e._stack).max())
+    return float(_frobenius_norms(e.effects @ e.effects - e.effects).max())
 
 
 def is_sharp(e: Observable, tol: float = DEFAULT_TOL) -> bool:
@@ -317,7 +308,7 @@ def is_sharp(e: Observable, tol: float = DEFAULT_TOL) -> bool:
 
     Every effect is checked densely, the whole stack at once.
     """
-    return is_projection(e._stack, tol)
+    return is_projection(e.effects, tol)
 
 
 def product_residual(e: Observable) -> float:
@@ -348,7 +339,7 @@ def is_extreme(e: Observable) -> bool:
     channels (:func:`~qmultimeter.channels.is_extreme_channel`).  Zero
     effects carry no perturbation freedom and add nothing.
     """
-    eigvals, vecs = np.linalg.eigh(_hermitian_part(e._stack))
+    eigvals, vecs = np.linalg.eigh(_hermitian_part(e.effects))
     # row i of a group is s_i* as a 1 x dim matrix, so its products are s_i s_j*
     supports = [dagger(v[:, lam > SUPPORT_TOL])[:, None, :] for lam, v in zip(eigvals, vecs)]
     return _independent_products(supports, e.dim)
@@ -362,7 +353,7 @@ def mix(lam: float, e: Observable, f: Observable) -> Observable:
         raise DimensionError(f"dimension mismatch: {e.dim} vs {f.dim}")
     if e.outcomes != f.outcomes:
         raise ValidationError(f"outcome labels differ: {e.outcomes} vs {f.outcomes}")
-    return make_observable(e.dim, e.outcomes, lam * e._stack + (1 - lam) * f._stack)
+    return make_observable(e.dim, e.outcomes, lam * e.effects + (1 - lam) * f.effects)
 
 
 def post_process(e: Observable, k: StochasticKernel, labels=None) -> Observable:
@@ -374,7 +365,7 @@ def post_process(e: Observable, k: StochasticKernel, labels=None) -> Observable:
         raise DimensionError(f"kernel has {k.rows} rows but observable has {len(e)} outcomes")
     if labels is None:
         labels = tuple(range(1, k.cols + 1))
-    return make_observable(e.dim, labels, np.tensordot(k.weights, e._stack, axes=(0, 0)))
+    return make_observable(e.dim, labels, np.tensordot(k.weights, e.effects, axes=(0, 0)))
 
 
 def _stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -402,7 +393,7 @@ def _joint_pointer(pointers, idle: int) -> Observable:
         # the diagonal of a Kronecker product is the Kronecker product of the diagonals
         marks = [p._marks[:, None, :] for p in pointers] + [np.ones((1, 1, idle), dtype=bool)]
         return Observable._from_marks(dim, labels, functools.reduce(_stacked_kron, marks)[:, 0, :])
-    stacks = [p._stack for p in pointers] + [np.eye(idle, dtype=complex)[None]]
+    stacks = [p.effects for p in pointers] + [np.eye(idle, dtype=complex)[None]]
     joint = make_observable(dim, labels, functools.reduce(_stacked_kron, stacks))
     object.__setattr__(joint, "_marks", None)
     return joint

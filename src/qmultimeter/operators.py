@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,25 +39,20 @@ _BUILD_LOCK = threading.Lock()
 
 @dataclass(frozen=True, eq=False)
 class _Stacked:
-    """Frozen device that holds one read-only ``(n, d, d)`` stack and its views.
+    """Frozen device whose family of matrices is one read-only ``(n, d, d)`` array.
 
-    A subclass names in ``_views`` the field given the stack: the stack is
-    frozen and kept whole as ``_stack``, and the field then holds its
-    read-only views, one per matrix.  An instance written by :meth:`_unbuilt`
-    holds instead a compact form, named by ``_compact``, from which the
-    subclass's ``_build`` builds the stack on its first read, once.
+    A subclass names in ``_family`` the field that holds the array, which
+    is frozen as given.  An instance written by :meth:`_unbuilt` holds
+    instead a compact form, named by ``_compact``, from which the
+    subclass's ``_build`` builds the array on its first read, once.
     """
 
-    _stack: np.ndarray = field(init=False, repr=False)
-
     def __post_init__(self):
-        self._freeze(np.asarray(getattr(self, self._views)))
+        self._freeze(np.asarray(getattr(self, self._family)))
 
     def _freeze(self, stack: np.ndarray) -> None:
         stack.setflags(write=False)
-        # the views first: a reader that finds the stack finds both
-        object.__setattr__(self, self._views, tuple(stack))
-        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, self._family, stack)
 
     @classmethod
     def _unbuilt(cls, **fields):
@@ -67,25 +62,15 @@ class _Stacked:
         return obj
 
     def __getattr__(self, name):
-        # reached only for attributes not yet set: the stack and views of an unbuilt
+        # reached only for attributes not yet set: the family of an unbuilt
         # instance, whose compact form is read from the instance dict, never computed
         compact = vars(self).get(self._compact)
-        if name not in (self._views, "_stack") or compact is None:
+        if name != self._family or compact is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         with _BUILD_LOCK:
-            if "_stack" not in vars(self):
+            if name not in vars(self):
                 self._freeze(self._build(compact))
         return vars(self)[name]
-
-
-def asoperator(a) -> np.ndarray:
-    """Coerce input to a 2-d complex array, rejecting non-finite entries."""
-    arr = np.asarray(a, dtype=complex)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a matrix, got array of ndim {arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("operator has non-finite entries")
-    return arr
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -307,18 +292,6 @@ def eigenvalue_below(a: np.ndarray, bounds) -> tuple[int, float] | None:
     return None
 
 
-def is_positive(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Positive semidefiniteness: Hermitian with spectrum above ``-tol * max(1, ||A||_F)``.
-
-    A stack is positive when every matrix is.
-    """
-    a = np.asarray(a, dtype=complex)
-    if not is_hermitian(a, tol):
-        return False
-    bounds = np.reshape(_rel_tol(a, tol), -1)
-    return eigenvalue_below(a.reshape(-1, *a.shape[-2:]), bounds) is None
-
-
 def is_projection(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Orthogonal projection: Hermitian and idempotent; a stack is one when every matrix is."""
     a = np.asarray(a, dtype=complex)
@@ -342,17 +315,8 @@ def _independent_products(groups, dim: int) -> bool:
     return int(np.linalg.matrix_rank(np.concatenate(columns).T)) == count
 
 
-def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    # For square A, ||A*A - I||_F = ||AA* - I||_F = sqrt(sum_i (s_i^2 - 1)^2)
-    # over the singular values s_i, so one Gram product decides both sides.
-    return is_isometry(a, tol)
-
-
 def is_isometry(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """``A* A = I`` on the domain; meaningful for rectangular ``A``."""
+    """``A* A = I`` on the domain; for square ``A`` unitarity, as ``||A*A - I||_F = ||AA* - I||_F``."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         return False
@@ -377,7 +341,11 @@ def check_state_vector(phi: np.ndarray, tol: float = 1e-6) -> np.ndarray:
 
 def check_density_operator(rho: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     """Validate a density operator: Hermitian, positive, unit trace."""
-    rho = asoperator(rho)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2:
+        raise DimensionError(f"expected a matrix, got array of ndim {rho.ndim}")
+    if not np.all(np.isfinite(rho)):
+        raise ValidationError("operator has non-finite entries")
     if rho.shape[0] != rho.shape[1]:
         raise DimensionError("density operator must be square")
     if not is_hermitian(rho, tol):

@@ -86,8 +86,8 @@ def rotated_probe(probe, w):
 def conjugated(device, u):
     """``u D u*`` of an observable's effects, or of a channel's Kraus operators."""
     if hasattr(device, "outcomes"):
-        return make_observable(device.dim, device.outcomes, u @ device._stack @ u.conj().T)
-    return make_channel(u @ device._stack @ u.conj().T)
+        return make_observable(device.dim, device.outcomes, u @ device.effects @ u.conj().T)
+    return make_channel(u @ device.kraus @ u.conj().T)
 
 
 def program_rotation(meter, rng):
@@ -104,7 +104,7 @@ def pointer_rotation(meter, rng):
     w = haar_unitary(meter.dim_k, rng)
     left = np.kron(np.eye(meter.dim_h), w)
     pointer = make_observable(
-        meter.dim_k, meter.pointer.outcomes, w @ meter.pointer._stack @ w.conj().T
+        meter.dim_k, meter.pointer.outcomes, w @ meter.pointer.effects @ w.conj().T
     )
     assert pointer._marks is None
     rotated = make_multimeter(

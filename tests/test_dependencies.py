@@ -27,3 +27,27 @@ def test_package_imports_only_the_standard_library_and_numpy():
         if name not in ALLOWED
     ]
     assert outside == []
+
+
+#: Defaulted parameters of the package's public module-level functions.
+DEFAULTED_PARAMETERS = 39
+
+
+def defaulted_parameters(path):
+    """``(name, count)`` for each public module-level function of a source file that has defaults."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            count = len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+            if count:
+                yield f"{path.stem}.{node.name}", count
+
+
+def test_public_functions_add_no_defaulted_parameters():
+    found = dict(pair for path in sorted(SOURCE.glob("*.py")) for pair in defaulted_parameters(path))
+    total = sum(found.values())
+    assert total == DEFAULTED_PARAMETERS, (
+        f"public functions have {total} defaulted parameters, not {DEFAULTED_PARAMETERS}. "
+        "ROADMAP aim 2 asks that an option have two callers that need different values; "
+        f"pin the new count only for such an option. Found: {found}"
+    )

@@ -149,7 +149,7 @@ def test_stacked_maps_match_textbook(rng):
             np.testing.assert_allclose(
                 apply(c, x, picture), textbook_apply(c, x, picture), rtol=0, atol=ATOL * c.dim)
         gram = sum(dagger(k) @ k for k in c.kraus)
-        assert _dense_residual(c._stack) == pytest.approx(
+        assert _dense_residual(c.kraus) == pytest.approx(
             frobenius_norm(gram - np.eye(c.dim)), abs=ATOL)
         assert np.array_equal(stinespring_dilation(c), textbook_dilation(c))
         assert is_extreme_channel(c) == textbook_extreme(c)
@@ -169,18 +169,18 @@ def test_distance_matches_textbook(rng):
 
 def test_parts_coupling_builds_its_stack_once():
     c = parts_coupling()
-    assert "_stack" not in vars(c) and len(c) == 1
-    stack = c._stack
-    assert c._stack is stack and stack.shape == (1, c.dim, c.dim)
-    assert len(c.kraus) == 1 and np.shares_memory(c.kraus[0], stack)
+    assert "kraus" not in vars(c) and len(c) == 1
+    stack = c.kraus
+    assert c.kraus is stack and vars(c)["kraus"] is stack
+    assert type(stack) is np.ndarray and stack.shape == (1, c.dim, c.dim)
     assert not stack.flags.writeable and not c.kraus[0].flags.writeable
 
 
 def test_stack_is_read_only_and_views_it(rng):
     c = random_channel(3, 4, 1)
-    assert isinstance(c, Channel) and c._stack.shape == (4, 3, 3)
-    assert not c._stack.flags.writeable
-    assert all(k.base is c._stack for k in c.kraus)
+    assert isinstance(c, Channel) and type(c.kraus) is np.ndarray and c.kraus.shape == (4, 3, 3)
+    assert not c.kraus.flags.writeable
+    assert all(k.base is c.kraus and not k.flags.writeable for k in c.kraus)
 
 
 def test_multiplicativity_chunks_do_not_change_the_residual(monkeypatch):
@@ -218,7 +218,7 @@ def test_induced_channel_keeps_the_reached_rows(rng):
         reached = rows.any(axis=(1, 2))
         c = induced_channel(model)
         assert len(c) == np.count_nonzero(reached)
-        assert np.array_equal(c._stack, rows[reached])
+        assert np.array_equal(c.kraus, rows[reached])
         np.testing.assert_allclose(choi_matrix(c), textbook_choi(make_channel(rows)),
                                    rtol=0, atol=1e-15)
     # a selector reaches the d rows of its observable's Lueders channel

@@ -22,6 +22,7 @@ from qmultimeter.channels import (
     unitary_channel,
 )
 from qmultimeter.multimeter import (
+    INDUCTION_TOL,
     PROBE_CUTOFF,
     _basis_effects,
     _dilation_couplings,
@@ -55,8 +56,8 @@ from qmultimeter.operators import (
     embed_factors,
     frobenius_norm,
     haar_unitary,
+    is_isometry,
     is_projection,
-    is_unitary,
     partial_trace,
     projector,
     random_density_operator,
@@ -482,11 +483,12 @@ class TestTrustedInduction:
         with pytest.raises(ValidationError, match="effect 2 has negative eigenvalue"):
             induced_observable(make_model(meter, np.eye(2)[0]))
 
-    @pytest.mark.parametrize("low, validated", [(0.0, False), (-1e-9, True)])
-    def test_kernel_below_zero_is_validated(self, monkeypatch, spin_trio, low, validated):
-        # make_kernel accepts weights down to -1e-9, which can smear an
-        # induced effect below zero, so such a kernel keeps make_observable
-        meter, probe = minimal_dilation_multimeter(spin_trio[0])
+    @pytest.mark.parametrize("low", [0.0, -1e-9])
+    def test_kernel_below_zero_stays_within_its_bound(self, monkeypatch, spin_trio, low):
+        # make_kernel accepts weights down to -1e-9; smearing Gram sums that add
+        # up to I lowers an eigenvalue by at most that, far within INDUCTION_TOL,
+        # so no kernel sends a marks-path induction to make_observable
+        meter, probe = minimal_dilation_multimeter(spin_trio[2])
         kernel = make_kernel([[1 - low, low], [0.0, 1.0]])
         calls = []
         monkeypatch.setattr(
@@ -495,8 +497,12 @@ class TestTrustedInduction:
             counted(calls, "make_observable", qmultimeter.multimeter.make_observable),
         )
         induced = induced_observable(make_model(meter, probe, kernel=kernel))
-        assert calls == (["make_observable"] if validated else [])
-        assert observable_distance(induced, post_process(spin_trio[0], kernel)) <= 1e-9
+        assert calls == []
+        # E'(1) = (1 - low) P0 and E'(2) = low P0 + P1 for spin z
+        least = np.linalg.eigvalsh(induced.effects).min()
+        assert abs(least - low) <= 1e-15
+        validated = make_observable(2, induced.outcomes, induced.effects, tol=INDUCTION_TOL)
+        assert np.array_equal(validated.effects, induced.effects)
 
     @pytest.mark.parametrize(
         "dim_h, dim_k, kraus, rank", [(2, 2, 1, 1), (3, 16, 2, 3), (2, 64, 1, 1), (4, 64, 2, 2)]
@@ -707,7 +713,7 @@ class TestPushButton:
 
         for name in ("operators", "channels", "multimeter"):
             module = getattr(qmultimeter, name)
-            monkeypatch.setattr(module, "is_unitary", forbidden, raising=False)
+            monkeypatch.setattr(module, "is_isometry", forbidden, raising=False)
         # no spectrum of any size; the spy below wraps the prohibition
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         for d in (3, 4):
@@ -757,7 +763,7 @@ class TestPushButton:
         assert all(np.array_equal(a, b) for a, b in zip(meter.pointer.effects, effects))
         residual = frobenius_norm(g.conj().T @ g - np.eye(len(g)))
         assert abs(meter.interaction.tp_residual - residual) <= 1e-13
-        assert meter.normal == (is_unitary(g) and all(is_projection(e) for e in effects))
+        assert meter.normal == (is_isometry(g) and all(is_projection(e) for e in effects))
         if isinstance(devices[0], tuple):
             n = len(devices)
             expected = [
@@ -1421,7 +1427,7 @@ class TestBasisPointerInduction:
             sum(kernel.weights[x, y] * eff for x, eff in enumerate(expected[2]))
             for y in range(kernel.cols)
         ]
-        guarded = tuple(e.view(NoProducts) for e in meter.pointer.effects)
+        guarded = meter.pointer.effects.view(NoProducts)
         object.__setattr__(meter.pointer, "effects", guarded)
         with pytest.raises(AssertionError, match="dense product"):
             induced_observable(make_model(dense_twin(meter), probes[0]))
@@ -1451,23 +1457,22 @@ class TestPointerBuiltOnRead:
         assert meter.dim_k == 192
         # the 64 x 192 x 192 pointer stack alone would be four couplings
         assert peak < 3 * meter.coupling.nbytes
-        assert "_stack" not in vars(meter.pointer)
+        assert "effects" not in vars(meter.pointer)
 
     def test_effects_built_once_on_first_read(self):
         meter, _ = bench_bundle()
         pointer = meter.pointer
-        assert "effects" not in vars(pointer) and "_stack" not in vars(pointer)
+        assert "effects" not in vars(pointer)
         assert "_marks" in vars(pointer)
         written = np.zeros((len(pointer), meter.dim_k, meter.dim_k), dtype=complex)
         diag = np.arange(meter.dim_k)
         written[:, diag, diag] = pointer._marks
-        stack = pointer._stack
-        assert np.array_equal(stack, written) and stack.dtype == written.dtype
-        assert not stack.flags.writeable
-        assert all(not eff.flags.writeable for eff in pointer.effects)
-        assert all(eff.base is stack for eff in pointer.effects)
         effects = pointer.effects
-        assert pointer.effects is effects and pointer._stack is stack
+        assert type(effects) is np.ndarray and effects.shape == written.shape
+        assert np.array_equal(effects, written) and effects.dtype == written.dtype
+        assert not effects.flags.writeable
+        assert all(not eff.flags.writeable for eff in effects)
+        assert pointer.effects is effects and vars(pointer)["effects"] is effects
         with pytest.raises(AttributeError, match="no attribute 'projection'"):
             pointer.projection
 
@@ -1476,7 +1481,7 @@ class TestPointerBuiltOnRead:
         peak, text = traced_peak(lambda: repr(meter.pointer))
         assert peak < 2**20 and text.startswith("Observable(dim=192, outcomes=")
         assert "pointer=Observable(dim=192" in repr(meter)
-        assert "_stack" not in vars(meter.pointer)
+        assert "effects" not in vars(meter.pointer)
 
     def test_concurrent_first_reads_build_one_stack(self):
         meter, _ = bench_bundle((2, 2, 2))
@@ -1489,22 +1494,22 @@ class TestPointerBuiltOnRead:
                 barrier = threading.Barrier(8)
                 seen = []
 
-                def read(name, pointer=pointer, barrier=barrier, seen=seen):
+                # half the readers ask for the stack, half for one effect
+                def read(whole, pointer=pointer, barrier=barrier, seen=seen):
                     barrier.wait(timeout=10)
-                    seen.append(getattr(pointer, name))
+                    seen.append(pointer.effects if whole else pointer.effect(labels[0]))
 
-                threads = [
-                    threading.Thread(target=read, args=(("effects", "_stack")[i % 2],))
-                    for i in range(8)
-                ]
+                threads = [threading.Thread(target=read, args=(i % 2,)) for i in range(8)]
                 for thread in threads:
                     thread.start()
                 for thread in threads:
                     thread.join(timeout=10)
                 assert not any(thread.is_alive() for thread in threads)
                 assert len(seen) == 8
-                assert all(x is pointer.effects or x is pointer._stack for x in seen)
-                assert all(eff.base is pointer._stack for eff in pointer.effects)
+                assert all(
+                    x is pointer.effects if x.ndim == 3 else np.shares_memory(x, pointer.effects)
+                    for x in seen
+                )
         finally:
             sys.setswitchinterval(interval)
 
@@ -1519,7 +1524,7 @@ class TestPointerBuiltOnRead:
         remade = make_multimeter(meter.dim_h, meter.dim_k, meter.pointer, meter.interaction)
         assert remade.pointer._marks is marks
         assert remade.normal
-        assert "_stack" not in vars(meter.pointer)
+        assert "effects" not in vars(meter.pointer)
 
     def test_dense_basis_pointer_is_still_scanned(self):
         meter, _ = minimal_dilation_multimeter(random_sharp_observable(3, 3, 4))
@@ -1562,7 +1567,60 @@ class TestIdentityEquality:
             assert a != b and not a == b
             assert hash(a) == hash(a) and len({a, b}) == 2
         # comparing pointers builds neither one
-        assert "_stack" not in vars(meter.pointer) and "_stack" not in vars(twin.pointer)
+        assert "effects" not in vars(meter.pointer) and "effects" not in vars(twin.pointer)
+
+
+def spin_z_model():
+    meter, probe = minimal_dilation_multimeter(spin_observable((0, 0, 1)))
+    return make_model(meter, probe)
+
+
+class TestFamilyIsItsStack:
+    """An observable's effects and a channel's Kraus operators are one read-only ``(n, d, d)`` array."""
+
+    @pytest.mark.parametrize(
+        "device, family",
+        [
+            (lambda: spin_observable((0, 0, 1)), "effects"),
+            (lambda: random_channel(3, 4, 1), "kraus"),
+            (lambda: induced_observable(spin_z_model()), "effects"),
+            (lambda: induced_observable(make_model(*spin_pair_part())), "effects"),
+            (lambda: induced_channel(spin_z_model()), "kraus"),
+            (lambda: bench_bundle((2, 2, 2))[0].pointer, "effects"),
+            (lambda: bench_bundle((2, 2, 2))[0].interaction, "kraus"),
+        ],
+        ids=["make_observable", "make_channel", "induced-marks", "induced-dense",
+             "induced_channel", "unbuilt-pointer", "parts-coupling"],
+    )
+    def test_family_is_one_read_only_array(self, device, family):
+        device = device()
+        stack = getattr(device, family)
+        assert type(stack) is np.ndarray and stack.shape == (len(device), device.dim, device.dim)
+        assert not stack.flags.writeable
+        assert getattr(device, family) is stack and vars(device)[family] is stack
+        assert [m.shape for m in stack] == [(device.dim, device.dim)] * len(device)
+
+    @pytest.mark.parametrize("case", ["spin-pair", "fuzzy-pointer"])
+    def test_dense_pointer_induction_is_the_per_effect_formula(self, rng, case):
+        if case == "spin-pair":
+            meter, probes = spin_pair_part()[0], list(np.eye(2))
+        else:
+            pointer = random_observable(3, 3, 7)
+            meter = make_multimeter(2, 3, pointer, unitary_channel(haar_unitary(6, rng)))
+            probes = [random_state_vector(3, rng), random_density_operator(3, rng)]
+        assert meter.pointer._marks is None
+        dim_h, dim_k = meter.dim_h, meter.dim_k
+        for probe in probes:
+            for kernel in (None, fractional_kernel(len(meter.pointer), rng)):
+                model = make_model(meter, probe, kernel=kernel)
+                # the per-effect products, one effect at a time
+                m = _program_blocks(model)
+                b = m.transpose(2, 0, 1, 3).reshape(dim_k, -1)
+                b_adj = b.reshape(-1, dim_h).conj().T
+                expected = [b_adj @ (eff @ b).reshape(-1, dim_h) for eff in meter.pointer.effects]
+                if kernel is not None:
+                    expected = np.tensordot(kernel.weights, expected, axes=(0, 0))
+                assert np.array_equal(induced_observable(model).effects, np.asarray(expected))
 
 
 def whole_program_blocks(model):
@@ -1750,7 +1808,7 @@ class TestCouplingBuiltOnRead:
                 # half the readers ask for the Kraus operator, half for the stack
                 def read(stack, barrier=barrier, meter=meter, seen=seen):
                     barrier.wait(timeout=10)
-                    seen.append(meter.interaction._stack if stack else meter.coupling)
+                    seen.append(meter.interaction.kraus if stack else meter.coupling)
 
                 threads = [threading.Thread(target=read, args=(i % 2,)) for i in range(8)]
                 for thread in threads:
@@ -1758,10 +1816,9 @@ class TestCouplingBuiltOnRead:
                 for thread in threads:
                     thread.join(timeout=10)
                 assert not any(thread.is_alive() for thread in threads)
-                stack = meter.interaction._stack
+                stack = meter.interaction.kraus
                 assert len(seen) == 8
-                assert all(g is (stack if g.ndim == 3 else meter.coupling) for g in seen)
-                assert np.shares_memory(meter.coupling, stack)
+                assert all(g is stack if g.ndim == 3 else np.shares_memory(g, stack) for g in seen)
         finally:
             sys.setswitchinterval(interval)
 
@@ -1780,8 +1837,11 @@ class TestCouplingBuiltOnRead:
         with pytest.raises(AttributeError, match="no attribute 'choi'"):
             meter.interaction.choi
         g = meter.coupling
-        assert meter.coupling is g and meter.interaction.kraus == (g,)
-        assert not g.flags.writeable
+        kraus = meter.interaction.kraus
+        assert type(kraus) is np.ndarray and kraus.shape == (1, *g.shape)
+        assert np.shares_memory(meter.coupling, g) and np.shares_memory(kraus, g)
+        assert meter.interaction.kraus is kraus
+        assert not g.flags.writeable and not kraus.flags.writeable
         assert len(meter.interaction) == 1
         with pytest.raises(AttributeError, match="no attribute 'kraus'"):
             identity_channel(2).__getattr__("kraus")

@@ -15,9 +15,7 @@ from qmultimeter.operators import (
     haar_unitary,
     is_hermitian,
     is_isometry,
-    is_positive,
     is_projection,
-    is_unitary,
     partial_trace,
     projector,
     random_density_operator,
@@ -113,31 +111,35 @@ class TestEmbedProgramIsometry:
         assert np.allclose(w.conj().T @ tensor(b, np.eye(3)) @ w, b)
 
 
-PREDICATES = (is_hermitian, is_positive, is_projection, is_unitary, is_isometry)
+PREDICATES = (is_hermitian, is_projection, is_isometry)
+
+
+def _no_eigenvalue_below(a, bound=1e-9) -> bool:
+    """Positivity of a Hermitian matrix from the stacked certificate."""
+    return eigenvalue_below(np.asarray(a, dtype=complex)[None], [bound]) is None
 
 
 class TestPredicates:
     def test_identity_flags(self):
         assert all(pred(np.eye(3)) for pred in PREDICATES)
+        assert _no_eigenvalue_below(np.eye(3))
 
     def test_sigma_x_flags(self):
         sx = PAULI[1]
-        assert is_hermitian(sx) and is_unitary(sx) and is_isometry(sx)
-        assert not is_positive(sx) and not is_projection(sx)
+        assert is_hermitian(sx) and is_isometry(sx)
+        assert not _no_eigenvalue_below(sx) and not is_projection(sx)
 
     def test_positive_non_projection(self):
         # eigenvalues (1 +- 1/sqrt(3))/2 lie strictly inside (0, 1)
         a = (np.eye(2) + PAULI[3] / np.sqrt(3)) / 2
-        assert is_hermitian(a) and is_positive(a)
-        assert not is_projection(a) and not is_unitary(a)
+        assert is_hermitian(a) and _no_eigenvalue_below(a)
+        assert not is_projection(a) and not is_isometry(a)
 
     def test_non_square_input(self):
         rect = np.zeros((3, 2))
         rect[0, 0] = rect[1, 1] = 1.0
         assert is_isometry(rect)
-        assert not any(
-            pred(rect) for pred in (is_hermitian, is_positive, is_projection, is_unitary)
-        )
+        assert not any(pred(rect) for pred in (is_hermitian, is_projection))
 
     def test_agreement_with_eigendecomposition_oracle(self, rng):
         # oracle verdicts straight from the spectrum
@@ -151,16 +153,16 @@ class TestPredicates:
                 h = u[:, :k] @ u[:, :k].conj().T
             eigs = np.linalg.eigvalsh(h)
             assert is_hermitian(h)
-            assert is_positive(h) == bool(eigs.min() >= -1e-9)
+            assert _no_eigenvalue_below(h) == bool(eigs.min() >= -1e-9)
             oracle_proj = bool(np.max(np.abs(eigs * (eigs - 1))) <= 1e-9)
             assert is_projection(h) == oracle_proj
 
     def test_unitary_and_isometry_oracles(self, rng):
         u = haar_unitary(4, rng)
-        assert is_unitary(u) and is_isometry(u)
-        assert not is_unitary(u * 1.01)
+        assert is_isometry(u)
+        assert not is_isometry(u * 1.01)
         w = np.linalg.qr(rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))[0]
-        assert is_isometry(w) and not is_unitary(w)
+        assert is_isometry(w) and not is_isometry(w.T)
 
 
 def _with_spectrum(eigs, rng) -> np.ndarray:
@@ -216,8 +218,8 @@ class TestPositivityCertificate:
         check_density_operator(np.diag([1.0, 0.0]), tol=0.0)
 
     def test_is_positive_at_zero_tolerance(self):
-        assert is_positive(np.diag([1.0, 0.0]), tol=0.0)
-        assert not is_positive(np.diag([1.0, -1e-12]), tol=0.0)
+        assert _no_eigenvalue_below(np.diag([1.0, 0.0]), 0.0)
+        assert eigenvalue_below(np.diag([1.0, -1e-12]).astype(complex)[None], [0.0]) == (0, -1e-12)
 
     def test_is_unitary_matches_two_sided_oracle(self, rng):
         tol = 1e-9
@@ -231,7 +233,8 @@ class TestPositivityCertificate:
             right = np.linalg.norm(a @ a.conj().T - np.eye(d))
             if min(abs(left - bound), abs(right - bound)) <= 1e-14:
                 continue
-            assert is_unitary(a, tol) == bool(left <= bound and right <= bound)
+            # a square isometry is unitary: one Gram product decides both sides
+            assert is_isometry(a, tol) == bool(left <= bound and right <= bound)
 
 
 class TestRandomGenerators:
@@ -239,7 +242,7 @@ class TestRandomGenerators:
         u1 = haar_unitary(3, np.random.default_rng(5))
         u2 = haar_unitary(3, np.random.default_rng(5))
         assert np.array_equal(u1, u2)
-        assert is_unitary(u1)
+        assert is_isometry(u1)
 
     def test_stacked_draws(self, rng):
         # every matrix of a stack is unitary, and the per-column phase fix
@@ -247,7 +250,7 @@ class TestRandomGenerators:
         # the mean of u[0, 0] is about -0.34 at dim 3)
         u = haar_unitary(3, rng, batch=(4000,))
         assert u.shape == (4000, 3, 3)
-        assert all(is_unitary(x) for x in u[:50])
+        assert all(is_isometry(x) for x in u[:50])
         assert abs(u[:, 0, 0].mean()) <= 5 / np.sqrt(3 * 4000)
         psi = random_state_vector(3, rng, batch=(10, 2))
         assert psi.shape == (10, 2, 3)
