@@ -123,32 +123,26 @@ def make_multimeter(
     )
 
 
-def _basis_effects(m: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+def _basis_effects(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Effects ``E(x) = sum_i w[x, i] B_i* B_i`` of a pointer diagonal in the basis of K.
 
-    ``m[..., r, i, c]`` stacks program maps with rows ``r``, pointer index
-    ``i`` and system index ``c``; ``B_i`` holds the rows ``r`` of slot
-    ``i``, so ``B_i* B_i = sum_r m_r* (|i><i| (x) I) m_r``.  With a
-    pointer's marks as the 0/1 ``weights`` (see
-    :class:`~qmultimeter.observables.Observable`),
-    ``E(x) = sum_r m_r* (Z(x) (x) I) m_r`` without a product by ``Z(x)``;
-    ``None`` returns the Gram matrices themselves, the effects of the
-    computational-basis pointer, with shape ``(..., dim_k, c, c)``.
-    With weights, ``m`` is one ``(r, i, c)`` stack, and from
-    ``SUPPORT_MIN_DIM_K`` slots on only those with a nonzero row are formed
-    and summed: the others have zero Grams.
+    ``m[r, i, c]`` stacks program maps with rows ``r``, pointer index ``i``
+    and system index ``c``; ``B_i`` holds the rows ``r`` of slot ``i``, so
+    ``B_i* B_i = sum_r m_r* (|i><i| (x) I) m_r``.  With a pointer's marks as
+    the 0/1 ``weights`` (see :class:`~qmultimeter.observables.Observable`),
+    ``E(x) = sum_r m_r* (Z(x) (x) I) m_r`` without a product by ``Z(x)``.
+    The Grams are one stacked ``matmul``, which suits the one large stack
+    of an induction, and from ``SUPPORT_MIN_DIM_K`` slots on only those
+    with a nonzero row are formed and summed: the others have zero Grams.
     """
     rows = m.swapaxes(-2, -3)
-    if weights is not None and len(rows) >= SUPPORT_MIN_DIM_K:
+    if len(rows) >= SUPPORT_MIN_DIM_K:
         nonzero = rows.any(axis=(1, 2))
         if not nonzero.all():
             rows, weights = rows[nonzero], weights[:, nonzero]
     gram = rows.conj().swapaxes(-1, -2) @ rows
-    if weights is None:
-        return gram
-    *lead, dim_k, dim_h, _ = gram.shape
-    summed = weights @ gram.reshape(*lead, dim_k, dim_h * dim_h)
-    return summed.reshape(*lead, len(weights), dim_h, dim_h)
+    dim_k, dim_h, _ = gram.shape
+    return (weights @ gram.reshape(dim_k, dim_h * dim_h)).reshape(len(weights), dim_h, dim_h)
 
 
 def make_model(
@@ -307,9 +301,11 @@ def induced_observable(model: MeasurementModel) -> Observable:
     by construction to within ``DEFAULT_TOL``, and only their completeness
     is checked (see
     :meth:`~qmultimeter.observables.Observable._from_gram_sums`).  Effects
-    induced densely are validated by
-    :func:`~qmultimeter.observables.make_observable`, since a pointer without
-    marks may have been validated at a looser ``tol``.  Either way at
+    induced densely are validated as
+    :func:`~qmultimeter.observables.make_observable` validates, since a
+    pointer without marks may have been validated at a looser ``tol``, and
+    kept without a copy (see
+    :meth:`~qmultimeter.observables.Observable._from_stack`).  Either way at
     ``INDUCTION_TOL``.
     """
     dim_h, dim_k = model.meter.dim_h, model.meter.dim_k
@@ -330,7 +326,8 @@ def induced_observable(model: MeasurementModel) -> Observable:
     if marks is not None:
         # Gram sums, smeared at most by kernel weights >= -DEFAULT_TOL
         return Observable._from_gram_sums(dim_h, outcomes, effects, INDUCTION_TOL)
-    return make_observable(dim_h, outcomes, effects, tol=INDUCTION_TOL)
+    # a fresh product, owned by the observable: validated, not copied
+    return Observable._from_stack(dim_h, outcomes, effects, INDUCTION_TOL)
 
 
 def induced_channel(model: MeasurementModel) -> Channel:

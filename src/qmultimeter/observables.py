@@ -104,6 +104,16 @@ class Observable(_Stacked):
         _check_complete(stack, tol)
         return cls(dim=dim, outcomes=tuple(labels), effects=stack)
 
+    @classmethod
+    def _from_stack(cls, dim: int, labels, stack: np.ndarray, tol: float) -> Observable:
+        """Observable validated as :func:`make_observable` validates, keeping ``stack``.
+
+        ``stack`` is a complex ``(n, dim, dim)`` array that the caller built
+        for this observable alone; it is frozen and kept, not copied.
+        """
+        labels, stack = _validated(dim, labels, stack, tol)
+        return cls(dim=dim, outcomes=labels, effects=stack)
+
     @functools.cached_property
     def _marks(self) -> np.ndarray | None:
         return _basis_supports(self.effects)
@@ -186,6 +196,16 @@ def make_observable(dim: int, labels, effects, tol: float = DEFAULT_TOL) -> Obse
     DimensionError
         If an effect is not a ``dim x dim`` matrix.
     """
+    labels, stack = _validated(dim, labels, effects, tol)
+    # a caller's complex stack was validated in place; it is copied only now
+    return Observable(dim=dim, outcomes=labels, effects=stack.copy() if stack is effects else stack)
+
+
+def _validated(dim: int, labels, effects, tol: float) -> tuple:
+    """``(labels, stack)`` checked as :func:`make_observable` states; the stack is complex.
+
+    A complex ``(n, dim, dim)`` array is validated in place and returned as it is.
+    """
     labels = tuple(labels)
     if not labels:
         raise ValidationError("observable needs at least one outcome")
@@ -207,8 +227,7 @@ def make_observable(dim: int, labels, effects, tol: float = DEFAULT_TOL) -> Obse
             f"effect {labels[len(stack)]!r} has shape {shape}, expected {(dim, dim)}"
         )
     _check_complete(stack, tol)
-    # a caller's complex stack was validated in place; it is copied only now
-    return Observable(dim=dim, outcomes=labels, effects=stack.copy() if stack is effects else stack)
+    return labels, stack
 
 
 def _check_complete(stack: np.ndarray, tol: float) -> None:

@@ -29,7 +29,6 @@ from .exceptions import DimensionError, ValidationError
 from .multimeter import (
     INDUCTION_TOL,
     Multimeter,
-    _basis_effects,
     _dilation_couplings,
     induced_channel,
     induced_observable,
@@ -74,7 +73,7 @@ DEFAULT_SEARCH_THRESHOLDS = {
 #: Most samples one search or convex-hull run may draw; larger counts are
 #: refused before any sample.  It admits the 2,000-trial channel-bundle
 #: scenario, the 10^4-trial searches of the test suite and the benchmark's
-#: 500.  A (3, 3) search takes about 0.22 s per 10^4 samples on a 2-CPU
+#: 500.  A (3, 3) search takes about 0.11 s per 10^4 samples on a 2-CPU
 #: x86 machine with one BLAS thread; the cost per sample grows with the
 #: dimensions and meter size.
 MAX_TRIALS = 100_000
@@ -411,7 +410,7 @@ def _probe_coordinates(phis: np.ndarray) -> np.ndarray:
 
 
 def _stacked_effects(q: np.ndarray, a: np.ndarray, dim_h: int) -> np.ndarray:
-    """Effects induced on a stack of samples, each programmed by several pure probes.
+    """Effects induced on a chunk of samples, each programmed by several pure probes.
 
     A sample is ``(Q, a)``: ``Q`` of shape ``(n, dim_h, m)`` with
     ``n = dim_h * dim_k`` holds the programmed columns ``g (I (x) u_j)`` of a
@@ -419,27 +418,40 @@ def _stacked_effects(q: np.ndarray, a: np.ndarray, dim_h: int) -> np.ndarray:
     and row ``p`` of ``a`` holds probe ``p``'s coordinates in them.  With
     ``u_j = e_j`` and ``m = dim_k``, ``Q`` is ``g`` itself and ``a`` the
     probes.  With the computational-basis pointer, outcome ``i`` reads the
-    rows ``(r, i)`` of ``M = Q a_p = g (I (x) phi_p)``: the singleton
-    supports of :func:`~qmultimeter.multimeter._basis_effects`.  ``q`` has
-    shape ``(T, n, dim_h, m)`` and ``a`` shape ``(T, P, m)``; the result
-    has shape ``(T, P, dim_k, dim_h, dim_h)``.
+    rows ``(r, i)`` of ``M = Q a_p = g (I (x) phi_p)``, the slot ``B_i``,
+    and its effect is the Gram matrix ``B_i* B_i``.
+
+    The chunk is sample-minor: the sample axis is last and contiguous, so
+    ``q`` has shape ``(n, dim_h, m, T)``, ``a`` shape ``(P, m, T)`` and the
+    result shape ``(P, dim_k, dim_h, dim_h, T)``.  Each product is one
+    ``einsum`` whose inner loop runs over the ``T`` samples, where a stack of
+    tiny matrices would pay one ``matmul`` call per matrix.  ``einsum`` adds
+    the terms of each entry in one order whatever ``T`` is, so a sample
+    evaluated alone gives what it gives in its chunk, bit for bit (a test
+    checks this).
     """
-    n = q.shape[1]
-    m = np.einsum("tahk,tpk->tpah", q, a)
-    return _basis_effects(m.reshape(*a.shape[:2], dim_h, n // dim_h, dim_h), None)
+    n, t = len(q), q.shape[-1]
+    m = np.einsum("ahkt,pkt->paht", q, a).reshape(len(a), dim_h, n // dim_h, dim_h, t)
+    return np.einsum("prict,pridt->picdt", m.conj(), m)
+
+
+def _matrix_norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the two axes before the last of a sample-minor stack."""
+    return np.sqrt(np.einsum("...cet,...cet->...t", x.conj(), x).real)
 
 
 def _search_stats(q: np.ndarray, a: np.ndarray, dim_h: int) -> tuple:
-    """Sharpness residual, probe overlap and device distance per sample of a stack.
+    """Sharpness residual, probe overlap and device distance per sample of a chunk.
 
-    ``a`` holds one probe pair per sample.  The sharpness residual is the
+    ``q`` and ``a`` are sample-minor, as :func:`_stacked_effects` takes
+    them, with one probe pair per sample.  The sharpness residual is the
     largest ``||E^2 - E||`` over the effects of both induced observables, the
     distance the largest ``||E_1(i) - E_2(i)||`` over outcomes ``i``.
     """
     e = _stacked_effects(q, a, dim_h)
-    sharp = np.linalg.norm(e @ e - e, axis=(-2, -1)).max(axis=(1, 2))
-    distance = np.linalg.norm(e[:, 0] - e[:, 1], axis=(-2, -1)).max(axis=1)
-    overlap = np.abs(np.sum(a[:, 0].conj() * a[:, 1], axis=-1))
+    sharp = _matrix_norms(np.einsum("picdt,pidet->picet", e, e) - e).max(axis=(0, 1))
+    distance = _matrix_norms(e[0] - e[1]).max(axis=0)
+    overlap = np.abs(np.sum(a[0].conj() * a[1], axis=0))
     return sharp, overlap, distance
 
 
@@ -464,7 +476,7 @@ def _structured_couplings(
 
 
 def _draw_samples(dim_h: int, dim_k: int, size: int, rng: np.random.Generator) -> tuple:
-    """``(Q, a, structured count)`` of ``size`` search samples; see :func:`_stacked_effects`.
+    """``(Q, a, structured count)`` of ``size`` sample-minor samples; see :func:`_stacked_effects`.
 
     A Haar coupling ``g`` and Haar probes ``(phi_1, phi_2)`` enter the
     induced observables only through ``g (I (x) u_j)`` for an orthonormal
@@ -473,7 +485,8 @@ def _draw_samples(dim_h: int, dim_k: int, size: int, rng: np.random.Generator) -
     ``dim_k > 2`` only they are drawn.  For ``dim_k <= 2`` the standard
     basis spans K: ``Q`` is the whole coupling and ``a`` the probes.  A
     structured sample takes the columns ``j < 2`` of its coupling, with
-    probes ``e_0`` and ``e_1``.
+    probes ``e_0`` and ``e_1``.  The samples are drawn sample-major and
+    transposed once, at the end, so the layout changes no draw.
     """
     n = dim_h * dim_k
     span = min(dim_k, 2)
@@ -485,7 +498,8 @@ def _draw_samples(dim_h: int, dim_k: int, size: int, rng: np.random.Generator) -
         g = _structured_couplings(dim_h, dim_k, count, rng)
         q[structured] = g.reshape(count, n, dim_h, dim_k)[..., :2]
         phis[structured] = np.eye(dim_k)[:2]
-    return q, phis if dim_k <= 2 else _probe_coordinates(phis), count
+    a = phis if dim_k <= 2 else _probe_coordinates(phis)
+    return np.moveaxis(q, 0, -1).copy(), np.moveaxis(a, 0, -1).copy(), count
 
 
 def _refine(q, a, thresholds, dim_h, rng):
@@ -496,11 +510,12 @@ def _refine(q, a, thresholds, dim_h, rng):
     geometric step decay; the objective is non-smooth at projection
     boundaries so no derivatives are assumed.  Any probe pair and coupling
     reach only the span of the probes, so the descent in ``(Q, a)`` is the
-    descent over couplings and probes of that span.
+    descent over couplings and probes of that span.  The sample is held
+    sample-minor, as a chunk of one (see :func:`_stacked_effects`).
     """
 
     def objective(q, a):
-        sharp, overlap, distance = (x[0] for x in _search_stats(q[None], a[None], dim_h))
+        sharp, overlap, distance = (x[0] for x in _search_stats(q, a, dim_h))
         return (
             sharp
             + 10.0 * max(0.0, thresholds["overlap"] - overlap)
@@ -515,7 +530,7 @@ def _refine(q, a, thresholds, dim_h, rng):
         cand_q, cand_a = q, a
         if move < 2:
             cand_a = a.copy()
-            j = rng.integers(0, a.shape[-1])
+            j = rng.integers(0, a.shape[1])
             cand_a[move, j] += step * (rng.normal() + 1j * rng.normal())
             cand_a[move] /= np.linalg.norm(cand_a[move])
         else:
@@ -563,15 +578,14 @@ def counterexample_search(
 
     Samples are drawn and evaluated in chunks of stacked arrays whose size
     depends only on the dimensions, so a seed gives the same report on
-    every run.  A sample's observables depend on its coupling only through
-    the columns that program the probes' span, so for ``dim_k > 2`` only
-    that Haar isometry is drawn and refined (see :func:`_draw_samples`).
-    This changed the stream, and with it a seed's floor values, for
-    ``dim_k > 2``; for ``dim_k <= 2`` the whole coupling is drawn as
-    before, and every report is unchanged.  When no sample qualifies --
-    ``trials <= 0``, or ``dim_k = 1``, where every probe induces the same
-    trivial observable -- nothing was tested: the verdict is
-    ``not_applicable`` and the floor residuals are omitted.
+    every run.  A chunk is evaluated with the sample axis last, one
+    ``einsum`` per product (see :func:`_stacked_effects`).  A sample's
+    observables depend on its coupling only through the columns that
+    program the probes' span, so for ``dim_k > 2`` only that Haar isometry
+    is drawn and refined (see :func:`_draw_samples`).  When no sample
+    qualifies -- ``trials <= 0``, or ``dim_k = 1``, where every probe
+    induces the same trivial observable -- nothing was tested: the verdict
+    is ``not_applicable`` and the floor residuals are omitted.
 
     Raises
     ------
@@ -613,15 +627,14 @@ def counterexample_search(
             i = idx[np.argmin(sharp[idx])]
             if best is None or sharp[i] < best[0]:
                 stats = (float(sharp[i]), float(overlap[i]), float(distance[i]))
-                best = (*stats, q[i].copy(), a[i].copy())
+                best = (*stats, q[..., i : i + 1].copy(), a[..., i : i + 1].copy())
 
     for start in range(0, trials, chunk):
         q, a, count = _draw_samples(dim_h, dim_k, min(chunk, trials - start), rng)
         structured_count += count
         tally(q, a)
     if refine and best is not None:
-        q, a = _refine(*best[3:], thr, dim_h, rng)
-        tally(q[None], a[None])
+        tally(*_refine(*best[3:], thr, dim_h, rng))
     residuals = {}
     if best is not None:
         residuals = {

@@ -1622,6 +1622,27 @@ class TestFamilyIsItsStack:
                     expected = np.tensordot(kernel.weights, expected, axes=(0, 0))
                 assert np.array_equal(induced_observable(model).effects, np.asarray(expected))
 
+    @pytest.mark.parametrize("smeared", [False, True], ids=["no-kernel", "kernel"])
+    def test_dense_pointer_induction_keeps_its_product(self, monkeypatch, rng, smeared):
+        # the stack the induction builds and validates is the one the observable
+        # keeps: validated once, never copied
+        meter, probe = spin_pair_part()
+        kernel = fractional_kernel(len(meter.pointer), rng) if smeared else None
+        validated, validate = [], qmultimeter.observables._validated
+
+        def recorded(dim, labels, effects, tol):
+            validated.append(effects)
+            return validate(dim, labels, effects, tol)
+
+        monkeypatch.setattr(qmultimeter.observables, "_validated", recorded)
+        induced = induced_observable(make_model(meter, probe, kernel=kernel))
+        assert len(validated) == 1 and type(validated[0]) is np.ndarray
+        assert np.shares_memory(induced.effects, validated[0])
+        assert induced.effects is validated[0]
+        # make_observable still copies a stack its caller keeps
+        copy = make_observable(2, induced.outcomes, validated[0]).effects
+        assert not np.shares_memory(copy, validated[0])
+
 
 def whole_program_blocks(model):
     """:func:`_program_blocks` with every apparatus column of the coupling multiplied."""
@@ -1635,6 +1656,12 @@ def whole_program_blocks(model):
     m = np.stack([v.reshape(-1, meter.dim_k) @ psis for v in meter.interaction.kraus])
     m = m.reshape(-1, meter.dim_h, meter.dim_k, meter.dim_h, psis.shape[1])
     return np.moveaxis(m, -1, 0).reshape(-1, meter.dim_h, meter.dim_k, meter.dim_h)
+
+
+def slot_grams(m):
+    """Gram matrix ``B_i* B_i`` of each slot ``i`` of program maps ``m[..., r, i, c]``."""
+    slots = m.swapaxes(-2, -3)
+    return slots.conj().swapaxes(-1, -2) @ slots
 
 
 def subset_probes(dim, size, rng):
@@ -1697,8 +1724,8 @@ class TestProgramBlocksOnSupport:
             else:
                 # a block eigendecomposition fixes other eigenvector phases;
                 # the summed slot Grams do not depend on them
-                grams = _basis_effects(blocks, None).sum(axis=0)
-                assert np.abs(grams - _basis_effects(whole, None).sum(axis=0)).max() <= 1e-15
+                grams = slot_grams(blocks).sum(axis=0)
+                assert np.abs(grams - slot_grams(whole).sum(axis=0)).max() <= 1e-15
 
     def test_program_maps_copy_no_coupling(self, rng):
         meter, probes = bench_bundle()
@@ -1714,7 +1741,7 @@ class TestProgramBlocksOnSupport:
         selector, mixture, dense = [(m, whole_program_blocks(model)) for m, model in zip(maps, models)]
         assert np.array_equal(*selector)
         assert np.abs(dense[0] - dense[1]).max() <= 1e-15
-        grams = [_basis_effects(m, None).sum(axis=0) for m in mixture]
+        grams = [slot_grams(m).sum(axis=0) for m in mixture]
         assert np.abs(grams[0] - grams[1]).max() <= 1e-15
 
     def test_zero_probe_columns_are_not_multiplied(self):
@@ -1737,7 +1764,7 @@ class TestProgramBlocksOnSupport:
         weights = meter.pointer._marks
         for probe in [*probes, mixed, random_state_vector(meter.dim_k, rng)]:
             m = _program_blocks(make_model(meter, probe)).reshape(-1, meter.dim_k, meter.dim_h)
-            grams = _basis_effects(m, None)
+            grams = slot_grams(m)
             summed = weights.astype(complex) @ grams.reshape(meter.dim_k, -1)
             expected = summed.reshape(len(weights), meter.dim_h, meter.dim_h)
             assert np.array_equal(_basis_effects(m, weights), expected)

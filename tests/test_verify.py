@@ -23,6 +23,7 @@ from qmultimeter.observables import (
     spin_observable,
 )
 from qmultimeter.operators import (
+    haar_isometry,
     haar_unitary,
     projector,
     random_state_vector,
@@ -373,6 +374,126 @@ class TestPurification:
             check_purification(meter, probe, kind=kind)
 
 
+def batch_first(x):
+    """A sample-minor search array with its sample axis moved to the front."""
+    return np.moveaxis(x, -1, 0)
+
+
+def sample_minor(x):
+    """A batch-first search array in the search's sample-minor layout."""
+    return np.moveaxis(x, 0, -1).copy()
+
+
+def stacked_effects(q, a, dim_h):
+    """``verify._stacked_effects`` of batch-first ``(T, ...)`` samples, batch-first."""
+    return batch_first(verify._stacked_effects(sample_minor(q), sample_minor(a), dim_h))
+
+
+def reference_search_stats(q, a, dim_h):
+    """Search statistics of a batch-first chunk by the textbook formulas, one matrix at a time.
+
+    ``q`` has shape ``(T, n, dim_h, m)`` and ``a`` shape ``(T, 2, m)``.  The
+    effect of slot ``i`` is the Gram matrix ``B_i* B_i`` of the rows
+    ``(r, i)`` of ``M = Q a_p``, by a stacked ``matmul``; the residuals are
+    ``np.linalg.norm`` of ``E @ E - E`` and of ``E_1(i) - E_2(i)``.
+    """
+    t, n = q.shape[:2]
+    m = np.einsum("tahk,tpk->tpah", q, a).reshape(t, a.shape[1], dim_h, n // dim_h, dim_h)
+    slots = m.swapaxes(-2, -3)
+    e = slots.conj().swapaxes(-1, -2) @ slots
+    sharp = np.linalg.norm(e @ e - e, axis=(-2, -1)).max(axis=(1, 2))
+    distance = np.linalg.norm(e[:, 0] - e[:, 1], axis=(-2, -1)).max(axis=1)
+    overlap = np.abs(np.sum(a[:, 0].conj() * a[:, 1], axis=-1))
+    return sharp, overlap, distance
+
+
+SEARCH_CELLS = [(2, 2), (2, 3), (2, 4), (3, 3)]
+
+
+def search_chunk(monkeypatch, dim_h, dim_k, rate, seed):
+    """One full sample-minor chunk of the search with structured samples at ``rate``."""
+    monkeypatch.setattr(verify, "_STRUCTURED_RATE", rate)
+    n = dim_h * dim_k
+    size = min(verify._SEARCH_CHUNK, verify._SEARCH_CHUNK_ELEMENTS // n**2)
+    return verify._draw_samples(dim_h, dim_k, size, np.random.default_rng(seed))
+
+
+class TestSampleMinorKernel:
+    @pytest.mark.parametrize("dim_h, dim_k", SEARCH_CELLS)
+    @pytest.mark.parametrize("rate, thresholds", [
+        (verify._STRUCTURED_RATE, {}),
+        (1.0, {}),
+        (1.0, {"overlap": 0.0}),
+        (0.5, {"overlap": 0.0}),
+    ], ids=["random", "structured", "structured-inversion", "mixed-inversion"])
+    def test_kernel_matches_reference(self, monkeypatch, dim_h, dim_k, rate, thresholds):
+        # the einsum kernel decides what the textbook formulas decide: the
+        # same qualifying samples, violations and floor sample, with every
+        # float within a few rounding errors
+        thr = {**verify.DEFAULT_SEARCH_THRESHOLDS, **thresholds}
+        for seed in range(3):
+            q, a, count = search_chunk(monkeypatch, dim_h, dim_k, rate, seed)
+            assert count > 0
+            new = verify._search_stats(q, a, dim_h)
+            old = reference_search_stats(batch_first(q), batch_first(a), dim_h)
+            for x, y in zip(new, old):
+                assert x.shape == y.shape == (q.shape[-1],)
+                assert np.abs(x - y).max() <= 1e-14
+            decisions = []
+            for sharp, overlap, distance in (new, old):
+                mask = (overlap >= thr["overlap"]) & (distance >= thr["distance"])
+                idx = np.flatnonzero(mask)
+                floor = sharp[idx].min() if idx.size else None
+                violating = mask & (sharp <= thr["sharp_residual"])
+                decisions.append((mask, violating, floor))
+            (mask, violating, floor), (ref_mask, ref_violating, ref_floor) = decisions
+            assert np.array_equal(mask, ref_mask) and np.array_equal(violating, ref_violating)
+            if floor is None:
+                assert ref_floor is None
+                continue
+            assert abs(floor - ref_floor) <= 1e-14
+            idx = np.flatnonzero(mask)
+            lowest = np.sort(old[0][idx])[:2]
+            if lowest.size == 1 or lowest[1] - lowest[0] > 2e-14:
+                # the reference orders the floor beyond rounding: the same sample
+                assert idx[np.argmin(new[0][idx])] == idx[np.argmin(old[0][idx])]
+            else:
+                # a tie within rounding, among structured samples sharp to rounding
+                assert floor <= 1e-14
+
+    @pytest.mark.parametrize("dim_h, dim_k", SEARCH_CELLS)
+    def test_sample_alone_equals_sample_in_its_chunk(self, monkeypatch, dim_h, dim_k):
+        # the refined sample is compared with the chunk's floor, so a chunk of
+        # one must give every sample's statistics bit for bit
+        q, a, count = search_chunk(monkeypatch, dim_h, dim_k, 0.5, dim_h * dim_k)
+        assert count > 0
+        chunk = verify._search_stats(q, a, dim_h)
+        for t in range(q.shape[-1]):
+            alone = verify._search_stats(q[..., t : t + 1].copy(), a[..., t : t + 1].copy(), dim_h)
+            for x, y in zip(alone, chunk):
+                assert x.shape == (1,) and x[0] == y[t]
+
+    def test_layout_draws_the_same_samples(self, monkeypatch):
+        # the chunk is drawn as before and transposed once: moving the sample
+        # axis back gives the sample-major draw of the same stream
+        for dim_h, dim_k in SEARCH_CELLS:
+            n, span = dim_h * dim_k, min(dim_k, 2)
+            q, a, count = search_chunk(monkeypatch, dim_h, dim_k, 0.5, 1)
+            t = q.shape[-1]
+            assert q.shape == (n, dim_h, span, t) and a.shape == (2, span, t)
+            assert q.flags.c_contiguous and a.flags.c_contiguous
+            rng = np.random.default_rng(1)
+            structured = (rng.random(t) < 0.5) & (dim_k >= 2)
+            draw = haar_isometry(n, dim_h * span, rng, batch=(t,))
+            phis = random_state_vector(dim_k, rng, batch=(t, 2))
+            if dim_k > 2:
+                phis = verify._probe_coordinates(phis)
+            assert count == np.count_nonzero(structured)
+            samples = batch_first(q)[~structured], batch_first(a)[~structured]
+            assert np.array_equal(samples[0], draw[~structured].reshape(-1, n, dim_h, span))
+            assert np.array_equal(samples[1], phis[~structured])
+
+
 class TestCounterexampleSearch:
     @staticmethod
     def _full_path_effects(g, dim_h, dim_k, probes):
@@ -390,7 +511,7 @@ class TestCounterexampleSearch:
         # induces: Q = g (I (x) [u1 u2]) for an orthonormal pair spanning the
         # probes, with a the probes' coordinates -- for random, parallel and
         # structured probe pairs
-        from qmultimeter.verify import _draw_samples, _probe_coordinates, _stacked_effects
+        from qmultimeter.verify import _draw_samples, _probe_coordinates
 
         couplings, structured_couplings = [], verify._structured_couplings
 
@@ -414,13 +535,14 @@ class TestCounterexampleSearch:
                     rest -= np.vdot(u1, rest) * u1
                 u = np.stack([u1, rest / np.linalg.norm(rest)], axis=1)
                 q = np.einsum("ahk,kj->ahj", g[t].reshape(n, dim_h, dim_k), u)
-                effects = _stacked_effects(q[None], a[t][None], dim_h)[0]
+                effects = stacked_effects(q[None], a[t][None], dim_h)[0]
                 for p, full in enumerate(self._full_path_effects(g[t], dim_h, dim_k, phis[t])):
                     assert np.linalg.norm(full - effects[p]) <= 1e-12
 
             q, a, count = _draw_samples(dim_h, dim_k, 2, rng)
+            q, a = batch_first(q), batch_first(a)
             assert count == 2 and np.array_equal(a, np.broadcast_to(np.eye(2), (2, 2, 2)))
-            effects = _stacked_effects(q, a, dim_h)
+            effects = stacked_effects(q, a, dim_h)
             for t, g in enumerate(couplings[-1]):
                 for p, full in enumerate(self._full_path_effects(g, dim_h, dim_k, np.eye(dim_k)[:2])):
                     assert np.linalg.norm(full - effects[t, p]) <= 1e-12
@@ -429,17 +551,17 @@ class TestCounterexampleSearch:
         # by Haar invariance the isometry on the probe span induces the same
         # distribution as a whole coupling: the mean of tr E(i)^2 agrees
         from qmultimeter import multimeter, observables, verify
-        from qmultimeter.verify import _draw_samples, _stacked_effects
+        from qmultimeter.verify import _draw_samples
 
         dim_h, dim_k, count = 2, 3, 20_000
         rng = np.random.default_rng(2024)
         g = haar_unitary(dim_h * dim_k, rng, batch=(count,))
         phis = random_state_vector(dim_k, rng, batch=(count, 2))
-        full = _stacked_effects(g.reshape(count, -1, dim_h, dim_k), phis, dim_h)
+        full = stacked_effects(g.reshape(count, -1, dim_h, dim_k), phis, dim_h)
         monkeypatch.setattr(verify, "_STRUCTURED_RATE", 0.0)
         q, a, structured = _draw_samples(dim_h, dim_k, count, rng)
-        assert structured == 0 and q.shape == (count, dim_h * dim_k, dim_h, 2)
-        reduced = _stacked_effects(q, a, dim_h)
+        assert structured == 0 and q.shape == (dim_h * dim_k, dim_h, 2, count)
+        reduced = stacked_effects(batch_first(q), batch_first(a), dim_h)
         purities = []
         for e in (full, reduced):
             x = np.einsum("tpiab,tpiba->tpi", e, e).real.reshape(count, -1)
@@ -452,7 +574,7 @@ class TestCounterexampleSearch:
         # needed; stacking all dim_k of them would take 256 MB here
         import tracemalloc
 
-        from qmultimeter.verify import _stacked_effects, _structured_couplings
+        from qmultimeter.verify import _structured_couplings
 
         dim_h, dim_k = 2, 256
         n = dim_h * dim_k
@@ -466,7 +588,7 @@ class TestCounterexampleSearch:
         for u in g:
             assert np.linalg.norm(u @ u.conj().T - np.eye(n)) <= 1e-10
         phis = np.broadcast_to(np.eye(dim_k, dtype=complex)[:2], (2, 2, dim_k))
-        e = _stacked_effects(g.reshape(2, n, dim_h, dim_k), phis, dim_h)
+        e = stacked_effects(g.reshape(2, n, dim_h, dim_k), phis, dim_h)
         assert np.linalg.norm(e @ e - e) <= 1e-10
         assert np.linalg.norm(e[:, 0] - e[:, 1], axis=(-2, -1)).max(axis=1).min() > 0.5
 
@@ -568,12 +690,12 @@ class TestCounterexampleSearch:
         "trials, seed, refine, residuals, details",
         [
             (500, 11, False,
-             {"best_sharp_residual": 0.02495293555000451, "overlap_at_best": 0.9643053266626338,
+             {"best_sharp_residual": 0.02495293555000458, "overlap_at_best": 0.9643053266626338,
               "distance_at_best": 0.03235656677890913, "violations": 0.0,
               "qualifying_samples": 472.0, "structured_samples": 28.0},
              "500 samples, 472 qualifying, no violation; empirical sharpness floor 2.495e-02"),
             (300, 5, True,
-             {"best_sharp_residual": 0.01869189266941282, "overlap_at_best": 0.6944214563677712,
+             {"best_sharp_residual": 0.018691892669412895, "overlap_at_best": 0.6944214563677712,
               "distance_at_best": 0.2144378455988522, "violations": 0.0,
               "qualifying_samples": 283.0, "structured_samples": 18.0},
              "300 samples, 283 qualifying, no violation; empirical sharpness floor 1.869e-02"),
