@@ -8,7 +8,6 @@ from .channels import (
     complete_contraction,
     identity_channel,
     is_extreme_channel,
-    is_multiplicative,
     make_channel,
     minimal_kraus,
     multiplicativity_residual,

@@ -17,18 +17,13 @@ from .exceptions import DimensionError, ValidationError
 from .operators import (
     DEFAULT_TOL,
     DIMENSION_CAP,
-    _frobenius_norms,
     _independent_products,
     _Stacked,
     check_state_vector,
     dagger,
     embed_factors,
     frobenius_norm,
-    is_projection,
 )
-
-#: Most entries of the products that :func:`_dual_images` forms at once.
-_IMAGE_CHUNK_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,50 +236,25 @@ def minimal_kraus(c: Channel) -> np.ndarray:
     return (vecs[:, keep] * np.sqrt(eigvals[keep])).T.reshape(-1, c.dim, c.dim)
 
 
-def _projector_family(dim: int) -> np.ndarray:
-    """Rank-1 projectors whose complex span is all of ``L(H)``, as the stack of their unit vectors."""
-    eye = np.eye(dim, dtype=complex)
-    vectors = [eye[i] for i in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            vectors.append((eye[i] + eye[j]) / np.sqrt(2))
-            vectors.append((eye[i] + 1j * eye[j]) / np.sqrt(2))
-    return np.array(vectors)
-
-
-def _dual_images(c: Channel):
-    """Heisenberg images ``sum_i K_i* P K_i`` of :func:`_projector_family`, in stacks.
-
-    Each stack is one product of the Kraus stack with the projectors of a
-    run of the family, summed over the operators in their order, as
-    :func:`apply` sums them; a run holds as many projectors as keep the
-    product within ``_IMAGE_CHUNK_ELEMENTS`` entries, at least one, and
-    only its projectors are formed.
-    """
-    vectors = _projector_family(c.dim)
-    k = c.kraus
-    step = max(1, _IMAGE_CHUNK_ELEMENTS // k.size)
-    for start in range(0, len(vectors), step):
-        v = vectors[start:start + step]
-        projectors = v[:, :, None] * v.conj()[:, None, :]
-        yield (dagger(k) @ projectors[:, None] @ k).sum(axis=1)
-
-
-def is_multiplicative(c: Channel, tol: float = DEFAULT_TOL) -> bool:
-    """Heisenberg-picture multiplicativity, decided on projections.
-
-    The dual of a multiplicative channel maps projections to projections;
-    conversely, projection preservation on a family of rank-1 projectors
-    spanning ``L(H)`` forces multiplicativity.  Only the spanning family
-    is tested.
-    """
-    return all(is_projection(images, tol) for images in _dual_images(c))
-
-
 def multiplicativity_residual(c: Channel) -> float:
-    """Largest projection defect of dual images over the spanning family."""
-    return max(float(_frobenius_norms(images @ images - images).max())
-               for images in _dual_images(c))
+    """``1 - lambda_max / dim``, ``lambda_max`` the largest eigenvalue of the Choi matrix.
+
+    The dual map is multiplicative exactly when the channel is unitary,
+    that is when its Choi matrix has rank one (Choi 1975); its trace is
+    ``dim``, so the residual vanishes exactly then.  The Gram matrix
+    ``G_ab = tr(K_a* K_b)`` of the Kraus stack has the Choi matrix's
+    nonzero spectrum, so the smaller of the two is diagonalised: ``G``
+    for at most ``dim**2`` operators, :func:`choi_matrix` otherwise.  The
+    residual is unchanged by a unitary on ``H`` and by a change of Kraus
+    representation.
+    """
+    k = c.kraus
+    if len(k) <= c.dim * c.dim:
+        x = k.reshape(len(k), -1)
+        gram = x.conj() @ x.T
+    else:
+        gram = choi_matrix(c)
+    return 1.0 - float(np.linalg.eigvalsh(gram)[-1]) / c.dim
 
 
 def is_extreme_channel(c: Channel) -> bool:

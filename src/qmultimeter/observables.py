@@ -365,14 +365,18 @@ def is_extreme(e: Observable) -> bool:
 
 
 def mix(lam: float, e: Observable, f: Observable) -> Observable:
-    """Convex combination ``lam * e + (1 - lam) * f`` effect by effect."""
+    """Convex combination ``lam * e + (1 - lam) * f`` effect by effect.
+
+    The combination is a fresh stack, so it is validated and kept, not copied.
+    """
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"mixing weight {lam} outside [0, 1]")
     if e.dim != f.dim:
         raise DimensionError(f"dimension mismatch: {e.dim} vs {f.dim}")
     if e.outcomes != f.outcomes:
         raise ValidationError(f"outcome labels differ: {e.outcomes} vs {f.outcomes}")
-    return make_observable(e.dim, e.outcomes, lam * e.effects + (1 - lam) * f.effects)
+    return Observable._from_stack(
+        e.dim, e.outcomes, lam * e.effects + (1 - lam) * f.effects, DEFAULT_TOL)
 
 
 def post_process(e: Observable, k: StochasticKernel, labels=None) -> Observable:

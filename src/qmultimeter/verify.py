@@ -51,7 +51,10 @@ from .operators import (
 )
 
 #: A device whose sharpness / multiplicativity residual is below this is
-#: treated as sharp / unitary in hypothesis checks.
+#: treated as sharp / unitary in hypothesis checks.  Both residuals grow
+#: linearly with the weight ``w`` of a non-ideal part mixed into an ideal
+#: device: the channel with Kraus operators ``sqrt(1 - w) I`` and
+#: ``sqrt(w) Z`` reads exactly ``w``.
 SHARP_RESIDUAL_TOL = 1e-6
 
 #: Devices further apart than this (Frobenius / Choi-Frobenius) are distinct.
@@ -241,8 +244,9 @@ def check_channel_program_orthogonality(
 ) -> VerificationReport:
     """Distinct unitary channels force orthogonal program vectors.
 
-    Unitarity is detected through multiplicativity of the dual map.  On a
-    normal multimeter the check also fires on one unitary and one extreme
+    A channel is unitary when its Choi matrix has rank one, which
+    :func:`~qmultimeter.channels.multiplicativity_residual` decides from
+    one eigenvalue.  On a normal multimeter the check also fires on one unitary and one extreme
     induced channel.
     """
     return _check_program_orthogonality(

@@ -13,8 +13,8 @@ from qmultimeter.channels import (
     channel_distance,
     choi_matrix,
     identity_channel,
-    is_multiplicative,
     make_channel,
+    multiplicativity_residual,
     random_channel,
     stinespring_commutant_residual,
     unitary_channel,
@@ -344,7 +344,7 @@ def test_criterion_9_equivalence_suites():
         a, w = naimark_dilation(obs)
         sharp_by_commutant = naimark_check(obs, a, w)["commutant_residual"] <= 1e-6
         ok &= sharp_by_projection == sharp_by_product == sharp_by_commutant
-    # multiplicativity: direct products <=> projection preservation <=>
+    # multiplicativity: direct products <=> rank-one Choi matrix <=>
     # commuting Stinespring dilation
     for case in range(200):
         d = 2 + case % 2
@@ -361,7 +361,7 @@ def test_criterion_9_equivalence_suites():
             )
             direct = max(direct, np.linalg.norm(gap))
         multiplicative_direct = direct <= 1e-6
-        projection_preserving = is_multiplicative(c, 1e-6)
+        unitary = multiplicativity_residual(c) <= 1e-6
         commutant = stinespring_commutant_residual(c) <= 1e-6
-        ok &= multiplicative_direct == projection_preserving == commutant
+        ok &= multiplicative_direct == unitary == commutant
     report(9, "sharpness and multiplicativity equivalences (200 + 200)", ok)

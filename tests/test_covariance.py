@@ -129,12 +129,11 @@ ROTATIONS = {
 
 #: Residuals that a rotation changes, so that only the verdicts they decide
 #: are compared: the convex hull draws its random programs in the frame of
-#: the probes, and the multiplicativity residual tests a fixed family of
-#: projectors on H.
+#: the probes.  Every other residual is compared by value.
 FRAME_DEPENDENT = {
     "program": {"max_pure_residual", "max_mixed_residual"},
     "pointer": set(),
-    "system": {"multiplicativity_residual_1", "multiplicativity_residual_2"},
+    "system": set(),
 }
 
 

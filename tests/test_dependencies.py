@@ -30,7 +30,7 @@ def test_package_imports_only_the_standard_library_and_numpy():
 
 
 #: Defaulted parameters of the package's public module-level functions.
-DEFAULTED_PARAMETERS = 39
+DEFAULTED_PARAMETERS = 38
 
 
 def defaulted_parameters(path):

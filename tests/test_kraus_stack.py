@@ -20,7 +20,6 @@ from qmultimeter.channels import (
     channel_distance,
     choi_matrix,
     is_extreme_channel,
-    is_multiplicative,
     make_channel,
     minimal_kraus,
     multiplicativity_residual,
@@ -35,7 +34,7 @@ from qmultimeter.multimeter import (
     push_button_multimeter,
 )
 from qmultimeter.observables import random_sharp_observable
-from qmultimeter.operators import dagger, frobenius_norm, haar_unitary, random_state_vector
+from qmultimeter.operators import PAULI, dagger, frobenius_norm, haar_unitary, random_state_vector
 
 CHANNELS_PY = Path(channels.__file__)
 
@@ -98,7 +97,13 @@ def textbook_family(dim):
     return [np.outer(v, v.conj()) for v in vectors]
 
 
+def textbook_unitarity(c):
+    """``1 - lambda_max / dim`` of the Choi matrix: zero exactly for a unitary channel."""
+    return 1.0 - np.linalg.eigvalsh(textbook_choi(c))[-1] / c.dim
+
+
 def textbook_multiplicativity(c):
+    """Largest projection defect of the dual images of a family of rank-1 projectors spanning ``L(H)``."""
     worst = 0.0
     for p in textbook_family(c.dim):
         image = textbook_apply(c, p, "heisenberg")
@@ -142,7 +147,11 @@ def sample_channels(rng):
 
 
 def test_stacked_maps_match_textbook(rng):
-    for c in sample_channels(rng):
+    found = sample_channels(rng)
+    # the residual diagonalises the Kraus Gram matrix or, for more than
+    # dim**2 operators, the Choi matrix: both sides are sampled
+    assert {len(c) > c.dim**2 for c in found} == {True, False}
+    for c in found:
         x = rng.normal(size=(c.dim, c.dim)) + 1j * rng.normal(size=(c.dim, c.dim))
         np.testing.assert_allclose(choi_matrix(c), textbook_choi(c), rtol=0, atol=ATOL)
         for picture in ("schrodinger", "heisenberg"):
@@ -153,10 +162,9 @@ def test_stacked_maps_match_textbook(rng):
             frobenius_norm(gram - np.eye(c.dim)), abs=ATOL)
         assert np.array_equal(stinespring_dilation(c), textbook_dilation(c))
         assert is_extreme_channel(c) == textbook_extreme(c)
+        assert multiplicativity_residual(c) == pytest.approx(textbook_unitarity(c), abs=ATOL)
         if c.dim <= 4:
-            assert multiplicativity_residual(c) == pytest.approx(
-                textbook_multiplicativity(c), abs=ATOL)
-            assert is_multiplicative(c) == (textbook_multiplicativity(c) <= 1e-9)
+            assert (multiplicativity_residual(c) <= 1e-9) == (textbook_multiplicativity(c) <= 1e-9)
 
 
 def test_distance_matches_textbook(rng):
@@ -183,30 +191,31 @@ def test_stack_is_read_only_and_views_it(rng):
     assert all(k.base is c.kraus and not k.flags.writeable for k in c.kraus)
 
 
-def test_multiplicativity_chunks_do_not_change_the_residual(monkeypatch):
-    c = random_channel(4, 3, 2)
-    whole = multiplicativity_residual(c)
-    monkeypatch.setattr(channels, "_IMAGE_CHUNK_ELEMENTS", 1)
-    assert multiplicativity_residual(c) == whole
-    assert is_multiplicative(make_channel([haar_unitary(4, np.random.default_rng(3))]))
+@pytest.mark.parametrize("delta2", [5e-7, 2e-6])
+def test_two_kraus_residual_is_the_small_weight(delta2):
+    # Choi spectrum {2 (1 - delta^2), 2 delta^2}, so the residual is delta^2,
+    # once below and once above SHARP_RESIDUAL_TOL = 1e-6
+    c = make_channel([np.sqrt(1 - delta2) * np.eye(2), np.sqrt(delta2) * PAULI[3]])
+    assert multiplicativity_residual(c) == pytest.approx(delta2, abs=4 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("channel", [
-    # 64 projectors times 8 operators of 8 x 8: 512 KiB per product
+    lambda: make_channel([haar_unitary(64, np.random.default_rng(4))]),
     lambda: random_channel(8, 8, 1),
-    # 256 projectors of 16 x 16: 1 MiB for the whole family
-    lambda: make_channel([haar_unitary(16, np.random.default_rng(4))]),
-], ids=["eight-operators", "unitary-16"])
-def test_multiplicativity_forms_one_run_at_a_time(monkeypatch, channel):
+], ids=["unitary-64", "eight-operators"])
+def test_multiplicativity_allocates_its_gram_matrix(channel):
+    # no d**2 x d**2 Choi matrix (256 MiB on C^64) and no family of d**2
+    # projectors: the constant covers the conjugated stack (64 KiB for the
+    # unitary) and eigvalsh's workspace
     c = channel()
-    monkeypatch.setattr(channels, "_IMAGE_CHUNK_ELEMENTS", 2**12)  # runs of 64 KiB
+    gram_bytes = len(c) ** 2 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
         multiplicativity_residual(c)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**19
+    assert peak <= gram_bytes + 2**17
 
 
 def test_induced_channel_keeps_the_reached_rows(rng):

@@ -195,6 +195,17 @@ class TestMix:
         with pytest.raises(ValidationError):
             mix(1.5, spin_trio[0], spin_trio[1])
 
+    def test_keeps_the_validated_combination(self, monkeypatch, spin_trio):
+        validated, validate = [], observables._validated
+
+        def recorded(dim, labels, effects, tol):
+            validated.append(effects)
+            return validate(dim, labels, effects, tol)
+
+        monkeypatch.setattr(observables, "_validated", recorded)
+        mixed = mix(0.3, spin_trio[2], spin_trio[0])
+        assert len(validated) == 1 and mixed.effects is validated[0]
+
 
 class TestPostProcess:
     def test_identity_kernel(self, spin_trio):
