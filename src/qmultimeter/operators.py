@@ -363,13 +363,56 @@ def check_density_operator(rho: np.ndarray, tol: float = 1e-6) -> np.ndarray:
 # random generators (explicit rng, reproducible by seed)
 
 
+#: Matrices per column from which :func:`_orthonormal_columns` runs Gram-Schmidt
+#: across the stack rather than one LAPACK ``qr`` per matrix.  With one BLAS
+#: thread on a 2-CPU Xeon container the two break even near 8 per column for
+#: (4, 4), (8, 4) and (9, 6) stacks and 16-32 for (16, 8); a (256, 4, 4) stack
+#: takes 0.27 ms against 0.75 ms, a single 64 x 64 matrix 2.5 ms against 0.45 ms.
+_GRAM_SCHMIDT_MIN_STACK = 16
+
+
+def _orthonormal_columns(z: np.ndarray) -> np.ndarray:
+    """``Q`` of ``z = QR`` with ``R``'s diagonal real and positive, for each matrix of ``z``.
+
+    A stack of at least ``_GRAM_SCHMIDT_MIN_STACK`` matrices per column is
+    orthonormalised sample-minor, with the stack axis last: column by
+    column, its projection on the earlier columns is subtracted twice
+    (classical Gram-Schmidt with one reorthogonalisation, which keeps the
+    columns orthonormal to rounding for any numerically independent set;
+    Giraud, Langou & Rozloznik 2005) and it is divided by its norm, each
+    step one ``einsum`` over the whole stack.  That gives ``R`` a positive
+    real diagonal.  Narrower stacks and single matrices take one ``qr``
+    call, whose ``R`` has an arbitrary diagonal phase; dividing each
+    column by that phase (Mezzadri 2007) makes the same factorisation,
+    which is unique for a matrix of full column rank.
+    """
+    *batch, rows, cols = z.shape
+    count = math.prod(batch)
+    if count < _GRAM_SCHMIDT_MIN_STACK * cols:
+        q, r = np.linalg.qr(z)
+        phases = np.diagonal(r, axis1=-2, axis2=-1)
+        phases = phases / np.abs(phases)
+        return q * phases.conj()[..., None, :]
+    q = np.transpose(z.reshape(count, rows, cols), (2, 1, 0)).copy()
+    for j in range(cols):
+        column, earlier = q[j], q[:j]
+        for _ in range(2 if j else 0):
+            coefficients = np.einsum("krt,rt->kt", earlier.conj(), column)
+            column -= np.einsum("krt,kt->rt", earlier, coefficients)
+        column /= np.linalg.norm(column, axis=0)
+    return np.transpose(q, (2, 1, 0)).reshape(*batch, rows, cols)
+
+
 def haar_isometry(rows: int, cols: int, rng: np.random.Generator, batch: tuple = ()) -> np.ndarray:
-    """Haar-random isometry ``C^cols -> C^rows`` via QR of a complex Gaussian matrix.
+    """Haar-random isometry ``C^cols -> C^rows``: the ``Q`` factor of a complex Gaussian matrix.
 
     Its columns are the first ``cols`` columns of a Haar-random unitary.
-    ``batch`` prepends stack axes: the whole stack takes one ``qr`` call,
-    and fixing the phase of each column (Mezzadri 2007) makes every matrix
-    of the stack Haar-distributed.
+    ``batch`` prepends stack axes.  ``Q`` is taken with ``R``'s diagonal
+    real and positive (Mezzadri 2007), which makes every matrix of the
+    stack Haar-distributed.  A stack of at least 16 matrices per column is
+    orthonormalised by Gram-Schmidt across the stack, anything smaller by
+    LAPACK's ``qr``: both compute that one factorisation, so the rule moves
+    rounding, never the law or the random stream.
 
     Raises
     ------
@@ -380,14 +423,11 @@ def haar_isometry(rows: int, cols: int, rng: np.random.Generator, batch: tuple =
         raise DimensionError(f"an isometry into C^{rows} has at most {rows} columns, got {cols}")
     shape = (*batch, rows, cols)
     z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r, axis1=-2, axis2=-1)
-    phases = phases / np.abs(phases)
-    return q * phases.conj()[..., None, :]
+    return _orthonormal_columns(z)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator, batch: tuple = ()) -> np.ndarray:
-    """Haar-random unitary: the square :func:`haar_isometry`; ``batch`` prepends stack axes."""
+    """Haar-random unitary: the square :func:`haar_isometry`, by the same rule for a stack."""
     return haar_isometry(dim, dim, rng, batch)
 
 

@@ -487,8 +487,12 @@ def _draw_samples(dim_h: int, dim_k: int, size: int, rng: np.random.Generator) -
     pair ``(u_1, u_2)`` spanning the probes.  By the invariance of Haar
     measure those ``2 * dim_h`` columns are a Haar isometry, so for
     ``dim_k > 2`` only they are drawn.  For ``dim_k <= 2`` the standard
-    basis spans K: ``Q`` is the whole coupling and ``a`` the probes.  A
-    structured sample takes the columns ``j < 2`` of its coupling, with
+    basis spans K: ``Q`` is the whole coupling and ``a`` the probes.  The
+    chunk's isometries are one :func:`haar_isometry` stack, orthonormalised
+    by Gram-Schmidt across its samples when it holds at least 16 per
+    column (every full chunk of the criterion-6 cells); a shorter chunk and
+    the few structured couplings take LAPACK's ``qr``, with the same law.
+    A structured sample takes the columns ``j < 2`` of its coupling, with
     probes ``e_0`` and ``e_1``.  The samples are drawn sample-major and
     transposed once, at the end, so the layout changes no draw.
     """
@@ -583,10 +587,12 @@ def counterexample_search(
     Samples are drawn and evaluated in chunks of stacked arrays whose size
     depends only on the dimensions, so a seed gives the same report on
     every run.  A chunk is evaluated with the sample axis last, one
-    ``einsum`` per product (see :func:`_stacked_effects`).  A sample's
-    observables depend on its coupling only through the columns that
-    program the probes' span, so for ``dim_k > 2`` only that Haar isometry
-    is drawn and refined (see :func:`_draw_samples`).  When no sample
+    ``einsum`` per product (see :func:`_stacked_effects`), and its Haar
+    draws are orthonormalised the same way, one column at a time across
+    the chunk (see :func:`~qmultimeter.operators.haar_isometry`).  A
+    sample's observables depend on its coupling only through the columns
+    that program the probes' span, so for ``dim_k > 2`` only that Haar
+    isometry is drawn and refined (see :func:`_draw_samples`).  When no sample
     qualifies -- ``trials <= 0``, or ``dim_k = 1``, where every probe
     induces the same trivial observable -- nothing was tested: the verdict
     is ``not_applicable`` and the floor residuals are omitted.

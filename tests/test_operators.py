@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from qmultimeter import DimensionError, PAULI, ValidationError
 from qmultimeter.operators import (
+    _GRAM_SCHMIDT_MIN_STACK,
+    _orthonormal_columns,
     check_density_operator,
+    dagger,
     eigenvalue_below,
     embed_factors,
     embed_program_isometry,
@@ -237,6 +240,23 @@ class TestPositivityCertificate:
             assert is_isometry(a, tol) == bool(left <= bound and right <= bound)
 
 
+def phase_fixed_qr(z):
+    """LAPACK's ``Q`` of each matrix of ``z``, each column divided by the phase of ``R``'s diagonal."""
+    q, r = np.linalg.qr(z)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases)).conj()[..., None, :]
+
+
+def gram_schmidt_once(z):
+    """Classical Gram-Schmidt without reorthogonalisation, matrix by matrix."""
+    q = np.array(z, dtype=complex)
+    for j in range(q.shape[-1]):
+        earlier = q[..., :j]
+        q[..., j] -= (earlier @ (dagger(earlier) @ q[..., j, None]))[..., 0]
+        q[..., j] /= np.linalg.norm(q[..., j], axis=-1, keepdims=True)
+    return q
+
+
 class TestRandomGenerators:
     def test_haar_unitary_deterministic_per_seed(self):
         u1 = haar_unitary(3, np.random.default_rng(5))
@@ -256,9 +276,9 @@ class TestRandomGenerators:
         assert psi.shape == (10, 2, 3)
         assert np.abs(np.linalg.norm(psi, axis=-1) - 1).max() <= 1e-12
 
-    @pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+    @pytest.mark.parametrize("batch", [(), (5,), (2, 3), (64,)])
     def test_haar_unitary_is_the_square_isometry(self, batch):
-        # bit for bit: the same draws, one qr, the same phase fix
+        # bit for bit: the same draws, the same orthonormalisation
         u = haar_unitary(4, np.random.default_rng(9), batch=batch)
         q = haar_isometry(4, 4, np.random.default_rng(9), batch=batch)
         assert u.shape == (*batch, 4, 4)
@@ -274,6 +294,47 @@ class TestRandomGenerators:
         assert is_isometry(haar_isometry(5, 2, rng))
         with pytest.raises(DimensionError, match="at most 3 columns"):
             haar_isometry(3, 4, rng)
+
+    @pytest.mark.parametrize(
+        "shape, gram_schmidt",
+        [((256, 4, 4), True), ((256, 8, 4), True), ((202, 9, 6), True), ((64, 4, 4), True),
+         ((63, 4, 4), False), ((10, 3, 3), False), ((64, 64), False), ((2, 3, 4, 4), False)],
+        ids=lambda x: "x".join(map(str, x)) if isinstance(x, tuple) else None,
+    )
+    def test_orthonormalisation_matches_phase_fixed_qr(self, monkeypatch, shape, gram_schmidt):
+        # both sides of the rule give LAPACK's Q with R's diagonal made
+        # positive: the one factorisation that makes a Gaussian stack Haar
+        *batch, rows, cols = shape
+        assert (np.prod(batch) >= _GRAM_SCHMIDT_MIN_STACK * cols) == gram_schmidt
+        rng = np.random.default_rng(sum(shape))
+        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        expected = phase_fixed_qr(z)
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(a.shape) or qr(a))
+        q = _orthonormal_columns(z)
+        assert calls == ([] if gram_schmidt else [shape])
+        assert q.shape == shape
+        assert np.abs(q - expected).max() <= 1e-13
+
+    def test_nearly_dependent_columns_stay_orthonormal(self):
+        # a column pair at condition number about 1e8 loses orthogonality to
+        # about 1e-8 in one Gram-Schmidt pass; the second pass restores it
+        rng = np.random.default_rng(28)
+        shape = (256, 6, 4)
+        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        z[..., 2] = z[..., 1] + 1e-8 * z[..., 2]
+        assert np.linalg.cond(z).min() >= 1e7
+        eye = np.eye(4)
+        once = gram_schmidt_once(z)
+        assert np.abs(dagger(once) @ once - eye).max() > 1e-12
+        q = _orthonormal_columns(z)
+        assert np.abs(dagger(q) @ q - eye).max() <= 1e-12
+        # and Q is still the factor of z = QR with R upper triangular, diagonal positive
+        r = dagger(q) @ z
+        assert np.abs(np.tril(r, -1)).max() <= 1e-12 * np.abs(z).max()
+        diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+        assert np.all(diagonal.real > 0) and np.abs(diagonal.imag).max() <= 1e-12
 
     def test_random_density_operator_valid(self, rng):
         rho = random_density_operator(4, rng, rank=2)

@@ -409,6 +409,32 @@ def reference_search_stats(q, a, dim_h):
 
 SEARCH_CELLS = [(2, 2), (2, 3), (2, 4), (3, 3)]
 
+#: Verdict, violations, qualifying and structured samples of 500-trial
+#: searches, keyed by the thresholds and by (dim_h, dim_k, seed, refine): the
+#: defaults, and thresholds that cut through the Haar samples' statistics.
+PINNED_COUNTS = {
+    (): {
+        (2, 2, 0, False): ("pass", 0, 474, 26), (2, 2, 1, False): ("pass", 0, 478, 22),
+        (2, 2, 2, False): ("pass", 0, 475, 25), (2, 3, 0, False): ("pass", 0, 482, 18),
+        (2, 3, 1, False): ("pass", 0, 469, 31), (2, 3, 2, False): ("pass", 0, 479, 21),
+        (2, 4, 0, False): ("pass", 0, 476, 24), (2, 4, 1, False): ("pass", 0, 474, 26),
+        (2, 4, 2, False): ("pass", 0, 474, 26), (3, 3, 0, False): ("pass", 0, 473, 27),
+        (3, 3, 1, False): ("pass", 0, 477, 23), (3, 3, 2, False): ("pass", 0, 471, 29),
+        (2, 2, 0, True): ("pass", 0, 475, 26), (2, 2, 1, True): ("pass", 0, 479, 22),
+        (2, 2, 2, True): ("pass", 0, 476, 25),
+    },
+    (("distance", 0.2), ("overlap", 0.5), ("sharp_residual", 0.25)): {
+        (2, 2, 0, False): ("fail", 169, 309, 26), (2, 2, 1, False): ("fail", 139, 296, 22),
+        (2, 2, 2, False): ("fail", 142, 275, 25), (2, 3, 0, False): ("fail", 12, 231, 18),
+        (2, 3, 1, False): ("fail", 8, 246, 31), (2, 3, 2, False): ("fail", 18, 246, 21),
+        (2, 4, 0, False): ("fail", 6, 207, 24), (2, 4, 1, False): ("fail", 3, 197, 26),
+        (2, 4, 2, False): ("fail", 2, 200, 26), (3, 3, 0, False): ("pass", 0, 273, 27),
+        (3, 3, 1, False): ("fail", 1, 263, 23), (3, 3, 2, False): ("pass", 0, 264, 29),
+        (2, 2, 0, True): ("fail", 170, 310, 26), (2, 2, 1, True): ("fail", 140, 297, 22),
+        (2, 2, 2, True): ("fail", 143, 276, 25),
+    },
+}
+
 
 def search_chunk(monkeypatch, dim_h, dim_k, rate, seed):
     """One full sample-minor chunk of the search with structured samples at ``rate``."""
@@ -690,13 +716,13 @@ class TestCounterexampleSearch:
         "trials, seed, refine, residuals, details",
         [
             (500, 11, False,
-             {"best_sharp_residual": 0.02495293555000458, "overlap_at_best": 0.9643053266626338,
-              "distance_at_best": 0.03235656677890913, "violations": 0.0,
+             {"best_sharp_residual": 0.024952935550004204, "overlap_at_best": 0.9643053266626338,
+              "distance_at_best": 0.03235656677890916, "violations": 0.0,
               "qualifying_samples": 472.0, "structured_samples": 28.0},
              "500 samples, 472 qualifying, no violation; empirical sharpness floor 2.495e-02"),
             (300, 5, True,
-             {"best_sharp_residual": 0.018691892669412895, "overlap_at_best": 0.6944214563677712,
-              "distance_at_best": 0.2144378455988522, "violations": 0.0,
+             {"best_sharp_residual": 0.018691892669412687, "overlap_at_best": 0.6944214563677712,
+              "distance_at_best": 0.21443784559885212, "violations": 0.0,
               "qualifying_samples": 283.0, "structured_samples": 18.0},
              "300 samples, 283 qualifying, no violation; empirical sharpness floor 1.869e-02"),
         ],
@@ -707,6 +733,17 @@ class TestCounterexampleSearch:
         # themselves, so the stream and every digit of the report are fixed
         rep = counterexample_search(2, 2, trials, seed=seed, refine=refine)
         assert rep == VerificationReport("counterexample_search", "pass", residuals, details)
+
+    @pytest.mark.parametrize("thresholds", list(PINNED_COUNTS), ids=["default", "cut"])
+    def test_counts_pinned(self, thresholds):
+        # recorded with one LAPACK qr per stack: a draw kernel may move the
+        # digits of a report, but no verdict or count
+        for (dim_h, dim_k, seed, refine), pinned in PINNED_COUNTS[thresholds].items():
+            rep = counterexample_search(
+                dim_h, dim_k, 500, seed, thresholds=dict(thresholds), refine=refine
+            )
+            counts = (rep.residuals[k] for k in ("violations", "qualifying_samples", "structured_samples"))
+            assert (rep.verdict, *counts) == pinned, (dim_h, dim_k, seed, refine)
 
     @pytest.mark.parametrize("dim_h, dim_k", [(2, 3), (3, 3)])
     def test_refinement_on_the_probe_span(self, dim_h, dim_k):
