@@ -11,9 +11,6 @@ from .channels import (
     make_channel,
     minimal_kraus,
     multiplicativity_residual,
-    random_channel,
-    stinespring_commutant_residual,
-    stinespring_dilation,
     unitary_channel,
 )
 from .exceptions import (
@@ -46,14 +43,8 @@ from .observables import (
     is_sharp,
     make_kernel,
     make_observable,
-    mix,
-    naimark_check,
-    naimark_dilation,
     observable_distance,
     post_process,
-    product_residual,
-    random_observable,
-    random_sharp_observable,
     sharpness_residual,
     spin_observable,
 )
@@ -63,7 +54,6 @@ from .operators import (
     PAULI,
     embed_program_isometry,
     haar_unitary,
-    partial_trace,
     projector,
     tensor,
 )

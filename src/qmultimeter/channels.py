@@ -267,42 +267,3 @@ def is_extreme_channel(c: Channel) -> bool:
     (:func:`~qmultimeter.observables.is_extreme`).
     """
     return _independent_products([minimal_kraus(c)], c.dim)
-
-
-def stinespring_dilation(c: Channel) -> np.ndarray:
-    """Isometry ``w = sum_i K_i (x) |i>: H -> H (x) K`` with ``E(T) = tr_K(w T w*)``.
-
-    ``dim K`` is the number of Kraus operators, ``len(c)``.
-    """
-    return c.kraus.transpose(1, 0, 2).reshape(c.dim * len(c), c.dim)
-
-
-def stinespring_commutant_residual(c: Channel) -> float:
-    """Largest ``||[B (x) I, W W*]||_F`` over a basis of ``L(H)``.
-
-    Vanishes exactly when the channel is multiplicative (i.e. unitary).
-    """
-    w = stinespring_dilation(c)
-    ww = w @ dagger(w)
-    d, m = c.dim, len(c)
-    worst = 0.0
-    for a in range(d):
-        for b in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[a, b] = 1.0
-            big = np.kron(unit, np.eye(m))
-            worst = max(worst, frobenius_norm(big @ ww - ww @ big))
-    return worst
-
-
-def random_channel(dim: int, n_kraus: int, seed: int) -> Channel:
-    """Random channel with ``n_kraus`` Kraus operators, deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    raw = [
-        rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        for _ in range(n_kraus)
-    ]
-    total = sum(dagger(g) @ g for g in raw)
-    eigvals, vecs = np.linalg.eigh(total)
-    inv_sqrt = (vecs / np.sqrt(eigvals)) @ dagger(vecs)
-    return make_channel([g @ inv_sqrt for g in raw])

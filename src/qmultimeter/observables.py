@@ -26,8 +26,6 @@ from .operators import (
     dagger,
     eigenvalue_below,
     frobenius_norm,
-    haar_unitary,
-    is_isometry,
     is_projection,
 )
 
@@ -330,20 +328,6 @@ def is_sharp(e: Observable, tol: float = DEFAULT_TOL) -> bool:
     return is_projection(e.effects, tol)
 
 
-def product_residual(e: Observable) -> float:
-    """Largest deviation from ``E(x)E(y) = delta_xy E(x)`` over outcome pairs.
-
-    Vanishes exactly for sharp observables; an independent criterion used
-    to cross-check :func:`is_sharp`.
-    """
-    worst = 0.0
-    for i, a in enumerate(e.effects):
-        for j, b in enumerate(e.effects):
-            target = a if i == j else np.zeros_like(a)
-            worst = max(worst, frobenius_norm(a @ b - target))
-    return worst
-
-
 def is_extreme(e: Observable) -> bool:
     """Decide extremality among observables with the same outcome set.
 
@@ -362,21 +346,6 @@ def is_extreme(e: Observable) -> bool:
     # row i of a group is s_i* as a 1 x dim matrix, so its products are s_i s_j*
     supports = [dagger(v[:, lam > SUPPORT_TOL])[:, None, :] for lam, v in zip(eigvals, vecs)]
     return _independent_products(supports, e.dim)
-
-
-def mix(lam: float, e: Observable, f: Observable) -> Observable:
-    """Convex combination ``lam * e + (1 - lam) * f`` effect by effect.
-
-    The combination is a fresh stack, so it is validated and kept, not copied.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"mixing weight {lam} outside [0, 1]")
-    if e.dim != f.dim:
-        raise DimensionError(f"dimension mismatch: {e.dim} vs {f.dim}")
-    if e.outcomes != f.outcomes:
-        raise ValidationError(f"outcome labels differ: {e.outcomes} vs {f.outcomes}")
-    return Observable._from_stack(
-        e.dim, e.outcomes, lam * e.effects + (1 - lam) * f.effects, DEFAULT_TOL)
 
 
 def post_process(e: Observable, k: StochasticKernel, labels=None) -> Observable:
@@ -440,101 +409,3 @@ def spin_observable(axis) -> Observable:
     n_sigma = n[0] * PAULI[1] + n[1] * PAULI[2] + n[2] * PAULI[3]
     eye = np.eye(2, dtype=complex)
     return make_observable(2, (1, 2), [(eye + n_sigma) / 2, (eye - n_sigma) / 2])
-
-
-def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    eigvals, vecs = np.linalg.eigh((a + dagger(a)) / 2)
-    # eigenvalue noise of order eps would otherwise become sqrt(eps) entries
-    eigvals = np.where(eigvals > 1e-13, eigvals, 0.0)
-    return (vecs * np.sqrt(eigvals)) @ dagger(vecs)
-
-
-def naimark_dilation(e: Observable) -> tuple[Observable, np.ndarray]:
-    """Canonical dilation of an observable into a sharp block observable.
-
-    Returns a sharp observable ``a`` on a space of dimension
-    ``len(e) * e.dim`` together with an isometry ``w`` such that
-    ``E(x) = w* A(x) w`` for every outcome.
-    """
-    n, d = len(e), e.dim
-    w = np.vstack([_psd_sqrt(eff) for eff in e.effects])
-    effects = []
-    for x in range(n):
-        block = np.zeros((n * d, n * d), dtype=complex)
-        block[x * d:(x + 1) * d, x * d:(x + 1) * d] = np.eye(d)
-        effects.append(block)
-    a = make_observable(n * d, e.outcomes, effects)
-    return a, w
-
-
-def naimark_check(e: Observable, a: Observable, w: np.ndarray, tol: float = DEFAULT_TOL) -> dict:
-    """Check a claimed dilation ``E(x) = W* A(x) W`` of ``e`` into sharp ``a``.
-
-    Returns
-    -------
-    dict
-        ``holds`` is True when the dilation identity is met within ``tol``
-        for every outcome; ``commutant_residual`` is
-        ``max_x ||[A(x), W W*]||_F``, which vanishes exactly when ``e`` is
-        sharp.
-    """
-    w = np.asarray(w, dtype=complex)
-    if w.shape != (a.dim, e.dim):
-        raise DimensionError(f"isometry shape {w.shape}, expected {(a.dim, e.dim)}")
-    if not is_isometry(w, tol):
-        raise ValidationError("w is not an isometry")
-    if not is_sharp(a, tol):
-        raise ValidationError("dilating observable is not sharp")
-    if set(e.outcomes) != set(a.outcomes):
-        raise ValidationError("outcome labels of e and a differ")
-    ww = w @ dagger(w)
-    recon = max(
-        frobenius_norm(e.effect(x) - dagger(w) @ a.effect(x) @ w) for x in e.outcomes
-    )
-    commutant = max(
-        frobenius_norm(a.effect(x) @ ww - ww @ a.effect(x)) for x in a.outcomes
-    )
-    return {"holds": bool(recon <= tol), "commutant_residual": commutant}
-
-
-def random_sharp_observable(dim: int, n_outcomes: int, seed: int) -> Observable:
-    """Sharp observable from a Haar-random eigenbasis, outcomes ``1..n``.
-
-    The basis vectors are partitioned into ``n_outcomes`` groups of nearly
-    equal size; a d-dimensional sharp observable cannot have more than d
-    outcomes.
-    """
-    if n_outcomes > dim:
-        raise ValidationError(
-            f"a sharp observable on dimension {dim} has at most {dim} outcomes, got {n_outcomes}"
-        )
-    if n_outcomes < 1:
-        raise ValidationError("need at least one outcome")
-    rng = np.random.default_rng(seed)
-    u = haar_unitary(dim, rng)
-    sizes = [dim // n_outcomes + (1 if i < dim % n_outcomes else 0) for i in range(n_outcomes)]
-    effects = []
-    start = 0
-    for size in sizes:
-        cols = u[:, start:start + size]
-        effects.append(cols @ dagger(cols))
-        start += size
-    return make_observable(dim, tuple(range(1, n_outcomes + 1)), effects)
-
-
-def random_observable(dim: int, n_outcomes: int, seed: int) -> Observable:
-    """Generic (fuzzy) random observable, outcomes ``1..n``.
-
-    Wishart-distributed positive operators are renormalized by the inverse
-    square root of their sum, so the effects sum to the identity exactly.
-    """
-    rng = np.random.default_rng(seed)
-    raw = []
-    for _ in range(n_outcomes):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        raw.append(g @ dagger(g))
-    total = sum(raw)
-    eigvals, vecs = np.linalg.eigh(total)
-    inv_sqrt = (vecs / np.sqrt(eigvals)) @ dagger(vecs)
-    effects = [inv_sqrt @ r @ inv_sqrt for r in raw]
-    return make_observable(dim, tuple(range(1, n_outcomes + 1)), effects)

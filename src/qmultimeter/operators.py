@@ -127,33 +127,6 @@ def tensor_many(ops) -> np.ndarray:
     return out
 
 
-def partial_trace(t: np.ndarray, dim_h: int, dim_k: int, traced: str = "K") -> np.ndarray:
-    """Partial trace of an operator on ``H (x) K`` over one factor.
-
-    Parameters
-    ----------
-    t : array
-        Square matrix of size ``dim_h * dim_k``.
-    traced : {"K", "H"}
-        Which factor to trace out.
-
-    Returns
-    -------
-    array
-        Operator on the remaining factor; the full trace is preserved.
-    """
-    t = np.asarray(t, dtype=complex)
-    n = dim_h * dim_k
-    if t.shape != (n, n):
-        raise DimensionError(f"expected shape {(n, n)}, got {t.shape}")
-    tens = t.reshape(dim_h, dim_k, dim_h, dim_k)
-    if traced == "K":
-        return np.trace(tens, axis1=1, axis2=3)
-    if traced == "H":
-        return np.trace(tens, axis1=0, axis2=2)
-    raise ValueError(f"traced must be 'H' or 'K', got {traced!r}")
-
-
 def embed_program_isometry(phi: np.ndarray, dim_h: int) -> np.ndarray:
     """Isometry ``W: H -> H (x) K`` appending a fixed apparatus vector.
 
@@ -315,15 +288,6 @@ def _independent_products(groups, dim: int) -> bool:
     return int(np.linalg.matrix_rank(np.concatenate(columns).T)) == count
 
 
-def is_isometry(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """``A* A = I`` on the domain; for square ``A`` unitarity, as ``||A*A - I||_F = ||AA* - I||_F``."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        return False
-    eye = np.eye(a.shape[1])
-    return frobenius_norm(dagger(a) @ a - eye) <= tol * max(1.0, float(np.sqrt(a.shape[1])))
-
-
 # ---------------------------------------------------------------------------
 # states
 
@@ -440,9 +404,8 @@ def random_state_vector(dim: int, rng: np.random.Generator, batch: tuple = ()) -
     return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
 
 
-def random_density_operator(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Random mixed state of the given rank (full rank by default)."""
-    rank = dim if rank is None else rank
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+def random_density_operator(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Random full-rank mixed state ``G G* / tr(G G*)``, ``G`` a complex Gaussian ``dim x dim`` matrix."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ dagger(g)
     return rho / np.trace(rho).real

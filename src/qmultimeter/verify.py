@@ -354,11 +354,11 @@ def check_purification(
 
     device = k.induce(model)
     extreme = k.extreme(device)
-    component_devices = [k.induce(make_model(m, psi)) for psi in components]
-    worst = max(k.distance(dev, device) for dev in component_devices)
+    distances = [k.distance(k.induce(make_model(m, psi)), device) for psi in components]
+    worst = max(distances)
     residuals = {"max_component_distance": worst, "probe_rank": float(len(components))}
     if not extreme:
-        gaps = ", ".join(f"{k.distance(dev, device):.3e}" for dev in component_devices)
+        gaps = ", ".join(f"{d:.3e}" for d in distances)
         return VerificationReport(
             name,
             "not_applicable",

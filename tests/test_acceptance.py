@@ -15,8 +15,6 @@ from qmultimeter.channels import (
     identity_channel,
     make_channel,
     multiplicativity_residual,
-    random_channel,
-    stinespring_commutant_residual,
     unitary_channel,
 )
 from qmultimeter.cli import EXIT_OK, run_scenario
@@ -37,21 +35,25 @@ from qmultimeter.observables import (
     make_observable,
     observable_distance,
     post_process,
-    product_residual,
-    naimark_check,
-    naimark_dilation,
-    random_observable,
-    random_sharp_observable,
     spin_observable,
 )
 from qmultimeter.operators import (
     haar_unitary,
     projector,
-    random_density_operator,
     random_state_vector,
     tensor,
 )
 from qmultimeter.verify import check_purification, counterexample_search
+from textbook import (
+    naimark_check,
+    naimark_dilation,
+    product_residual,
+    random_channel,
+    random_density_operator,
+    random_observable,
+    random_sharp_observable,
+    stinespring_commutant_residual,
+)
 
 SPIN_AXES = {1: (1, 0, 0), 2: (0, 1, 0), 3: (0, 0, 1)}
 MERGE_WEIGHTS = {
@@ -302,7 +304,7 @@ def test_criterion_8_purification():
             [projector(np.eye(dim_k, dtype=complex)[i]) for i in range(dim_k)],
         )
         meter = make_multimeter(2, dim_k, pointer, make_channel([tensor(u, np.eye(dim_k))]))
-        probe = random_density_operator(dim_k, rng, rank=2)
+        probe = random_density_operator(dim_k, rng, 2)
         rep = check_purification(meter, probe, tol=1e-10, kind="channel")
         ok &= rep.verdict == "pass"
         ok &= rep.residuals["max_component_distance"] <= 1e-10
@@ -320,7 +322,7 @@ def test_criterion_8_purification():
             for i in range(base.dim_k)
         ]
         meter = make_multimeter(d, base.dim_k, base.pointer, make_channel(kraus))
-        probe = random_density_operator(base.dim_k, rng, rank=2)
+        probe = random_density_operator(base.dim_k, rng, 2)
         rep = check_purification(meter, probe, tol=1e-10, kind="observable")
         ok &= rep.verdict == "pass"
         ok &= rep.residuals["max_component_distance"] <= 1e-10

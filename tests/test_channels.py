@@ -13,18 +13,20 @@ from qmultimeter.channels import (
     make_channel,
     minimal_kraus,
     multiplicativity_residual,
-    random_channel,
-    stinespring_commutant_residual,
-    stinespring_dilation,
     unitary_channel,
 )
 from qmultimeter.operators import (
     DEFAULT_TOL,
     haar_unitary,
-    partial_trace,
     random_density_operator,
     random_state_vector,
     tensor,
+)
+from textbook import (
+    partial_trace,
+    random_channel,
+    stinespring_commutant_residual,
+    stinespring_dilation,
 )
 
 

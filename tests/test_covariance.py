@@ -36,7 +36,6 @@ from qmultimeter.observables import (
     make_kernel,
     make_observable,
     observable_distance,
-    random_sharp_observable,
     spin_observable,
 )
 from qmultimeter.operators import PAULI, haar_unitary, projector
@@ -46,6 +45,7 @@ from qmultimeter.verify import (
     check_purification,
     check_sharp_program_orthogonality,
 )
+from textbook import random_sharp_observable
 
 #: Devices and residuals on different paths agree within this many ``n eps``.
 ROUNDING = 8

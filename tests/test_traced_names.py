@@ -37,3 +37,58 @@ def test_reported_functions_are_public_functions_of_the_package():
         ):
             missing.append(name)
     assert missing == []
+
+
+SOURCE = TRACING.parents[1] / "src" / "qmultimeter"
+WORKLOADS = TRACING.parent / "workloads.py"
+
+
+def calls_by_definition(path):
+    """``{top-level name: names it calls}`` for the definitions and statements of a source file."""
+    found = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(node, "name", None)
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call):
+                func = sub.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                found.setdefault(owner, set()).add(name)
+    return found
+
+
+def exported_functions():
+    """``(module, name)`` of each function that ``__init__.py`` re-exports, read without importing."""
+    defined = {
+        path.stem: {n.name for n in ast.parse(path.read_text(encoding="utf-8")).body
+                    if isinstance(n, ast.FunctionDef)}
+        for path in SOURCE.glob("*.py")
+    }
+    for node in ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            yield from ((node.module, a.name) for a in node.names if a.name in defined[node.module])
+
+
+def benchmark_names():
+    """Functions the benchmark names: ``REPORTED_FUNCTIONS`` and each ``qm.<name>`` of its workloads."""
+    names = {name.split(".")[1] for name in reported_functions()}
+    for node in ast.walk(ast.parse(WORKLOADS.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "qm":
+            names.add(node.attr)
+    return names
+
+
+def test_every_exported_function_runs_outside_the_tests():
+    # a function only tests call belongs in tests/textbook.py, not in the package
+    calls = {path.stem: calls_by_definition(path) for path in SOURCE.glob("*.py")}
+    bench = benchmark_names()
+    idle = [
+        f"{module}.{name}"
+        for module, name in exported_functions()
+        if name not in bench
+        and not any(
+            name in called
+            for other, owners in calls.items() if other != "__init__"
+            for owner, called in owners.items() if (other, owner) != (module, name)
+        )
+    ]
+    assert idle == []

@@ -18,7 +18,6 @@ from qmultimeter.multimeter import (
 )
 from qmultimeter.observables import (
     make_observable,
-    mix,
     observable_distance,
     spin_observable,
 )
@@ -38,6 +37,7 @@ from qmultimeter.verify import (
     check_sharp_program_orthogonality,
     counterexample_search,
 )
+from textbook import mix
 
 
 def prepare_then_couple_meter(a):
@@ -335,6 +335,23 @@ class TestPurification:
         rep = check_purification(meter, xi, kind="observable")
         assert rep.verdict == "not_applicable"
         assert "decomposition" in rep.details
+
+    @pytest.mark.parametrize(
+        "kind, distance", [("observable", "observable_distance"), ("channel", "channel_distance")]
+    )
+    def test_one_distance_per_component(self, monkeypatch, spin_trio, kind, distance):
+        # the distances a report cites for a non-extreme device are the ones it takes the worst of
+        meter, _ = minimal_dilation_multimeter(spin_trio[2])
+        calls, measure = [], getattr(verify, distance)
+
+        def counted(a, b):
+            calls.append((a, b))
+            return measure(a, b)
+
+        monkeypatch.setattr(verify, distance, counted)
+        rep = check_purification(meter, np.diag([0.5, 0.5]).astype(complex), kind=kind)
+        assert rep.verdict == "not_applicable" and "decomposition" in rep.details
+        assert len(calls) == rep.residuals["probe_rank"] == 2
 
     def test_unknown_kind_raises(self, spin_trio):
         meter, _ = minimal_dilation_multimeter(spin_trio[2])
