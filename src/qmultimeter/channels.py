@@ -212,8 +212,13 @@ def choi_matrix(c: Channel) -> np.ndarray:
     representation.  It is ``W^T conj(W)`` for the operators flattened as
     the rows of ``W``: one product of the Kraus stack.
     """
-    vecs = c.kraus.reshape(len(c.kraus), -1)
-    return vecs.T @ vecs.conj()
+    return _choi(c.kraus)
+
+
+def _choi(kraus: np.ndarray) -> np.ndarray:
+    """:func:`choi_matrix` of each ``(n, dim, dim)`` Kraus stack of a ``(..., n, dim, dim)`` array."""
+    vecs = kraus.reshape(*kraus.shape[:-3], -1, kraus.shape[-1] ** 2)
+    return vecs.swapaxes(-1, -2) @ vecs.conj()
 
 
 def channel_distance(a: Channel, b: Channel) -> float:

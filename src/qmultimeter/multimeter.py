@@ -126,23 +126,25 @@ def make_multimeter(
 def _basis_effects(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Effects ``E(x) = sum_i w[x, i] B_i* B_i`` of a pointer diagonal in the basis of K.
 
-    ``m[r, i, c]`` stacks program maps with rows ``r``, pointer index ``i``
-    and system index ``c``; ``B_i`` holds the rows ``r`` of slot ``i``, so
-    ``B_i* B_i = sum_r m_r* (|i><i| (x) I) m_r``.  With a pointer's marks as
-    the 0/1 ``weights`` (see :class:`~qmultimeter.observables.Observable`),
+    ``m[..., r, i, c]`` stacks program maps with rows ``r``, pointer index
+    ``i`` and system index ``c``; ``B_i`` holds the rows ``r`` of slot ``i``,
+    so ``B_i* B_i = sum_r m_r* (|i><i| (x) I) m_r``.  With a pointer's marks
+    as the 0/1 ``weights`` (see :class:`~qmultimeter.observables.Observable`),
     ``E(x) = sum_r m_r* (Z(x) (x) I) m_r`` without a product by ``Z(x)``.
-    The Grams are one stacked ``matmul``, which suits the one large stack
-    of an induction, and from ``SUPPORT_MIN_DIM_K`` slots on only those
-    with a nonzero row are formed and summed: the others have zero Grams.
+    Axes before ``r`` are kept: one set of effects per leading index.  The
+    Grams are one stacked ``matmul``, and from ``SUPPORT_MIN_DIM_K`` slots
+    on only those with a nonzero row for some leading index are formed and
+    summed: the others have zero Grams.
     """
     rows = m.swapaxes(-2, -3)
-    if len(rows) >= SUPPORT_MIN_DIM_K:
-        nonzero = rows.any(axis=(1, 2))
+    *lead, dim_k, _, dim_h = rows.shape
+    if dim_k >= SUPPORT_MIN_DIM_K:
+        nonzero = rows.any(axis=(-2, -1)).reshape(-1, dim_k).any(axis=0)
         if not nonzero.all():
-            rows, weights = rows[nonzero], weights[:, nonzero]
+            rows, weights = rows[..., nonzero, :, :], weights[:, nonzero]
     gram = rows.conj().swapaxes(-1, -2) @ rows
-    dim_k, dim_h, _ = gram.shape
-    return (weights @ gram.reshape(dim_k, dim_h * dim_h)).reshape(len(weights), dim_h, dim_h)
+    effects = weights @ gram.reshape(*lead, -1, dim_h * dim_h)
+    return effects.reshape(*lead, len(weights), dim_h, dim_h)
 
 
 def make_model(
@@ -163,9 +165,8 @@ def make_model(
     Here, after every check, the probe is decomposed once into the
     read-only ``(dim_k, r)`` components ``Psi``, ``Psi Psi* = probe``, that
     every reading of it takes.  A vector is its own column.  A density
-    operator gives ``sqrt(lam_j) psi_j`` for its eigenvalues
-    ``lam_j >= PROBE_CUTOFF``, renormalised to sum to one (so the device
-    stays normalised), decomposed on the block it was checked on.
+    operator gives the nonzero columns of :func:`_density_components`,
+    decomposed on the block it was checked on.
 
     Parameters
     ----------
@@ -209,12 +210,23 @@ def make_model(
     if probe.ndim == 1:
         components = probe[:, None]
     else:
-        lam, vecs = np.linalg.eigh(probe[support][:, support])
-        keep = lam >= PROBE_CUTOFF
-        components = np.zeros((meter.dim_k, np.count_nonzero(keep)), dtype=complex)
-        components[support] = vecs[:, keep] * np.sqrt(lam[keep] / lam[keep].sum())
+        columns = _density_components(probe[support][:, support])
+        columns = columns[:, columns.any(axis=0)]
+        components = np.zeros((meter.dim_k, columns.shape[1]), dtype=complex)
+        components[support] = columns
         components.setflags(write=False)
     return MeasurementModel(meter=meter, probe=probe, kernel=kernel, _components=components)
+
+
+def _density_components(rho: np.ndarray) -> np.ndarray:
+    """Columns ``sqrt(lam_j) psi_j`` of each density operator of a stack, by one ``eigh``.
+
+    Eigenvalues below ``PROBE_CUTOFF`` give zero columns, and the others
+    are renormalised to sum to one, so the device stays normalised.
+    """
+    lam, vecs = np.linalg.eigh(rho)
+    lam = np.where(lam >= PROBE_CUTOFF, lam, 0.0)
+    return vecs * np.sqrt(lam / lam.sum(axis=-1, keepdims=True))[..., None, :]
 
 
 def _probe_support(probe: np.ndarray) -> np.ndarray:
@@ -225,15 +237,15 @@ def _probe_support(probe: np.ndarray) -> np.ndarray:
     return np.flatnonzero(probe.any(axis=0) | probe.any(axis=1))
 
 
-def _program_blocks(model: MeasurementModel) -> np.ndarray:
-    """Stack ``M[j, r, i, c]`` of the maps the probe programs into the interaction.
+def _program_blocks(meter: Multimeter, psis: np.ndarray) -> np.ndarray:
+    """Stack ``M[j, r, i, c]`` of the maps the probe vectors ``psis`` program into the interaction.
 
-    Each Kraus operator ``V_v`` and each column ``psi_j`` of the model's
-    components (see :func:`make_model`) give one block
-    ``V_v (I (x) psi_j) : H -> H (x) K``, its rows split into ``(r, i)``.
+    ``psis`` holds probe vectors as columns, such as the components of a
+    probe (see :func:`make_model`).  Column by column, and for each in the
+    order of the Kraus operators ``V_v``, each gives one block
+    ``V_v (I (x) psi) : H -> H (x) K``, its rows split into ``(r, i)``.
     A coupling held as its parts is never built: see :func:`_slot_blocks`.
     """
-    meter, psis = model.meter, model._components
     if meter.interaction._parts is not None:
         return _slot_blocks(*meter.interaction._parts, psis)
     g = meter.interaction.kraus
@@ -281,16 +293,38 @@ def _slot_blocks(parts, dims, psis: np.ndarray) -> np.ndarray:
     return m.reshape(count, dim_h, dim_k, dim_h)
 
 
+def _induced_stack(meter: Multimeter, psis: np.ndarray, probes: int, channel: bool) -> np.ndarray:
+    """Effects, or with ``channel`` Kraus operators, induced by each of ``probes`` probes.
+
+    ``psis`` holds the probes' components side by side, an equal number
+    each (zero columns add nothing); all are programmed in one
+    :func:`_program_blocks`.  Item ``p`` holds, from the maps ``M_j`` of
+    probe ``p``, its effects ``E(x) = sum_j M_j* (I (x) Z(x)) M_j`` in
+    pointer-outcome order, or its pointer rows ``(I (x) <i|) M_j``.  A
+    pointer with marks sums the slots' Gram matrices (see
+    :func:`_basis_effects`), any other multiplies the pointer index of the
+    maps, so nothing on ``H (x) K`` is formed.  Nothing is validated.
+    """
+    dim_h, dim_k, pointer = meter.dim_h, meter.dim_k, meter.pointer
+    m = _program_blocks(meter, psis)
+    m = m.reshape(probes, -1, dim_h, dim_k, dim_h)
+    if channel:
+        return m.swapaxes(2, 3).reshape(len(m), -1, dim_h, dim_h)
+    if pointer._marks is not None:
+        return _basis_effects(m.reshape(len(m), -1, dim_k, dim_h), pointer._marks)
+    # b[p, i, (j, r, c)] = M[p, j, r, i, c]; its rows (i, j, r) give the adjoint side.
+    b = m.transpose(0, 3, 1, 2, 4).reshape(len(m), dim_k, -1)
+    b_adj = b.reshape(len(m), -1, dim_h).conj().swapaxes(1, 2)
+    zb = (pointer.effects @ b[:, None]).reshape(len(m), len(pointer), -1, dim_h)
+    return b_adj[:, None] @ zb
+
+
 def induced_observable(model: MeasurementModel) -> Observable:
     """The observable measured by the model.
 
     ``E(x) = sum_j M_j* (I (x) Z(x)) M_j`` over the program maps ``M_j`` of
-    the probe (see :func:`_program_blocks`), which equals
-    ``tr_K[ V*(I (x) Z(x)) V (I (x) xi) ]``.  Each ``Z(x)`` acts on the
-    pointer index of the blocks alone, so nothing on ``H (x) K`` is formed.
-    When the pointer has marks, the effects are the marked sums of the
-    slots' Gram matrices (see :func:`_basis_effects`); any other pointer is
-    multiplied densely.
+    the probe's components (see :func:`_induced_stack`), which equals
+    ``tr_K[ V*(I (x) Z(x)) V (I (x) xi) ]``.
 
     A kernel then smears the induced effects, ``E'(y) = sum_x k(x, y) E(x)``
     with outcomes ``1..cols`` as :func:`~qmultimeter.observables.post_process`
@@ -308,39 +342,29 @@ def induced_observable(model: MeasurementModel) -> Observable:
     :meth:`~qmultimeter.observables.Observable._from_stack`).  Either way at
     ``INDUCTION_TOL``.
     """
-    dim_h, dim_k = model.meter.dim_h, model.meter.dim_k
-    pointer, kernel = model.meter.pointer, model.kernel
-    marks = pointer._marks
-    m = _program_blocks(model)
-    if marks is not None:
-        effects = _basis_effects(m.reshape(-1, dim_k, dim_h), marks)
-    else:
-        # b[i, (j, r, c)] = M[j, r, i, c]; its rows (i, j, r) give the adjoint side.
-        b = m.transpose(2, 0, 1, 3).reshape(dim_k, -1)
-        b_adj = b.reshape(-1, dim_h).conj().T
-        effects = b_adj @ (pointer.effects @ b).reshape(len(pointer), -1, dim_h)
-    outcomes = pointer.outcomes
+    meter, kernel = model.meter, model.kernel
+    effects = _induced_stack(meter, model._components, 1, channel=False)[0]
+    outcomes = meter.pointer.outcomes
     if kernel is not None:
         effects = np.tensordot(kernel.weights, effects, axes=(0, 0))
         outcomes = range(1, kernel.cols + 1)
-    if marks is not None:
+    if meter.pointer._marks is not None:
         # Gram sums, smeared at most by kernel weights >= -DEFAULT_TOL
-        return Observable._from_gram_sums(dim_h, outcomes, effects, INDUCTION_TOL)
+        return Observable._from_gram_sums(meter.dim_h, outcomes, effects, INDUCTION_TOL)
     # a fresh product, owned by the observable: validated, not copied
-    return Observable._from_stack(dim_h, outcomes, effects, INDUCTION_TOL)
+    return Observable._from_stack(meter.dim_h, outcomes, effects, INDUCTION_TOL)
 
 
 def induced_channel(model: MeasurementModel) -> Channel:
     """The channel ``rho -> tr_K[ V(rho (x) xi) V* ]`` induced on the system.
 
     Its Kraus operators are the pointer rows ``(I (x) <i|) M_j`` of the
-    program maps ``M_j`` (see :func:`_program_blocks`) that are not exactly
-    zero: the rows the probe does not reach add nothing to the channel or
-    its Choi matrix, so only the others are kept.  The pointer and kernel
-    play no role here.
+    program maps ``M_j`` of the probe's components (see
+    :func:`_induced_stack`) that are not exactly zero: the rows the probe
+    does not reach add nothing to the channel or its Choi matrix, so only
+    the others are kept.  The pointer and kernel play no role here.
     """
-    dim_h = model.meter.dim_h
-    kraus = _program_blocks(model).transpose(0, 2, 1, 3).reshape(-1, dim_h, dim_h)
+    kraus = _induced_stack(model.meter, model._components, 1, channel=True)[0]
     return make_channel(kraus[kraus.any(axis=(1, 2))], tol=INDUCTION_TOL)
 
 

@@ -303,16 +303,11 @@ def make_kernel(weights) -> StochasticKernel:
 
 def observable_distance(a: Observable, b: Observable) -> float:
     """Max effect-wise Frobenius distance after exact label alignment."""
-    return _distance_to_effects(a, b.dim, b.outcomes, b.effects)
-
-
-def _distance_to_effects(a: Observable, dim: int, outcomes, stack: np.ndarray) -> float:
-    """:func:`observable_distance` of ``a`` to the effects ``stack`` on C^dim labelled ``outcomes``."""
-    if a.dim != dim:
-        raise DimensionError(f"dimension mismatch: {a.dim} vs {dim}")
-    if set(a.outcomes) != set(outcomes):
-        raise ValidationError(f"outcome labels differ: {a.outcomes} vs {outcomes}")
-    return float(_frobenius_norms(a._stack_in_order(outcomes) - stack).max())
+    if a.dim != b.dim:
+        raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if set(a.outcomes) != set(b.outcomes):
+        raise ValidationError(f"outcome labels differ: {a.outcomes} vs {b.outcomes}")
+    return float(_frobenius_norms(a._stack_in_order(b.outcomes) - b.effects).max())
 
 
 def sharpness_residual(e: Observable) -> float:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .channels import (
     Channel,
+    _choi,
     channel_distance,
     choi_matrix,
     is_extreme_channel,
@@ -29,20 +30,22 @@ from .exceptions import DimensionError, ValidationError
 from .multimeter import (
     INDUCTION_TOL,
     Multimeter,
+    _density_components,
     _dilation_couplings,
+    _induced_stack,
     induced_channel,
     induced_observable,
     make_model,
 )
 from .observables import (
     Observable,
-    _distance_to_effects,
     is_extreme,
     observable_distance,
     sharpness_residual,
 )
 from .operators import (
     DIMENSION_CAP,
+    _frobenius_norms,
     frobenius_norm,
     haar_isometry,
     haar_unitary,
@@ -80,6 +83,10 @@ DEFAULT_SEARCH_THRESHOLDS = {
 #: x86 machine with one BLAS thread; the cost per sample grows with the
 #: dimensions and meter size.
 MAX_TRIALS = 100_000
+
+#: Program-map entries per chunk of convex-hull trials; a trial holds
+#: ``2 * len(V) * (dim_h * dim_k)**2``.
+_HULL_CHUNK_ELEMENTS = 2**16
 
 _REFINE_STEPS = 200
 _REFINE_DECAY = 0.97
@@ -126,31 +133,37 @@ class DeviceKind(NamedTuple):
     defect_key: str  # report key of that residual
     ideal: str  # what an ideal device is called
     extreme: Callable  # device -> whether it is extreme
-    mixer: Callable  # devices -> ((device, weights) -> distance to their mixture)
+    arrays: Callable  # (multimeter, devices) -> their arrays, laid out as `induce_arrays` lays them
+    induce_arrays: Callable  # (multimeter, psis, probes) -> induced array per probe
     describe: Callable  # induced device -> summary for a report
 
 
-def _mix_observables(devices) -> Callable:
-    """Distance of an observable to effect-wise mixtures of ``devices``, aligned by outcome label.
-
-    Each mixture is summed on the stacks, in the order of ``devices``, and
-    compared with no observable built.
-    """
+def _observable_arrays(m: Multimeter, devices) -> np.ndarray:
+    """Effects of each observable in the pointer's outcome order, which induction uses."""
     ref = devices[0]
     if any(set(dev.outcomes) != set(ref.outcomes) for dev in devices):
         raise ValidationError("programmed observables must share their outcome labels")
     if any(dev.dim != ref.dim for dev in devices):
         raise DimensionError("programmed observables must share their dimension")
-    stacks = [dev._stack_in_order(ref.outcomes) for dev in devices]
-    return lambda e, weights: _distance_to_effects(
-        e, ref.dim, ref.outcomes, sum(w * stack for w, stack in zip(weights, stacks)))
+    outcomes = m.pointer.outcomes
+    if m.dim_h != ref.dim:
+        raise DimensionError(f"dimension mismatch: {m.dim_h} vs {ref.dim}")
+    if set(outcomes) != set(ref.outcomes):
+        raise ValidationError(f"outcome labels differ: {outcomes} vs {ref.outcomes}")
+    return np.stack([dev._stack_in_order(outcomes) for dev in devices])
 
 
-def _mix_channels(devices) -> Callable:
-    """Choi distance of a channel to mixtures of ``devices``, each Choi matrix formed once."""
-    chois = [choi_matrix(dev) for dev in devices]
-    return lambda c, weights: frobenius_norm(
-        choi_matrix(c) - sum(w * choi for w, choi in zip(weights, chois)))
+def _channel_arrays(m: Multimeter, devices) -> np.ndarray:
+    """Choi matrix of each channel, formed once; the channels act on the meter's system."""
+    for dev in devices:
+        if dev.dim != m.dim_h:
+            raise DimensionError(f"dimension mismatch: {m.dim_h} vs {dev.dim}")
+    return np.stack([choi_matrix(dev) for dev in devices])
+
+
+def _distances(x: np.ndarray) -> np.ndarray:
+    """Distance of the devices whose arrays differ by ``x[p]``, as the kind's ``distance`` gives it."""
+    return _frobenius_norms(x).reshape(len(x), -1).max(axis=1)
 
 
 #: The two kinds of device a multimeter programs.  The channel theorem
@@ -165,7 +178,8 @@ DEVICE_KINDS = {
         defect_key="sharpness_residual",
         ideal="sharp",
         extreme=lambda e: is_extreme(e),
-        mixer=_mix_observables,
+        arrays=_observable_arrays,
+        induce_arrays=lambda m, psis, probes: _induced_stack(m, psis, probes, channel=False),
         describe=lambda e: f"observable with outcomes {e.outcomes}",
     ),
     "channel": DeviceKind(
@@ -176,7 +190,8 @@ DEVICE_KINDS = {
         defect_key="multiplicativity_residual",
         ideal="unitary",
         extreme=lambda c: is_extreme_channel(c),
-        mixer=_mix_channels,
+        arrays=_channel_arrays,
+        induce_arrays=lambda m, psis, probes: _choi(_induced_stack(m, psis, probes, channel=True)),
         describe=lambda c: f"channel with {len(c)} Kraus operators",
     ),
 }
@@ -276,6 +291,13 @@ def check_convex_hull(
     ``trials`` above :data:`MAX_TRIALS` raises ``ValidationError`` before
     anything is drawn; with ``trials <= 0`` nothing is drawn, so nothing was
     tested and the verdict is ``not_applicable``.
+
+    Each declared device becomes one array once, and the basis probes and
+    each chunk of trials are induced in one stacked product (see
+    :func:`~qmultimeter.multimeter._induced_stack`).  A trial draws a pure,
+    then a mixed probe, decomposed as :func:`make_model` decomposes them,
+    by one batched ``eigh``, but not validated again.  A chunk holds about ``_HULL_CHUNK_ELEMENTS`` entries
+    of program maps, and no residual depends on it.
     """
     name = "convex_hull"
     _check_trials(trials)
@@ -289,14 +311,20 @@ def check_convex_hull(
     if not kinds:
         raise ValidationError("devices must be all observables or all channels")
     models = [make_model(m, p) for p, _ in programmed]
-    basis = np.concatenate([model._components for model in models], axis=1).conj().T
-    gram = basis @ basis.conj().T
+    components = np.concatenate([model._components for model in models], axis=1)
+    basis = components.conj().T
+    gram = basis @ components
     if gram.shape != (m.dim_k, m.dim_k) or frobenius_norm(gram - np.eye(m.dim_k)) > _OVERLAP_TOL:
         raise ValidationError("program vectors are not orthonormal")
     k = kinds[0]
-    distance_to_mixture = k.mixer(devices)
-    base_residual = max(
-        distance_to_mixture(k.induce(model), w) for model, w in zip(models, np.eye(m.dim_k)))
+    declared = k.arrays(m, devices).reshape(m.dim_k, -1)
+
+    def distances(psis, weights):
+        """Distance of each probe's induced device to the mixture with ``weights[:, p]``."""
+        induced = k.induce_arrays(m, psis, weights.shape[1])
+        return _distances(induced - (weights.T @ declared).reshape(induced.shape))
+
+    base_residual = float(distances(components, np.eye(m.dim_k)).max())
     residuals = {"basis_residual": base_residual}
     if base_residual > INDUCTION_TOL:
         return VerificationReport(
@@ -307,14 +335,24 @@ def check_convex_hull(
             name, "not_applicable", residuals, f"{trials} random programs: nothing was tested"
         )
     rng = np.random.default_rng(seed)
-    worst = {"max_pure_residual": 0.0, "max_mixed_residual": 0.0}
-    for _ in range(trials):
-        for key, draw in zip(worst, (random_state_vector, random_density_operator)):
-            model = make_model(m, draw(m.dim_k, rng))
-            weights = (np.abs(basis @ model._components) ** 2).sum(axis=1)
-            worst[key] = max(worst[key], distance_to_mixture(k.induce(model), weights))
-    residuals.update(worst)
-    largest = max(worst.values())
+    dim_k = m.dim_k
+    chunk = max(1, _HULL_CHUNK_ELEMENTS // (2 * len(m.interaction) * (m.dim_h * dim_k) ** 2))
+    worst = np.zeros(2)
+    for start in range(0, trials, chunk):
+        count = min(chunk, trials - start)
+        # each trial's pure and mixed probe hold dim_k columns; a pure one's first alone is nonzero
+        psis = np.zeros((count, 2, dim_k, dim_k), dtype=complex)
+        for t in range(count):
+            psi = random_state_vector(dim_k, rng)
+            psis[t, 0, :, 0] = psi / np.linalg.norm(psi)
+            rho = random_density_operator(dim_k, rng)
+            psis[t, 1] = rho / np.trace(rho).real
+        psis[:, 1] = _density_components(psis[:, 1])
+        psis = psis.transpose(2, 0, 1, 3).reshape(dim_k, -1)
+        weights = (np.abs(basis @ psis) ** 2).reshape(dim_k, -1, dim_k).sum(axis=2)
+        worst = np.maximum(worst, distances(psis, weights).reshape(count, 2).max(axis=0))
+    residuals.update(max_pure_residual=float(worst[0]), max_mixed_residual=float(worst[1]))
+    largest = float(worst.max())
     if largest <= tol:
         return VerificationReport(
             name, "pass", residuals, f"{trials} random programs stay in the convex hull"
@@ -337,7 +375,8 @@ def check_purification(
 
     If the device induced by a mixed probe is extreme, every eigenvector of
     the probe must induce that same device, so a pure probe suffices.  The
-    eigenvectors are the model's components of weight above 1e-12.
+    eigenvectors are the model's components of weight above 1e-12, induced
+    in one stacked product (see :func:`~qmultimeter.multimeter._induced_stack`).
     """
     name = "purification"
     if kind not in DEVICE_KINDS:
@@ -348,15 +387,16 @@ def check_purification(
     if model.probe.ndim != 2:
         return VerificationReport(name, "not_applicable", {}, "probe is pure (a vector)")
     norms = np.linalg.norm(model._components, axis=0)
-    components = [psi / norm for psi, norm in zip(model._components.T, norms) if norm**2 > 1e-12]
-    if len(components) < 2:
+    kept = norms**2 > 1e-12
+    if np.count_nonzero(kept) < 2:
         return VerificationReport(name, "not_applicable", {}, "probe has rank below 2")
 
     device = k.induce(model)
     extreme = k.extreme(device)
-    distances = [k.distance(k.induce(make_model(m, psi)), device) for psi in components]
-    worst = max(distances)
-    residuals = {"max_component_distance": worst, "probe_rank": float(len(components))}
+    psis = model._components[:, kept] / norms[kept]
+    distances = _distances(k.induce_arrays(m, psis, psis.shape[1]) - k.arrays(m, [device]))
+    worst = float(distances.max())
+    residuals = {"max_component_distance": worst, "probe_rank": float(len(distances))}
     if not extreme:
         gaps = ", ".join(f"{d:.3e}" for d in distances)
         return VerificationReport(
@@ -370,7 +410,7 @@ def check_purification(
             name,
             "pass",
             residuals,
-            f"extreme {kind}: all {len(components)} probe eigenvectors induce the same device",
+            f"extreme {kind}: all {len(distances)} probe eigenvectors induce the same device",
         )
     return VerificationReport(
         name,

@@ -6,8 +6,11 @@ sums the pointer slots' Gram matrices by the pointer's marks
 programs a push-button coupling slot by slot (``_slot_blocks``, with its
 own branch for a channel bundle) and any other coupling in one product of
 its Kraus stack; from dim K = 64 on it decomposes a density probe on its
-support and sums only the nonzero pointer slots.  The search kernel
-(``_stacked_effects``) induces the effects of a whole chunk of samples.
+support and sums only the nonzero pointer slots.  The checks that sample
+probe families induce many probes in one product (``_induced_stack``):
+effects, or Kraus operators whose Choi matrices ``_choi`` forms.  The
+search kernel (``_stacked_effects``) induces the effects of a whole chunk
+of samples.
 Each case takes one of these paths, which the test asserts, and is
 compared with the partial traces of ``V*(I (x) Z(x))V (I (x) xi)`` and
 ``V(rho (x) xi)V*`` in ``textbook``.  The dense coupling a push-button
@@ -19,9 +22,10 @@ import numpy as np
 import pytest
 
 from qmultimeter import PAULI
-from qmultimeter.channels import choi_matrix, identity_channel, make_channel, unitary_channel
+from qmultimeter.channels import _choi, choi_matrix, identity_channel, make_channel, unitary_channel
 from qmultimeter.multimeter import (
     SUPPORT_MIN_DIM_K,
+    _induced_stack,
     builtin_multimeter,
     concatenate_with_measurement,
     induced_channel,
@@ -122,6 +126,27 @@ def test_induction_matches_the_textbook(rng, path):
         model = make_model(meter, probe)
         want = textbook.choi(textbook.induced_channel(model), meter.dim_h)
         assert np.linalg.norm(choi_matrix(induced_channel(model)) - want) <= TOL
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_stacked_induction_matches_the_textbook(rng, path):
+    # a pure, a mixed and the pure probe again, side by side, each padded with
+    # zero columns to the widest: one array per probe, in the order given
+    meter, pure, mixed = PATHS[path][0](rng)
+    models = [make_model(meter, p) for p in (pure, mixed, pure)]
+    columns = max(model._components.shape[1] for model in models)
+    psis = np.zeros((meter.dim_k, len(models) * columns), dtype=complex)
+    for p, model in enumerate(models):
+        psis[:, p * columns : p * columns + model._components.shape[1]] = model._components
+    effects = _induced_stack(meter, psis, len(models), channel=False)
+    chois = _choi(_induced_stack(meter, psis, len(models), channel=True))
+    assert effects.shape == (3, len(meter.pointer), meter.dim_h, meter.dim_h)
+    assert chois.shape == (3, meter.dim_h**2, meter.dim_h**2)
+    for model, e, c in zip(models, effects, chois):
+        want = textbook.induced_effects(model)
+        assert max(np.linalg.norm(x - w) for x, w in zip(e, want)) <= TOL
+        want = textbook.choi(textbook.induced_channel(model), meter.dim_h)
+        assert np.linalg.norm(c - want) <= TOL
 
 
 def test_search_kernel_matches_the_textbook(rng):

@@ -198,7 +198,7 @@ def test_induced_channel_keeps_the_reached_rows(rng):
     meter, probes = push_button_multimeter(parts)
     for probe in [probes[0], random_state_vector(meter.dim_k, rng)]:
         model = make_model(meter, probe)
-        rows = _program_blocks(model).transpose(0, 2, 1, 3).reshape(-1, 3, 3)
+        rows = _program_blocks(meter, model._components).transpose(0, 2, 1, 3).reshape(-1, 3, 3)
         reached = rows.any(axis=(1, 2))
         c = induced_channel(model)
         assert len(c) == np.count_nonzero(reached)

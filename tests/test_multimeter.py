@@ -452,7 +452,8 @@ class TestTrustedInduction:
             meter = make_multimeter(dim_h, dim_k, computational_pointer(dim_k), channel)
             probe = textbook.random_density_operator(dim_k, rng, rank) if rank > 1 else (
                 random_state_vector(dim_k, rng))
-            m = _program_blocks(make_model(meter, probe)).reshape(-1, dim_k, dim_h)
+            model = make_model(meter, probe)
+            m = _program_blocks(meter, model._components).reshape(-1, dim_k, dim_h)
             outcomes = rng.integers(0, 4, size=dim_k)
             marks = np.arange(4)[:, None] == outcomes[None, :]
             effects = _basis_effects(m, marks)
@@ -1536,7 +1537,7 @@ class TestFamilyIsItsStack:
             for kernel in (None, fractional_kernel(len(meter.pointer), rng)):
                 model = make_model(meter, probe, kernel=kernel)
                 # the per-effect products, one effect at a time
-                m = _program_blocks(model)
+                m = _program_blocks(meter, model._components)
                 b = m.transpose(2, 0, 1, 3).reshape(dim_k, -1)
                 b_adj = b.reshape(-1, dim_h).conj().T
                 expected = [b_adj @ (eff @ b).reshape(-1, dim_h) for eff in meter.pointer.effects]
@@ -1637,7 +1638,8 @@ class TestProgramBlocksOnSupport:
             close.append(sum(w * projector(p) for w, p in zip(weights, probes)))
         for probe in exact + dense + close:
             model = make_model(meter, probe)
-            blocks, whole = _program_blocks(model), whole_program_blocks(model)
+            blocks = _program_blocks(meter, model._components)
+            whole = whole_program_blocks(model)
             assert blocks.shape == whole.shape
             if any(probe is p for p in exact):
                 assert np.array_equal(blocks, whole)
@@ -1655,7 +1657,7 @@ class TestProgramBlocksOnSupport:
         models = [make_model(meter, p) for p in (probes[1], mixed, random_state_vector(192, rng))]
         maps = []
         for model in models:
-            peak, blocks = traced_peak(lambda: _program_blocks(model))
+            peak, blocks = traced_peak(lambda: _program_blocks(meter, model._components))
             # three probe vectors' program maps hold 0.56 MiB, the coupling 9 MiB
             assert peak < 2**20
             maps.append(blocks)
@@ -1677,7 +1679,7 @@ class TestProgramBlocksOnSupport:
         poisoned[1] = selected.reshape(16, 16)
         object.__setattr__(meter.interaction, "_parts", (tuple(poisoned), dims))
         for probe in [probes[1], projector(probes[1])]:
-            blocks = _program_blocks(make_model(meter, probe))
+            blocks = _program_blocks(meter, make_model(meter, probe)._components)
             assert np.isfinite(blocks).all()
 
     def test_slot_gather_equals_every_slot_summed(self, rng):
@@ -1685,7 +1687,8 @@ class TestProgramBlocksOnSupport:
         mixed = sum(w * projector(p) for w, p in zip((0.5, 0.3, 0.2), probes))
         weights = meter.pointer._marks
         for probe in [*probes, mixed, random_state_vector(meter.dim_k, rng)]:
-            m = _program_blocks(make_model(meter, probe)).reshape(-1, meter.dim_k, meter.dim_h)
+            model = make_model(meter, probe)
+            m = _program_blocks(meter, model._components).reshape(-1, meter.dim_k, meter.dim_h)
             grams = slot_grams(m)
             summed = weights.astype(complex) @ grams.reshape(meter.dim_k, -1)
             expected = summed.reshape(len(weights), meter.dim_h, meter.dim_h)

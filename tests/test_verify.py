@@ -180,18 +180,29 @@ class TestConvexHull:
         assert rep.residuals["max_mixed_residual"] <= 1e-10
 
     def test_device_choi_matrices_formed_once(self, monkeypatch):
+        # each declared channel becomes a Choi matrix once; the basis probes are
+        # one stacked induction and each chunk of drawn probes one more, with no
+        # model made for a drawn probe
         devices = [unitary_channel(u) for u in (PAULI[0], PAULI[1], PAULI[3])]
         meter, probes = push_button_multimeter(devices)
         programmed = list(zip(probes, devices))
         want = check_convex_hull(meter, programmed, trials=4, seed=3)
-        seen = []
-        choi = verify.choi_matrix
-        monkeypatch.setattr(verify, "choi_matrix", lambda c: seen.append(c) or choi(c))
-        rep = check_convex_hull(meter, programmed, trials=4, seed=3)
-        # one per device, then one per induced channel: 3 basis and 2 * 4 random programs
-        assert len(seen) == 3 + 3 + 2 * 4
-        assert all(any(c is d for c in seen) for d in devices)
-        assert rep.residuals == want.residuals and rep.verdict == "pass"
+        choi, induce, model = verify.choi_matrix, verify._induced_stack, verify.make_model
+        # one chunk of 4 trials, then a budget of one trial per chunk
+        for budget, chunks in ((None, 1), (1, 4)):
+            if budget is not None:
+                monkeypatch.setattr(verify, "_HULL_CHUNK_ELEMENTS", budget)
+            seen, stacks, models = [], [], []
+            monkeypatch.setattr(verify, "choi_matrix", lambda c: seen.append(c) or choi(c))
+            monkeypatch.setattr(verify, "_induced_stack", lambda m, psis, *a, **k: (
+                stacks.append(psis.shape) or induce(m, psis, *a, **k)))
+            monkeypatch.setattr(verify, "make_model", lambda *a: models.append(a) or model(*a))
+            rep = check_convex_hull(meter, programmed, trials=4, seed=3)
+            assert len(seen) == 3 and all(c is d for c, d in zip(seen, devices))
+            assert len(models) == 3
+            # the basis, then each chunk's pure and mixed probes, dim_k = 3 columns each
+            assert stacks == [(3, 3)] + [(3, 2 * 3 * 4 // chunks)] * chunks
+            assert rep.residuals == want.residuals and rep.verdict == "pass"
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_no_trials_tests_nothing(self, trials):
@@ -251,36 +262,29 @@ class TestConvexHull:
             check_convex_hull(meter, [(probes[0], s1), (probes[1], relabelled)], trials=2, seed=0)
 
     def test_observable_mixtures_are_summed_on_the_stacks(self, monkeypatch):
-        # every residual equals the distance to the mixture built as an
-        # observable, bit for bit, and no observable is built for it
+        # declared observables become effect stacks in the pointer's outcome order,
+        # so listing their outcomes in another order changes no residual, and no
+        # observable is built for a mixture
         parts = [minimal_dilation_multimeter(spin_observable(axis)) for axis in ((1, 0, 0), (0, 0, 1))]
         meter, _ = push_button_multimeter(parts)
-        programmed = []
+        programmed, reversed_ = [], []
         for i, e in enumerate(np.eye(meter.dim_k, dtype=complex)):
             device = induced_observable(make_model(meter, e))
+            programmed.append((e, device))
             if i % 2:  # the same observable with its outcomes listed in reverse order
                 device = make_observable(device.dim, device.outcomes[::-1], device.effects[::-1])
-            programmed.append((e, device))
-
-        def built_mixture(devices):
-            ref = devices[0]
-            return lambda e, weights: observable_distance(e, make_observable(
-                ref.dim, ref.outcomes,
-                sum(w * dev._stack_in_order(ref.outcomes) for w, dev in zip(weights, devices)),
-                tol=INDUCTION_TOL,
-            ))
+            reversed_.append((e, device))
+        arrays = verify._observable_arrays(meter, [d for _, d in reversed_])
+        assert np.array_equal(arrays, np.stack([d.effects for _, d in programmed]))
 
         calls = []
         with monkeypatch.context() as patch:
             for module in (observables, multimeter, verify):
                 patch.setattr(module, "make_observable", lambda *a, **k: calls.append(a), raising=False)
-            rep = check_convex_hull(meter, programmed, trials=4, seed=2)
+            rep = check_convex_hull(meter, reversed_, trials=4, seed=2)
         assert calls == []
-        kinds = dict(verify.DEVICE_KINDS)
-        kinds["observable"] = kinds["observable"]._replace(mixer=built_mixture)
-        monkeypatch.setattr(verify, "DEVICE_KINDS", kinds)
         want = check_convex_hull(meter, programmed, trials=4, seed=2)
-        assert rep.residuals == want.residuals and rep.verdict == want.verdict
+        assert rep.residuals == want.residuals and rep.verdict == want.verdict == "pass"
         assert rep.residuals["basis_residual"] == 0.0
 
     def test_observables_of_other_dimension_raise(self, spin_trio):
@@ -340,18 +344,24 @@ class TestPurification:
         "kind, distance", [("observable", "observable_distance"), ("channel", "channel_distance")]
     )
     def test_one_distance_per_component(self, monkeypatch, spin_trio, kind, distance):
-        # the distances a report cites for a non-extreme device are the ones it takes the worst of
+        # the mixture is induced once as a device; the components are induced
+        # together, one column each, in one stacked call, and compared as arrays;
+        # the report cites one distance per component and the worst of them
         meter, _ = minimal_dilation_multimeter(spin_trio[2])
-        calls, measure = [], getattr(verify, distance)
-
-        def counted(a, b):
-            calls.append((a, b))
-            return measure(a, b)
-
-        monkeypatch.setattr(verify, distance, counted)
+        calls, stacks, devices = [], [], []
+        induce = verify._induced_stack
+        induced_device = getattr(verify, f"induced_{kind}")
+        monkeypatch.setattr(verify, distance, lambda a, b: calls.append((a, b)))
+        monkeypatch.setattr(verify, "_induced_stack", lambda m, psis, probes, **k: stacks.append(
+            (psis.shape, probes)) or induce(m, psis, probes, **k))
+        monkeypatch.setattr(verify, f"induced_{kind}",
+                            lambda model: devices.append(model) or induced_device(model))
         rep = check_purification(meter, np.diag([0.5, 0.5]).astype(complex), kind=kind)
         assert rep.verdict == "not_applicable" and "decomposition" in rep.details
-        assert len(calls) == rep.residuals["probe_rank"] == 2
+        assert calls == [] and len(devices) == 1 and stacks == [((2, 2), 2)]
+        gaps = rep.details.split("[")[1].rstrip("]").split(", ")
+        assert len(gaps) == rep.residuals["probe_rank"] == 2
+        assert max(gaps, key=float) == f"{rep.residuals['max_component_distance']:.3e}"
 
     def test_unknown_kind_raises(self, spin_trio):
         meter, _ = minimal_dilation_multimeter(spin_trio[2])
