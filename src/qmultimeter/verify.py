@@ -296,8 +296,9 @@ def check_convex_hull(
     each chunk of trials are induced in one stacked product (see
     :func:`~qmultimeter.multimeter._induced_stack`).  A trial draws a pure,
     then a mixed probe, decomposed as :func:`make_model` decomposes them,
-    by one batched ``eigh``, but not validated again.  A chunk holds about ``_HULL_CHUNK_ELEMENTS`` entries
-    of program maps, and no residual depends on it.
+    by one batched ``eigh``, but not validated again.  A chunk holds about
+    ``_HULL_CHUNK_ELEMENTS`` entries of program maps, and no residual
+    depends on it.
     """
     name = "convex_hull"
     _check_trials(trials)

@@ -8,7 +8,6 @@ from qmultimeter import multimeter, observables, verify
 from qmultimeter.cli import emit_report, parse_report
 from qmultimeter.channels import identity_channel, make_channel, unitary_channel
 from qmultimeter.multimeter import (
-    INDUCTION_TOL,
     builtin_multimeter,
     induced_observable,
     make_model,
