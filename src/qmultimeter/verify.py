@@ -91,6 +91,11 @@ _HULL_CHUNK_ELEMENTS = 2**16
 _REFINE_STEPS = 200
 _REFINE_DECAY = 0.97
 
+#: Refinement proposals scored per :func:`_search_stats` call: at (2, 2) one
+#: sample takes about 20 µs and eight about 24 µs (one BLAS thread, 2-CPU
+#: Xeon container), and 26-72 of 200 proposals are accepted over 20 seeds.
+_REFINE_BATCH = 8
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -561,40 +566,77 @@ def _refine(q, a, thresholds, dim_h, rng):
     reach only the span of the probes, so the descent in ``(Q, a)`` is the
     descent over couplings and probes of that span.  The sample is held
     sample-minor, as a chunk of one (see :func:`_stacked_effects`).
+
+    The descent is a loop that draws one proposal, scores it and accepts it
+    if it lowers the objective.  No draw depends on what was accepted, so
+    all ``_REFINE_STEPS`` proposals are drawn first, in that loop's order,
+    and the unitaries of the moves of ``Q`` are formed in one stacked
+    ``eigh`` and product.  The next ``_REFINE_BATCH`` proposals are then
+    built on the current sample and scored as one chunk; the first that
+    lowers the objective is accepted and the next batch starts after it.
+    Each step is the loop's, and a sample scores in a chunk what it scores
+    alone, so the result is the loop's bit for bit (a test keeps the loop as
+    the oracle).
     """
 
     def objective(q, a):
-        sharp, overlap, distance = (x[0] for x in _search_stats(q, a, dim_h))
+        sharp, overlap, distance = _search_stats(q, a, dim_h)
+        # fmax, like the scalar max(0.0, x), ignores a NaN
         return (
             sharp
-            + 10.0 * max(0.0, thresholds["overlap"] - overlap)
-            + 10.0 * max(0.0, thresholds["distance"] - distance)
+            + 10.0 * np.fmax(0.0, thresholds["overlap"] - overlap)
+            + 10.0 * np.fmax(0.0, thresholds["distance"] - distance)
         )
 
-    best = objective(q, a)
+    n, m = len(q), a.shape[1]
+    dim = dim_h * m
+    # proposal k moves probe kinds[k] (0 or 1) by moves[k] at coordinate
+    # coords[k][0], or (kind 2) rotates Q by exp(i steps[k] h) with
+    # h[i, j] = moves[k] plus its adjoint, (i, j) = coords[k]
+    kinds, coords, moves, steps = [], [], [], []
     step = 0.1
-    n, dim = len(q), q[0].size
     for _ in range(_REFINE_STEPS):
-        move = rng.integers(0, 3)
-        cand_q, cand_a = q, a
-        if move < 2:
-            cand_a = a.copy()
-            j = rng.integers(0, a.shape[1])
-            cand_a[move, j] += step * (rng.normal() + 1j * rng.normal())
-            cand_a[move] /= np.linalg.norm(cand_a[move])
-        else:
-            h = np.zeros((dim, dim), dtype=complex)
-            i, j = rng.integers(0, dim, size=2)
-            z = rng.normal() + 1j * rng.normal()
-            h[i, j] += z
-            h[j, i] += np.conj(z)
-            eigvals, vecs = np.linalg.eigh(h)
-            u = (vecs * np.exp(1j * step * eigvals)) @ vecs.conj().T
-            cand_q = (q.reshape(n, dim) @ u).reshape(q.shape)
-        val = objective(cand_q, cand_a)
-        if val < best:
-            best, q, a = val, cand_q, cand_a
+        kinds.append(rng.integers(0, 3))
+        coords.append(rng.integers(0, dim, size=2) if kinds[-1] == 2 else (rng.integers(0, m),) * 2)
+        z = rng.normal() + 1j * rng.normal()
+        moves.append(step * z if kinds[-1] < 2 else z)
+        steps.append(step)
         step *= _REFINE_DECAY
+    kinds, coords, moves, steps = (np.array(x) for x in (kinds, coords, moves, steps))
+    (rotations,) = (kinds == 2).nonzero()
+    h = np.zeros((len(rotations), dim, dim), dtype=complex)
+    i, j = coords[rotations].T
+    h[np.arange(len(rotations)), i, j] += moves[rotations]
+    h[np.arange(len(rotations)), j, i] += moves[rotations].conj()
+    eigvals, vecs = np.linalg.eigh(h)
+    phases = np.exp(1j * steps[rotations, None] * eigvals)[:, None, :]
+    unitaries = np.empty((_REFINE_STEPS, dim, dim), dtype=complex)
+    unitaries[rotations] = (vecs * phases) @ vecs.conj().swapaxes(-1, -2)
+
+    best = objective(q, a)[0]
+    start = 0
+    while start < _REFINE_STEPS:
+        batch = slice(start, min(start + _REFINE_BATCH, _REFINE_STEPS))
+        kind, coord, move = kinds[batch], coords[batch, 0], moves[batch]
+        cand_q, cand_a = np.repeat(q, len(kind), axis=-1), np.repeat(a, len(kind), axis=-1)
+        rotate = kind == 2
+        rotated = q.reshape(n, dim) @ unitaries[batch][rotate]
+        cand_q.reshape(n, dim, -1)[..., rotate] = rotated.transpose(1, 2, 0)
+        (cols,) = (~rotate).nonzero()
+        probes = kind[cols]
+        cand_a[probes, coord[cols], cols] += move[cols]
+        v = cand_a[probes, :, cols]
+        # row-times-column products are np.linalg.norm's dot, bit for bit
+        norms = np.sqrt(v.real[:, None] @ v.real[..., None] + v.imag[:, None] @ v.imag[..., None])
+        cand_a[probes, :, cols] = v / norms[:, 0]
+        values = objective(cand_q, cand_a)
+        (better,) = (values < best).nonzero()
+        if not better.size:
+            start = batch.stop
+            continue
+        c = better[0]
+        best, q, a = values[c], cand_q[..., c : c + 1].copy(), cand_a[..., c : c + 1].copy()
+        start += c + 1
     return q, a
 
 

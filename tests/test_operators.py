@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qmultimeter import DimensionError, PAULI, ValidationError
 from qmultimeter.operators import (
     _GRAM_SCHMIDT_MIN_STACK,
+    _complex_normals,
     _orthonormal_columns,
     check_density_operator,
     dagger,
@@ -335,6 +336,21 @@ class TestRandomGenerators:
         assert np.abs(np.tril(r, -1)).max() <= 1e-12 * np.abs(z).max()
         diagonal = np.diagonal(r, axis1=-2, axis2=-1)
         assert np.all(diagonal.real > 0) and np.abs(diagonal.imag).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(256, 4, 4), (256, 6, 4), (256, 8, 4), (202, 9, 6), (256, 2, 2), (202, 2, 3), (7,), ()],
+        ids=lambda x: "x".join(map(str, x)) or "scalar",
+    )
+    def test_complex_normals_are_the_sum_of_two_normal_draws(self, shape):
+        # the search's chunk shapes (Haar draws, then probes), a vector and a
+        # scalar: the same values from the same stream, left in the same state
+        old, new = np.random.default_rng(31), np.random.default_rng(31)
+        expected = old.normal(size=shape) + 1j * old.normal(size=shape)
+        z = _complex_normals(new, shape)
+        assert z.shape == shape and z.dtype == complex
+        assert np.array_equal(z, expected)
+        assert new.bit_generator.state == old.bit_generator.state
 
     def test_random_density_operator_valid(self, rng):
         # the library's full-rank draw and the oracle's rank-2 draw
