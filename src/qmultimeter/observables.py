@@ -18,6 +18,7 @@ from .exceptions import DimensionError, ValidationError
 from .operators import (
     DEFAULT_TOL,
     PAULI,
+    _NORMALISATION_TOL,
     _frobenius_norms,
     _hermitian_defect,
     _hermitian_part,
@@ -390,15 +391,15 @@ def spin_observable(axis) -> Observable:
     """Two-outcome sharp qubit observable along a unit Bloch vector.
 
     Outcome ``1`` carries the effect ``(I + n.sigma)/2``, outcome ``2``
-    its complement.  An axis whose norm is within ``1e-6`` of 1 is
-    accepted and divided by its norm, so the effects are projections to
-    rounding.
+    its complement.  An axis whose norm is within ``_NORMALISATION_TOL``
+    (1e-6) of 1 is accepted and divided by its norm, so the effects are
+    projections to rounding.
     """
     n = np.asarray(axis, dtype=float).reshape(-1)
     if n.shape != (3,):
         raise DimensionError("spin axis must be a real 3-vector")
     norm = np.linalg.norm(n)
-    if abs(norm - 1.0) > 1e-6:
+    if abs(norm - 1.0) > _NORMALISATION_TOL:
         raise ValidationError(f"spin axis norm {norm} is not 1")
     n = n / norm
     n_sigma = n[0] * PAULI[1] + n[1] * PAULI[2] + n[2] * PAULI[3]

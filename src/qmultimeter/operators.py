@@ -20,6 +20,9 @@ from .exceptions import DimensionError, ValidationError
 
 DEFAULT_TOL = 1e-9
 
+#: Tolerance of a state's norm, trace and positivity, and of a spin axis's norm.
+_NORMALISATION_TOL = 1e-6
+
 # Tensor products beyond this total dimension fail fast instead of
 # exhausting memory; this is a desk-scale toolkit.
 DIMENSION_CAP = 4096
@@ -292,19 +295,19 @@ def _independent_products(groups, dim: int) -> bool:
 # states
 
 
-def check_state_vector(phi: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    """Validate and return a unit vector as a 1-d complex array."""
+def check_state_vector(phi: np.ndarray) -> np.ndarray:
+    """Validate and return a unit vector, to ``_NORMALISATION_TOL``, as a 1-d complex array."""
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     if not np.all(np.isfinite(phi)):
         raise ValidationError("state vector has non-finite entries")
     norm = float(np.linalg.norm(phi))
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > _NORMALISATION_TOL:
         raise ValidationError(f"state vector norm {norm} is not 1")
     return phi
 
 
-def check_density_operator(rho: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    """Validate a density operator: Hermitian, positive, unit trace."""
+def check_density_operator(rho: np.ndarray) -> np.ndarray:
+    """Validate a density operator: Hermitian, positive, unit trace, to ``_NORMALISATION_TOL``."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2:
         raise DimensionError(f"expected a matrix, got array of ndim {rho.ndim}")
@@ -312,13 +315,13 @@ def check_density_operator(rho: np.ndarray, tol: float = 1e-6) -> np.ndarray:
         raise ValidationError("operator has non-finite entries")
     if rho.shape[0] != rho.shape[1]:
         raise DimensionError("density operator must be square")
-    if not is_hermitian(rho, tol):
+    if not is_hermitian(rho, _NORMALISATION_TOL):
         raise ValidationError("density operator is not Hermitian")
-    low = eigenvalue_below(rho[None], [tol])
+    low = eigenvalue_below(rho[None], [_NORMALISATION_TOL])
     if low is not None:
         raise ValidationError(f"density operator has negative eigenvalue {low[1]}")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > _NORMALISATION_TOL:
         raise ValidationError(f"density operator trace {tr} is not 1")
     return rho
 
@@ -417,10 +420,3 @@ def random_state_vector(dim: int, rng: np.random.Generator, batch: tuple = ()) -
     if not batch:
         return psi / np.linalg.norm(psi)
     return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
-
-
-def random_density_operator(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random full-rank mixed state ``G G* / tr(G G*)``, ``G`` a complex Gaussian ``dim x dim`` matrix."""
-    g = _complex_normals(rng, (dim, dim))
-    rho = g @ dagger(g)
-    return rho / np.trace(rho).real

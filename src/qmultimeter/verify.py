@@ -30,7 +30,6 @@ from .exceptions import DimensionError, ValidationError
 from .multimeter import (
     INDUCTION_TOL,
     Multimeter,
-    _density_components,
     _dilation_couplings,
     _induced_stack,
     induced_channel,
@@ -49,7 +48,6 @@ from .operators import (
     frobenius_norm,
     haar_isometry,
     haar_unitary,
-    random_density_operator,
     random_state_vector,
 )
 
@@ -299,11 +297,13 @@ def check_convex_hull(
 
     Each declared device becomes one array once, and the basis probes and
     each chunk of trials are induced in one stacked product (see
-    :func:`~qmultimeter.multimeter._induced_stack`).  A trial draws a pure,
-    then a mixed probe, decomposed as :func:`make_model` decomposes them,
-    by one batched ``eigh``, but not validated again.  A chunk holds about
-    ``_HULL_CHUNK_ELEMENTS`` entries of program maps, and no residual
-    depends on it.
+    :func:`~qmultimeter.multimeter._induced_stack`).  A chunk's programs are
+    one block of normals, per trial those of :func:`random_state_vector` and
+    then of a complex Gaussian ``dim_k x dim_k`` matrix ``G``: a pure probe
+    ``psi / ||psi||`` and a mixed one as its own components ``G / ||G||_F``,
+    the Hilbert-Schmidt random state ``G G* / tr(G G*)`` (Zyczkowski &
+    Sommers 2001).  A chunk holds about ``_HULL_CHUNK_ELEMENTS`` entries of
+    program maps, and no residual depends on it.
     """
     name = "convex_hull"
     _check_trials(trials)
@@ -346,14 +346,13 @@ def check_convex_hull(
     worst = np.zeros(2)
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
+        # a trial's rows of normals: Re psi, Im psi, then the rows of Re G and of Im G
+        x = rng.standard_normal((count, 2 * dim_k + 2, dim_k))
+        psi, g = x[:, 0] + 1j * x[:, 1], x[:, 2 : dim_k + 2] + 1j * x[:, dim_k + 2 :]
         # each trial's pure and mixed probe hold dim_k columns; a pure one's first alone is nonzero
         psis = np.zeros((count, 2, dim_k, dim_k), dtype=complex)
-        for t in range(count):
-            psi = random_state_vector(dim_k, rng)
-            psis[t, 0, :, 0] = psi / np.linalg.norm(psi)
-            rho = random_density_operator(dim_k, rng)
-            psis[t, 1] = rho / np.trace(rho).real
-        psis[:, 1] = _density_components(psis[:, 1])
+        psis[:, 0, :, 0] = psi / np.linalg.norm(psi, axis=1, keepdims=True)
+        psis[:, 1] = g / np.linalg.norm(g, axis=(1, 2), keepdims=True)
         psis = psis.transpose(2, 0, 1, 3).reshape(dim_k, -1)
         weights = (np.abs(basis @ psis) ** 2).reshape(dim_k, -1, dim_k).sum(axis=2)
         worst = np.maximum(worst, distances(psis, weights).reshape(count, 2).max(axis=0))

@@ -17,3 +17,16 @@ def spin_trio():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+class _NoDraws:
+    """A generator that refuses every draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the generator ({name})")
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Every generator made from here on refuses to draw."""
+    monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: _NoDraws())

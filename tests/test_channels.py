@@ -18,13 +18,13 @@ from qmultimeter.channels import (
 from qmultimeter.operators import (
     DEFAULT_TOL,
     haar_unitary,
-    random_density_operator,
     random_state_vector,
     tensor,
 )
 from textbook import (
     partial_trace,
     random_channel,
+    random_density_operator,
     stinespring_commutant_residual,
     stinespring_dilation,
 )
@@ -46,7 +46,7 @@ class TestApply:
         for seed in range(50):
             c = random_channel(3, 2, seed)
             b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            rho = random_density_operator(3, rng)
+            rho = random_density_operator(3, rng, 3)
             lhs = np.trace(b @ apply(c, rho, "schrodinger"))
             rhs = np.trace(apply(c, b, "heisenberg") @ rho)
             assert abs(lhs - rhs) <= 1e-12
@@ -102,7 +102,7 @@ class TestUnitaryChannel:
             [s @ f for s in unitary_channel(u.conj().T).kraus for f in unitary_channel(u).kraus]
         )
         for _ in range(5):
-            rho = random_density_operator(3, rng)
+            rho = random_density_operator(3, rng, 3)
             assert np.linalg.norm(apply(back_and_forth, rho) - rho) <= 1e-12
 
     def test_heisenberg_action_multiplicative(self, rng):
@@ -125,7 +125,7 @@ class TestCompleteContraction:
         c = complete_contraction(phi)
         target = np.outer(phi, phi.conj())
         for _ in range(10):
-            rho = random_density_operator(2, rng)
+            rho = random_density_operator(2, rng, 2)
             assert np.linalg.norm(apply(c, rho) - target) <= 1e-12
 
     def test_dual_is_unital(self, rng):
@@ -231,7 +231,7 @@ class TestStinespring:
             c = random_channel(2, 3, seed)
             w = stinespring_dilation(c)
             assert np.linalg.norm(w.conj().T @ w - np.eye(2)) <= 1e-12
-            rho = random_density_operator(2, rng)
+            rho = random_density_operator(2, rng, 2)
             lifted = w @ rho @ w.conj().T
             assert np.linalg.norm(
                 partial_trace(lifted, 2, len(c.kraus), "K") - apply(c, rho)

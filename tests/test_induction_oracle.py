@@ -36,7 +36,7 @@ from qmultimeter.multimeter import (
     push_button_multimeter,
 )
 from qmultimeter.observables import make_kernel, make_observable, spin_observable
-from qmultimeter.operators import haar_unitary, projector, random_density_operator, random_state_vector
+from qmultimeter.operators import haar_unitary, projector, random_state_vector
 from qmultimeter.verify import _draw_samples, _stacked_effects
 
 import textbook
@@ -48,14 +48,14 @@ TOL = 1e-12
 
 def pauli(rng):
     meter, probes = builtin_multimeter("pauli")
-    return meter, probes[0], random_density_operator(4, rng)
+    return meter, probes[0], textbook.random_density_operator(4, rng, 4)
 
 
 def spin_pair(rng):
     meter, _ = builtin_multimeter(
         "spin_pair", observables=[spin_observable((1, 0, 0)), spin_observable((0, 1, 0))]
     )
-    return meter, random_state_vector(2, rng), random_density_operator(2, rng)
+    return meter, random_state_vector(2, rng), textbook.random_density_operator(2, rng, 2)
 
 
 def concatenated(rng):
@@ -64,7 +64,7 @@ def concatenated(rng):
         "spin_pair", observables=[spin_observable((1, 0, 0)), spin_observable((0, 1, 0))]
     )
     meter = concatenate_with_measurement(channels, make_model(spin, probes[0]))
-    return meter, random_state_vector(4, rng), random_density_operator(4, rng)
+    return meter, random_state_vector(4, rng), textbook.random_density_operator(4, rng, 4)
 
 
 def selector_bundle(dim, parts):
@@ -78,7 +78,7 @@ def selector_bundle(dim, parts):
 
 def channel_bundle(rng):
     meter, _ = push_button_multimeter([unitary_channel(haar_unitary(2, rng)) for _ in range(3)])
-    return meter, random_state_vector(3, rng), random_density_operator(3, rng)
+    return meter, random_state_vector(3, rng), textbook.random_density_operator(3, rng, 3)
 
 
 def non_normal(rng):

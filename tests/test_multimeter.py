@@ -56,7 +56,6 @@ from qmultimeter.operators import (
     haar_unitary,
     is_projection,
     projector,
-    random_density_operator,
     random_state_vector,
     tensor,
     tensor_many,
@@ -68,6 +67,7 @@ from textbook import (
     naimark_check,
     partial_trace,
     random_channel,
+    random_density_operator,
     random_observable,
     random_sharp_observable,
 )
@@ -267,7 +267,7 @@ class TestInducedObservable:
         # without coupling the outcome distribution comes from the probe alone
         pointer = computational_pointer(3)
         meter = make_multimeter(2, 3, pointer, identity_channel(6))
-        xi = random_density_operator(3, rng)
+        xi = random_density_operator(3, rng, 3)
         obs = induced_observable(make_model(meter, xi))
         for k, eff in zip(pointer.outcomes, pointer.effects):
             prob = np.trace(eff @ xi).real
@@ -290,7 +290,7 @@ class TestInducedObservable:
             obs = induced_observable(model)
             xi = projector(probe)
             for _ in range(20):
-                rho = random_density_operator(meter.dim_h, rng)
+                rho = random_density_operator(meter.dim_h, rng, meter.dim_h)
                 coupled = apply(meter.interaction, tensor(rho, xi))
                 for x in obs.outcomes:
                     lhs = np.trace(obs.effect(x) @ rho).real
@@ -497,7 +497,7 @@ class TestInducedChannel:
         obs = induced_observable(model)
         xi = projector(probes[0])
         for _ in range(10):
-            rho = random_density_operator(2, rng)
+            rho = random_density_operator(2, rng, 2)
             coupled = apply(meter.interaction, tensor(rho, xi))
             for x in obs.outcomes:
                 lhs = np.trace(obs.effect(x) @ rho).real
@@ -510,9 +510,9 @@ class TestInducedChannel:
 
     def test_mixed_probe_channel(self, rng):
         meter, _ = builtin_multimeter("swap", dim=2)
-        xi = random_density_operator(2, rng)
+        xi = random_density_operator(2, rng, 2)
         induced = induced_channel(make_model(meter, xi))
-        rho = random_density_operator(2, rng)
+        rho = random_density_operator(2, rng, 2)
         # swapping moves the probe state onto the system
         assert np.linalg.norm(apply(induced, rho) - xi) <= 1e-12
 
@@ -1176,7 +1176,7 @@ class TestBasisPointerInduction:
         probes = [probes] if isinstance(probes, np.ndarray) else list(probes)
         probes += [
             random_state_vector(meter.dim_k, rng),
-            random_density_operator(meter.dim_k, rng),
+            random_density_operator(meter.dim_k, rng, meter.dim_k),
         ]
         for probe in probes:
             gathered = induced_observable(make_model(meter, probe))
@@ -1530,7 +1530,7 @@ class TestFamilyIsItsStack:
         else:
             pointer = random_observable(3, 3, 7)
             meter = make_multimeter(2, 3, pointer, unitary_channel(haar_unitary(6, rng)))
-            probes = [random_state_vector(3, rng), random_density_operator(3, rng)]
+            probes = [random_state_vector(3, rng), random_density_operator(3, rng, 3)]
         assert meter.pointer._marks is None
         dim_h, dim_k = meter.dim_h, meter.dim_k
         for probe in probes:
@@ -1593,7 +1593,7 @@ def subset_probes(dim, size, rng):
     vector = np.zeros(dim, dtype=complex)
     vector[idx] = random_state_vector(size, rng)
     density = np.zeros((dim, dim), dtype=complex)
-    density[np.ix_(idx, idx)] = random_density_operator(size, rng)
+    density[np.ix_(idx, idx)] = random_density_operator(size, rng, size)
     return [vector, density]
 
 
@@ -1628,7 +1628,7 @@ class TestProgramBlocksOnSupport:
         exact = probes + list(np.eye(dim_k, dtype=complex)[:: max(1, dim_k // 6)])
         # a probe with no zero entry takes the whole product itself, unless the
         # coupling is held as its parts
-        dense = [random_state_vector(dim_k, rng), random_density_operator(dim_k, rng)]
+        dense = [random_state_vector(dim_k, rng), random_density_operator(dim_k, rng, dim_k)]
         if meter.interaction._parts is None:
             exact += dense
             dense = []
@@ -1847,7 +1847,7 @@ class TestProbeSupportValidation:
         meter, _ = bench_bundle()
         idx = [5, 64, 191]
         rho = np.zeros((192, 192), dtype=complex)
-        rho[np.ix_(idx, idx)] = random_density_operator(3, rng)
+        rho[np.ix_(idx, idx)] = random_density_operator(3, rng, 3)
         model = make_model(meter, rho)
         assert np.array_equal(model.probe, rho / np.trace(rho).real)
         assert not model.probe.flags.writeable

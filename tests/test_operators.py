@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmultimeter import DimensionError, PAULI, ValidationError
+from qmultimeter import DimensionError, PAULI, ValidationError, spin_observable
 from qmultimeter.operators import (
     _GRAM_SCHMIDT_MIN_STACK,
+    _NORMALISATION_TOL,
     _complex_normals,
     _orthonormal_columns,
     check_density_operator,
+    check_state_vector,
     dagger,
     eigenvalue_below,
     embed_factors,
@@ -20,13 +22,11 @@ from qmultimeter.operators import (
     is_hermitian,
     is_projection,
     projector,
-    random_density_operator,
     random_state_vector,
     tensor,
     tensor_many,
 )
-import textbook
-from textbook import is_isometry, partial_trace
+from textbook import is_isometry, partial_trace, random_density_operator
 
 
 class TestTensor:
@@ -67,8 +67,8 @@ class TestTensor:
 class TestPartialTrace:
     def test_traces_out_probe_factor(self, rng):
         for _ in range(10):
-            rho = random_density_operator(3, rng)
-            xi = random_density_operator(2, rng)
+            rho = random_density_operator(3, rng, 3)
+            xi = random_density_operator(2, rng, 2)
             assert np.linalg.norm(partial_trace(tensor(rho, xi), 3, 2, "K") - rho) <= 1e-12
             assert np.linalg.norm(partial_trace(tensor(rho, xi), 3, 2, "H") - xi) <= 1e-12
 
@@ -212,14 +212,29 @@ class TestPositivityCertificate:
         assert calls == [(1, 2, 2)]
 
     def test_density_operator_bound(self, rng):
-        tol = 1e-6
+        tol = _NORMALISATION_TOL
         rho = _with_spectrum([1 + 2 * tol, -2 * tol], rng)
         low = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
         with pytest.raises(ValidationError, match="negative eigenvalue") as err:
-            check_density_operator(rho, tol)
+            check_density_operator(rho)
         assert str(low) in str(err.value)
-        check_density_operator(_with_spectrum([1 + tol / 2, -tol / 2], rng), tol)
-        check_density_operator(np.diag([1.0, 0.0]), tol=0.0)
+        check_density_operator(_with_spectrum([1 + tol / 2, -tol / 2], rng))
+        check_density_operator(np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("scale, accepted", [(1 + 5e-7, True), (1 - 5e-7, True),
+                                                 (1 + 2e-6, False), (1 - 2e-6, False)])
+    def test_one_normalisation_tolerance(self, scale, accepted):
+        # a state vector's norm, a density operator's trace and a spin axis's
+        # norm may each miss 1 by the one constant, and no more
+        assert _NORMALISATION_TOL == 1e-6
+        for check, value in ((check_state_vector, [scale, 0.0]),
+                             (check_density_operator, np.diag([scale, 0.0])),
+                             (spin_observable, (0.0, 0.0, scale))):
+            if accepted:
+                check(value)
+            else:
+                with pytest.raises(ValidationError, match="is not 1"):
+                    check(value)
 
     def test_is_positive_at_zero_tolerance(self):
         assert _no_eigenvalue_below(np.diag([1.0, 0.0]), 0.0)
@@ -353,9 +368,9 @@ class TestRandomGenerators:
         assert new.bit_generator.state == old.bit_generator.state
 
     def test_random_density_operator_valid(self, rng):
-        # the library's full-rank draw and the oracle's rank-2 draw
-        for rho, rank in ((random_density_operator(4, rng), 4),
-                          (textbook.random_density_operator(4, rng, 2), 2)):
+        # the oracle's full-rank and rank-2 draws
+        for rho, rank in ((random_density_operator(4, rng, 4), 4),
+                          (random_density_operator(4, rng, 2), 2)):
             eigs = np.linalg.eigvalsh(rho)
             assert eigs.min() >= -1e-12
             assert abs(np.trace(rho).real - 1) <= 1e-12

@@ -32,7 +32,6 @@ from qmultimeter.observables import is_extreme, make_observable, spin_observable
 from qmultimeter.operators import (
     haar_unitary,
     projector,
-    random_density_operator,
     random_state_vector,
 )
 from qmultimeter.verify import MAX_TRIALS, check_convex_hull, check_purification
@@ -79,8 +78,10 @@ def loop_convex_hull(m, programmed, trials, seed, tol=1e-10):
     rng = np.random.default_rng(seed)
     worst = {"max_pure_residual": 0.0, "max_mixed_residual": 0.0}
     for _ in range(trials):
-        for key, draw in zip(worst, (random_state_vector, random_density_operator)):
-            model = make_model(m, draw(m.dim_k, rng))
+        probes = (random_state_vector(m.dim_k, rng),
+                  textbook.random_density_operator(m.dim_k, rng, m.dim_k))
+        for key, probe in zip(worst, probes):
+            model = make_model(m, probe)
             xi = model.probe if model.probe.ndim == 2 else projector(model.probe)
             weights = [float(np.vdot(phi, xi @ phi).real) for phi in basis]
             worst[key] = max(worst[key], loop_distance(induce(model), devices, weights))
@@ -267,15 +268,54 @@ class TestConvexHullLoop:
         assert many <= 1.5 * one, (one, many)
 
 
-class TestConvexHullErrors:
-    def test_trials_capped_before_any_draw(self, monkeypatch):
-        meter, programmed = channel_bundle(np.random.default_rng(0))
+class TestDrawnPrograms:
+    """Each chunk's programs are one block of normals, in the per-trial loop's order."""
+
+    @pytest.mark.parametrize("budget", ["one-trial", "default", "three-chunks"])
+    @pytest.mark.parametrize("case", ["channel-bundle", "dilation-bundle-observables"])
+    def test_programs_are_the_loops(self, monkeypatch, case, budget):
+        meter, programmed = HULL_CASES[case](np.random.default_rng(sum(map(ord, case))))
+        dim_k, trials = meter.dim_k, 7
+        if budget == "one-trial":
+            monkeypatch.setattr(verify, "_HULL_CHUNK_ELEMENTS", 1)
+        elif budget == "three-chunks":
+            monkeypatch.setattr(verify, "_HULL_CHUNK_ELEMENTS",
+                                6 * len(meter.interaction) * (meter.dim_h * dim_k) ** 2)
+        chunks = -(-trials // hull_chunk(meter))
+        assert chunks == {"one-trial": trials, "default": 1, "three-chunks": 3}[budget]
+        stacks, generators = [], []
+        induce, default_rng = verify._induced_stack, np.random.default_rng
+        monkeypatch.setattr(verify, "_induced_stack", lambda m, psis, *a, **k: (
+            stacks.append(psis) or induce(m, psis, *a, **k)))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: (
+            generators.append(default_rng(seed)) or generators[-1]))
+        check_convex_hull(meter, programmed, trials=trials, seed=5)
+        # the basis, then each chunk's columns: (dim_k, trial, pure or mixed, column)
+        assert len(stacks) == 1 + chunks and len(generators) == 1
+        psis = np.concatenate(stacks[1:], axis=1).reshape(dim_k, trials, 2, dim_k)
+        rng = default_rng(5)
+        for t in range(trials):
+            pure = random_state_vector(dim_k, rng)
+            mixed = textbook.random_density_operator(dim_k, rng, dim_k)
+            for got, xi in zip((psis[:, t, 0], psis[:, t, 1]), (projector(pure), mixed)):
+                assert np.abs(got @ got.conj().T - xi).max() <= 1e-15
+            assert not psis[:, t, 0, 1:].any()
+        assert generators[0].bit_generator.state == rng.bit_generator.state
+
+    def test_no_drawn_program_is_eigendecomposed(self, monkeypatch):
+        meter, programmed = channel_bundle(np.random.default_rng(2))
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("drew a probe")
+            raise AssertionError("eigendecomposed a program")
 
-        monkeypatch.setattr(verify, "random_state_vector", forbidden)
-        monkeypatch.setattr(verify, "random_density_operator", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        assert check_convex_hull(meter, programmed, trials=6, seed=1).verdict == "pass"
+
+
+class TestConvexHullErrors:
+    def test_trials_capped_before_any_draw(self, request):
+        meter, programmed = channel_bundle(np.random.default_rng(0))
+        request.getfixturevalue("no_draws")
         with pytest.raises(ValidationError, match=f"exceed the cap of {MAX_TRIALS}"):
             check_convex_hull(meter, programmed, trials=MAX_TRIALS + 1)
 
@@ -300,20 +340,20 @@ def twin_bundle(rng):
     """Two selectors of one unitary: every mixed probe induces that extreme channel."""
     u = unitary_channel(haar_unitary(2, rng))
     meter, _ = push_button_multimeter([u, u])
-    return meter, random_density_operator(2, rng)
+    return meter, textbook.random_density_operator(2, rng, 2)
 
 
 def twin_pointer(rng):
     """One spin twice behind a shared pointer: a density on the selectors induces it."""
     meter, _ = shared_pointer_multimeter(spins(rng, 1) * 2)
     xi = np.zeros((4, 4), dtype=complex)
-    xi[:2, :2] = random_density_operator(2, rng)
+    xi[:2, :2] = textbook.random_density_operator(2, rng, 2)
     return meter, xi
 
 
 def dilation(rng):
     meter, _ = minimal_dilation_multimeter(spins(rng, 1)[0])
-    return meter, random_density_operator(2, rng)
+    return meter, textbook.random_density_operator(2, rng, 2)
 
 
 def near_pure_dilation(rng):
@@ -324,12 +364,12 @@ def near_pure_dilation(rng):
 
 def spin_pair(rng):
     meter, _ = builtin_multimeter("spin_pair", observables=spins(rng, 2))
-    return meter, random_density_operator(2, rng)
+    return meter, textbook.random_density_operator(2, rng, 2)
 
 
 def bundle(rng):
     meter, _ = push_button_multimeter([minimal_dilation_multimeter(s) for s in spins(rng, 2)])
-    return meter, random_density_operator(meter.dim_k, rng)
+    return meter, textbook.random_density_operator(meter.dim_k, rng, meter.dim_k)
 
 
 PURIFICATION_CASES = {

@@ -56,16 +56,12 @@ def calls_by_definition(path):
     return found
 
 
-def exported_functions():
-    """``(module, name)`` of each function that ``__init__.py`` re-exports, read without importing."""
-    defined = {
-        path.stem: {n.name for n in ast.parse(path.read_text(encoding="utf-8")).body
-                    if isinstance(n, ast.FunctionDef)}
-        for path in SOURCE.glob("*.py")
-    }
-    for node in ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            yield from ((node.module, a.name) for a in node.names if a.name in defined[node.module])
+def public_functions():
+    """``(module, name)`` of each public module-level function in the package, not imported."""
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield path.stem, node.name
 
 
 def benchmark_names():
@@ -78,12 +74,13 @@ def benchmark_names():
 
 
 def test_every_exported_function_runs_outside_the_tests():
-    # a function only tests call belongs in tests/textbook.py, not in the package
+    # a function only tests call belongs in tests/textbook.py, not in the package,
+    # whether __init__.py exports it or not
     calls = {path.stem: calls_by_definition(path) for path in SOURCE.glob("*.py")}
     bench = benchmark_names()
     idle = [
         f"{module}.{name}"
-        for module, name in exported_functions()
+        for module, name in public_functions()
         if name not in bench
         and not any(
             name in called

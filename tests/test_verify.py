@@ -14,6 +14,7 @@ from qmultimeter.multimeter import (
     make_multimeter,
     minimal_dilation_multimeter,
     push_button_multimeter,
+    shared_pointer_multimeter,
 )
 from qmultimeter.observables import (
     make_observable,
@@ -204,7 +205,7 @@ class TestConvexHull:
             assert rep.residuals == want.residuals and rep.verdict == "pass"
 
     @pytest.mark.parametrize("trials", [0, -3])
-    def test_no_trials_tests_nothing(self, trials):
+    def test_no_trials_tests_nothing(self, no_draws, trials):
         devices = [identity_channel(2), unitary_channel(PAULI[1])]
         meter, probes = push_button_multimeter(devices)
         rep = check_convex_hull(meter, list(zip(probes, devices)), trials=trials, seed=3)
@@ -903,3 +904,44 @@ class TestFalseFailWitnesses:
     @pytest.mark.xfail(strict=True, reason=BOUND_REASON)
     def test_search_witness_passes(self):
         assert counterexample_search(*SEARCH_WITNESS, refine=True).verdict == "pass"
+
+
+PURIFICATION_REASON = (
+    "ROADMAP item 1b: a component too light to show in the mixture's spectrum "
+    "is compared at the pass tolerance and reported as fail"
+)
+
+
+def near_pure_dilation(lam):
+    """The minimal dilation of spin z with the probe diag(1 - lam, lam)."""
+    meter, _ = minimal_dilation_multimeter(spin_observable((0, 0, 1)))
+    return meter, np.diag([1 - lam, lam]).astype(complex)
+
+
+def near_pure_shared_pointer(theta, lam):
+    """Spin z and spin (sin theta, 0, cos theta) on one pointer; probe (1 - lam) P_0 + lam P_1."""
+    tilted = spin_observable((np.sin(theta), 0, np.cos(theta)))
+    meter, probes = shared_pointer_multimeter([spin_observable((0, 0, 1)), tilted])
+    return meter, (1 - lam) * projector(probes[0]) + lam * projector(probes[1])
+
+
+class TestFalsePurificationFailWitnesses:
+    """ROADMAP item 1b's witnesses: valid probes near a pure state whose light
+    component deviates by 1.414 (the dilation) or by 0.0707, 0.00707 and
+    0.000707 (the shared pointer), reported as ``fail``.  The markers come
+    off when the verdict follows a bound."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=PURIFICATION_REASON)
+    @pytest.mark.parametrize("lam", [2e-12, 1e-10, 1e-9])
+    def test_near_pure_dilation_is_no_violation(self, lam):
+        assert check_purification(*near_pure_dilation(lam)).verdict != "fail"
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=PURIFICATION_REASON)
+    @pytest.mark.parametrize("theta, lam", [(0.1, 1e-8), (0.01, 1e-6), (0.001, 1e-4)])
+    def test_near_pure_shared_pointer_is_no_violation(self, theta, lam):
+        assert check_purification(*near_pure_shared_pointer(theta, lam)).verdict != "fail"
+
+    @pytest.mark.parametrize("lam", [1e-13, 1e-8])
+    def test_near_pure_dilation_controls(self, lam):
+        # below the component cutoff, and heavy enough to make the mixture non-extreme
+        assert check_purification(*near_pure_dilation(lam)).verdict == "not_applicable"
