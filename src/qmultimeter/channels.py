@@ -73,6 +73,18 @@ class Channel(_Stacked):
         _check_trace_preserving(residual, dim, DEFAULT_TOL)
         return cls._unbuilt(dim=dim, tp_residual=residual, _parts=(tuple(parts), dims))
 
+    @classmethod
+    def _from_stack(cls, stack: np.ndarray, tol: float) -> Channel:
+        """Channel of a complex ``(n, dim, dim)`` Kraus stack, checked as in :func:`make_channel`.
+
+        The stack is one the caller built for this channel alone; it is
+        frozen and kept, not copied.
+        """
+        dim = stack.shape[-1]
+        residual = _dense_residual(stack)
+        _check_trace_preserving(residual, dim, tol)
+        return cls(dim=dim, kraus=stack, tp_residual=residual)
+
     def _build(self, compact) -> np.ndarray:
         parts, dims = compact
         ks = dims[1:-1]
@@ -120,9 +132,7 @@ def make_channel(kraus, tol: float = DEFAULT_TOL) -> Channel:
             shape = np.array(k, dtype=complex).shape
             if shape != (dim, dim):
                 raise DimensionError(f"Kraus operator shape {shape}, expected {(dim, dim)}")
-    residual = _dense_residual(stack)
-    _check_trace_preserving(residual, dim, tol)
-    return Channel(dim=dim, kraus=stack, tp_residual=residual)
+    return Channel._from_stack(stack, tol)
 
 
 def _check_trace_preserving(residual: float, dim: int, tol: float) -> None:
@@ -139,10 +149,14 @@ def _dense_residual(stack: np.ndarray) -> float:
     """``||sum_i K_i* K_i - I||_F`` of an ``(n, dim, dim)`` Kraus stack.
 
     ``sum_i K_i* K_i`` is ``W* W`` for the operators stacked as rows,
-    ``W = [K_1; ...; K_n]``: one product instead of one per operator.
+    ``W = [K_1; ...; K_n]``: one product instead of one per operator, from
+    whose diagonal 1 is subtracted in place.
     """
-    rows = stack.reshape(-1, stack.shape[-1])
-    return frobenius_norm(dagger(rows) @ rows - np.eye(stack.shape[-1]))
+    dim = stack.shape[-1]
+    rows = stack.reshape(-1, dim)
+    gram = dagger(rows) @ rows
+    gram.flat[:: dim + 1] -= 1
+    return frobenius_norm(gram)
 
 
 def is_unitary_channel(c: Channel, tol: float = DEFAULT_TOL) -> bool:

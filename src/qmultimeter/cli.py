@@ -85,11 +85,14 @@ EXIT_DIMENSION = 4
 
 class FieldType:
     """A JSON scalar type: the Python types ``json.load`` gives for it,
-    optionally limited to fixed ``choices``; numbers must be finite.  A type
-    with ``kinds`` reads a name of an earlier object of one of those kinds."""
+    optionally limited to fixed ``choices`` or to values of at least
+    ``minimum``; numbers must be finite.  A type with ``kinds`` reads a name
+    of an earlier object of one of those kinds."""
 
-    def __init__(self, describe: str, *json, choices: tuple = (), kinds: tuple = ()):
+    def __init__(self, describe: str, *json, choices: tuple = (), kinds: tuple = (),
+                 minimum=None):
         self.describe, self.json, self.choices, self.kinds = describe, json, choices, kinds
+        self.minimum = minimum
 
     def read(self, value, where: str):
         if (
@@ -97,6 +100,7 @@ class FieldType:
             or (isinstance(value, bool) and bool not in self.json)
             or (float in self.json and not abs(value) <= sys.float_info.max)
             or (self.choices and value not in self.choices)
+            or (self.minimum is not None and value < self.minimum)
         ):
             raise ScenarioParseError(f"{where}: must be {self.describe}, got {value!r}")
         return self.parse(value, where)
@@ -260,6 +264,8 @@ def _resolve(value, runtime):
 
 INTEGER = FieldType("an integer", int)
 NUMBER = FieldType("a finite number", int, float)
+#: A tolerance bounds a distance or an overlap, so a negative one fails even exact matches.
+TOLERANCE = FieldType("a finite non-negative number", int, float, minimum=0)
 BOOLEAN = FieldType("a boolean", bool)
 NAME = FieldType("a string", str)
 LABEL = FieldType("a string or an integer", str, int)
@@ -360,7 +366,7 @@ def _bounds(runtime, index, outcome_counts, expect=None, label=None) -> Verifica
 # those names (bench/tracing.py) sees every call.
 
 _ORTHOGONALITY = {
-    "multimeter": ref("multimeter"), "probes": ListOf(PROBE, 2, 2), "tol": Opt(NUMBER)}
+    "multimeter": ref("multimeter"), "probes": ListOf(PROBE, 2, 2), "tol": Opt(TOLERANCE)}
 
 #: Object definitions, selected by "kind", then "builtin" or "construction".
 OBJECTS = {"kind": {
@@ -412,7 +418,7 @@ OBJECTS = {"kind": {
 RUNS = {"command": {
     "program": Entry(_program, {"multimeter": ref("multimeter"), "probe": PROBE,
                                 "induce": Opt(DEVICE_KIND), "kernel": Opt(ref("kernel")),
-                                "expect": Opt(NAME), "tol": Opt(NUMBER), "label": Opt(NAME)}),
+                                "expect": Opt(NAME), "tol": Opt(TOLERANCE), "label": Opt(NAME)}),
     "verify": {"check": {
         "sharp_orthogonality": Entry(
             lambda runtime, index, multimeter, probes, **tol: check_sharp_program_orthogonality(
@@ -428,13 +434,13 @@ RUNS = {"command": {
                 seed=runtime.seed + index, **options),
             {"multimeter": ref("multimeter"),
              "programmed": ListOf(record({"probe": PROBE, "device": ref(*DEVICE_KINDS)})),
-             "trials": Opt(INTEGER), "tol": Opt(NUMBER)},
+             "trials": Opt(INTEGER), "tol": Opt(TOLERANCE)},
             randomized=True),
         "purification": Entry(
             lambda runtime, index, multimeter, probe, **options: check_purification(
                 multimeter[0], probe, **options),
             {"multimeter": ref("multimeter"), "probe": PROBE, "kind": Opt(DEVICE_KIND),
-             "tol": Opt(NUMBER)}),
+             "tol": Opt(TOLERANCE)}),
         "counterexample_search": Entry(
             lambda runtime, index, **fields: counterexample_search(
                 seed=runtime.seed + index, **fields),
@@ -458,7 +464,7 @@ PROBES = PROBE.table = {
 #: The scenario document itself.
 DOCUMENT = Entry(dict, {
     "seed": Opt(INTEGER),
-    "tolerances": Opt(record({"program": Opt(NUMBER)})),
+    "tolerances": Opt(record({"program": Opt(TOLERANCE)})),
     "objects": Opt(MapOf(Definition(OBJECTS))),
     "runs": Opt(ListOf(Definition(RUNS))),
 })
@@ -504,6 +510,8 @@ def execute(scenario: dict, seed: int | None = None, tol: float | None = None) -
     if tol is None:
         tolerances = document["tolerances"].fields if "tolerances" in document else {}
         tol = tolerances.get("program", _PROGRAM_TOL)
+    else:
+        TOLERANCE.read(tol, "tol")
     runtime = _Runtime(seed, tol)
     build_objects(document.get("objects", {}), runtime)
     return [_build(run, f"runs[{idx}]", runtime, runtime, idx) for idx, run in enumerate(runs)]

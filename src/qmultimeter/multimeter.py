@@ -29,7 +29,7 @@ from .operators import (
     DEFAULT_TOL,
     DIMENSION_CAP,
     PAULI,
-    _frobenius_norms,
+    _state_and_norm,
     check_density_operator,
     check_state_vector,
     embed_factors,
@@ -155,12 +155,13 @@ def make_model(
 ) -> MeasurementModel:
     """Attach a probe (vector or density operator) and optional kernel.
 
-    The probe is stored normalised (a vector divided by its norm, a density
-    operator by its trace), so any probe the state checks accept induces a
-    valid device.  From ``SUPPORT_MIN_DIM_K`` on, a density operator is
-    checked on its principal block over :func:`_probe_support` alone: the
-    rest is exactly zero, so Hermiticity, positivity and the trace are
-    decided as on the whole matrix.
+    The probe is stored normalised (a vector divided by the norm its check
+    took, a density operator by its trace), so any probe the state checks
+    accept induces a valid device.  From ``SUPPORT_MIN_DIM_K`` on, a
+    density operator is checked on its principal block over
+    :func:`_probe_support` alone: the rest is exactly zero, so
+    Hermiticity, positivity and the trace are decided as on the whole
+    matrix.
 
     Here, after every check, the probe is decomposed once into the
     read-only ``(dim_k, r)`` components ``Psi``, ``Psi Psi* = probe``, that
@@ -174,13 +175,14 @@ def make_model(
         A sharp observable this model claims to measure.  Claims violating
         the apparatus lower bound ``dim K >= N`` (N the number of nonzero
         effects) are rejected; the bound is a hard no-go, so no such model
-        exists.
+        exists.  Its sharpness and effect norms are the observable's stored
+        projection defects (see :func:`~qmultimeter.observables.is_sharp`).
     """
     probe = np.asarray(probe, dtype=complex)
     support = slice(None)
     if probe.ndim == 1:
-        probe = check_state_vector(probe)
-        probe = probe / np.linalg.norm(probe)
+        probe, norm = _state_and_norm(probe)
+        probe = probe / norm
     elif probe.ndim == 2:
         if probe.shape[0] == probe.shape[1] >= SUPPORT_MIN_DIM_K:
             support = _probe_support(probe)
@@ -200,7 +202,7 @@ def make_model(
                 f"claimed observable dimension {claimed.dim}, expected {meter.dim_h}"
             )
         if is_sharp(claimed):
-            n_valued = int(np.count_nonzero(_frobenius_norms(claimed.effects) > DEFAULT_TOL))
+            n_valued = int(np.count_nonzero(claimed._projection_defects[:, 0] > DEFAULT_TOL))
             if meter.dim_k < n_valued:
                 raise ValidationError(
                     f"no model with dim K = {meter.dim_k} can measure a sharp "
@@ -362,10 +364,14 @@ def induced_channel(model: MeasurementModel) -> Channel:
     program maps ``M_j`` of the probe's components (see
     :func:`_induced_stack`) that are not exactly zero: the rows the probe
     does not reach add nothing to the channel or its Choi matrix, so only
-    the others are kept.  The pointer and kernel play no role here.
+    the others are kept, validated as :func:`~qmultimeter.channels.make_channel`
+    validates but not copied (see
+    :meth:`~qmultimeter.channels.Channel._from_stack`).  The pointer and
+    kernel play no role here.
     """
     kraus = _induced_stack(model.meter, model._components, 1, channel=True)[0]
-    return make_channel(kraus[kraus.any(axis=(1, 2))], tol=INDUCTION_TOL)
+    # a fresh stack, owned by the channel: validated, not copied
+    return Channel._from_stack(kraus[kraus.any(axis=(1, 2))], INDUCTION_TOL)
 
 
 # ---------------------------------------------------------------------------

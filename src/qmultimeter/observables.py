@@ -19,15 +19,14 @@ from .operators import (
     DEFAULT_TOL,
     PAULI,
     _NORMALISATION_TOL,
+    _defect_norms,
     _frobenius_norms,
-    _hermitian_defect,
     _hermitian_part,
     _independent_products,
     _Stacked,
     dagger,
     eigenvalue_below,
     frobenius_norm,
-    is_projection,
 )
 
 # Eigenvalues above this threshold count towards an effect's support.
@@ -51,6 +50,8 @@ class Observable(_Stacked):
     marks (see :meth:`_from_marks`) keeps only them until its stack is
     read.  Any other observable's effects are scanned for marks on the
     first read of ``_marks`` (see :func:`_basis_supports`), once.
+    Likewise the effects' projection defects are taken once, on the first
+    read of ``_projection_defects``, for every check of sharpness.
     Equality is identity; :func:`observable_distance` compares effects.
     """
 
@@ -96,7 +97,10 @@ class Observable(_Stacked):
         kernel: its weights are ``>= -DEFAULT_TOL`` and the ``E(x)`` sum to
         ``I``.  So no Hermiticity or positivity stage of
         :func:`make_observable` at a ``tol`` far above ``DEFAULT_TOL`` fails,
-        and neither is run.  The effects must still sum to the identity, as
+        and neither is run.  The closed-form effects ``(I +- n.sigma)/2`` of
+        :func:`spin_observable` are written here too: they are exactly
+        Hermitian, with eigenvalues ``(1 +- |n|)/2`` for an axis normalised
+        to rounding.  The effects must still sum to the identity, as
         :func:`make_observable` checks it; a non-finite entry makes that
         residual non-finite and raises too.  The stack is kept, not copied.
         """
@@ -116,6 +120,18 @@ class Observable(_Stacked):
     @functools.cached_property
     def _marks(self) -> np.ndarray | None:
         return _basis_supports(self.effects)
+
+    @functools.cached_property
+    def _projection_defects(self) -> np.ndarray:
+        """Read-only ``(n, 3)`` array: ``||E||_F``, ``||E - E*||_F``, ``||E^2 - E||_F`` per effect.
+
+        Taken in one pass on the first read (see
+        :func:`~qmultimeter.operators._defect_norms`), then read by
+        :func:`is_sharp` at every ``tol`` and by :func:`sharpness_residual`.
+        """
+        defects = _defect_norms(self.effects, idempotence=True)
+        defects.setflags(write=False)
+        return defects
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -173,18 +189,18 @@ def make_observable(dim: int, labels, effects, tol: float = DEFAULT_TOL) -> Obse
     no eigenvalue below ``-b``, ``b = tol * max(1, ||E||_F)``.  The effects
     are copied once into one ``(n, dim, dim)`` stack and every check runs
     on label-ordered chunks of it, of at most ``_CHECK_CHUNK_ELEMENTS``
-    entries or one effect: the norms and Hermitian defects as stacked
-    products, positivity by one stacked Cholesky factorisation of the
+    entries or one effect: the norms and Hermitian defects in one pass,
+    positivity by one stacked Cholesky factorisation of the
     ``(E + E*)/2 + b I`` (see
     :func:`~qmultimeter.operators.eigenvalue_below`).  Besides the stack,
     the checks hold only a few arrays of a chunk's size, however many
-    effects there are.  Each decision, and the
-    error raised, is the one of a check per effect in label order: the
-    error names the first effect that fails, at the first of the stages
-    shape, finiteness, Hermiticity and positivity that it fails.  Only then
-    is the sum of the effects compared with the identity, within
-    ``tol * max(1, sqrt(dim))``.  The stack is stored read-only as the
-    observable's ``effects``.
+    effects there are.  Each decision, and the error raised, is the one of
+    a check per effect in label order (the effect to blame is looked for
+    only when a stage fails): the error names the first effect that fails,
+    at the first of the stages shape, finiteness, Hermiticity and
+    positivity that it fails.  Only then is the sum of the effects compared
+    with the identity, within ``tol * max(1, sqrt(dim))``.  The stack is
+    stored read-only as the observable's ``effects``.
 
     Raises
     ------
@@ -232,13 +248,16 @@ def _validated(dim: int, labels, effects, tol: float) -> tuple:
 def _check_complete(stack: np.ndarray, tol: float) -> None:
     """Raise unless the effects sum to the identity within ``tol * max(1, sqrt(dim))``.
 
-    The sum is one reduction holding only the total; for ``dim >= 2`` it is
-    bit for bit the effects added one by one in label order, while for
-    ``dim = 1`` numpy sums pairwise.  A non-finite residual raises too.
+    The sum is one reduction holding only the total, from whose diagonal 1
+    is subtracted in place; for ``dim >= 2`` the sum is bit for bit the
+    effects added one by one in label order, while for ``dim = 1`` numpy
+    sums pairwise.  A non-finite residual raises too.
     """
     dim = stack.shape[-1]
-    residual = frobenius_norm(stack.sum(axis=0) - np.eye(dim))
-    if not residual <= tol * max(1.0, float(np.sqrt(dim))):
+    total = stack.sum(axis=0)
+    total.flat[:: dim + 1] -= 1
+    residual = frobenius_norm(total)
+    if not residual <= tol * max(1.0, math.sqrt(dim)):
         raise ValidationError(f"effects do not sum to the identity (residual {residual:.3e})")
 
 
@@ -266,17 +285,24 @@ def _leading(passed: np.ndarray) -> int:
 def _check_effects(stack: np.ndarray, labels, tol: float) -> None:
     """Raise for the first effect of the stack that is not finite, Hermitian and positive.
 
-    Each stage runs only on the effects before the first one that failed
-    an earlier stage, so the error is the one a check per effect in label
-    order raises first, and no arithmetic meets a non-finite entry.
+    The norms and Hermitian defects of the whole stack are one pass (see
+    :func:`~qmultimeter.operators._defect_norms`), and positivity is one
+    stacked Cholesky factorisation.  Only when a stage fails is the effect
+    to blame looked for: each stage then runs on the effects before the
+    first one that failed an earlier stage, so the error is the one a check
+    per effect in label order raises first, and no factorisation meets a
+    non-finite entry.
     """
-    norms = _frobenius_norms(stack)
-    # a NaN or infinite entry makes the norm non-finite; Cholesky needs finite input
-    finite = _leading(np.isfinite(norms))
-    bounds = tol * np.maximum(1.0, norms[:finite])
-    head = stack[:finite]
-    hermitian = _leading(_frobenius_norms(_hermitian_defect(head)) <= bounds)
-    low = eigenvalue_below(head[:hermitian], bounds[:hermitian])
+    with np.errstate(invalid="ignore"):  # a non-finite entry makes NaN defects
+        norms, defects = _defect_norms(stack).T
+    bounds = tol * np.maximum(1.0, norms)
+    finite, hermitian = np.isfinite(norms), defects <= bounds
+    if finite.all() and hermitian.all():
+        finite = hermitian = len(stack)
+    else:
+        finite = _leading(finite)
+        hermitian = _leading(hermitian[:finite])
+    low = eigenvalue_below(stack[:hermitian], bounds[:hermitian])
     if low is not None:
         raise ValidationError(f"effect {labels[low[0]]!r} has negative eigenvalue {low[1]}")
     if hermitian < finite:
@@ -313,15 +339,21 @@ def observable_distance(a: Observable, b: Observable) -> float:
 
 def sharpness_residual(e: Observable) -> float:
     """Largest projection defect ``||E(x)^2 - E(x)||_F`` over outcomes."""
-    return float(_frobenius_norms(e.effects @ e.effects - e.effects).max())
+    return float(e._projection_defects[:, 2].max())
 
 
 def is_sharp(e: Observable, tol: float = DEFAULT_TOL) -> bool:
-    """True when every effect is a projection (see :func:`~qmultimeter.operators.is_projection`).
+    """True when every effect is a projection: Hermitian and idempotent.
 
-    Every effect is checked densely, the whole stack at once.
+    Each effect ``E`` must have ``||E - E*||_F`` and ``||E^2 - E||_F`` at
+    most ``tol * max(1, ||E||_F)``.  The three norms are the observable's
+    own, taken once for the whole stack on its first check (see
+    :attr:`Observable._projection_defects`), so a check at any ``tol``
+    forms no product.
     """
-    return is_projection(e.effects, tol)
+    norms, hermitian, idempotent = e._projection_defects.T
+    bounds = tol * np.maximum(1.0, norms)
+    return bool((hermitian <= bounds).all() and (idempotent <= bounds).all())
 
 
 def is_extreme(e: Observable) -> bool:
@@ -393,7 +425,11 @@ def spin_observable(axis) -> Observable:
     Outcome ``1`` carries the effect ``(I + n.sigma)/2``, outcome ``2``
     its complement.  An axis whose norm is within ``_NORMALISATION_TOL``
     (1e-6) of 1 is accepted and divided by its norm, so the effects are
-    projections to rounding.
+    projections to rounding.  They are exactly Hermitian, with eigenvalues
+    ``(1 +- |n|)/2``, so of :func:`make_observable`'s stages only
+    completeness is checked (see :meth:`Observable._from_gram_sums`).  A
+    NaN axis, which the norm check lets through, is refused with the error
+    :func:`make_observable` gives its effects.
     """
     n = np.asarray(axis, dtype=float).reshape(-1)
     if n.shape != (3,):
@@ -401,7 +437,10 @@ def spin_observable(axis) -> Observable:
     norm = np.linalg.norm(n)
     if abs(norm - 1.0) > _NORMALISATION_TOL:
         raise ValidationError(f"spin axis norm {norm} is not 1")
+    if math.isnan(norm):
+        raise ValidationError("effect 1 has non-finite entries")
     n = n / norm
     n_sigma = n[0] * PAULI[1] + n[1] * PAULI[2] + n[2] * PAULI[3]
     eye = np.eye(2, dtype=complex)
-    return make_observable(2, (1, 2), [(eye + n_sigma) / 2, (eye - n_sigma) / 2])
+    effects = np.array([(eye + n_sigma) / 2, (eye - n_sigma) / 2])
+    return Observable._from_gram_sums(2, (1, 2), effects, DEFAULT_TOL)

@@ -202,11 +202,6 @@ def projector(phi: np.ndarray) -> np.ndarray:
 # predicates
 
 
-def _rel_tol(a: np.ndarray, tol: float) -> np.ndarray:
-    """``tol * max(1, ||A||_F)`` for each matrix ``A`` of ``a``."""
-    return tol * np.maximum(1.0, _frobenius_norms(a))
-
-
 def _hermitian_defect(a: np.ndarray) -> np.ndarray:
     """``A - A*`` of a matrix or of each matrix of a stack, in one new C-ordered array."""
     defect = np.conjugate(a.swapaxes(-1, -2), order="C")
@@ -222,12 +217,35 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return h
 
 
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """``||A - A*||_F <= tol * max(1, ||A||_F)`` for a matrix, or for every matrix of a stack."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        return False
-    return bool((_frobenius_norms(_hermitian_defect(a)) <= _rel_tol(a, tol)).all())
+#: Most entries of a stack whose defects :func:`_defect_norms` holds at once.
+_DEFECT_CHUNK_ELEMENTS = 2**14
+
+
+def _defect_norms(a: np.ndarray, idempotence: bool = False) -> np.ndarray:
+    """``||A||_F``, ``||A - A*||_F`` and, with ``idempotence``, ``||A^2 - A||_F`` of each matrix.
+
+    ``a`` is an ``(n, d, d)`` stack and the result ``(n, 2)``, or ``(n, 3)``
+    with ``idempotence``.  The matrices and their defects are written into
+    one buffer, of at most ``_DEFECT_CHUNK_ELEMENTS`` matrix entries or one
+    matrix per kind, whose norms are one :func:`_frobenius_norms` pass: each
+    number is bit for bit the norm of its matrix alone.  Both defects are
+    one subtraction from ``A``, which gives ``A - A^2``: the exact negation
+    of ``A^2 - A``, with the same norm.  A matrix with an entry that is not
+    finite has non-finite norms, and its defects set numpy's invalid-value
+    flag.
+    """
+    n, d, _ = a.shape
+    step = max(1, _DEFECT_CHUNK_ELEMENTS // (d * d))
+    if n > step:
+        chunks = [_defect_norms(a[i : i + step], idempotence) for i in range(0, n, step)]
+        return np.concatenate(chunks)
+    buf = np.empty((n, 3 if idempotence else 2, d, d), dtype=complex)
+    buf[:, 0] = a
+    np.conjugate(a.swapaxes(-1, -2), out=buf[:, 1])
+    if idempotence:
+        np.matmul(a, a, out=buf[:, 2])
+    np.subtract(a[:, None], buf[:, 1:], out=buf[:, 1:])
+    return _frobenius_norms(buf)
 
 
 def eigenvalue_below(a: np.ndarray, bounds) -> tuple[int, float] | None:
@@ -268,14 +286,6 @@ def eigenvalue_below(a: np.ndarray, bounds) -> tuple[int, float] | None:
     return None
 
 
-def is_projection(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Orthogonal projection: Hermitian and idempotent; a stack is one when every matrix is."""
-    a = np.asarray(a, dtype=complex)
-    if not is_hermitian(a, tol):
-        return False
-    return bool((_frobenius_norms(a @ a - a) <= _rel_tol(a, tol)).all())
-
-
 def _independent_products(groups, dim: int) -> bool:
     """Whether the operators ``A_a* A_b``, over the pairs of matrices of each group, are independent.
 
@@ -297,25 +307,40 @@ def _independent_products(groups, dim: int) -> bool:
 
 def check_state_vector(phi: np.ndarray) -> np.ndarray:
     """Validate and return a unit vector, to ``_NORMALISATION_TOL``, as a 1-d complex array."""
+    return _state_and_norm(phi)[0]
+
+
+def _state_and_norm(phi: np.ndarray) -> tuple[np.ndarray, float]:
+    """:func:`check_state_vector` of ``phi`` with its norm, the one norm the check takes.
+
+    A non-finite entry makes the norm non-finite; only a norm that fails is
+    traced to its entries, to tell a non-finite entry from an overflow.
+    """
     phi = np.asarray(phi, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(phi)):
-        raise ValidationError("state vector has non-finite entries")
     norm = float(np.linalg.norm(phi))
-    if abs(norm - 1.0) > _NORMALISATION_TOL:
+    if not abs(norm - 1.0) <= _NORMALISATION_TOL:
+        if not np.all(np.isfinite(phi)):
+            raise ValidationError("state vector has non-finite entries")
         raise ValidationError(f"state vector norm {norm} is not 1")
-    return phi
+    return phi, norm
 
 
 def check_density_operator(rho: np.ndarray) -> np.ndarray:
-    """Validate a density operator: Hermitian, positive, unit trace, to ``_NORMALISATION_TOL``."""
+    """Validate a density operator: Hermitian, positive, unit trace, to ``_NORMALISATION_TOL``.
+
+    Its norm is taken once: it tells whether an entry is not finite (only
+    a non-finite norm is traced to the entries) and scales the Hermitian
+    bound ``||rho - rho*||_F <= _NORMALISATION_TOL * max(1, ||rho||_F)``.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2:
         raise DimensionError(f"expected a matrix, got array of ndim {rho.ndim}")
-    if not np.all(np.isfinite(rho)):
+    norm = frobenius_norm(rho)
+    if not math.isfinite(norm) and not np.all(np.isfinite(rho)):
         raise ValidationError("operator has non-finite entries")
     if rho.shape[0] != rho.shape[1]:
         raise DimensionError("density operator must be square")
-    if not is_hermitian(rho, _NORMALISATION_TOL):
+    if not frobenius_norm(_hermitian_defect(rho)) <= _NORMALISATION_TOL * max(1.0, norm):
         raise ValidationError("density operator is not Hermitian")
     low = eigenvalue_below(rho[None], [_NORMALISATION_TOL])
     if low is not None:

@@ -585,6 +585,49 @@ class TestMainExitCodes:
         # an impossible tolerance flips the same comparison to a failure
         assert main([path, "--tol", "1e-30"]) == EXIT_CHECK_FAILED
 
+    @staticmethod
+    def exact_matches(tolerances=None, tol=None):
+        """An exact shared-pointer program and orthogonal selectors: any tol >= 0 passes."""
+        probes = [{"of": "sp", "index": 0}, {"of": "sp", "index": 1}]
+        runs = [{"command": "program", "multimeter": "sp", "probe": probes[1], "expect": "S3"},
+                {"command": "verify", "check": "sharp_orthogonality", "multimeter": "sp",
+                 "probes": probes}]
+        if tol is not None:
+            for run in runs:
+                run["tol"] = tol
+        payload = {"objects": {**spin_objects(), "sp": {
+            "kind": "multimeter", "construction": "shared_pointer", "observables": ["S1", "S3"]}},
+            "runs": runs}
+        if tolerances is not None:
+            payload["tolerances"] = {"program": tolerances}
+        return payload
+
+    @pytest.mark.parametrize(
+        "value, status", [(0, EXIT_OK), (-1, EXIT_PARSE), (-1e-300, EXIT_PARSE)])
+    def test_scenario_program_tolerance_is_non_negative(self, tmp_path, capsys, value, status):
+        # distance 0 > -1 would read as a failed exact match
+        assert main([write_scenario(tmp_path, self.exact_matches(tolerances=value))]) == status
+        if status == EXIT_PARSE:
+            err = capsys.readouterr().err
+            assert "tolerances.program: must be a finite non-negative number" in err
+
+    @pytest.mark.parametrize("value, status", [(0, EXIT_OK), (-1, EXIT_PARSE)])
+    def test_run_tolerance_is_non_negative(self, tmp_path, capsys, value, status):
+        # the overlap 0 of orthogonal selectors is no violation at any tolerance
+        assert main([write_scenario(tmp_path, self.exact_matches(tol=value))]) == status
+        if status == EXIT_PARSE:
+            assert "runs[0].tol: must be a finite non-negative number, got -1" in (
+                capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-0.5"])
+    def test_tol_flag_is_finite_and_non_negative(self, tmp_path, capsys, value):
+        path = write_scenario(tmp_path, self.exact_matches())
+        assert main([path, "--tol", "0"]) == EXIT_OK
+        assert main([path, "--tol", value]) == EXIT_PARSE
+        assert "parse error: tol: must be a finite non-negative number" in capsys.readouterr().err
+        with pytest.raises(ScenarioParseError, match="^tol: must be a finite non-negative"):
+            execute(self.exact_matches(), tol=float(value))
+
     def test_list_builtins(self, capsys):
         assert main(["--list-builtins"]) == EXIT_OK
         out = capsys.readouterr().out

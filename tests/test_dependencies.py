@@ -93,7 +93,7 @@ def test_package_uses_no_name_missing_from_its_numpy_floor():
 
 
 #: Defaulted parameters of the package's public module-level functions.
-DEFAULTED_PARAMETERS = 32
+DEFAULTED_PARAMETERS = 30
 
 
 def defaulted_parameters(path):

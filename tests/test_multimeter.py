@@ -54,7 +54,6 @@ from qmultimeter.operators import (
     embed_program_isometry,
     frobenius_norm,
     haar_unitary,
-    is_projection,
     projector,
     random_state_vector,
     tensor,
@@ -64,6 +63,7 @@ from qmultimeter.operators import (
 import textbook
 from textbook import (
     is_isometry,
+    is_projection,
     naimark_check,
     partial_trace,
     random_channel,
@@ -138,9 +138,15 @@ def dense_checks(monkeypatch, size):
 
     monkeypatch.setattr(np.linalg, "cholesky", spy("cholesky", np.linalg.cholesky))
     monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
-    monkeypatch.setattr(
-        qmultimeter.observables, "is_projection", spy("is_projection", is_projection)
-    )
+    # a sharpness check is the stack's projection defects, the only call that asks for E^2 - E
+    defect_norms = qmultimeter.observables._defect_norms
+
+    def projection_defects(a, idempotence=False):
+        if idempotence and np.shape(a)[-1] >= size:
+            seen.append("projection_defects")
+        return defect_norms(a, idempotence)
+
+    monkeypatch.setattr(qmultimeter.observables, "_defect_norms", projection_defects)
     # in a build, the dense trace-preservation residual is the only norm channels.py takes
     monkeypatch.setattr(qmultimeter.channels, "frobenius_norm", spy("gram", frobenius_norm))
     return seen
@@ -779,7 +785,7 @@ class TestPushButton:
         assert all(m.normal for m, _ in devices)
         seen = dense_checks(monkeypatch, 2**2 * 2)
         meter, _ = push_button_multimeter(devices)
-        assert {"cholesky", "is_projection"} <= set(seen)
+        assert {"cholesky", "projection_defects"} <= set(seen)
         assert meter.normal is normal
         assert normal == all(is_projection(e) for e in meter.pointer.effects)
 

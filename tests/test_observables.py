@@ -16,8 +16,9 @@ from qmultimeter.observables import (
     sharpness_residual,
     spin_observable,
 )
-from qmultimeter.operators import frobenius_norm, haar_unitary, is_projection, projector
+from qmultimeter.operators import frobenius_norm, haar_unitary, projector
 from textbook import (
+    is_projection,
     mix,
     naimark_check,
     naimark_dilation,

@@ -19,14 +19,18 @@ from qmultimeter.operators import (
     embed_program_isometry,
     haar_isometry,
     haar_unitary,
-    is_hermitian,
-    is_projection,
     projector,
     random_state_vector,
     tensor,
     tensor_many,
 )
-from textbook import is_isometry, partial_trace, random_density_operator
+from textbook import (
+    is_hermitian,
+    is_isometry,
+    is_projection,
+    partial_trace,
+    random_density_operator,
+)
 
 
 class TestTensor:

@@ -42,6 +42,28 @@ def is_isometry(a, tol: float = 1e-9) -> bool:
     return bool(residual <= tol * max(1.0, np.sqrt(a.shape[1])))
 
 
+def is_hermitian(a, tol: float = 1e-9) -> bool:
+    """``||A - A*||_F <= tol * max(1, ||A||_F)`` for a matrix, or for every matrix of a stack."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        return False
+    return all(
+        np.linalg.norm(m - m.conj().T) <= tol * max(1.0, np.linalg.norm(m))
+        for m in a.reshape(-1, *a.shape[-2:])
+    )
+
+
+def is_projection(a, tol: float = 1e-9) -> bool:
+    """Hermitian and ``||A^2 - A||_F <= tol * max(1, ||A||_F)``, for one matrix or each of a stack."""
+    a = np.asarray(a, dtype=complex)
+    if not is_hermitian(a, tol):
+        return False
+    return all(
+        np.linalg.norm(m @ m - m) <= tol * max(1.0, np.linalg.norm(m))
+        for m in a.reshape(-1, *a.shape[-2:])
+    )
+
+
 # ---------------------------------------------------------------------------
 # random generators, deterministic per seed
 
