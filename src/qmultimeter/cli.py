@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -290,14 +292,18 @@ class _Runtime(dict):
 
 
 def _observable(dim, outcomes, effects):
-    keys = [str(label) for label in outcomes]
-    for label, key in zip(outcomes, keys):
+    labels = {}  # effect key -> the first outcome label keyed by it
+    for label in outcomes:
+        key = str(label)
+        if labels.setdefault(key, label) != label:  # make_observable refuses equal labels
+            raise ScenarioParseError(
+                f"outcome labels {labels[key]!r} and {label!r} both key effect {key!r}")
         if key not in effects:
             raise ScenarioParseError(f"missing effect for outcome {label!r}")
-    unused = sorted(set(effects) - set(keys))
+    unused = sorted(set(effects) - set(labels))
     if unused:
         raise ScenarioParseError(f"effects {unused} belong to no outcome")
-    return make_observable(dim, tuple(outcomes), [effects[key] for key in keys])
+    return make_observable(dim, tuple(outcomes), [effects[str(label)] for label in outcomes])
 
 
 def _minimal_dilation(observable):
@@ -543,9 +549,55 @@ def emit_report(reports, fmt: str = "text") -> str:
             lines.append(line)
         return "\n".join(lines) + "\n"
     if fmt == "structured":
-        payload = {"reports": [rep.to_dict() for rep in reports]}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _structured(reports)
     raise ValueError(f"format must be 'text' or 'structured', got {fmt!r}")
+
+
+def _json_scalar(value) -> str:
+    """A JSON scalar as ``json.dumps`` writes it by default (NaN and infinities included)."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _structured(reports) -> str:
+    """``json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2, sort_keys=True)``
+    and a newline, byte for byte.
+
+    The fixed schema is written directly: with ``indent``, CPython 3.11's
+    ``json`` runs its pure-Python encoder, several times slower.  A value
+    that is not a JSON scalar, or a residual key that is not a string (which
+    ``encode_basestring_ascii`` refuses), raises ``TypeError``.
+    """
+    entries = []
+    for rep in reports:
+        residuals = rep.residuals
+        items = [f"        {encode_basestring_ascii(key)}: {_json_scalar(residuals[key])}"
+                 for key in sorted(residuals)]
+        body = "{\n" + ",\n".join(items) + "\n      }" if items else "{}"
+        entries.append(f'    {{\n      "check_name": {_json_scalar(rep.check_name)},\n'
+                       f'      "details": {_json_scalar(rep.details)},\n'
+                       f'      "residuals": {body},\n'
+                       f'      "verdict": {_json_scalar(rep.verdict)}\n    }}')
+    if not entries:
+        return '{\n  "reports": []\n}\n'
+    return '{\n  "reports": [\n' + ",\n".join(entries) + "\n  ]\n}\n"
 
 
 def parse_report(text: str) -> list:

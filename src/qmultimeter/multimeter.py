@@ -413,12 +413,12 @@ def minimal_dilation_multimeter(a: Observable) -> tuple[Multimeter, np.ndarray]:
     smallest apparatus dimension any model measuring ``a`` can have.  A
     coupling beyond ``DIMENSION_CAP`` or a pointer of more than
     ``DIMENSION_CAP**2`` entries (``N**3``) raises ``DimensionError``
-    before either is allocated.
+    before either is allocated, and before sharpness is checked.
     """
-    if not is_sharp(a):
-        raise ValidationError("minimal dilation needs a sharp observable")
     n = len(a)
     _check_bundle(a.dim * n, n, n)
+    if not is_sharp(a):
+        raise ValidationError("minimal dilation needs a sharp observable")
     g = _dilation_couplings(a.effects, n)
     pointer = Observable._from_marks(n, a.outcomes, np.eye(n, dtype=bool))
     meter = make_multimeter(a.dim, n, pointer, make_channel([g]))
@@ -538,14 +538,13 @@ def shared_pointer_multimeter(observables) -> tuple[Multimeter, list]:
     if not observables:
         raise ValidationError("no observables given")
     dim_h = observables[0].dim
-    for a in observables:
-        if a.dim != dim_h:
-            raise DimensionError("observable dimensions differ")
-        if not is_sharp(a):
-            raise ValidationError("shared-pointer construction needs sharp observables")
+    if any(a.dim != dim_h for a in observables):
+        raise DimensionError("observable dimensions differ")
     n = len(observables)
     d = max(len(a) for a in observables)
     _check_bundle(dim_h * d * n, d, d * n)
+    if not all(is_sharp(a) for a in observables):
+        raise ValidationError("shared-pointer construction needs sharp observables")
     padded = np.zeros((n, d, dim_h, dim_h), dtype=complex)
     for l, a in enumerate(observables):
         padded[l, : len(a)] = a.effects

@@ -313,17 +313,18 @@ def _check_effects(stack: np.ndarray, labels, tol: float) -> None:
 
 def make_kernel(weights) -> StochasticKernel:
     """Validate and build a finite Markov kernel from a weight matrix."""
-    w = np.asarray(weights, dtype=float)
+    w = np.array(weights, dtype=float, order="C")
     if w.ndim != 2 or w.size == 0:
         raise DimensionError(f"kernel weights must be a nonempty matrix, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
+    # NaN propagates through both extremes, and an infinity is one of them
+    low, high = w.min(), w.max()
+    if not (np.isfinite(low) and np.isfinite(high)):
         raise ValidationError("kernel weights have non-finite entries")
-    if w.min() < -DEFAULT_TOL or w.max() > 1 + DEFAULT_TOL:
+    if low < -DEFAULT_TOL or high > 1 + DEFAULT_TOL:
         raise ValidationError("kernel weights must lie in [0, 1]")
     sums = w.sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > DEFAULT_TOL:
         raise ValidationError(f"kernel rows must sum to 1, got sums {sums}")
-    w = w.copy()
     w.setflags(write=False)
     return StochasticKernel(rows=w.shape[0], cols=w.shape[1], weights=w)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qmultimeter import observables
 from qmultimeter.cli import (
     DOCUMENT,
     EXIT_CHECK_FAILED,
@@ -26,7 +27,12 @@ from qmultimeter.cli import (
     run_scenario,
     table_entries,
 )
-from qmultimeter.exceptions import DimensionError, ScenarioParseError, ScenarioReferenceError
+from qmultimeter.exceptions import (
+    DimensionError,
+    ScenarioParseError,
+    ScenarioReferenceError,
+    ValidationError,
+)
 from qmultimeter.verify import VerificationReport
 
 
@@ -521,8 +527,18 @@ class TestMainExitCodes:
         ],
         ids=["minimal-dilation", "shared-pointer"],
     )
-    def test_construction_capped_before_it_allocates(self, tmp_path, capsys, construction,
-                                                     message):
+    def test_construction_capped_before_it_allocates(self, tmp_path, capsys, monkeypatch,
+                                                     construction, message):
+        # the cap is checked before sharpness, which takes projection defects
+        sharpness_checks = []
+        defect_norms = observables._defect_norms
+
+        def spy(a, idempotence=False):
+            if idempotence:
+                sharpness_checks.append(a.shape)
+            return defect_norms(a, idempotence)
+
+        monkeypatch.setattr(observables, "_defect_norms", spy)
         zero = [[0] * 4] * 4
         effects = {str(k): zero for k in range(2, 2000)}
         effects.update({"0": np.diag([1, 0, 0, 0]).tolist(), "1": np.diag([0, 1, 1, 1]).tolist()})
@@ -544,6 +560,29 @@ class TestMainExitCodes:
         assert status == EXIT_DIMENSION
         assert f"validation error: objects.M: {message}" in capsys.readouterr().err
         assert peak < 2**22
+        assert sharpness_checks == []
+
+    @staticmethod
+    def labelled_halves(outcomes):
+        half = [[0.5, 0], [0, 0.5]]
+        return {"objects": {"A": {"kind": "observable", "dim": 2, "outcomes": outcomes,
+                                  "effects": {str(label): half for label in outcomes}}}}
+
+    @pytest.mark.parametrize(
+        "outcomes, first, second", [([1, "1"], 1, "1"), (["1", 1], "1", 1), ([0, 1, "0"], 0, "0")])
+    def test_colliding_outcome_labels_exit_parse(self, tmp_path, capsys, outcomes, first, second):
+        # distinct labels keyed by one effect would read the same matrix twice
+        payload = self.labelled_halves(outcomes)
+        message = f"objects.A: outcome labels {first!r} and {second!r} both key effect '{second}'"
+        with pytest.raises(ScenarioParseError) as raised:
+            execute(payload)
+        assert str(raised.value) == message
+        assert main([write_scenario(tmp_path, payload)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
+    def test_equal_outcome_labels_keep_the_library_error(self):
+        with pytest.raises(ValidationError, match=r"^objects.A: outcome labels are not unique"):
+            execute(self.labelled_halves([1, 1]))
 
     def test_tensor_probe_matches_kronecker_product(self, rng):
         vectors = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in (2, 3, 2)]

@@ -2,9 +2,11 @@
 
 ``make_observable``, ``check_state_vector`` and ``check_density_operator``
 decide validity from one pass of norms and defects, and an observable
-keeps its projection defects for every sharpness check.  The functions
-below are those checks as they were written stage by stage, each stage a
-pass of its own; every decision, exception type and message must agree.
+keeps its projection defects for every sharpness check.  ``make_kernel``
+copies its weights once and reads finiteness from their extremes.  The
+functions below are those checks as they were written stage by stage, each
+stage a pass of its own; every decision, exception type and message must
+agree.
 """
 
 import math
@@ -16,9 +18,11 @@ from qmultimeter import DimensionError, PAULI, ValidationError, observables
 from qmultimeter.channels import Channel, make_channel
 from qmultimeter.observables import (
     _CHECK_CHUNK_ELEMENTS,
+    StochasticKernel,
     _effect_stack,
     _leading,
     is_sharp,
+    make_kernel,
     make_observable,
     sharpness_residual,
     spin_observable,
@@ -159,6 +163,23 @@ def _dense_residual(stack: np.ndarray) -> float:
     """``||sum_i K_i* K_i - I||_F`` of an ``(n, dim, dim)`` Kraus stack."""
     rows = stack.reshape(-1, stack.shape[-1])
     return frobenius_norm(dagger(rows) @ rows - np.eye(stack.shape[-1]))
+
+
+def staged_make_kernel(weights) -> StochasticKernel:
+    """Validate and build a finite Markov kernel from a weight matrix."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 2 or w.size == 0:
+        raise DimensionError(f"kernel weights must be a nonempty matrix, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValidationError("kernel weights have non-finite entries")
+    if w.min() < -DEFAULT_TOL or w.max() > 1 + DEFAULT_TOL:
+        raise ValidationError("kernel weights must lie in [0, 1]")
+    sums = w.sum(axis=1)
+    if np.max(np.abs(sums - 1.0)) > DEFAULT_TOL:
+        raise ValidationError(f"kernel rows must sum to 1, got sums {sums}")
+    w = w.copy()
+    w.setflags(write=False)
+    return StochasticKernel(rows=w.shape[0], cols=w.shape[1], weights=w)
 
 
 # ---------------------------------------------------------------------------
@@ -412,3 +433,57 @@ class TestChannelValidation:
         for bad in (1.01 * v, np.where(np.eye(2, dtype=bool), np.nan, v)):
             assert outcome(Channel._from_stack, np.array(bad), DEFAULT_TOL) == outcome(
                 make_channel, bad)
+
+
+def kernel_cases():
+    """Valid kernels, every failing stage and the shapes refused."""
+    nan, inf = float("nan"), float("inf")
+    above, below = 1 + DEFAULT_TOL, -DEFAULT_TOL
+    rng = np.random.default_rng(5)
+    stochastic = rng.dirichlet(np.ones(4), size=3)
+    # a Fortran-ordered copy and a strided view of the same weights
+    strided = np.array(stochastic, dtype=complex).real
+    cases = [
+        ("identity", [[1, 0], [0, 1]]),
+        ("merge", [[1, 0], [1, 0], [0, 1], [0, 1]]),
+        ("random", stochastic),
+        ("fortran", np.asfortranarray(stochastic)),
+        ("strided", strided),
+        ("on-the-bounds", [[above, below], [0.5, 0.5]]),
+        ("nan", [[nan, 0.5], [0.5, 0.5]]),
+        ("inf", [[0.5, 0.5], [inf, 0.5]]),
+        ("minus-inf", [[0.5, -inf], [0.5, 0.5]]),
+        ("both-infinities", [[inf, -inf]]),
+        ("nan-and-out-of-range", [[nan, 2.0], [1.0, 0.0]]),
+        ("out-of-range-and-nan", [[-3.0, 4.0], [nan, 1.0]]),
+        ("just-above", [[np.nextafter(above, 2), 1 - np.nextafter(above, 2)]]),
+        ("just-below", [[np.nextafter(below, -1), 1 - np.nextafter(below, -1)]]),
+        ("twice-the-tolerance", [[1 + 2 * DEFAULT_TOL, -2 * DEFAULT_TOL]]),
+        ("row-sum-low", [[0.5, 0.4], [0.0, 1.0]]),
+        ("row-sum-high", [[0.5, 0.5], [0.6, 0.6]]),
+        ("row-sum-within-tolerance", [[0.5, 0.5 + 0.5 * DEFAULT_TOL]]),
+        ("empty-list", []),
+        ("empty-row", [[]]),
+        ("no-rows", np.zeros((0, 3))),
+        ("scalar", 1.0),
+        ("one-entry-vector", [1.0]),
+        ("vector", [0.5, 0.5]),
+        ("three-dimensional", [[[1.0]]]),
+    ]
+    return [pytest.param(weights, id=name) for name, weights in cases]
+
+
+class TestKernelValidation:
+    @pytest.mark.parametrize("weights", kernel_cases())
+    def test_same_decision_and_message(self, weights):
+        given = np.array(weights, copy=True)
+        if agree(make_kernel, staged_make_kernel, weights)[0] != "ok":
+            return
+        new, old = make_kernel(weights), staged_make_kernel(weights)
+        assert (new.rows, new.cols) == (old.rows, old.cols)
+        assert np.array_equal(new.weights, old.weights)
+        assert new.weights.flags.c_contiguous and not new.weights.flags.writeable
+        # the kernel owns its weights: the caller's array stays writeable and unchanged
+        if isinstance(weights, np.ndarray):
+            assert not np.shares_memory(new.weights, weights) and weights.flags.writeable
+            assert np.array_equal(weights, given)
