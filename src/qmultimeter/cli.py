@@ -508,7 +508,7 @@ def execute(scenario: dict, seed: int | None = None, tol: float | None = None) -
         raise ScenarioParseError("scenario must be a JSON object")
     document = Definition(DOCUMENT).parse(scenario, "").fields
     runs = document.get("runs", [])
-    seed = document.get("seed") if seed is None else seed
+    seed = document.get("seed") if seed is None else INTEGER.read(seed, "seed")
     if seed is None and any(run.entry.randomized for run in runs):
         raise ScenarioParseError("scenario uses randomness but declares no seed")
     if seed is not None and seed < 0:
@@ -662,13 +662,16 @@ def main(argv=None) -> int:
         parser.error("a scenario file is required unless --list-builtins is given")
 
     try:
-        status, _ = run_scenario(
-            args.scenario,
-            report_path=args.report,
-            fmt=args.format,
-            seed=args.seed,
-            tol=args.tol,
-        )
+        # an overflowing input is refused by the checks that read the non-finite
+        # result; numpy's warnings on the way would print, or under -W error raise
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            status, _ = run_scenario(
+                args.scenario,
+                report_path=args.report,
+                fmt=args.format,
+                seed=args.seed,
+                tol=args.tol,
+            )
         return status
     except ScenarioParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

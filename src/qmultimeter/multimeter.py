@@ -253,7 +253,8 @@ def _program_blocks(meter: Multimeter, psis: np.ndarray) -> np.ndarray:
     g = meter.interaction.kraus
     m = g.reshape(len(g), -1, meter.dim_k) @ psis
     m = m.reshape(-1, meter.dim_h, meter.dim_k, meter.dim_h, psis.shape[1])
-    return np.moveaxis(m, -1, 0).reshape(-1, meter.dim_h, meter.dim_k, meter.dim_h)
+    # the column axis first: np.moveaxis(m, -1, 0) at a tenth of its call cost
+    return m.transpose(4, 0, 1, 2, 3).reshape(-1, meter.dim_h, meter.dim_k, meter.dim_h)
 
 
 def _slot_blocks(parts, dims, psis: np.ndarray) -> np.ndarray:
@@ -300,7 +301,12 @@ def _induced_stack(meter: Multimeter, psis: np.ndarray, probes: int, channel: bo
 
     ``psis`` holds the probes' components side by side, an equal number
     each (zero columns add nothing); all are programmed in one
-    :func:`_program_blocks`.  Item ``p`` holds, from the maps ``M_j`` of
+    :func:`_program_blocks`.  On a dense coupling that is one BLAS product
+    whose results can differ in their last bits with its column count, so
+    a probe stacked with others may differ by rounding from the probe
+    induced alone; slot by slot, and for a probe whose products have one
+    nonzero term per entry (a basis vector, scaled or not), they agree bit
+    for bit.  Item ``p`` holds, from the maps ``M_j`` of
     probe ``p``, its effects ``E(x) = sum_j M_j* (I (x) Z(x)) M_j`` in
     pointer-outcome order, or its pointer rows ``(I (x) <i|) M_j``.  A
     pointer with marks sums the slots' Gram matrices (see
@@ -331,18 +337,8 @@ def induced_observable(model: MeasurementModel) -> Observable:
     A kernel then smears the induced effects, ``E'(y) = sum_x k(x, y) E(x)``
     with outcomes ``1..cols`` as :func:`~qmultimeter.observables.post_process`
     labels them: the same observable as smearing the pointer first, with
-    no operator on K formed or validated.
-
-    Effects induced through marks, smeared or not, are Gram sums, positive
-    by construction to within ``DEFAULT_TOL``, and only their completeness
-    is checked (see
-    :meth:`~qmultimeter.observables.Observable._from_gram_sums`).  Effects
-    induced densely are validated as
-    :func:`~qmultimeter.observables.make_observable` validates, since a
-    pointer without marks may have been validated at a looser ``tol``, and
-    kept without a copy (see
-    :meth:`~qmultimeter.observables.Observable._from_stack`).  Either way at
-    ``INDUCTION_TOL``.
+    no operator on K formed or validated.  The effects are validated as
+    :func:`_observable_of` states.
     """
     meter, kernel = model.meter, model.kernel
     effects = _induced_stack(meter, model._components, 1, channel=False)[0]
@@ -350,10 +346,24 @@ def induced_observable(model: MeasurementModel) -> Observable:
     if kernel is not None:
         effects = np.tensordot(kernel.weights, effects, axes=(0, 0))
         outcomes = range(1, kernel.cols + 1)
+    return _observable_of(meter, effects, outcomes)
+
+
+def _observable_of(meter: Multimeter, effects: np.ndarray, outcomes) -> Observable:
+    """The observable of one probe's induced effects, validated at ``INDUCTION_TOL``.
+
+    Effects induced through marks, smeared or not, are Gram sums, positive
+    by construction to within ``DEFAULT_TOL``, and only their completeness
+    is checked (see
+    :meth:`~qmultimeter.observables.Observable._from_gram_sums`).  Effects
+    induced densely are validated as
+    :func:`~qmultimeter.observables.make_observable` validates, since a
+    pointer without marks may have been validated at a looser ``tol`` (see
+    :meth:`~qmultimeter.observables.Observable._from_stack`).  Either way
+    the observable keeps ``effects``, a fresh product, without a copy.
+    """
     if meter.pointer._marks is not None:
-        # Gram sums, smeared at most by kernel weights >= -DEFAULT_TOL
         return Observable._from_gram_sums(meter.dim_h, outcomes, effects, INDUCTION_TOL)
-    # a fresh product, owned by the observable: validated, not copied
     return Observable._from_stack(meter.dim_h, outcomes, effects, INDUCTION_TOL)
 
 
@@ -362,15 +372,22 @@ def induced_channel(model: MeasurementModel) -> Channel:
 
     Its Kraus operators are the pointer rows ``(I (x) <i|) M_j`` of the
     program maps ``M_j`` of the probe's components (see
-    :func:`_induced_stack`) that are not exactly zero: the rows the probe
-    does not reach add nothing to the channel or its Choi matrix, so only
-    the others are kept, validated as :func:`~qmultimeter.channels.make_channel`
-    validates but not copied (see
-    :meth:`~qmultimeter.channels.Channel._from_stack`).  The pointer and
-    kernel play no role here.
+    :func:`_induced_stack`), validated as :func:`_channel_of` states.  The
+    pointer and kernel play no role here.
     """
-    kraus = _induced_stack(model.meter, model._components, 1, channel=True)[0]
-    # a fresh stack, owned by the channel: validated, not copied
+    return _channel_of(_induced_stack(model.meter, model._components, 1, channel=True)[0])
+
+
+def _channel_of(kraus: np.ndarray) -> Channel:
+    """The channel of one probe's induced pointer rows, validated at ``INDUCTION_TOL``.
+
+    Rows that are exactly zero, which the probe does not reach or which pad
+    its components in a stack, add nothing to the channel or its Choi
+    matrix, so only the others are kept: a fresh stack, owned by the
+    channel, validated as :func:`~qmultimeter.channels.make_channel`
+    validates but not copied (see
+    :meth:`~qmultimeter.channels.Channel._from_stack`).
+    """
     return Channel._from_stack(kraus[kraus.any(axis=(1, 2))], INDUCTION_TOL)
 
 

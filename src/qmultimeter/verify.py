@@ -30,8 +30,10 @@ from .exceptions import DimensionError, ValidationError
 from .multimeter import (
     INDUCTION_TOL,
     Multimeter,
+    _channel_of,
     _dilation_couplings,
     _induced_stack,
+    _observable_of,
     induced_channel,
     induced_observable,
     make_model,
@@ -40,10 +42,10 @@ from .observables import (
     Observable,
     is_extreme,
     observable_distance,
-    sharpness_residual,
 )
 from .operators import (
     DIMENSION_CAP,
+    _defect_norms,
     _frobenius_norms,
     frobenius_norm,
     haar_isometry,
@@ -130,14 +132,16 @@ class DeviceKind(NamedTuple):
     """
 
     device: type
+    channel: bool  # whether `_induced_stack` induces Kraus operators rather than effects
     induce: Callable  # measurement model -> induced device
+    devices: Callable  # (multimeter, induced stack) -> each probe's device, validated as by `induce`
     distance: Callable  # (device, device) -> distance, zero iff equal
-    defect: Callable  # device -> residual that vanishes iff the device is ideal
-    defect_key: str  # report key of that residual
+    pair: Callable  # (induced stack of two probes, their devices) -> (defect of each, distance)
+    defect_key: str  # report key of the defect, a residual that vanishes iff the device is ideal
     ideal: str  # what an ideal device is called
     extreme: Callable  # device -> whether it is extreme
-    arrays: Callable  # (multimeter, devices) -> their arrays, laid out as `induce_arrays` lays them
-    induce_arrays: Callable  # (multimeter, psis, probes) -> induced array per probe
+    arrays: Callable  # (multimeter, devices) -> their arrays, laid out as `compared` lays them
+    compared: Callable  # induced stack -> each probe's array, as `_distances` compares them
     describe: Callable  # induced device -> summary for a report
 
 
@@ -169,32 +173,53 @@ def _distances(x: np.ndarray) -> np.ndarray:
     return _frobenius_norms(x).reshape(len(x), -1).max(axis=1)
 
 
+def _sharp_pair(effects: np.ndarray, devices) -> tuple:
+    """Sharpness residual of each of two probes' induced effects, and their distance.
+
+    Both sets of effects are in the pointer's outcome order, so each number
+    is, bit for bit, what :func:`~qmultimeter.observables.sharpness_residual`
+    and :func:`~qmultimeter.observables.observable_distance` give for the
+    devices: the residuals come from one
+    :func:`~qmultimeter.operators._defect_norms` pass over both, the
+    distance from one :func:`~qmultimeter.operators._frobenius_norms`.
+    """
+    dim = effects.shape[-1]
+    defects = _defect_norms(effects.reshape(-1, dim, dim), idempotence=True)[:, 2]
+    distance = float(_frobenius_norms(effects[0] - effects[1]).max())
+    return defects.reshape(2, -1).max(axis=1).tolist(), distance
+
+
 #: The two kinds of device a multimeter programs.  The channel theorem
 #: follows from the observable theorem, so every check below runs one body
 #: on either entry.
 DEVICE_KINDS = {
     "observable": DeviceKind(
         device=Observable,
+        channel=False,
         induce=lambda model: induced_observable(model),
+        devices=lambda m, effects: [_observable_of(m, e, m.pointer.outcomes) for e in effects],
         distance=lambda a, b: observable_distance(a, b),
-        defect=lambda e: sharpness_residual(e),
+        pair=_sharp_pair,
         defect_key="sharpness_residual",
         ideal="sharp",
         extreme=lambda e: is_extreme(e),
         arrays=_observable_arrays,
-        induce_arrays=lambda m, psis, probes: _induced_stack(m, psis, probes, channel=False),
+        compared=lambda effects: effects,
         describe=lambda e: f"observable with outcomes {e.outcomes}",
     ),
     "channel": DeviceKind(
         device=Channel,
+        channel=True,
         induce=lambda model: induced_channel(model),
+        devices=lambda m, kraus: [_channel_of(k) for k in kraus],
         distance=lambda a, b: channel_distance(a, b),
-        defect=lambda c: multiplicativity_residual(c),
+        pair=lambda kraus, devices: (
+            [multiplicativity_residual(c) for c in devices], channel_distance(*devices)),
         defect_key="multiplicativity_residual",
         ideal="unitary",
         extreme=lambda c: is_extreme_channel(c),
         arrays=_channel_arrays,
-        induce_arrays=lambda m, psis, probes: _choi(_induced_stack(m, psis, probes, channel=True)),
+        compared=lambda kraus: _choi(kraus),
         describe=lambda c: f"channel with {len(c)} Kraus operators",
     ),
 }
@@ -203,14 +228,24 @@ DEVICE_KINDS = {
 def _check_program_orthogonality(
     name: str, kind: str, m: Multimeter, phi1, phi2, tol
 ) -> VerificationReport:
-    """Distinct ideal devices of one kind force orthogonal program vectors."""
+    """Distinct ideal devices of one kind force orthogonal program vectors.
+
+    Both probes' components go side by side, each zero-padded to the wider,
+    into one :func:`~qmultimeter.multimeter._induced_stack`, and both
+    devices are validated as their induction validates them.
+    """
     k = DEVICE_KINDS[kind]
     model1, model2 = make_model(m, phi1), make_model(m, phi2)
-    d1, d2 = k.induce(model1), k.induce(model2)
-    res1, res2 = k.defect(d1), k.defect(d2)
-    distance = k.distance(d1, d2)
+    c1, c2 = model1._components, model2._components
+    width = max(c1.shape[1], c2.shape[1])
+    psis = np.zeros((m.dim_k, 2 * width), dtype=complex)
+    psis[:, : c1.shape[1]] = c1
+    psis[:, width : width + c2.shape[1]] = c2
+    stack = _induced_stack(m, psis, 2, channel=k.channel)
+    d1, d2 = devices = k.devices(m, stack)
+    (res1, res2), distance = k.pair(stack, devices)
     # ||Psi_1* Psi_2||_F = sqrt(tr(xi_1 xi_2)): |<phi_1|phi_2>| however a pure probe is written
-    overlap = float(np.linalg.norm(model1._components.conj().T @ model2._components))
+    overlap = float(np.linalg.norm(c1.conj().T @ c2))
     residuals = {
         f"{k.defect_key}_1": res1,
         f"{k.defect_key}_2": res2,
@@ -327,7 +362,7 @@ def check_convex_hull(
 
     def distances(psis, weights):
         """Distance of each probe's induced device to the mixture with ``weights[:, p]``."""
-        induced = k.induce_arrays(m, psis, weights.shape[1])
+        induced = k.compared(_induced_stack(m, psis, weights.shape[1], channel=k.channel))
         return _distances(induced - (weights.T @ declared).reshape(induced.shape))
 
     base_residual = float(distances(components, np.eye(m.dim_k)).max())
@@ -380,8 +415,12 @@ def check_purification(
 
     If the device induced by a mixed probe is extreme, every eigenvector of
     the probe must induce that same device, so a pure probe suffices.  The
-    eigenvectors are the model's components of weight above 1e-12, induced
-    in one stacked product (see :func:`~qmultimeter.multimeter._induced_stack`).
+    eigenvectors are the model's components of weight above 1e-12.  The
+    mixture and each normalised eigenvector, zero-padded to the mixture's
+    width, are induced in one stacked product (see
+    :func:`~qmultimeter.multimeter._induced_stack`), the mixture first; its
+    device, validated as its induction validates it, decides extremality,
+    and each eigenvector's array is compared with the mixture's.
     """
     name = "purification"
     if kind not in DEVICE_KINDS:
@@ -391,15 +430,21 @@ def check_purification(
     model = make_model(m, mixed_probe)
     if model.probe.ndim != 2:
         return VerificationReport(name, "not_applicable", {}, "probe is pure (a vector)")
-    norms = np.linalg.norm(model._components, axis=0)
+    mixture = model._components
+    norms = np.linalg.norm(mixture, axis=0)
     kept = norms**2 > 1e-12
     if np.count_nonzero(kept) < 2:
         return VerificationReport(name, "not_applicable", {}, "probe has rank below 2")
 
-    device = k.induce(model)
-    extreme = k.extreme(device)
-    psis = model._components[:, kept] / norms[kept]
-    distances = _distances(k.induce_arrays(m, psis, psis.shape[1]) - k.arrays(m, [device]))
+    eigenvectors = mixture[:, kept] / norms[kept]
+    width, probes = mixture.shape[1], 1 + eigenvectors.shape[1]
+    psis = np.zeros((m.dim_k, probes * width), dtype=complex)
+    psis[:, :width] = mixture
+    psis[:, width::width] = eigenvectors
+    stack = _induced_stack(m, psis, probes, channel=k.channel)
+    extreme = k.extreme(k.devices(m, stack[:1])[0])
+    arrays = k.compared(stack)
+    distances = _distances(arrays[1:] - arrays[:1])
     worst = float(distances.max())
     residuals = {"max_component_distance": worst, "probe_rank": float(len(distances))}
     if not extreme:

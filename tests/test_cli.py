@@ -1,5 +1,8 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -87,6 +90,27 @@ PAULI_SCENARIO = {
         },
         {"command": "bounds", "outcome_counts": [2, 2, 2], "expect": [3, 24]},
     ],
+}
+
+
+def _diag(value) -> list:
+    return [[value, 0], [0, value]]
+
+
+#: Documents whose numbers overflow in the first product that reads them.
+OVERFLOWING = {
+    "spin-axis": {"objects": {
+        "S": {"kind": "observable", "builtin": "spin", "axis": [1e308, 1e308, 0]}}, "runs": []},
+    "kraus": {"objects": {"C": {"kind": "channel", "kraus": [_diag(1e200)]}}, "runs": []},
+    "effect": {"objects": {"A": {"kind": "observable", "dim": 2, "outcomes": [1, 2], "effects": {
+        "1": [[1e308, 0], [0, 0]], "2": [[0, 0], [0, 1]]}}}, "runs": []},
+    "unitary": {"objects": {
+        "U": {"kind": "channel", "builtin": "unitary", "matrix": [[1e308, 1e308]] * 2}},
+        "runs": []},
+    "vector-probe": {"objects": MINIMAL_DILATION, "runs": [
+        {"command": "program", "multimeter": "md", "probe": [1e308, 1e308]}]},
+    "density-probe": {"objects": MINIMAL_DILATION, "runs": [
+        {"command": "program", "multimeter": "md", "probe": {"density": _diag(1e308)}}]},
 }
 
 
@@ -205,6 +229,29 @@ class TestMainExitCodes:
         payload = {"objects": MINIMAL_DILATION, "runs": [run]}
         assert main([write_scenario(tmp_path, payload)]) == EXIT_REFERENCE
         assert "reference error: runs[0]: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", list(OVERFLOWING))
+    def test_overflowing_input_exits_dimension_without_warnings(self, tmp_path, capsys, name):
+        # pytest turns numpy's RuntimeWarning into an error, so an overflow
+        # that reaches the user would end in a traceback here
+        assert main([write_scenario(tmp_path, OVERFLOWING[name])]) == EXIT_DIMENSION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("dimension/validation error: "), lines
+
+    def test_overflowing_input_under_warnings_as_errors(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "qmultimeter.cli",
+             write_scenario(tmp_path, OVERFLOWING["kraus"])],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == EXIT_DIMENSION, done.stderr
+        assert done.stderr == (
+            "dimension/validation error: objects.C: "
+            "Kraus operators have non-finite entries (residual nan)\n")
 
     def test_dimension_exit(self, tmp_path, capsys):
         payload = {
@@ -716,6 +763,18 @@ class TestReportFormats:
         run_scenario(path, report_path=str(out1), fmt="structured")
         run_scenario(path, report_path=str(out2), fmt="structured")
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("seed", [1.5, float("nan"), "3", True, -1])
+    def test_seed_override_is_read_as_a_document_seed(self, seed):
+        payload = {"objects": {}, "runs": [{
+            "command": "verify", "check": "counterexample_search", "dim_h": 2, "dim_k": 2,
+            "trials": 3}]}
+        with pytest.raises(ScenarioParseError, match="^seed"):
+            execute(payload, seed=seed)
+        # the same value as the document's seed
+        with pytest.raises(ScenarioParseError, match="^seed"):
+            execute({**payload, "seed": seed})
+        assert [r.verdict for r in execute(payload, seed=3)] == ["pass"]
 
     def test_seed_override_changes_stream(self, tmp_path):
         payload = {

@@ -170,6 +170,43 @@ class TestChannelOrthogonality:
         assert "extreme" in rep.details
 
 
+class TestOrthogonalityInduction:
+    @pytest.mark.parametrize("kind", ["observable", "channel"])
+    def test_one_stacked_induction(self, monkeypatch, kind):
+        # both probes' components go side by side into one stacked call, the
+        # narrower zero-padded to the wider, with no per-probe induction
+        meter, probes = push_button_multimeter(
+            [unitary_channel(haar_unitary(2, np.random.default_rng(s))) for s in range(3)])
+        phi2 = np.diag([0.0, 0.25, 0.75]).astype(complex)
+        check = {"observable": check_sharp_program_orthogonality,
+                 "channel": check_channel_program_orthogonality}[kind]
+        want = check(meter, probes[0], phi2)
+        stacks, devices = [], []
+        induce = verify._induced_stack
+        monkeypatch.setattr(verify, "_induced_stack", lambda m, psis, probes, **k: stacks.append(
+            (psis.copy(), probes, k)) or induce(m, psis, probes, **k))
+        for name in ("induced_observable", "induced_channel"):
+            monkeypatch.setattr(verify, name, lambda model: devices.append(model))
+        rep = check(meter, probes[0], phi2)
+        assert (rep.verdict, rep.residuals, rep.details) == (want.verdict, want.residuals,
+                                                             want.details)
+        assert devices == [] and len(stacks) == 1
+        psis, count, options = stacks[0]
+        assert count == 2 and options == {"channel": kind == "channel"}
+        assert psis.shape == (3, 4)
+        assert np.array_equal(psis[:, 0], probes[0]) and not psis[:, 1].any()
+        assert np.array_equal(psis[:, 2:], make_model(meter, phi2)._components)
+
+    def test_pure_probes_are_not_padded(self, monkeypatch, spin_trio):
+        meter, probes = builtin_multimeter("spin_pair", observables=(spin_trio[0], spin_trio[2]))
+        stacks = []
+        induce = verify._induced_stack
+        monkeypatch.setattr(verify, "_induced_stack", lambda m, psis, probes, **k: stacks.append(
+            psis.copy()) or induce(m, psis, probes, **k))
+        assert check_sharp_program_orthogonality(meter, probes[0], probes[1]).verdict == "pass"
+        assert len(stacks) == 1 and np.array_equal(stacks[0], np.stack(probes, axis=1))
+
+
 class TestConvexHull:
     def test_push_button_channels(self):
         devices = [identity_channel(2), unitary_channel(PAULI[1])]
@@ -344,21 +381,28 @@ class TestPurification:
         "kind, distance", [("observable", "observable_distance"), ("channel", "channel_distance")]
     )
     def test_one_distance_per_component(self, monkeypatch, spin_trio, kind, distance):
-        # the mixture is induced once as a device; the components are induced
-        # together, one column each, in one stacked call, and compared as arrays;
+        # the mixture and its components are induced in one stacked call, the
+        # mixture first and each normalised component padded to its width, with
+        # no per-probe induction; the components are compared as arrays, and
         # the report cites one distance per component and the worst of them
         meter, _ = minimal_dilation_multimeter(spin_trio[2])
         calls, stacks, devices = [], [], []
         induce = verify._induced_stack
-        induced_device = getattr(verify, f"induced_{kind}")
         monkeypatch.setattr(verify, distance, lambda a, b: calls.append((a, b)))
         monkeypatch.setattr(verify, "_induced_stack", lambda m, psis, probes, **k: stacks.append(
-            (psis.shape, probes)) or induce(m, psis, probes, **k))
-        monkeypatch.setattr(verify, f"induced_{kind}",
-                            lambda model: devices.append(model) or induced_device(model))
-        rep = check_purification(meter, np.diag([0.5, 0.5]).astype(complex), kind=kind)
+            (psis.copy(), probes)) or induce(m, psis, probes, **k))
+        for name in ("induced_observable", "induced_channel"):
+            monkeypatch.setattr(verify, name, lambda model: devices.append(model))
+        probe = np.diag([0.5, 0.5]).astype(complex)
+        rep = check_purification(meter, probe, kind=kind)
         assert rep.verdict == "not_applicable" and "decomposition" in rep.details
-        assert calls == [] and len(devices) == 1 and stacks == [((2, 2), 2)]
+        assert calls == [] and devices == [] and len(stacks) == 1
+        psis, probes = stacks[0]
+        mixture = make_model(meter, probe)._components
+        assert probes == 3 and psis.shape == (2, 6)
+        assert np.array_equal(psis[:, :2], mixture)
+        assert np.array_equal(psis[:, 2::2], mixture / np.linalg.norm(mixture, axis=0))
+        assert not psis[:, 3::2].any()
         gaps = rep.details.split("[")[1].rstrip("]").split(", ")
         assert len(gaps) == rep.residuals["probe_rank"] == 2
         assert max(gaps, key=float) == f"{rep.residuals['max_component_distance']:.3e}"
